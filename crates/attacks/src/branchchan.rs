@@ -90,16 +90,6 @@ pub fn try_btb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     )
 }
 
-/// Panicking wrapper over [`try_btb_channel`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_btb_channel` and handle the `SimError`")]
-#[must_use]
-pub fn btb_channel(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_btb_channel(spec).expect("simulated program failed")
-}
-
 /// Drive the global history register to a known (all-zero) state by
 /// executing `n` never-taken conditional branches at a scratch pc.
 ///
@@ -142,16 +132,6 @@ pub fn try_bhb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
             },
         },
     )
-}
-
-/// Panicking wrapper over [`try_bhb_channel`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_bhb_channel` and handle the `SimError`")]
-#[must_use]
-pub fn bhb_channel(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_bhb_channel(spec).expect("simulated program failed")
 }
 
 #[cfg(test)]

@@ -50,16 +50,6 @@ pub fn try_l1d_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     )
 }
 
-/// Panicking wrapper over [`try_l1d_channel`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_l1d_channel` and handle the `SimError`")]
-#[must_use]
-pub fn l1d_channel(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_l1d_channel(spec).expect("simulated program failed")
-}
-
 /// The L1-I channel: as L1-D but with instruction fetches on both sides.
 ///
 /// # Errors
@@ -89,16 +79,6 @@ pub fn try_l1i_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
             measure: |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe_exec(env) as f64,
         },
     )
-}
-
-/// Panicking wrapper over [`try_l1i_channel`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_l1i_channel` and handle the `SimError`")]
-#[must_use]
-pub fn l1i_channel(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_l1i_channel(spec).expect("simulated program failed")
 }
 
 /// How many L2 sets each side works with on a platform: as many sets as
@@ -161,16 +141,6 @@ pub fn try_l2_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> 
     )
 }
 
-/// Panicking wrapper over [`try_l2_channel`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_l2_channel` and handle the `SimError`")]
-#[must_use]
-pub fn l2_channel(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_l2_channel(spec).expect("simulated program failed")
-}
-
 /// The §5.3.2 residual-channel ablation: the sender walks `2·symbol` pages
 /// sequentially, leaving that many *confidently trained* streams in the
 /// data prefetcher. The on-core flush (manual L1 flush + IBC) does not
@@ -209,16 +179,6 @@ pub fn try_l2_prefetcher_residual(spec: &IntraCoreSpec) -> Result<ChannelOutcome
             measure: |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env) as f64,
         },
     )
-}
-
-/// Panicking wrapper over [`try_l2_prefetcher_residual`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_l2_prefetcher_residual` and handle the `SimError`")]
-#[must_use]
-pub fn l2_prefetcher_residual(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_l2_prefetcher_residual(spec).expect("simulated program failed")
 }
 
 #[cfg(test)]

@@ -169,23 +169,6 @@ pub fn try_run_intra_core<T: Send + 'static>(
     try_run_intra_core_with_setup(spec, None, sender, receiver)
 }
 
-/// Panicking wrapper over [`try_run_intra_core`].
-///
-/// # Panics
-/// Panics if a simulated program fails.
-#[deprecated(note = "use `try_run_intra_core` and handle the `SimError`")]
-#[must_use]
-pub fn run_intra_core<T: Send + 'static>(
-    spec: &IntraCoreSpec,
-    sender: impl SenderFn,
-    receiver: Receiver<
-        impl FnOnce(&mut UserEnv) -> T + Send + 'static,
-        impl FnMut(&mut UserEnv, &mut T) -> f64 + Send + 'static,
-    >,
-) -> Dataset {
-    try_run_intra_core(spec, sender, receiver).expect("simulated program failed")
-}
-
 /// As [`try_run_intra_core`], with an optional kernel-setup hook that runs
 /// after thread creation (capability grants etc.). The hook sees the TCBs
 /// in order `[sender, receiver]`.
@@ -257,25 +240,6 @@ pub fn try_run_intra_core_with_setup<T: Send + 'static>(
     Ok(pair_logs(n_symbols, &sends, &recvs))
 }
 
-/// Panicking wrapper over [`try_run_intra_core_with_setup`].
-///
-/// # Panics
-/// Panics if a simulated program fails.
-#[deprecated(note = "use `try_run_intra_core_with_setup` and handle the `SimError`")]
-#[must_use]
-pub fn run_intra_core_with_setup<T: Send + 'static>(
-    spec: &IntraCoreSpec,
-    setup_hook: Option<tp_core::system::SetupFn>,
-    sender: impl SenderFn,
-    receiver: Receiver<
-        impl FnOnce(&mut UserEnv) -> T + Send + 'static,
-        impl FnMut(&mut UserEnv, &mut T) -> f64 + Send + 'static,
-    >,
-) -> Dataset {
-    try_run_intra_core_with_setup(spec, setup_hook, sender, receiver)
-        .expect("simulated program failed")
-}
-
 /// Pair each receiver observation with the sender slice that most recently
 /// *started before* the observation.
 #[must_use]
@@ -306,23 +270,6 @@ pub fn try_measure_channel<T: Send + 'static>(
     let dataset = try_run_intra_core(spec, sender, receiver)?;
     let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
     Ok(ChannelOutcome { dataset, verdict })
-}
-
-/// Panicking wrapper over [`try_measure_channel`].
-///
-/// # Panics
-/// Panics if a simulated program fails.
-#[deprecated(note = "use `try_measure_channel` and handle the `SimError`")]
-#[must_use]
-pub fn measure_channel<T: Send + 'static>(
-    spec: &IntraCoreSpec,
-    sender: impl SenderFn,
-    receiver: Receiver<
-        impl FnOnce(&mut UserEnv) -> T + Send + 'static,
-        impl FnMut(&mut UserEnv, &mut T) -> f64 + Send + 'static,
-    >,
-) -> ChannelOutcome {
-    try_measure_channel(spec, sender, receiver).expect("simulated program failed")
 }
 
 #[cfg(test)]

@@ -120,16 +120,6 @@ pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, Sim
     Ok(ChannelOutcome { dataset, verdict })
 }
 
-/// Panicking wrapper over [`try_interrupt_channel`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_interrupt_channel` and handle the `SimError`")]
-#[must_use]
-pub fn interrupt_channel(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_interrupt_channel(spec).expect("simulated program failed")
-}
-
 /// The paper's spec: 10 ms tick.
 #[must_use]
 pub fn paper_spec(platform: tp_sim::Platform, partitioned: bool, samples: usize) -> IntraCoreSpec {

@@ -68,16 +68,6 @@ pub fn try_llc_attack(
     try_llc_attack_on(Platform::Haswell, prot, slots, seed)
 }
 
-/// Panicking wrapper over [`try_llc_attack`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_llc_attack` and handle the `SimError`")]
-#[must_use]
-pub fn llc_attack(prot: ProtectionConfig, slots: usize, seed: u64) -> LlcAttackResult {
-    try_llc_attack(prot, slots, seed).expect("simulated program failed")
-}
-
 /// Run the attack on any registered platform with a sliced LLC.
 ///
 /// # Errors
@@ -244,21 +234,6 @@ pub fn try_llc_attack_on(
     let mut result = decode_trace(trace, &true_bits, eviction_set_size);
     result.victim_square_cycles = squares;
     Ok(result)
-}
-
-/// Panicking wrapper over [`try_llc_attack_on`].
-///
-/// # Panics
-/// Panics if the platform has no LLC or the simulation fails.
-#[deprecated(note = "use `try_llc_attack_on` and handle the `SimError`")]
-#[must_use]
-pub fn llc_attack_on(
-    platform: Platform,
-    prot: ProtectionConfig,
-    slots: usize,
-    seed: u64,
-) -> LlcAttackResult {
-    try_llc_attack_on(platform, prot, slots, seed).expect("simulated program failed")
 }
 
 /// Decode the probe trace into exponent bits.

@@ -84,16 +84,6 @@ pub fn try_tlb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     )
 }
 
-/// Panicking wrapper over [`try_tlb_channel`].
-///
-/// # Panics
-/// Panics if the simulation fails.
-#[deprecated(note = "use `try_tlb_channel` and handle the `SimError`")]
-#[must_use]
-pub fn tlb_channel(spec: &IntraCoreSpec) -> ChannelOutcome {
-    try_tlb_channel(spec).expect("simulated program failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 //! journal damage.
 //!
 //! ```text
-//! cargo run --release -p tp-bench --bin chaos    # all eight classes
+//! cargo run --release -p tp-bench --bin chaos    # every class
 //! TP_FAULT=env-stall@3 cargo run -p tp-bench --bin chaos
 //! TP_FAULT=kill@2      cargo run --release -p tp-bench --bin chaos
 //! ```
@@ -38,7 +38,7 @@ use tp_bench::supervise::{
     CellOutcome, QuarantineEntry,
 };
 use tp_bench::util::Table;
-use tp_core::{ExecMode, FaultKind, FaultPlan, SimError};
+use tp_core::{FaultKind, FaultPlan, SimError};
 use tp_sim::Platform;
 
 /// Where the quarantine ledger is written (same path as the campaign's).
@@ -60,42 +60,20 @@ fn expected_outcome(kind: FaultKind) -> CellOutcome {
         // The deadlock detector must classify the wedged token, never the
         // wall-clock watchdog.
         FaultKind::LostWakeup { .. } => CellOutcome::Deadlock,
-        // A killed worker's coroutines are adopted by the survivors; the
-        // cell completes as if nothing happened.
-        FaultKind::WorkerKill { .. } => CellOutcome::Ok,
         FaultKind::StackOverflow => CellOutcome::StackOverflow,
     }
 }
 
-/// The synthetic cell a fault class is exercised against. `lost-wakeup`
-/// needs cross-core token rotation (the pair cell) and `worker-kill`
-/// needs coroutines left to adopt (the fleet cell, two coop workers);
-/// both pin the cooperative executor explicitly — it is the component
-/// under test — so the matrix classifies identically under
-/// `TP_EXECUTOR=threads`. Everything else runs the probe cell under the
-/// process default executor.
+/// The synthetic cell a fault class is exercised against: `lost-wakeup`
+/// needs cross-core token rotation (the pair cell); everything else runs
+/// the probe cell.
 fn cell_body(
     kind: FaultKind,
     seed: u64,
 ) -> Box<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync> {
     match kind {
-        FaultKind::LostWakeup { .. } => {
-            Box::new(move || pair_cell(seed, ExecMode::Coop { workers: 0 }))
-        }
-        FaultKind::WorkerKill { .. } => {
-            Box::new(move || fleet_cell(seed, ExecMode::Coop { workers: 2 }))
-        }
+        FaultKind::LostWakeup { .. } => Box::new(move || pair_cell(seed)),
         _ => Box::new(move || probe_cell(seed)),
-    }
-}
-
-/// Per-class deadline: `worker-kill` is expected to *complete* (adoption,
-/// not detection), so it gets the generous default instead of the tight
-/// stall-bounding one.
-fn class_deadline(kind: FaultKind, tight: Duration) -> Duration {
-    match kind {
-        FaultKind::WorkerKill { .. } => Duration::from_secs(120),
-        _ => tight,
     }
 }
 
@@ -413,14 +391,13 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Draw one fuzzed fault class with a fuzzed trigger ordinal in 1..=40.
 fn fuzz_kind(state: &mut u64) -> FaultKind {
     let at = 1 + splitmix(state) % 40;
-    match splitmix(state) % 8 {
+    match splitmix(state) % 7 {
         0 => FaultKind::EnvPanic { at },
         1 => FaultKind::EnvStall { at },
         2 => FaultKind::CommitFlip { index: at as usize },
         3 => FaultKind::SnapshotCorrupt,
         4 => FaultKind::NoisePoison { after: at * 8 },
         5 => FaultKind::LostWakeup { at },
-        6 => FaultKind::WorkerKill { at },
         _ => FaultKind::StackOverflow,
     }
 }
@@ -441,17 +418,11 @@ fn allowed_outcomes(kind: FaultKind) -> Vec<CellOutcome> {
         FaultKind::CommitFlip { .. } => vec![O::ReplayDiverged],
         FaultKind::SnapshotCorrupt => vec![O::SnapshotCorrupt, O::Ok],
         FaultKind::NoisePoison { .. } => vec![O::Panicked, O::EnvFailed, O::Ok],
-        FaultKind::LostWakeup { .. } => match tp_core::default_exec_mode() {
-            // Without the coop driver there is no deadlock detector; the
-            // watchdog is the legacy engine's (acceptable) backstop.
-            ExecMode::Threads => vec![O::TimedOut, O::Ok],
-            // The detector needs every environment suspended. A cell with a
-            // spinning daemon (e.g. the bus sender's compute loop) turns a
-            // wedged token into a livelock, which only the watchdog can
-            // classify — `TimedOut` is the correct verdict there.
-            ExecMode::Coop { .. } => vec![O::Deadlock, O::TimedOut, O::Ok],
-        },
-        FaultKind::WorkerKill { .. } => vec![O::Ok],
+        // The detector needs every environment suspended. A cell with a
+        // spinning daemon (e.g. the bus sender's compute loop) turns a
+        // wedged token into a livelock, which only the watchdog can
+        // classify — `TimedOut` is the correct verdict there.
+        FaultKind::LostWakeup { .. } => vec![O::Deadlock, O::TimedOut, O::Ok],
         FaultKind::StackOverflow => vec![O::StackOverflow, O::EnvFailed, O::Ok],
     }
 }
@@ -553,9 +524,8 @@ fn run_sweep(seed: u64, budget: usize) -> ExitCode {
     let defs = campaign::registry();
     let universe = sweep_universe(&defs);
     eprintln!(
-        "[sweep: seed {seed:#x}, {budget} plan(s) over {} cell(s), executor {:?}]",
-        universe.len(),
-        tp_core::default_exec_mode()
+        "[sweep: seed {seed:#x}, {budget} plan(s) over {} cell(s)]",
+        universe.len()
     );
 
     // Healthy reference pass: fingerprints + per-cell wall times (which
@@ -782,17 +752,9 @@ fn main() -> ExitCode {
             "chaos",
             "haswell",
             Some(plan),
-            class_deadline(plan.kind, deadline),
+            deadline,
             cell_body(plan.kind, seed),
         );
-        if matches!(plan.kind, FaultKind::LostWakeup { .. }) {
-            // The CI deadlock smoke diffs this line across coroutine
-            // backends: same classification, same interaction ordinal.
-            println!(
-                "deadlock-detail: {}",
-                report.error.as_deref().unwrap_or("no detail")
-            );
-        }
         let pass = report.outcome == expected;
         if !pass {
             failures += 1;
@@ -834,7 +796,7 @@ fn main() -> ExitCode {
             "haswell",
             Some(&p),
             Duration::from_secs(120),
-            || fleet_cell(0xC4A0_51EE, ExecMode::default()),
+            || fleet_cell(0xC4A0_51EE),
         );
         let pass = r.outcome == CellOutcome::EnvFailed && r.channels.is_some() && r.attempts == 1;
         if !pass {

@@ -31,9 +31,7 @@ use std::sync::Arc;
 use tp_analysis::{leakage_test, Dataset};
 use tp_attacks::harness::{pair_logs, ChannelOutcome};
 use tp_attacks::probe::{l1_probe, ProbeBuf};
-use tp_core::{
-    EnvOutcome, ExecMode, ProtectionConfig, SimError, SystemBuilder, SystemSpec, UserEnv,
-};
+use tp_core::{EnvOutcome, ProtectionConfig, SimError, SystemBuilder, SystemSpec, UserEnv};
 use tp_sim::{ColorSet, Platform};
 
 /// Symbols the attacker pairs encode (8 ⇒ up to 3 bits per slice).
@@ -64,9 +62,6 @@ pub struct CloudSpec {
     pub slice_us: f64,
     /// RNG seed (symbol sequences, arrivals, service times, sim noise).
     pub seed: u64,
-    /// Executor running the environments (worker count must be invisible
-    /// in every reported number; tests pin different counts here).
-    pub executor: ExecMode,
 }
 
 impl CloudSpec {
@@ -82,7 +77,6 @@ impl CloudSpec {
             samples: samples(120),
             slice_us: 50.0,
             seed: 0x5EED,
-            executor: ExecMode::default(),
         }
     }
 
@@ -90,13 +84,6 @@ impl CloudSpec {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Override the executor.
-    #[must_use]
-    pub fn with_executor(mut self, mode: ExecMode) -> Self {
-        self.executor = mode;
         self
     }
 
@@ -169,9 +156,8 @@ const TENANT_FRAMES: usize = 64;
 /// Rotation order is `[V0, A0, V1, A1, …, T0, T1, …]`: each attacker's
 /// probe slice immediately follows its victim's encode slice, exactly the
 /// adjacency a co-resident pair gets under round-robin consolidation.
-/// Everything downstream of the seed is deterministic, including host
-/// worker count (the cooperative executor serializes on the window
-/// token), so verdicts are stable across `TP_THREADS`.
+/// Everything downstream of the seed is deterministic, so verdicts are
+/// stable across runs and `TP_THREADS`.
 ///
 /// # Errors
 /// Returns the [`SimError`] of the first simulated program that fails.
@@ -196,7 +182,6 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
     let sys = SystemSpec {
         ram_frames,
         max_cycles,
-        executor: spec.executor,
         ..SystemSpec::new(spec.platform, spec.prot)
     };
     let mut b = SystemBuilder::from_spec(sys)

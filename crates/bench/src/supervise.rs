@@ -131,7 +131,7 @@ pub enum CellOutcome {
     /// The cell completed, but one or more non-primary environments failed
     /// in isolation: partial results over the survivors, not a quarantine.
     EnvFailed,
-    /// Every attempt ended in a deterministic scheduler deadlock (the coop
+    /// Every attempt ended in a deterministic scheduler deadlock (the
     /// driver proved no environment can ever be admitted again).
     Deadlock,
     /// Every attempt died on a clobbered stack guard canary.
@@ -426,21 +426,11 @@ pub fn commit_flip_selfcheck(flip: usize) -> Option<tp_core::Divergence> {
 /// Returns the [`SimError`] when the simulation fails — which is the
 /// point: every injected fault class surfaces here.
 pub fn probe_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-    probe_cell_with(seed, tp_core::ExecMode::default())
-}
-
-/// [`probe_cell`] under an explicit executor, for the differential
-/// regression that pins fault classification across engines.
-///
-/// # Errors
-/// As [`probe_cell`].
-pub fn probe_cell_with(seed: u64, mode: tp_core::ExecMode) -> Result<Vec<ChannelResult>, SimError> {
     use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
     let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
         .seed(seed)
         .warm_boot(true)
-        .max_cycles(200_000_000)
-        .executor(mode);
+        .max_cycles(200_000_000);
     let d = b.domain(None);
     b.spawn(d, 0, 100, |env: &mut UserEnv| {
         let (base, _) = env.map_pages(32);
@@ -457,22 +447,18 @@ pub fn probe_cell_with(seed: u64, mode: tp_core::ExecMode) -> Result<Vec<Channel
 
 /// A two-core pair cell: one primary per core, each interleaving probe
 /// loads with `Yield`s, so forward progress *requires* cross-core token
-/// rotation. The `lost-wakeup` fault wedges the token here and the coop
+/// rotation. The `lost-wakeup` fault wedges the token here and the
 /// driver's deadlock detector must classify it — deterministically, at the
-/// same interaction ordinal for every worker count and coroutine backend.
+/// same interaction ordinal on every run and coroutine backend.
 ///
 /// # Errors
 /// The [`SimError`] when the simulation fails (under `lost-wakeup`, a
 /// [`tp_core::SimErrorKind::Deadlock`]).
-pub fn pair_cell_report(
-    seed: u64,
-    mode: tp_core::ExecMode,
-) -> Result<tp_core::SystemReport, SimError> {
+pub fn pair_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
     use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
     let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
         .seed(seed)
-        .max_cycles(400_000_000)
-        .executor(mode);
+        .max_cycles(400_000_000);
     let d0 = b.domain(None);
     let d1 = b.domain(None);
     for (core, d) in [d0, d1].into_iter().enumerate() {
@@ -486,36 +472,24 @@ pub fn pair_cell_report(
             }
         });
     }
-    b.try_run()
-}
-
-/// [`pair_cell_report`] shaped as a supervised cell body.
-///
-/// # Errors
-/// As [`pair_cell_report`].
-pub fn pair_cell(seed: u64, mode: tp_core::ExecMode) -> Result<Vec<ChannelResult>, SimError> {
-    pair_cell_report(seed, mode).map(|_| Vec::new())
+    b.try_run()?;
+    Ok(Vec::new())
 }
 
 /// A small fleet cell: one primary plus two daemon tenants in their own
 /// domains on one core. The daemons issue all the early syscalls (tight
 /// `Yield` loops), so a low-ordinal `env-panic@N` deterministically kills a
 /// *daemon* — exercising per-environment isolation ([`CellOutcome::EnvFailed`],
-/// survivors unperturbed) — and `worker-kill@N` has suspended coroutines for
-/// the surviving workers to adopt.
+/// survivors unperturbed).
 ///
 /// # Errors
 /// The [`SimError`] when the simulation fails.
-pub fn fleet_cell_report(
-    seed: u64,
-    mode: tp_core::ExecMode,
-) -> Result<tp_core::SystemReport, SimError> {
+pub fn fleet_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
     use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
     let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
         .seed(seed)
         .slice_us(50.0)
-        .max_cycles(300_000_000)
-        .executor(mode);
+        .max_cycles(300_000_000);
     let d0 = b.domain(None);
     let d1 = b.domain(None);
     let d2 = b.domain(None);
@@ -531,15 +505,8 @@ pub fn fleet_cell_report(
             let _ = env.syscall(Syscall::Yield);
         });
     }
-    b.try_run()
-}
-
-/// [`fleet_cell_report`] shaped as a supervised cell body.
-///
-/// # Errors
-/// As [`fleet_cell_report`].
-pub fn fleet_cell(seed: u64, mode: tp_core::ExecMode) -> Result<Vec<ChannelResult>, SimError> {
-    fleet_cell_report(seed, mode).map(|_| Vec::new())
+    b.try_run()?;
+    Ok(Vec::new())
 }
 
 /// Parse a `TP_CELL_TIMEOUT` value (seconds). `None`/empty means "unset";
@@ -834,17 +801,12 @@ mod tests {
 
     #[test]
     fn lost_wakeup_classifies_as_deadlock_at_one_ordinal() {
-        use tp_core::ExecMode;
         let p = plan(FaultKind::LostWakeup { at: 2 });
         let mut errors = Vec::new();
-        for workers in [1, 2] {
-            let r = run_cell(
-                "pair",
-                "haswell",
-                Some(&p),
-                Duration::from_secs(60),
-                move || pair_cell(0xA11C_E007, ExecMode::Coop { workers }),
-            );
+        for _ in 0..2 {
+            let r = run_cell("pair", "haswell", Some(&p), Duration::from_secs(60), || {
+                pair_cell(0xA11C_E007)
+            });
             assert_eq!(r.outcome, CellOutcome::Deadlock, "{:?}", r.error);
             assert_eq!(r.attempts, MAX_ATTEMPTS, "deterministic on every attempt");
             let err = r.error.expect("deadlock detail");
@@ -854,7 +816,7 @@ mod tests {
         }
         assert_eq!(
             errors[0], errors[1],
-            "deadlock ordinal must be worker-count-invariant"
+            "deadlock ordinal must be the same on every run"
         );
     }
 
@@ -872,14 +834,13 @@ mod tests {
 
     #[test]
     fn fleet_daemon_panic_degrades_to_env_failed() {
-        use tp_core::ExecMode;
         let p = plan(FaultKind::EnvPanic { at: 2 });
         let r = run_cell(
             "fleet",
             "haswell",
             Some(&p),
             Duration::from_secs(60),
-            || fleet_cell(0xA11C_E009, ExecMode::default()),
+            || fleet_cell(0xA11C_E009),
         );
         assert_eq!(r.outcome, CellOutcome::EnvFailed, "{:?}", r.error);
         assert_eq!(r.attempts, 1, "partial completion, not a retry");
@@ -890,22 +851,6 @@ mod tests {
             "{:?}",
             r.error
         );
-    }
-
-    #[test]
-    fn worker_kill_is_invisible_in_the_report() {
-        use tp_core::ExecMode;
-        let seed = 0xA11C_E00A;
-        let clean = fleet_cell_report(seed, ExecMode::Coop { workers: 2 }).expect("clean run");
-        fault::arm(Some(FaultKind::WorkerKill { at: 3 }));
-        let killed = fleet_cell_report(seed, ExecMode::Coop { workers: 2 });
-        fault::arm(None);
-        let killed = killed.expect("killed-worker run completes");
-        assert_eq!(
-            clean.state_hash, killed.state_hash,
-            "adopted coroutines must not perturb machine state"
-        );
-        assert_eq!(clean.cycles, killed.cycles);
     }
 
     #[test]

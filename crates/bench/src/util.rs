@@ -5,12 +5,16 @@
 //!
 //! * `TP_SAMPLES` — scale factor for sample counts (default `1.0`; e.g.
 //!   `0.25` for a quick pass, `4` for higher statistical resolution);
-//! * `TP_THREADS` — worker-thread count for the shuffle test and for
-//!   `reproduce_all`'s experiment fan-out (default: the machine's
-//!   available parallelism; `1` forces a fully sequential run). Thread
-//!   count affects wall-clock time only — results are bit-identical for
-//!   every value, because all per-work-item RNG seeds are derived from
-//!   the master seed.
+//! * `TP_THREADS` — worker-thread count for the independent work that
+//!   fans out: campaign cells, the shuffle test's shuffles and
+//!   `reproduce_all`'s experiments (default: the machine's available
+//!   parallelism; `1` forces a fully sequential run). Each simulation runs
+//!   on one host thread whatever the value. Thread count affects
+//!   wall-clock time only — results are bit-identical for every value,
+//!   because all per-work-item RNG seeds are derived from the master seed.
+//!
+//! A malformed value of either is a hard error (exit 2) naming the
+//! variable.
 
 /// Parse a `TP_SAMPLES` value. `None`/empty means "unset" (default 1.0);
 /// anything set but not a positive finite number is a hard error naming

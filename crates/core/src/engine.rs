@@ -9,31 +9,23 @@
 //! loops reading the simulated cycle counter — exactly like real attack
 //! code against real hardware.
 //!
-//! Two executors implement that contract (see [`ExecMode`]):
-//!
-//! * **Cooperative** (the default): N environments become stackful
-//!   coroutines ([`tp_exec::Coro`]) multiplexed over M host worker threads.
-//!   Wherever an environment would block an OS thread — the `wait_turn`
-//!   admission loop, and therefore every env op and `wait_preempt` — it
-//!   *suspends* back to the worker instead, and a driver picks the next
-//!   admissible task straight from the kernel's scheduling state. This is
-//!   what lets a simulation hold thousands of environments (the `cloud`
-//!   scenario) on a handful of host threads.
-//! * **Thread-per-environment** (`TP_EXECUTOR=threads`): the original
-//!   engine, one parked host thread per program, kept as a differential
-//!   oracle — the workspace property tests pin that both executors produce
-//!   bit-identical reports.
+//! Every environment is a stackful coroutine ([`tp_exec::Coro`]) driven by
+//! the host thread that calls [`run_programs`]. Wherever an environment
+//! would block — the `wait_turn` admission loop, and therefore every env op
+//! and `wait_preempt` — it *suspends* back to the driver, which picks the
+//! next admissible task straight from the kernel's scheduling state. One
+//! thread is enough: with a single window token at most one environment is
+//! admissible at any instant, so the simulation is logically serial. This
+//! is what lets a simulation hold thousands of environments (the `cloud`
+//! scenario) without thousands of host threads.
 //!
 //! Determinism: the scheduling admission predicate is a pure function of
 //! simulation state, all randomness is seeded, and cross-core interleaving
-//! is quantised to a fixed cycle window. Under the cooperative executor the
-//! driver is additionally serialized (one task runs at any instant — which
-//! the single window token already forces), so results are independent of
-//! the worker count M by construction.
+//! is quantised to a fixed cycle window.
 
 use crate::kernel::{Kernel, KernelError, SysReturn, Syscall};
 use crate::objects::{DomainId, TcbId, ThreadState, VSpaceId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,8 +35,8 @@ use tp_sim::{Asid, ColorSet, Machine, PAddr, PlatformConfig, SweepPlan, VAddr};
 /// Default cross-core interleaving window (cycles).
 pub const DEFAULT_WINDOW: u64 = 4_000;
 
-/// Unwind payload used to terminate worker threads when the simulation
-/// stops.
+/// Unwind payload that unwinds an environment's coroutine when the
+/// simulation stops.
 pub struct SimExit;
 
 /// Why a failed simulation failed — the typed form of what used to be a
@@ -54,7 +46,8 @@ pub struct SimError {
     /// Broad classification (drives the campaign supervisor's retry and
     /// quarantine decisions).
     pub kind: SimErrorKind,
-    /// The worker's panic payload or the watchdog's abort note.
+    /// The failing environment's panic message or the driver's abort note
+    /// (watchdog, deadlock).
     pub message: String,
 }
 
@@ -69,8 +62,8 @@ pub enum SimErrorKind {
     /// The cooperative scheduler proved no progress is possible: every live
     /// environment is suspended and no token rotation can admit one.
     /// Detected deterministically from simulation state alone — same
-    /// `at_interaction` and `waiting_envs` for a given seed regardless of
-    /// worker count or coroutine backend; no wall clock involved.
+    /// `at_interaction` and `waiting_envs` for a given seed on every run and
+    /// coroutine backend; no wall clock involved.
     Deadlock {
         /// Thread ids of the environments still live when progress died,
         /// in spawn order.
@@ -127,7 +120,7 @@ pub struct HealthStats {
     /// Environments that failed in isolation (non-primary panic) while
     /// their siblings kept running.
     pub env_failed: u64,
-    /// Deterministic scheduler deadlocks detected by the coop driver.
+    /// Deterministic scheduler deadlocks detected by the driver.
     pub deadlocks: u64,
     /// Stack guard canary deaths (real overflows or the `stack-overflow`
     /// fault class).
@@ -150,8 +143,8 @@ pub fn health_stats() -> HealthStats {
 }
 
 /// Panic payload a failing environment's unwind is re-wrapped in before it
-/// crosses [`tp_exec::Coro::take_panic`] (or the thread-executor join), so
-/// quarantine records and exit messages can name the env, not just the cell.
+/// crosses [`tp_exec::Coro::take_panic`], so quarantine records and exit
+/// messages can name the env, not just the cell.
 pub struct EnvPanicPayload {
     /// The failing environment's thread id (`TcbId.0`).
     pub env: u64,
@@ -225,14 +218,12 @@ pub struct SimInner {
     pub max_cycles: u64,
     /// Primary (non-daemon) programs still running.
     pub primaries_left: usize,
-    /// Bumped on every scheduling-relevant change; waiters recheck on it.
-    pub epoch: u64,
-    /// First error reported by a worker, if any.
+    /// First error reported by an environment or the driver, if any.
     pub error: Option<String>,
-    /// Wall-clock deadline for the watchdog: when set, threads parked on
-    /// the scheduler condvar use timed waits and abort the simulation once
-    /// the deadline passes. `None` (the default) keeps waits untimed and
-    /// the hot path free of clock reads.
+    /// Wall-clock deadline for the watchdog: when set, the driver (and an
+    /// environment stalled in `stall_loop`) aborts the simulation once the
+    /// deadline passes. `None` (the default) keeps the hot path free of
+    /// clock reads.
     pub deadline: Option<std::time::Instant>,
     /// Injected fault: panic on this (1-based) global syscall ordinal.
     fault_panic_at: Option<u64>,
@@ -241,8 +232,6 @@ pub struct SimInner {
     /// Injected fault: swallow token rotations from the `at`-th would-move
     /// onward (sticky, so the wedge cannot self-heal on a later rotate).
     fault_lost_wakeup_at: Option<u64>,
-    /// Injected fault: a coop worker dies after the `at`-th task drive.
-    pub(crate) fault_worker_kill_at: Option<u64>,
     /// Injected fault: clobber the running coroutine's stack canary and
     /// raise the canonical overflow panic at the next interaction.
     fault_stack_overflow: bool,
@@ -265,7 +254,8 @@ pub struct SimInner {
 
 /// Action an armed environment fault demands at the current syscall.
 enum EnvFault {
-    /// Panic inside the engine op (unwinds into the worker handler).
+    /// Panic inside the engine op (unwinds out of the environment's
+    /// coroutine into the driver).
     Panic(u64),
     /// Return normally, then stop yielding (spin off-lock forever).
     Stall(u64),
@@ -277,9 +267,8 @@ enum EnvFault {
 /// The `stack-overflow` fault firing at interaction `n`: kill the running
 /// coroutine's guard canary (so the backend's own at-suspend check would
 /// trip too) and raise the canonical overflow panic directly. The direct
-/// panic keeps the fault deterministic and identical under both executors —
-/// the thread-per-environment engine never reaches a coroutine suspend
-/// point, and a cooperative task that stays admitted may not suspend again.
+/// panic keeps the fault deterministic: a task that stays admitted may not
+/// suspend again.
 fn smash_stack(n: u64) -> ! {
     tp_exec::clobber_canary();
     debug_assert!(!tp_exec::on_coroutine() || !tp_exec::canary_intact());
@@ -303,13 +292,11 @@ impl SimInner {
             stop: false,
             max_cycles,
             primaries_left: 0,
-            epoch: 0,
             error: None,
             deadline: None,
             fault_panic_at: None,
             fault_stall_at: None,
             fault_lost_wakeup_at: None,
-            fault_worker_kill_at: None,
             fault_stack_overflow: false,
             rotations_seen: 0,
             syscalls_seen: 0,
@@ -327,9 +314,6 @@ impl SimInner {
             crate::fault::FaultKind::EnvStall { at } => self.fault_stall_at = Some(at.max(1)),
             crate::fault::FaultKind::LostWakeup { at } => {
                 self.fault_lost_wakeup_at = Some(at.max(1));
-            }
-            crate::fault::FaultKind::WorkerKill { at } => {
-                self.fault_worker_kill_at = Some(at.max(1));
             }
             crate::fault::FaultKind::StackOverflow => self.fault_stack_overflow = true,
             _ => {}
@@ -387,7 +371,6 @@ impl SimInner {
             self.deadlock = Some((waiting_envs, at));
         }
         self.stop = true;
-        self.epoch += 1;
     }
 
     /// Schedule an event on a core at an absolute cycle.
@@ -414,7 +397,6 @@ impl SimInner {
         }
         if self.machine.cycles(core) >= self.max_cycles {
             self.stop = true;
-            self.epoch += 1;
         }
     }
 
@@ -428,7 +410,6 @@ impl SimInner {
                 self.kernel.irq_arrives(&mut self.machine, core, irq);
             }
         }
-        self.epoch += 1;
     }
 
     /// Whether any core has a current thread.
@@ -453,10 +434,7 @@ impl SimInner {
                     }
                     self.process_due(core);
                 }
-                None => {
-                    self.stop = true;
-                    self.epoch += 1;
-                }
+                None => self.stop = true,
             }
         }
     }
@@ -486,7 +464,6 @@ impl SimInner {
         if !token_active {
             if self.token != lidx && !self.lost_wakeup_swallows() {
                 self.token = lidx;
-                self.epoch += 1;
                 self.kernel
                     .log
                     .note(|| crate::commit::Commit::TokenRotate { core: lidx });
@@ -498,7 +475,6 @@ impl SimInner {
             && !self.lost_wakeup_swallows()
         {
             self.token = lidx;
-            self.epoch += 1;
             self.kernel
                 .log
                 .note(|| crate::commit::Commit::TokenRotate { core: lidx });
@@ -506,12 +482,12 @@ impl SimInner {
     }
 }
 
-/// The control block shared by all workers.
+/// The control block shared by the driver and every environment.
 pub struct SimCtl {
-    /// The state.
+    /// The state. A lock rather than a plain cell because the thread
+    /// backend of non-x86_64 targets runs each environment's body on its
+    /// own OS thread.
     pub inner: Mutex<SimInner>,
-    /// Wakes waiting workers on scheduling changes.
-    pub cv: Condvar,
 }
 
 impl SimCtl {
@@ -520,7 +496,6 @@ impl SimCtl {
     pub fn new(inner: SimInner) -> Arc<Self> {
         Arc::new(SimCtl {
             inner: Mutex::new(inner),
-            cv: Condvar::new(),
         })
     }
 }
@@ -656,51 +631,21 @@ impl UserEnv {
             if !g.any_current() {
                 g.idle_advance();
                 g.rotate_token();
-                self.ctl.cv.notify_all();
                 continue;
             }
-            if tp_exec::on_coroutine() {
-                // Cooperative executor: hand the host worker back to the
-                // driver instead of blocking it. The simulation lock is
-                // released for the duration of the suspend (the task may be
-                // resumed by a different worker thread) and re-acquired
-                // before the predicate is re-checked. Watchdog duties live
-                // in the driver's decide loop under this executor.
-                g.unlocked(tp_exec::suspend);
-                continue;
-            }
-            match g.deadline {
-                None => self.ctl.cv.wait(g),
-                Some(d) => {
-                    // Watchdog: poll the deadline with short timed waits so
-                    // a simulation making no progress (every thread parked
-                    // here) still aborts instead of hanging forever.
-                    let notified = self
-                        .ctl
-                        .cv
-                        .wait_for(g, std::time::Duration::from_millis(100));
-                    if !notified && !g.stop && std::time::Instant::now() >= d {
-                        g.stop = true;
-                        if g.error.is_none() {
-                            g.error = Some(
-                                "watchdog: wall-clock deadline exceeded with no \
-                                 scheduling progress"
-                                    .to_string(),
-                            );
-                        }
-                        g.epoch += 1;
-                        self.ctl.cv.notify_all();
-                    }
-                }
-            }
+            // Hand the host thread back to the driver. The simulation lock
+            // is released for the duration of the suspend (the driver takes
+            // it to pick the next task) and re-acquired before the
+            // predicate is re-checked. Watchdog duties live in the driver's
+            // decide loop.
+            g.unlocked(tp_exec::suspend);
         }
     }
 
     /// The armed-stall endgame: hold the simulated core without yielding,
-    /// sleeping off-lock so other host threads can observe the hang. Exits
-    /// only when the simulation stops — normally via the watchdog noticing
-    /// the expired deadline (checked here too, for single-threaded cells
-    /// with no other waiter to run the `wait_turn` watchdog).
+    /// sleeping off-lock between checks. The driver never regains control,
+    /// so the watchdog deadline is checked here: the loop exits only when
+    /// the deadline passes (or the simulation already stopped).
     fn stall_loop(&self) -> ! {
         loop {
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -718,37 +663,28 @@ impl UserEnv {
                                 .to_string(),
                         );
                     }
-                    g.epoch += 1;
-                    self.ctl.cv.notify_all();
                     std::panic::panic_any(SimExit);
                 }
             }
         }
     }
 
-    fn op<R>(&self, sched: bool, f: impl FnOnce(&mut SimInner) -> R) -> R {
+    fn op<R>(&self, f: impl FnOnce(&mut SimInner) -> R) -> R {
         let mut g = self.ctl.inner.lock();
         self.wait_turn(&mut g);
-        let e0 = g.epoch;
         let r = f(&mut g);
-        if sched {
-            g.epoch += 1;
-        }
         g.process_due(self.core);
         if !g.any_current() {
             g.idle_advance();
         }
         g.rotate_token();
-        if g.epoch != e0 || g.stop {
-            self.ctl.cv.notify_all();
-        }
         r
     }
 
     /// Read the cycle counter (models `rdtsc` / `PMCCNTR`, including its
     /// cost and a little jitter).
     pub fn now(&self) -> u64 {
-        self.op(false, |g| {
+        self.op(|g| {
             let j = g.machine.rng().below(3);
             g.machine.advance(self.core, 20 + j);
             g.machine.cycles(self.core)
@@ -798,7 +734,7 @@ impl UserEnv {
     /// Load from a user virtual address; returns the access latency in
     /// cycles (what a real attacker measures with two counter reads).
     pub fn load(&self, va: VAddr) -> u64 {
-        self.op(false, |g| {
+        self.op(|g| {
             let (pa, asid) = self.translate_cached(g, va);
             g.machine.data_access(self.core, asid, va, pa, false, false)
         })
@@ -806,7 +742,7 @@ impl UserEnv {
 
     /// Store to a user virtual address; returns the latency.
     pub fn store(&self, va: VAddr) -> u64 {
-        self.op(false, |g| {
+        self.op(|g| {
             let (pa, asid) = self.translate_cached(g, va);
             g.machine.data_access(self.core, asid, va, pa, true, false)
         })
@@ -814,33 +750,28 @@ impl UserEnv {
 
     /// Fetch/execute an instruction at a user virtual address.
     pub fn exec(&self, va: VAddr) -> u64 {
-        self.op(false, |g| {
+        self.op(|g| {
             let (pa, asid) = self.translate_cached(g, va);
             g.machine.insn_fetch(self.core, asid, va, pa, false)
         })
     }
 
     /// The per-access epilogue of a batched sweep, mirroring the tail of
-    /// [`UserEnv::op`]: deliver due events, skip idle time, rotate the
-    /// cross-core token and wake waiters on any scheduling change.
-    fn sweep_tail(&self, g: &mut parking_lot::MutexGuard<'_, SimInner>, last_epoch: &mut u64) {
+    /// [`UserEnv::op`]: deliver due events, skip idle time and rotate the
+    /// cross-core token.
+    fn sweep_tail(&self, g: &mut SimInner) {
         g.process_due(self.core);
         if !g.any_current() {
             g.idle_advance();
         }
         g.rotate_token();
-        if g.epoch != *last_epoch || g.stop {
-            self.ctl.cv.notify_all();
-            *last_epoch = g.epoch;
-        }
     }
 
     /// Re-check admission before the next access of a sweep (the batched
     /// equivalent of the `wait_turn` at the top of every scalar op).
-    fn resume_turn(&self, g: &mut parking_lot::MutexGuard<'_, SimInner>, last_epoch: &mut u64) {
+    fn resume_turn(&self, g: &mut parking_lot::MutexGuard<'_, SimInner>) {
         if g.stop || g.kernel.cores[self.core].cur != Some(self.tcb) || g.token != self.core {
             self.wait_turn(g);
-            *last_epoch = g.epoch;
         }
     }
 
@@ -867,7 +798,7 @@ impl UserEnv {
     /// long the list.
     #[must_use]
     pub fn build_plan(&self, vas: &[VAddr], insn: bool) -> EnvPlan {
-        self.op(false, |g| {
+        self.op(|g| {
             let mut pas = Vec::with_capacity(vas.len());
             for &va in vas {
                 pas.push(self.translate_cached(g, va).0);
@@ -925,13 +856,12 @@ impl UserEnv {
         if gen != plan.gen {
             return None;
         }
-        let mut last_epoch = g.epoch;
         let mut total = 0u64;
         let (mut fast, mut trigger) = self.sweep_fast_state(&g);
         for (i, ln) in lines.iter().enumerate() {
             if i > 0 && (!fast || g.machine.cycles(self.core) >= trigger) {
-                self.sweep_tail(&mut g, &mut last_epoch);
-                self.resume_turn(&mut g, &mut last_epoch);
+                self.sweep_tail(&mut g);
+                self.resume_turn(&mut g);
                 (fast, trigger) = self.sweep_fast_state(&g);
             }
             let (c, _) = g
@@ -942,7 +872,7 @@ impl UserEnv {
                 costs.push(c);
             }
         }
-        self.sweep_tail(&mut g, &mut last_epoch);
+        self.sweep_tail(&mut g);
         Some(total)
     }
 
@@ -965,40 +895,37 @@ impl UserEnv {
     fn access_sweep_inner(&self, ops: impl Iterator<Item = (VAddr, bool)>, compute: u64) -> u64 {
         let mut g = self.ctl.inner.lock();
         self.wait_turn(&mut g);
-        let mut last_epoch = g.epoch;
         let mut total = 0u64;
         let (mut fast, mut trigger) = self.sweep_fast_state(&g);
         for (i, (va, write)) in ops.enumerate() {
             if i > 0 && (!fast || g.machine.cycles(self.core) >= trigger) {
-                self.sweep_tail(&mut g, &mut last_epoch);
-                self.resume_turn(&mut g, &mut last_epoch);
+                self.sweep_tail(&mut g);
+                self.resume_turn(&mut g);
                 (fast, trigger) = self.sweep_fast_state(&g);
             }
             let (pa, asid) = self.translate_cached(&g, va);
             total += g.machine.data_access(self.core, asid, va, pa, write, false);
             if compute > 0 {
                 if !fast || g.machine.cycles(self.core) >= trigger {
-                    self.sweep_tail(&mut g, &mut last_epoch);
-                    self.resume_turn(&mut g, &mut last_epoch);
+                    self.sweep_tail(&mut g);
+                    self.resume_turn(&mut g);
                     (fast, trigger) = self.sweep_fast_state(&g);
                 }
                 g.machine.advance(self.core, compute);
             }
         }
-        self.sweep_tail(&mut g, &mut last_epoch);
+        self.sweep_tail(&mut g);
         total
     }
 
     /// Execute a branch instruction; returns its latency.
     pub fn branch(&self, pc: VAddr, target: VAddr, taken: bool, conditional: bool) -> u64 {
-        self.op(false, |g| {
-            g.machine.branch(self.core, pc, target, taken, conditional)
-        })
+        self.op(|g| g.machine.branch(self.core, pc, target, taken, conditional))
     }
 
     /// Pure computation for `n` cycles.
     pub fn compute(&self, n: u64) {
-        self.op(false, |g| g.machine.advance(self.core, n));
+        self.op(|g| g.machine.advance(self.core, n));
     }
 
     /// Map `n` fresh pages of the domain's (coloured) memory; returns the
@@ -1007,7 +934,7 @@ impl UserEnv {
     /// # Panics
     /// Panics if the domain pool is exhausted.
     pub fn map_pages(&self, n: usize) -> (VAddr, Vec<u64>) {
-        self.op(false, |g| {
+        self.op(|g| {
             g.kernel
                 .map_user_pages(self.tcb, n)
                 .expect("domain pool exhausted")
@@ -1021,7 +948,7 @@ impl UserEnv {
     /// stands in for that untimed profiling phase.
     #[must_use]
     pub fn translate(&self, va: VAddr) -> PAddr {
-        self.op(false, |g| self.translate_cached(g, va).0)
+        self.op(|g| self.translate_cached(g, va).0)
     }
 
     /// Issue a system call. Blocking calls return when the thread is next
@@ -1031,7 +958,7 @@ impl UserEnv {
     /// Kernel errors (bad capability, rights, types) are returned verbatim.
     pub fn syscall(&self, sys: Syscall) -> Result<u64, KernelError> {
         let mut stall_after = None;
-        let ret = self.op(true, |g| {
+        let ret = self.op(|g| {
             match g.env_fault_tick() {
                 Some(EnvFault::Panic(n)) => panic!("injected fault: env-panic at syscall {n}"),
                 Some(EnvFault::Stall(n)) => stall_after = Some(n),
@@ -1118,8 +1045,6 @@ impl UserEnv {
             let Some(evc) = g.next_event_cycle(self.core) else {
                 // Nothing will ever preempt us: treat as end of simulation.
                 g.stop = true;
-                g.epoch += 1;
-                self.ctl.cv.notify_all();
                 std::panic::panic_any(SimExit);
             };
             let now = g.machine.cycles(self.core);
@@ -1132,7 +1057,6 @@ impl UserEnv {
                 g.idle_advance();
             }
             g.rotate_token();
-            self.ctl.cv.notify_all();
             if g.kernel.cores[self.core].cur != Some(self.tcb) {
                 // Preempted: wait to be scheduled again.
                 self.wait_turn(&mut g);
@@ -1161,85 +1085,10 @@ impl UserEnv {
 /// One program to run: (tcb, core, domain, colors, program, primary).
 pub type ProgramSpec = (TcbId, usize, DomainId, ColorSet, Box<dyn UserProgram>, bool);
 
-/// How [`run_programs_with`] maps simulated environments onto host threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The cooperative executor: N environments as stackful coroutines
-    /// multiplexed over M host worker threads. The default.
-    Coop {
-        /// Host worker threads. `0` means auto: `TP_THREADS` if set, else
-        /// the host's available parallelism.
-        workers: usize,
-    },
-    /// The original thread-per-environment executor, kept as a differential
-    /// oracle and portability escape hatch.
-    Threads,
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        default_exec_mode()
-    }
-}
-
-/// The process-wide default executor: cooperative, unless
-/// `TP_EXECUTOR=threads` selects the legacy engine. Read once.
-pub fn default_exec_mode() -> ExecMode {
-    static MODE: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("TP_EXECUTOR").as_deref() {
-        Ok("threads") => ExecMode::Threads,
-        _ => ExecMode::Coop { workers: 0 },
-    })
-}
-
-/// Resolve `Coop { workers: 0 }`: `TP_THREADS`, else host parallelism.
-fn auto_workers() -> usize {
-    std::env::var("TP_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
-/// Run the set of programs to completion under the default executor (see
-/// [`default_exec_mode`]) and return the final state.
-///
-/// The simulation stops when all primary programs finish, `max_cycles`
-/// elapses, or the system goes permanently idle.
-#[must_use]
-pub fn run_programs(ctl: Arc<SimCtl>, programs: Vec<ProgramSpec>) -> Arc<SimCtl> {
-    run_programs_with(ctl, programs, default_exec_mode())
-}
-
-/// [`run_programs`] with an explicit executor choice.
-#[must_use]
-pub fn run_programs_with(
-    ctl: Arc<SimCtl>,
-    programs: Vec<ProgramSpec>,
-    mode: ExecMode,
-) -> Arc<SimCtl> {
-    match mode {
-        ExecMode::Threads => run_programs_threads(ctl, programs),
-        ExecMode::Coop { workers } => {
-            let m = if workers == 0 {
-                auto_workers()
-            } else {
-                workers
-            };
-            run_programs_coop(ctl, programs, m)
-        }
-    }
-}
-
-/// Shared exit bookkeeping for a finished environment, identical across
-/// executors: classify the unwind payload (a [`SimExit`] is a normal stop,
-/// anything else is the cell's first error), retire the thread in the
-/// kernel, count down primaries and stop when none remain, then let the
-/// simulation reschedule.
+/// Exit bookkeeping for a finished environment: classify the unwind
+/// payload (a [`SimExit`] is a normal stop, anything else is the cell's
+/// first error), retire the thread in the kernel, count down primaries and
+/// stop when none remain, then let the simulation reschedule.
 fn finish_program(
     ctl: &SimCtl,
     tcb: TcbId,
@@ -1257,7 +1106,7 @@ fn finish_program(
                     p.downcast_ref::<String>()
                         .cloned()
                         .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                        .unwrap_or_else(|| "worker panicked".to_string()),
+                        .unwrap_or_else(|| "environment panicked".to_string()),
                 ),
             };
             if msg.starts_with("stack overflow") {
@@ -1290,12 +1139,10 @@ fn finish_program(
             g.stop = true;
         }
     }
-    g.epoch += 1;
     if !g.any_current() {
         g.idle_advance();
     }
     g.rotate_token();
-    ctl.cv.notify_all();
 }
 
 /// Tag a failing environment's unwind payload with its env id (unless it is
@@ -1317,72 +1164,23 @@ fn wrap_env_payload(tcb: TcbId, p: Box<dyn std::any::Any + Send>) -> Box<dyn std
     })
 }
 
-/// The legacy executor: one host thread per program, parked in `wait_turn`
-/// on the scheduler condvar whenever its environment is not admitted.
-fn run_programs_threads(ctl: Arc<SimCtl>, programs: Vec<ProgramSpec>) -> Arc<SimCtl> {
-    install_quiet_panic_hook();
-    let cfg = ctl.inner.lock().machine.cfg;
-    {
-        let mut g = ctl.inner.lock();
-        g.primaries_left = programs.iter().filter(|p| p.5).count();
-    }
-    let mut handles = Vec::new();
-    for (tcb, core, domain, colors, mut prog, primary) in programs {
-        let ctl2 = Arc::clone(&ctl);
-        let cfg2 = cfg;
-        handles.push(std::thread::spawn(move || {
-            let mut env = UserEnv::new(Arc::clone(&ctl2), tcb, core, domain, cfg2, colors);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                prog.run(&mut env);
-            }));
-            finish_program(
-                &ctl2,
-                tcb,
-                primary,
-                result.err().map(|p| wrap_env_payload(tcb, p)),
-            );
-        }));
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    ctl
-}
-
-/// One environment task owned by the cooperative executor.
+/// One environment task owned by the driver.
 struct CoopTask {
-    /// The coroutine, `None` only transiently while a worker runs it.
+    /// The coroutine; `None` once it completed. Dropping it at once frees
+    /// its stack: a stopping fleet unwinds thousands of environments, and
+    /// each unwind touches stack pages.
     coro: Option<tp_exec::Coro>,
     tcb: TcbId,
     primary: bool,
-    done: bool,
 }
 
-/// Executor state shared by the M workers.
+/// The driver's task table.
 struct CoopState {
     tasks: Vec<CoopTask>,
     /// `tcb.0` → task index, for the driver's admission lookup.
     by_tcb: Vec<Option<usize>>,
-    /// A worker currently holds the driver role (decides and runs the next
-    /// task). Exactly one at a time: with a single window token at most one
-    /// environment is admissible anyway, so serializing the drive loses no
-    /// parallelism and makes results independent of M by construction.
-    driving: bool,
     /// Tasks not yet run to completion.
     remaining: usize,
-    /// Completed task drives, for the `worker-kill@N` trigger ordinal
-    /// (deterministic: drives are serialized by `driving`).
-    drives: u64,
-    /// Armed `worker-kill@N` fault: the worker that completes the `N`-th
-    /// drive exits instead of looping. Its suspended coroutines stay in
-    /// `tasks` and are adopted by the surviving workers — results must be
-    /// bit-identical (worker identity is invisible by construction).
-    kill_at: Option<u64>,
-    /// The kill fired (one worker dies at most).
-    kill_fired: bool,
-    /// Workers still in their drive loop; the kill is suppressed rather
-    /// than orphan the executor when only one worker remains.
-    workers_alive: usize,
 }
 
 impl CoopState {
@@ -1401,12 +1199,12 @@ enum Pick {
 
 /// Choose the next task as a pure function of simulation state: the thread
 /// the kernel has scheduled on the token-holding core. Advances idle time
-/// and rotates the token exactly like the blocked-thread path of the legacy
-/// executor, and owns the wall-clock watchdog when a deadline is armed.
+/// and rotates the token while no environment is admissible, and owns the
+/// wall-clock watchdog when a deadline is armed.
 /// Once the simulation stops, drains the remaining tasks in ascending index
 /// order so each unwinds (via [`SimExit`] at its next admission check) and
 /// releases its resources.
-fn coop_decide(g: &mut parking_lot::MutexGuard<'_, SimInner>, st: &CoopState) -> Pick {
+fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
     loop {
         if st.remaining == 0 {
             return Pick::Done;
@@ -1415,7 +1213,7 @@ fn coop_decide(g: &mut parking_lot::MutexGuard<'_, SimInner>, st: &CoopState) ->
             let idx = st
                 .tasks
                 .iter()
-                .position(|t| !t.done)
+                .position(|t| t.coro.is_some())
                 .expect("remaining > 0 implies an unfinished task");
             return Pick::Run(idx);
         }
@@ -1429,13 +1227,12 @@ fn coop_decide(g: &mut parking_lot::MutexGuard<'_, SimInner>, st: &CoopState) ->
                             .to_string(),
                     );
                 }
-                g.epoch += 1;
                 continue;
             }
         }
         let token = g.token;
         if let Some(tcb) = g.kernel.cores[token].cur {
-            match st.task_of(tcb).filter(|&i| !st.tasks[i].done) {
+            match st.task_of(tcb).filter(|&i| st.tasks[i].coro.is_some()) {
                 Some(idx) => return Pick::Run(idx),
                 None => {
                     // A scheduled thread with no live task violates the
@@ -1446,7 +1243,6 @@ fn coop_decide(g: &mut parking_lot::MutexGuard<'_, SimInner>, st: &CoopState) ->
                     if g.error.is_none() {
                         g.error = Some("executor: scheduled thread has no live task".to_string());
                     }
-                    g.epoch += 1;
                     continue;
                 }
             }
@@ -1461,18 +1257,18 @@ fn coop_decide(g: &mut parking_lot::MutexGuard<'_, SimInner>, st: &CoopState) ->
         // moves the token to the laggard active core, so the next iteration
         // finds a scheduled thread there. In a healthy simulation that move
         // is unconditional (the laggard scan only considers active cores,
-        // and the token core is not one of them) — so a rotate that changes
-        // nothing proves the scheduler is wedged: no environment can ever
-        // be admitted again. Classify immediately and deterministically,
-        // from simulation state alone, instead of hanging until the
-        // wall-clock watchdog.
-        let before = (g.token, g.epoch);
+        // and the token core is not one of them) — so a rotate that leaves
+        // the token where it was proves the scheduler is wedged: no
+        // environment can ever be admitted again. Classify immediately and
+        // deterministically, from simulation state alone, instead of
+        // hanging until the wall-clock watchdog.
+        let before = g.token;
         g.rotate_token();
-        if (g.token, g.epoch) == before {
+        if g.token == before {
             let waiting: Vec<u64> = st
                 .tasks
                 .iter()
-                .filter(|t| !t.done)
+                .filter(|t| t.coro.is_some())
                 .map(|t| t.tcb.0 as u64)
                 .collect();
             g.note_deadlock(waiting);
@@ -1480,30 +1276,31 @@ fn coop_decide(g: &mut parking_lot::MutexGuard<'_, SimInner>, st: &CoopState) ->
     }
 }
 
-/// The cooperative executor: N coroutines over M workers.
+/// Run the set of programs to completion on the calling thread and return
+/// the final state.
 ///
-/// Workers take turns holding the driver role (serialized by
-/// `CoopState::driving`): decide the next admissible task under the
-/// simulation lock, resume it with **no** locks held (the task re-acquires
-/// the simulation lock inside its env ops and releases it across suspends),
-/// and on completion run the shared exit bookkeeping. Everything observable
-/// is decided by simulation state, never by which worker moved first.
-fn run_programs_coop(ctl: Arc<SimCtl>, programs: Vec<ProgramSpec>, workers: usize) -> Arc<SimCtl> {
+/// The driver loop: decide the next admissible task under the simulation
+/// lock, resume its coroutine with the lock released (the task re-acquires
+/// it inside its env ops and releases it across suspends), and on
+/// completion run the exit bookkeeping. The simulation stops when all
+/// primary programs finish, `max_cycles` elapses, or the system goes
+/// permanently idle.
+#[must_use]
+pub fn run_programs(ctl: Arc<SimCtl>, programs: Vec<ProgramSpec>) -> Arc<SimCtl> {
     install_quiet_panic_hook();
     if programs.is_empty() {
         return ctl;
     }
-    let (cfg, kill_at) = {
+    let cfg = {
         let mut g = ctl.inner.lock();
         g.primaries_left = programs.iter().filter(|p| p.5).count();
-        (g.machine.cfg, g.fault_worker_kill_at)
+        g.machine.cfg
     };
-    let stack_bytes = tp_exec::default_stack_bytes();
     let mut tasks = Vec::with_capacity(programs.len());
     let mut by_tcb: Vec<Option<usize>> = Vec::new();
     for (idx, (tcb, core, domain, colors, mut prog, primary)) in programs.into_iter().enumerate() {
         let ctl2 = Arc::clone(&ctl);
-        let coro = tp_exec::Coro::with_stack(stack_bytes, move || {
+        let coro = tp_exec::Coro::new(move || {
             let mut env = UserEnv::new(ctl2, tcb, core, domain, cfg, colors);
             // Catch-and-retag so the payload crossing `take_panic` names
             // the env; `wrap_env_payload` passes SimExit through untouched.
@@ -1520,106 +1317,31 @@ fn run_programs_coop(ctl: Arc<SimCtl>, programs: Vec<ProgramSpec>, workers: usiz
             coro: Some(coro),
             tcb,
             primary,
-            done: false,
         });
     }
-    let n = tasks.len();
-    let m = workers.clamp(1, n);
-    let exec = Arc::new((
-        Mutex::new(CoopState {
-            tasks,
-            by_tcb,
-            driving: false,
-            remaining: n,
-            drives: 0,
-            kill_at,
-            kill_fired: false,
-            workers_alive: m,
-        }),
-        Condvar::new(),
-    ));
-    let mut handles = Vec::with_capacity(m);
-    for _ in 0..m {
-        let ctl2 = Arc::clone(&ctl);
-        let exec2 = Arc::clone(&exec);
-        handles.push(std::thread::spawn(move || coop_worker(&ctl2, &exec2)));
-    }
-    for h in handles {
-        let _ = h.join();
+    let remaining = tasks.len();
+    let mut st = CoopState {
+        tasks,
+        by_tcb,
+        remaining,
+    };
+    loop {
+        // The guard must be gone before the resume: the task takes the
+        // simulation lock itself inside its env ops.
+        let pick = coop_decide(&mut ctl.inner.lock(), &st);
+        let Pick::Run(idx) = pick else { break };
+        // Runs until the task suspends in `wait_turn` (no longer admitted)
+        // or completes (return / unwind).
+        let t = &mut st.tasks[idx];
+        let coro = t.coro.as_mut().expect("the driver picks live tasks only");
+        if coro.resume() {
+            let payload = coro.take_panic();
+            t.coro = None;
+            finish_program(&ctl, t.tcb, t.primary, payload);
+            st.remaining -= 1;
+        }
     }
     ctl
-}
-
-/// One worker of the cooperative executor; see [`run_programs_coop`].
-fn coop_worker(ctl: &SimCtl, exec: &(Mutex<CoopState>, Condvar)) {
-    let (lock, cv) = exec;
-    loop {
-        // Claim the driver role and decide the next task.
-        let (idx, mut coro, tcb, primary) = {
-            let mut st = lock.lock();
-            loop {
-                if st.remaining == 0 {
-                    cv.notify_all();
-                    return;
-                }
-                if !st.driving {
-                    break;
-                }
-                cv.wait(&mut st);
-            }
-            let pick = {
-                let mut g = ctl.inner.lock();
-                coop_decide(&mut g, &st)
-            };
-            match pick {
-                Pick::Done => {
-                    cv.notify_all();
-                    return;
-                }
-                Pick::Run(idx) => {
-                    st.driving = true;
-                    let t = &mut st.tasks[idx];
-                    (
-                        idx,
-                        t.coro.take().expect("idle task owns its coroutine"),
-                        t.tcb,
-                        t.primary,
-                    )
-                }
-            }
-        };
-        // Run the task lock-free: it suspends back here from `wait_turn`
-        // whenever it stops being admitted, or completes (return / unwind).
-        let complete = coro.resume();
-        if complete {
-            finish_program(ctl, tcb, primary, coro.take_panic());
-        }
-        let mut st = lock.lock();
-        let t = &mut st.tasks[idx];
-        if complete {
-            t.done = true;
-            st.remaining -= 1;
-        } else {
-            t.coro = Some(coro);
-        }
-        st.driving = false;
-        st.drives += 1;
-        // Armed worker-kill: this worker dies after the N-th drive. Its
-        // state is already back in `st`, so the survivors adopt every
-        // suspended coroutine transparently.
-        let die = match st.kill_at {
-            Some(at) if !st.kill_fired && st.drives >= at && st.workers_alive > 1 => {
-                st.kill_fired = true;
-                st.workers_alive -= 1;
-                true
-            }
-            _ => false,
-        };
-        cv.notify_all();
-        if die {
-            return;
-        }
-    }
 }
 
 fn install_quiet_panic_hook() {

@@ -54,24 +54,16 @@ pub enum FaultKind {
     },
     /// The `at`-th cross-core token rotation is swallowed and the token
     /// wedges — modelling a lost scheduler wakeup that nothing re-delivers.
-    /// The cooperative executor's deadlock detector must classify the
+    /// The executor's deadlock detector must classify the
     /// resulting stall as [`crate::SimErrorKind::Deadlock`] at a
     /// deterministic interaction ordinal, never as a wall-clock watchdog.
     LostWakeup {
         /// 1-based token-rotation ordinal at which rotations stop.
         at: u64,
     },
-    /// One cooperative-executor worker thread dies after its `at`-th drive;
-    /// the coroutines it was multiplexing are adopted by the surviving
-    /// workers, so the run must complete with bit-identical results.
-    WorkerKill {
-        /// 1-based drive ordinal after which the worker exits.
-        at: u64,
-    },
     /// The environment's coroutine stack guard canary is clobbered at its
     /// next interaction, exercising the stack-overflow detection that runs
-    /// at every suspend (uniform across the asm and thread-backed
-    /// coroutine backends).
+    /// at every suspend.
     StackOverflow,
 }
 
@@ -86,15 +78,14 @@ impl FaultKind {
             FaultKind::SnapshotCorrupt => "snapshot-corrupt",
             FaultKind::NoisePoison { .. } => "noise-poison",
             FaultKind::LostWakeup { .. } => "lost-wakeup",
-            FaultKind::WorkerKill { .. } => "worker-kill",
             FaultKind::StackOverflow => "stack-overflow",
         }
     }
 
-    /// All eight classes at their default trigger points, in a fixed order —
+    /// All seven classes at their default trigger points, in a fixed order —
     /// what the chaos binary iterates when `TP_FAULT` is unset.
     #[must_use]
-    pub fn all_defaults() -> [FaultKind; 8] {
+    pub fn all_defaults() -> [FaultKind; 7] {
         [
             FaultKind::EnvPanic { at: 3 },
             FaultKind::EnvStall { at: 3 },
@@ -102,7 +93,6 @@ impl FaultKind {
             FaultKind::SnapshotCorrupt,
             FaultKind::NoisePoison { after: 64 },
             FaultKind::LostWakeup { at: 2 },
-            FaultKind::WorkerKill { at: 3 },
             FaultKind::StackOverflow,
         ]
     }
@@ -117,7 +107,6 @@ impl fmt::Display for FaultKind {
             FaultKind::SnapshotCorrupt => write!(f, "snapshot-corrupt"),
             FaultKind::NoisePoison { after } => write!(f, "noise-poison@{after}"),
             FaultKind::LostWakeup { at } => write!(f, "lost-wakeup@{at}"),
-            FaultKind::WorkerKill { at } => write!(f, "worker-kill@{at}"),
             FaultKind::StackOverflow => write!(f, "stack-overflow"),
         }
     }
@@ -146,11 +135,11 @@ impl FaultPlan {
     /// plan  := class [ "@" N ] [ ":cell=" experiment "/" platform ]
     /// class := "env-panic" | "env-stall" | "commit-flip"
     ///        | "snapshot-corrupt" | "noise-poison"
-    ///        | "lost-wakeup" | "worker-kill" | "stack-overflow"
+    ///        | "lost-wakeup" | "stack-overflow"
     /// ```
     ///
     /// `@N` sets the trigger point (interaction ordinal, commit index,
-    /// draw count, rotation ordinal or drive ordinal depending on class)
+    /// draw count or rotation ordinal depending on class)
     /// and defaults per class; `snapshot-corrupt` and `stack-overflow`
     /// have no trigger point and reject one.
     ///
@@ -202,9 +191,6 @@ impl FaultPlan {
             "lost-wakeup" => FaultKind::LostWakeup {
                 at: at.unwrap_or(2),
             },
-            "worker-kill" => FaultKind::WorkerKill {
-                at: at.unwrap_or(3),
-            },
             "stack-overflow" => {
                 if at.is_some() {
                     return Err("stack-overflow takes no trigger point".into());
@@ -214,8 +200,8 @@ impl FaultPlan {
             other => {
                 return Err(format!(
                     "unknown fault class `{other}` (expected env-panic, env-stall, \
-                     commit-flip, snapshot-corrupt, noise-poison, lost-wakeup, \
-                     worker-kill or stack-overflow)"
+                     commit-flip, snapshot-corrupt, noise-poison, lost-wakeup \
+                     or stack-overflow)"
                 ))
             }
         };
@@ -324,10 +310,6 @@ mod tests {
             FaultKind::LostWakeup { at: 2 }
         );
         assert_eq!(
-            FaultPlan::parse("worker-kill").unwrap().kind,
-            FaultKind::WorkerKill { at: 3 }
-        );
-        assert_eq!(
             FaultPlan::parse("stack-overflow").unwrap().kind,
             FaultKind::StackOverflow
         );
@@ -363,7 +345,6 @@ mod tests {
             "snapshot-corrupt",
             "noise-poison@64",
             "lost-wakeup@2",
-            "worker-kill@3",
             "stack-overflow",
             "env-panic@5:cell=flush/haswell",
         ] {

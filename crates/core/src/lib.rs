@@ -23,10 +23,10 @@
 //! itself is a measurable cache actor — the §5.3.1 kernel-image channel
 //! falls out of the model rather than being scripted.
 //!
-//! The [`engine`] executes user programs (one host thread each) against the
-//! simulated machine with deterministic scheduling; the [`system`] builder
-//! plays the role of seL4's initial user task, partitioning memory into
-//! coloured pools and cloning kernels per §3.3.
+//! The [`engine`] executes user programs (coroutines driven by one host
+//! thread) against the simulated machine with deterministic scheduling; the
+//! [`system`] builder plays the role of seL4's initial user task,
+//! partitioning memory into coloured pools and cloning kernels per §3.3.
 //!
 //! ## Quick start
 //!
@@ -69,8 +69,8 @@ pub mod system;
 pub use commit::{Commit, CommitLog, StateHasher};
 pub use config::{FlushMode, ProtectionConfig};
 pub use engine::{
-    default_exec_mode, health_stats, EnvOutcome, EnvPanicPayload, EnvPlan, ExecMode, HealthStats,
-    SimCtl, SimError, SimErrorKind, SimInner, UserEnv, UserProgram,
+    health_stats, EnvOutcome, EnvPanicPayload, EnvPlan, HealthStats, SimCtl, SimError,
+    SimErrorKind, SimInner, UserEnv, UserProgram,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use kernel::{EngineMode, FootKind, Kernel, KernelError, SysReturn, Syscall};

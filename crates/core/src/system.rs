@@ -9,8 +9,8 @@
 use crate::commit::Commit;
 use crate::config::ProtectionConfig;
 use crate::engine::{
-    run_programs_with, EnvOutcome, EvKind, ExecMode, SimCtl, SimError, SimErrorKind, SimInner,
-    UserProgram, DEFAULT_WINDOW,
+    run_programs, EnvOutcome, EvKind, SimCtl, SimError, SimErrorKind, SimInner, UserProgram,
+    DEFAULT_WINDOW,
 };
 use crate::kernel::{EngineMode, Kernel, KernelStats};
 use crate::objects::{DomainId, TcbId};
@@ -139,14 +139,12 @@ pub struct SystemSpec {
     /// Thread scheduling regime: strict domain slots or open (IPC-switched)
     /// scheduling.
     pub scheduling: EngineMode,
-    /// Which executor runs the environments (see [`ExecMode`]).
-    pub executor: ExecMode,
 }
 
 impl SystemSpec {
     /// A spec with the workspace defaults: seed `0xC0FFEE`, 1 ms slice,
     /// [`DEFAULT_RAM_FRAMES`], [`DEFAULT_WINDOW`], no cycle cap, slotted
-    /// scheduling, default executor.
+    /// scheduling.
     #[must_use]
     pub fn new(platform: impl Into<PlatformConfig>, prot: ProtectionConfig) -> Self {
         SystemSpec {
@@ -158,7 +156,6 @@ impl SystemSpec {
             window: DEFAULT_WINDOW,
             max_cycles: u64::MAX,
             scheduling: EngineMode::Slotted,
-            executor: ExecMode::default(),
         }
     }
 }
@@ -224,8 +221,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Digest of every input that shapes the boot prefix. Scheduling mode,
-    /// executor and cycle caps are applied after the snapshot point and are
+    /// Digest of every input that shapes the boot prefix. Scheduling mode
+    /// and cycle caps are applied after the snapshot point and are
     /// deliberately excluded.
     fn boot_key(&self, slice_cycles: u64) -> u64 {
         let mut h = crate::commit::StateHasher::new();
@@ -292,15 +289,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Select the executor for this run (delegates to
-    /// [`SystemSpec::executor`]). Tests use this to pin a worker count
-    /// programmatically instead of mutating `TP_THREADS`.
-    #[must_use]
-    pub fn executor(mut self, mode: ExecMode) -> Self {
-        self.spec.executor = mode;
-        self
-    }
-
     /// Declare a domain. With colouring enabled and `colors == None`, the
     /// available colours are split evenly across declared domains.
     pub fn domain(&mut self, colors: Option<ColorSet>) -> DomainHandle {
@@ -351,7 +339,7 @@ impl SystemBuilder {
     /// Build and run the system to completion.
     ///
     /// # Panics
-    /// Panics if a worker program panicked (other than normal shutdown) or
+    /// Panics if a primary program panicked (other than normal shutdown) or
     /// if construction fails (e.g. pool exhaustion). The campaign
     /// supervisor uses [`SystemBuilder::try_run`] instead.
     #[must_use]
@@ -366,11 +354,13 @@ impl SystemBuilder {
     /// instead of panicking when a simulated program fails or the engine
     /// watchdog aborts the run.
     ///
-    /// Any [`crate::fault`] plan and deadline armed on the calling thread
-    /// is applied to this run.
+    /// Every environment runs as a coroutine driven by the calling thread.
+    /// Any [`crate::fault`] plan and deadline armed on that thread is
+    /// applied to this run.
     ///
     /// # Errors
-    /// [`SimError`] with the first worker failure or watchdog abort.
+    /// [`SimError`] with the first primary failure, deadlock or watchdog
+    /// abort.
     ///
     /// # Panics
     /// Still panics if construction itself fails (e.g. pool exhaustion) —
@@ -589,7 +579,7 @@ impl SystemBuilder {
             })
             .collect();
 
-        let ctl = run_programs_with(ctl, programs, self.spec.executor);
+        let ctl = run_programs(ctl, programs);
         let mut g = ctl.inner.lock();
         // The typed deadlock slot outranks the error string: it carries the
         // waiting-env set and the exact interaction ordinal the detector
@@ -654,8 +644,7 @@ pub struct SystemReport {
     /// The domains, in declaration order.
     pub domains: Vec<DomainId>,
     /// [`Kernel::state_hash`] of the final kernel state — the bit-for-bit
-    /// fingerprint the executor-equivalence property tests compare across
-    /// [`ExecMode`]s.
+    /// fingerprint the executor tests pin.
     pub state_hash: u64,
     /// Per-environment outcome in spawn order: which environments completed
     /// and which failed in isolation (non-primary panics that did not end

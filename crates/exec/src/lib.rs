@@ -1,34 +1,32 @@
-//! Stackful coroutines for the cooperative simulation executor.
+//! Stackful coroutines for the simulation executor.
 //!
-//! The engine in `tp-core` multiplexes N simulated environments over M host
-//! worker threads. Each environment runs as a [`Coro`]: a resumable task with
-//! its own call stack that [`suspend`]s back to the worker that resumed it
-//! whenever the environment would otherwise block an OS thread (waiting for
-//! its scheduling turn, waiting for preemption).
+//! The engine in `tp-core` runs every simulated environment as a [`Coro`]:
+//! a resumable task with its own call stack that [`suspend`]s back to the
+//! driver whenever the environment would otherwise block (waiting for its
+//! scheduling turn, waiting for preemption). The driver is the one host
+//! thread that runs the simulation; it resumes the coroutines in turn.
 //!
-//! Two interchangeable backends implement the same resume/suspend contract:
+//! The backend is chosen by the target architecture:
 //!
-//! * **Stack** (x86_64 only, the default): a hand-rolled context switch that
-//!   saves the System-V callee-saved registers (`rbp`, `rbx`, `r12`–`r15`),
-//!   the `MXCSR` control word and the x87 control word, and swaps `rsp` onto
-//!   a heap-allocated stack. A resume/suspend pair is two register swaps —
+//! * **x86_64**: a hand-rolled context switch that saves the System-V
+//!   callee-saved registers (`rbp`, `rbx`, `r12`–`r15`), the `MXCSR`
+//!   control word and the x87 control word, and swaps `rsp` onto a
+//!   heap-allocated stack. A resume/suspend pair is two register swaps —
 //!   no syscalls, no scheduler round trips.
-//! * **Thread** (all architectures; forced with `TP_CORO=thread`): one
-//!   parked OS thread per coroutine with a pair of rendezvous channels. It
-//!   exists as a portability fallback and as a differential oracle for the
-//!   stack backend in tests.
+//! * **Every other architecture**: one parked OS thread per coroutine with a
+//!   pair of rendezvous channels standing in for the context switch.
 //!
 //! # Safety contract
 //!
 //! This is the only crate in the workspace that uses `unsafe`. The stack
-//! backend is sound under two conditions the executor upholds:
+//! backend is sound under two conditions:
 //!
-//! 1. **No `!Send` state across suspends.** A coroutine may be resumed by a
-//!    *different* host thread than the one it last suspended on. The closure
-//!    must therefore not hold thread-affine values (e.g. a
-//!    `std::sync::MutexGuard`, thread-local borrows) across a [`suspend`]
-//!    call. The engine releases the simulation lock before every suspend and
-//!    re-acquires it after resume.
+//! 1. **Coroutines never change host threads.** A stack-backend [`Coro`] is
+//!    not `Send`, so it is only ever resumed by the thread that created it,
+//!    and thread-affine state in its frames (thread-locals, lock guards)
+//!    stays valid across a [`suspend`]. The engine still releases the
+//!    simulation lock before every suspend: the driver takes it next, on
+//!    the same thread.
 //! 2. **Coroutines are driven to completion.** Dropping an incomplete stack
 //!    coroutine frees its stack without unwinding it, leaking any
 //!    interior objects. The executor drains every task (a stopping
@@ -37,14 +35,18 @@
 //!
 //! Panics never cross the assembly: the coroutine entry point catches the
 //! unwind and hands the payload back to the host through [`Coro::take_panic`],
-//! mirroring what `std::thread::JoinHandle::join` would have returned under
-//! the old thread-per-environment engine.
+//! mirroring what `std::thread::JoinHandle::join` returns for a thread.
 
 #![warn(missing_docs)]
 
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+use stack as backend;
+#[cfg(not(target_arch = "x86_64"))]
+use thread_impl as backend;
 
 /// Default coroutine stack size when `TP_STACK_KB` is unset: 256 KiB.
 ///
@@ -57,16 +59,44 @@ const DEFAULT_STACK_KIB: usize = 256;
 /// panic machinery themselves would not fit safely.
 const MIN_STACK_BYTES: usize = 32 * 1024;
 
-/// The coroutine stack size in bytes: `TP_STACK_KB` (KiB, min 32) or the
-/// 256 KiB default. Read once per process.
-pub fn default_stack_bytes() -> usize {
+/// Parse a `TP_STACK_KB` value into a coroutine stack size in bytes.
+/// `None`/empty means "unset" (the 256 KiB default); a set value must be a
+/// positive whole number of KiB, raised to a 32 KiB floor. Anything else is
+/// a hard error naming the variable — a typo such as `512k` must never
+/// silently run at the default size, whose overflow panic would then ask
+/// the user to raise the very knob they believe they already set.
+///
+/// # Errors
+/// A human-readable message naming `TP_STACK_KB` and the rejected value.
+pub fn parse_stack_size(raw: Option<&str>) -> Result<usize, String> {
+    let trimmed = raw.map_or("", str::trim);
+    if trimmed.is_empty() {
+        return Ok(DEFAULT_STACK_KIB * 1024);
+    }
+    trimmed
+        .parse::<usize>()
+        .ok()
+        .filter(|&kib| kib > 0)
+        .and_then(|kib| kib.checked_mul(1024))
+        .map(|bytes| bytes.max(MIN_STACK_BYTES))
+        .ok_or_else(|| {
+            format!(
+                "TP_STACK_KB: `{}` is not a positive whole number of KiB (expected e.g. 256 or 1024)",
+                raw.unwrap_or_default()
+            )
+        })
+}
+
+/// The coroutine stack size in bytes, from `TP_STACK_KB` (see
+/// [`parse_stack_size`]). Read once per process. Exits with status 2 on a
+/// malformed value, naming the variable — same contract as `TP_SAMPLES`.
+fn default_stack_bytes() -> usize {
     static BYTES: OnceLock<usize> = OnceLock::new();
     *BYTES.get_or_init(|| {
-        std::env::var("TP_STACK_KB")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map(|kib| (kib * 1024).max(MIN_STACK_BYTES))
-            .unwrap_or(DEFAULT_STACK_KIB * 1024)
+        parse_stack_size(std::env::var("TP_STACK_KB").ok().as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     })
 }
 
@@ -94,12 +124,9 @@ fn overflow_panic(stack_bytes: Option<usize>) -> ! {
 /// Whether the running coroutine's stack guard canary is intact. Always
 /// `true` from plain host code (there is no coroutine stack to guard).
 pub fn canary_intact() -> bool {
-    match current_get() {
-        Current::Host => true,
-        #[cfg(target_arch = "x86_64")]
-        Current::Stack(inner) => unsafe { stack::canary_ok(inner) },
-        Current::Thread(task) => unsafe { thread_impl::canary_ok(task) },
-    }
+    // SAFETY: `CURRENT` only ever holds the task of the coroutine running
+    // on this thread, which is what the backend requires.
+    current().is_none_or(|task| unsafe { backend::canary_ok(task) })
 }
 
 /// Deliberately kill the running coroutine's stack guard canary — the
@@ -107,97 +134,48 @@ pub fn canary_intact() -> bool {
 /// next canary check (every [`suspend`], or an explicit [`canary_intact`])
 /// reports the overflow. No-op from plain host code.
 pub fn clobber_canary() {
-    match current_get() {
-        Current::Host => {}
-        #[cfg(target_arch = "x86_64")]
-        Current::Stack(inner) => unsafe { stack::clobber_canary(inner) },
-        Current::Thread(task) => unsafe { thread_impl::clobber_canary(task) },
+    if let Some(task) = current() {
+        // SAFETY: as in `canary_intact`.
+        unsafe { backend::clobber_canary(task) }
     }
 }
 
-/// Which coroutine implementation backs a [`Coro`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// In-place context switch on a heap-allocated stack (x86_64 only).
-    Stack,
-    /// One parked OS thread per coroutine (portable fallback and oracle).
-    Thread,
-}
-
-/// The process-wide default backend: `Stack` on x86_64 unless
-/// `TP_CORO=thread` is set; `Thread` everywhere else. Read once.
-pub fn default_backend() -> Backend {
-    static BACKEND: OnceLock<Backend> = OnceLock::new();
-    *BACKEND.get_or_init(|| {
-        let forced_thread = std::env::var("TP_CORO")
-            .map(|v| v == "thread")
-            .unwrap_or(false);
-        if cfg!(target_arch = "x86_64") && !forced_thread {
-            Backend::Stack
-        } else {
-            Backend::Thread
-        }
-    })
-}
-
-/// What the current thread is running, from the coroutine machinery's point
-/// of view. Set for the duration of a resume (stack backend) or for the
-/// lifetime of the task body (thread backend).
-#[derive(Clone, Copy)]
-enum Current {
-    /// Plain host code: [`suspend`] is a bug here.
-    Host,
-    /// Inside a stack-backend coroutine.
-    #[cfg(target_arch = "x86_64")]
-    Stack(*mut stack::Inner),
-    /// Inside a thread-backend coroutine.
-    Thread(*const thread_impl::TaskSide),
-}
-
 thread_local! {
-    static CURRENT: Cell<Current> = const { Cell::new(Current::Host) };
+    /// The coroutine running on this thread, if any. Set for the duration
+    /// of a resume (stack backend) or for the lifetime of the task body
+    /// (thread backend); `None` in plain host code.
+    static CURRENT: Cell<Option<backend::TaskPtr>> = const { Cell::new(None) };
 }
 
-fn current_replace(c: Current) -> Current {
+fn current_replace(c: Option<backend::TaskPtr>) -> Option<backend::TaskPtr> {
     CURRENT.with(|t| t.replace(c))
 }
 
-fn current_set(c: Current) {
+fn current_set(c: Option<backend::TaskPtr>) {
     CURRENT.with(|t| t.set(c));
 }
 
-fn current_get() -> Current {
+fn current() -> Option<backend::TaskPtr> {
     CURRENT.with(Cell::get)
 }
 
-/// `true` when called from inside a coroutine body (either backend), i.e.
-/// when [`suspend`] is legal.
+/// `true` when called from inside a coroutine body, i.e. when [`suspend`]
+/// is legal.
 pub fn on_coroutine() -> bool {
-    !matches!(current_get(), Current::Host)
+    current().is_some()
 }
 
 /// Yield the running coroutine back to the host thread that resumed it.
 ///
-/// Returns when some host thread — not necessarily the same one — calls
-/// [`Coro::resume`] again. Callers must not hold thread-affine (`!Send`)
-/// values across this call; see the crate-level safety contract.
+/// Returns when the host calls [`Coro::resume`] again.
 ///
 /// # Panics
 ///
 /// Panics if called from plain host code (outside any coroutine).
 pub fn suspend() {
-    match current_get() {
-        Current::Host => panic!("tp_exec::suspend() called outside a coroutine"),
-        #[cfg(target_arch = "x86_64")]
-        Current::Stack(inner) => unsafe { stack::suspend(inner) },
-        Current::Thread(task) => unsafe { thread_impl::suspend(task) },
-    }
-}
-
-enum Imp {
-    #[cfg(target_arch = "x86_64")]
-    Stack(stack::StackCoro),
-    Thread(thread_impl::ThreadCoro),
+    let task = current().expect("tp_exec::suspend() called outside a coroutine");
+    // SAFETY: as in `canary_intact`; we are inside that coroutine's body.
+    unsafe { backend::suspend(task) }
 }
 
 /// A resumable task with its own stack.
@@ -207,30 +185,19 @@ enum Imp {
 /// [`suspend`]s (resume returns `false`) or finishes — by returning or by
 /// panicking — after which resume returns `true` and the panic payload, if
 /// any, is available from [`take_panic`](Coro::take_panic).
-pub struct Coro(Imp);
+pub struct Coro(backend::Handle);
 
 impl Coro {
-    /// Create a coroutine on the default backend with the default stack size.
+    /// Create a coroutine with the default stack size.
     pub fn new(f: impl FnOnce() + Send + 'static) -> Coro {
         Self::with_stack(default_stack_bytes(), f)
     }
 
-    /// Create a coroutine on the default backend with an explicit stack size
-    /// in bytes (clamped up to a safe minimum; ignored by the thread
-    /// backend, whose stacks are ordinary OS thread stacks).
+    /// Create a coroutine with an explicit stack size in bytes (clamped up
+    /// to a safe minimum; ignored by the thread backend, whose stacks are
+    /// ordinary OS thread stacks).
     pub fn with_stack(stack_bytes: usize, f: impl FnOnce() + Send + 'static) -> Coro {
-        #[cfg(target_arch = "x86_64")]
-        if default_backend() == Backend::Stack {
-            return Coro(Imp::Stack(stack::new(stack_bytes, Box::new(f))));
-        }
-        let _ = stack_bytes;
-        Coro(Imp::Thread(thread_impl::new(Box::new(f))))
-    }
-
-    /// Create a coroutine explicitly on the thread backend, regardless of
-    /// the process default. Used by tests as a differential oracle.
-    pub fn thread_backed(f: impl FnOnce() + Send + 'static) -> Coro {
-        Coro(Imp::Thread(thread_impl::new(Box::new(f))))
+        Coro(backend::new(stack_bytes, Box::new(f)))
     }
 
     /// Run the task until its next suspend or completion.
@@ -238,43 +205,24 @@ impl Coro {
     /// Returns `true` once the task has completed (further resumes are a
     /// contract violation and panic).
     pub fn resume(&mut self) -> bool {
-        match &mut self.0 {
-            #[cfg(target_arch = "x86_64")]
-            Imp::Stack(c) => c.resume(),
-            Imp::Thread(c) => c.resume(),
-        }
+        self.0.resume()
     }
 
     /// `true` once the task has run to completion (returned or panicked).
     pub fn is_complete(&self) -> bool {
-        match &self.0 {
-            #[cfg(target_arch = "x86_64")]
-            Imp::Stack(c) => c.is_complete(),
-            Imp::Thread(c) => c.is_complete(),
-        }
+        self.0.is_complete()
     }
 
     /// Take the panic payload of a completed task, if it panicked — exactly
-    /// what `JoinHandle::join` would have returned as `Err` under
-    /// thread-per-environment execution.
+    /// what `JoinHandle::join` returns as `Err` for a thread.
     pub fn take_panic(&mut self) -> Option<Box<dyn Any + Send + 'static>> {
-        match &mut self.0 {
-            #[cfg(target_arch = "x86_64")]
-            Imp::Stack(c) => c.take_panic(),
-            Imp::Thread(c) => c.take_panic(),
-        }
+        self.0.take_panic()
     }
 }
 
 impl std::fmt::Debug for Coro {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match self.0 {
-            #[cfg(target_arch = "x86_64")]
-            Imp::Stack(_) => "stack",
-            Imp::Thread(_) => "thread",
-        };
         f.debug_struct("Coro")
-            .field("backend", &backend)
             .field("complete", &self.is_complete())
             .finish()
     }
@@ -283,9 +231,15 @@ impl std::fmt::Debug for Coro {
 /// The x86_64 stack backend: a System-V context switch onto heap stacks.
 #[cfg(target_arch = "x86_64")]
 mod stack {
-    use super::{current_replace, current_set, Current};
+    use super::{current_replace, current_set};
     use std::alloc::{alloc, dealloc, Layout};
     use std::any::Any;
+
+    /// What `CURRENT` holds while a coroutine of this backend runs.
+    pub(super) type TaskPtr = *mut Inner;
+
+    /// The host-side handle behind [`super::Coro`].
+    pub(super) type Handle = StackCoro;
 
     /// Shared state between the host side ([`StackCoro`]) and the coroutine
     /// side (reached through the `r12` slot seeded on the fresh stack).
@@ -306,14 +260,6 @@ mod stack {
         inner: Box<Inner>,
     }
 
-    // SAFETY: the green stack and `Inner` are only ever touched by the one
-    // host thread currently inside `resume` (the coroutine runs *on* that
-    // thread), so moving the suspended handle between threads is a plain
-    // ownership transfer. The crate-level contract forbids the closure from
-    // holding `!Send` values across suspends, which is the only way
-    // thread-affine state could otherwise ride along.
-    unsafe impl Send for StackCoro {}
-
     /// Swap stacks: save callee-saved state on the current stack, store the
     /// resulting `rsp` through `save`, then load `rsp` from `restore` and
     /// pop the same state back. The `ret` at the end "returns" into the
@@ -323,8 +269,7 @@ mod stack {
     /// # Safety
     ///
     /// `restore` must point at an `rsp` previously produced by this function
-    /// (or by [`seed_stack`]), and that context must not be live on any
-    /// other thread.
+    /// (or by [`seed_stack`]), and that context must not be live.
     #[unsafe(naked)]
     unsafe extern "C" fn switch(save: *mut u64, restore: *const u64) {
         core::arch::naked_asm!(
@@ -419,9 +364,7 @@ mod stack {
     pub(super) fn new(stack_bytes: usize, f: Box<dyn FnOnce() + Send + 'static>) -> StackCoro {
         let size = stack_bytes.max(super::MIN_STACK_BYTES);
         let layout = Layout::from_size_align(size, 64).expect("valid stack layout");
-        // SAFETY: layout has non-zero size.
-        let stack = unsafe { alloc(layout) };
-        assert!(!stack.is_null(), "coroutine stack allocation failed");
+        let stack = STACKS.with(|pool| pool.borrow_mut().take(layout));
         // SAFETY: the stack is at least MIN_STACK_BYTES and 64-aligned, so
         // the guard slot at its base is in-bounds and aligned.
         unsafe { (stack as *mut u64).write(super::CANARY) };
@@ -463,11 +406,11 @@ mod stack {
         pub(super) fn resume(&mut self) -> bool {
             assert!(!self.inner.complete, "resume on a completed coroutine");
             let inner: *mut Inner = &mut *self.inner;
-            let prev = current_replace(Current::Stack(inner));
+            let prev = current_replace(Some(inner));
             // SAFETY: `co_rsp` was produced by `seed_stack` or by the
-            // suspend half of `switch`; the coroutine is suspended (not live
-            // anywhere), which `complete == false` plus executor ownership
-            // guarantees.
+            // suspend half of `switch`; the coroutine is suspended (not
+            // live), which `complete == false` plus exclusive ownership of
+            // the handle guarantees.
             unsafe { switch(&mut (*inner).host_rsp, &(*inner).co_rsp) };
             current_set(prev);
             self.inner.complete
@@ -501,18 +444,70 @@ mod stack {
         fn drop(&mut self) {
             // An incomplete coroutine's interior objects are leaked with the
             // stack (documented; the executor drains every task first).
-            // SAFETY: allocated in `new` with this exact layout.
-            unsafe { dealloc(self.stack, self.layout) };
+            // `Inner` is not `Send`, so this is the thread that allocated
+            // the stack; a pool already torn down at thread exit frees it.
+            let (stack, layout) = (self.stack, self.layout);
+            if STACKS
+                .try_with(|pool| pool.borrow_mut().0.push((stack, layout)))
+                .is_err()
+            {
+                // SAFETY: allocated by `StackPool::take` with this layout.
+                unsafe { dealloc(stack, layout) };
+            }
         }
+    }
+
+    /// Stacks of finished coroutines, kept for the next coroutine on this
+    /// thread. Reusing the same pages keeps memory flat across runs: freed
+    /// 256 KiB blocks go back to the allocator's main heap, where the small
+    /// allocations the environments make in between fragment them, so a
+    /// process that runs many fleets would otherwise keep growing its
+    /// resident set.
+    struct StackPool(Vec<(*mut u8, Layout)>);
+
+    impl StackPool {
+        /// A pooled stack of exactly `layout`, or a fresh allocation.
+        fn take(&mut self, layout: Layout) -> *mut u8 {
+            if let Some(i) = self.0.iter().rposition(|&(_, l)| l == layout) {
+                return self.0.swap_remove(i).0;
+            }
+            // SAFETY: layout has non-zero size.
+            let stack = unsafe { alloc(layout) };
+            assert!(!stack.is_null(), "coroutine stack allocation failed");
+            stack
+        }
+    }
+
+    impl Drop for StackPool {
+        fn drop(&mut self) {
+            for &(stack, layout) in &self.0 {
+                // SAFETY: every pooled stack came from `take` with its
+                // recorded layout and is owned by no coroutine.
+                unsafe { dealloc(stack, layout) };
+            }
+        }
+    }
+
+    thread_local! {
+        static STACKS: std::cell::RefCell<StackPool> =
+            const { std::cell::RefCell::new(StackPool(Vec::new())) };
     }
 }
 
-/// The portable thread backend: one parked OS thread per coroutine and a
-/// pair of rendezvous channels standing in for the context switch.
+/// The portable thread backend of non-x86_64 targets: one parked OS thread
+/// per coroutine and a pair of rendezvous channels standing in for the
+/// context switch.
+#[cfg(not(target_arch = "x86_64"))]
 mod thread_impl {
-    use super::{current_replace, current_set, Current};
+    use super::{current_replace, current_set};
     use std::any::Any;
     use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+
+    /// What `CURRENT` holds while a coroutine of this backend runs.
+    pub(super) type TaskPtr = *const TaskSide;
+
+    /// The host-side handle behind [`super::Coro`].
+    pub(super) type Handle = ThreadCoro;
 
     enum Status {
         Yielded,
@@ -545,7 +540,9 @@ mod thread_impl {
         panic: Option<Box<dyn Any + Send + 'static>>,
     }
 
-    pub(super) fn new(f: Box<dyn FnOnce() + Send + 'static>) -> ThreadCoro {
+    /// Spawn the parked task thread. OS thread stacks are sized by the
+    /// platform, so `_stack_bytes` is ignored.
+    pub(super) fn new(_stack_bytes: usize, f: Box<dyn FnOnce() + Send + 'static>) -> ThreadCoro {
         let (go_tx, go_rx) = sync_channel::<()>(1);
         let (status_tx, status_rx) = sync_channel::<Status>(1);
         let handle = std::thread::Builder::new()
@@ -561,7 +558,7 @@ mod thread_impl {
                 if task.go_rx.recv().is_err() {
                     return;
                 }
-                let prev = current_replace(Current::Thread(&task as *const TaskSide));
+                let prev = current_replace(Some(&task as *const TaskSide));
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
                 current_set(prev);
                 let payload = match outcome {
@@ -675,78 +672,38 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// Both constructors under test: the process-default backend and the
-    /// forced thread fallback, which must be behaviourally identical.
-    fn both(f: impl Fn() -> Box<dyn FnOnce() + Send + 'static>) -> Vec<Coro> {
-        vec![Coro::new(f()), Coro::thread_backed(f())]
-    }
-
     #[test]
     fn resume_suspend_interleaves_with_host() {
-        let make = || {
-            let n = Arc::new(AtomicUsize::new(0));
-            (n.clone(), n)
-        };
-        type Mk = fn(Box<dyn FnOnce() + Send + 'static>) -> Coro;
-        for mk in [Coro::new as Mk, Coro::thread_backed as Mk] {
-            let (n, n2) = make();
-            let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-                for _ in 0..3 {
-                    n2.fetch_add(1, Ordering::SeqCst);
-                    suspend();
-                }
-            });
-            let mut co = mk(body);
-            assert_eq!(n.load(Ordering::SeqCst), 0, "created suspended");
-            assert!(!co.resume());
-            assert_eq!(n.load(Ordering::SeqCst), 1);
-            assert!(!co.resume());
-            assert!(!co.resume());
-            assert_eq!(n.load(Ordering::SeqCst), 3);
-            assert!(co.resume(), "final resume runs to completion");
-            assert!(co.is_complete());
-            assert!(co.take_panic().is_none());
-        }
+        let n = Arc::new(AtomicUsize::new(0));
+        let n2 = n.clone();
+        let mut co = Coro::new(move || {
+            for _ in 0..3 {
+                n2.fetch_add(1, Ordering::SeqCst);
+                suspend();
+            }
+        });
+        assert_eq!(n.load(Ordering::SeqCst), 0, "created suspended");
+        assert!(!co.resume());
+        assert_eq!(n.load(Ordering::SeqCst), 1);
+        assert!(!co.resume());
+        assert!(!co.resume());
+        assert_eq!(n.load(Ordering::SeqCst), 3);
+        assert!(co.resume(), "final resume runs to completion");
+        assert!(co.is_complete());
+        assert!(co.take_panic().is_none());
     }
 
     #[test]
     fn panic_payload_is_captured_not_propagated() {
         struct Marker(u32);
-        for mut co in both(|| {
-            Box::new(|| {
-                suspend();
-                std::panic::panic_any(Marker(42));
-            })
-        }) {
-            assert!(!co.resume());
-            assert!(co.resume(), "panicking resume completes the task");
-            let p = co.take_panic().expect("panic captured");
-            assert_eq!(p.downcast_ref::<Marker>().expect("payload intact").0, 42);
-        }
-    }
-
-    #[test]
-    fn coroutine_migrates_between_host_threads() {
-        for mut co in both(|| {
-            Box::new(|| {
-                for _ in 0..8 {
-                    suspend();
-                }
-            })
-        }) {
-            // Resume alternately from fresh host threads: each resume hands
-            // the same task to a different OS thread.
-            for _ in 0..4 {
-                co = std::thread::spawn(move || {
-                    assert!(!co.resume());
-                    co
-                })
-                .join()
-                .expect("host thread clean");
-            }
-            while !co.resume() {}
-            assert!(co.is_complete());
-        }
+        let mut co = Coro::new(|| {
+            suspend();
+            std::panic::panic_any(Marker(42));
+        });
+        assert!(!co.resume());
+        assert!(co.resume(), "panicking resume completes the task");
+        let p = co.take_panic().expect("panic captured");
+        assert_eq!(p.downcast_ref::<Marker>().expect("payload intact").0, 42);
     }
 
     #[test]
@@ -796,56 +753,63 @@ mod tests {
         assert!(canary_intact(), "host code always reports intact");
         clobber_canary(); // no-op on the host
         assert!(canary_intact());
-        for mut co in both(|| {
-            Box::new(|| {
-                assert!(canary_intact(), "fresh coroutine starts intact");
-                suspend();
-                assert!(canary_intact(), "still intact after a round trip");
-            })
-        }) {
-            assert!(!co.resume());
-            assert!(co.resume());
-            assert!(co.take_panic().is_none());
-        }
+        let mut co = Coro::new(|| {
+            assert!(canary_intact(), "fresh coroutine starts intact");
+            suspend();
+            assert!(canary_intact(), "still intact after a round trip");
+        });
+        assert!(!co.resume());
+        assert!(co.resume());
+        assert!(co.take_panic().is_none());
     }
 
+    /// Runs on whichever backend the target compiles; the two backends
+    /// share the clobber/check/panic contract.
     #[test]
     fn clobbered_canary_panics_at_next_suspend_on_both_backends() {
-        for mut co in both(|| {
-            Box::new(|| {
-                suspend();
-                clobber_canary();
-                assert!(!canary_intact());
-                suspend(); // must raise the canonical overflow panic
-                unreachable!("suspend past a dead canary");
-            })
-        }) {
-            assert!(!co.resume());
-            assert!(co.resume(), "overflow panic completes the task");
-            let p = co.take_panic().expect("overflow panic captured");
-            let msg = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                .expect("string panic payload");
-            assert!(
-                msg.starts_with("stack overflow: coroutine guard canary clobbered"),
-                "canonical message, got: {msg}"
-            );
-        }
+        let mut co = Coro::new(|| {
+            suspend();
+            clobber_canary();
+            assert!(!canary_intact());
+            suspend(); // must raise the canonical overflow panic
+            unreachable!("suspend past a dead canary");
+        });
+        assert!(!co.resume());
+        assert!(co.resume(), "overflow panic completes the task");
+        let p = co.take_panic().expect("overflow panic captured");
+        let msg = p
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("string panic payload");
+        assert!(
+            msg.starts_with("stack overflow: coroutine guard canary clobbered"),
+            "canonical message, got: {msg}"
+        );
     }
 
     #[test]
     fn dropping_incomplete_coroutine_is_safe() {
-        for co in both(|| {
-            Box::new(|| {
-                suspend();
-                suspend();
-            })
-        }) {
-            let mut co = co;
-            assert!(!co.resume());
-            drop(co); // mid-flight: thread backend cancels, stack backend leaks interior
+        let mut co = Coro::new(|| {
+            suspend();
+            suspend();
+        });
+        assert!(!co.resume());
+        drop(co); // mid-flight: thread backend cancels, stack backend leaks interior
+    }
+
+    #[test]
+    fn stack_size_parses_or_errors_naming_the_variable() {
+        assert_eq!(parse_stack_size(None), Ok(256 * 1024));
+        assert_eq!(parse_stack_size(Some("")), Ok(256 * 1024));
+        assert_eq!(parse_stack_size(Some("  ")), Ok(256 * 1024));
+        assert_eq!(parse_stack_size(Some("512")), Ok(512 * 1024));
+        assert_eq!(parse_stack_size(Some(" 1024 ")), Ok(1024 * 1024));
+        assert_eq!(parse_stack_size(Some("8")), Ok(MIN_STACK_BYTES));
+        for bad in ["512k", "0", "-1", "1.5", "lots", "18014398509481984"] {
+            let err = parse_stack_size(Some(bad)).unwrap_err();
+            assert!(err.contains("TP_STACK_KB"), "{err}");
+            assert!(err.contains(bad), "{err}");
         }
     }
 }

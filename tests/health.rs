@@ -1,41 +1,37 @@
-//! Executor health plane: differential fault classification and the
-//! deterministic deadlock detector.
+//! Executor health plane: fault classification and the deterministic
+//! deadlock detector.
 //!
 //! Two contracts are pinned here, in their own process (fault injection
 //! necessarily trips the supervisor's global counters, which
 //! `tests/supervision.rs` asserts stay zero in a fault-free process):
 //!
-//! * **Differential regression**: every pre-existing `TP_FAULT` class
-//!   yields the *same* supervisor classification whether the cell runs
-//!   under the legacy thread-per-environment executor or the cooperative
-//!   executor — including the `env-stall@N` ordinal, which counts
-//!   `wait_preempt` interactions identically on both engines.
-//! * **Deadlock bit-identity**: a `lost-wakeup` wedge is classified by
-//!   the coop driver as a typed [`tp_core::SimErrorKind::Deadlock`] at
-//!   one exact interaction ordinal, bit-identical across worker counts —
-//!   never by the wall-clock watchdog.
+//! * **Classification**: every older `TP_FAULT` class yields the
+//!   supervisor classification of the taxonomy table — including the
+//!   `env-stall@N` ordinal, which counts `wait_preempt` interactions.
+//! * **Deadlock pin**: a `lost-wakeup` wedge is classified by the driver
+//!   as a typed [`tp_core::SimErrorKind::Deadlock`] at one exact, pinned
+//!   interaction ordinal — never by the wall-clock watchdog.
 
 use std::time::Duration;
-use tp_bench::supervise::{pair_cell_report, probe_cell_with, run_cell, CellOutcome};
-use tp_core::{fault, ExecMode, FaultKind, FaultPlan, SimErrorKind};
+use tp_bench::supervise::{pair_cell, probe_cell, run_cell, CellOutcome};
+use tp_core::{fault, FaultKind, FaultPlan, SimErrorKind};
 
-/// Supervise one probe cell under an explicit executor with `kind` armed.
-fn classify(kind: FaultKind, seed: u64, mode: ExecMode) -> CellOutcome {
+/// Supervise one probe cell with `kind` armed.
+fn classify(kind: FaultKind, seed: u64) -> CellOutcome {
     let plan = FaultPlan::new(kind);
     run_cell(
         "probe",
         "haswell",
         Some(&plan),
         Duration::from_secs(2),
-        move || probe_cell_with(seed, mode),
+        move || probe_cell(seed),
     )
     .outcome
 }
 
-/// Every pre-existing fault class classifies identically under both
-/// executors. (The three new classes are exercised by the chaos binary
-/// and the supervise unit tests; `lost-wakeup` legitimately differs —
-/// only the coop driver has a deadlock detector.)
+/// Every older fault class classifies as the taxonomy table says. (The
+/// executor classes are exercised by the chaos binary and the supervise
+/// unit tests.)
 #[test]
 fn legacy_fault_classes_classify_identically_across_executors() {
     let cases: [(FaultKind, CellOutcome); 5] = [
@@ -50,73 +46,55 @@ fn legacy_fault_classes_classify_identically_across_executors() {
     ];
     for (i, (kind, expected)) in cases.into_iter().enumerate() {
         let seed = 0x0D1F_F000 + i as u64;
-        for mode in [ExecMode::Threads, ExecMode::Coop { workers: 0 }] {
-            if kind == FaultKind::SnapshotCorrupt {
-                // Prime the boot cache for this shape so the supervised
-                // run restores a (corrupted) snapshot.
-                probe_cell_with(seed, mode).expect("cache-priming run");
-            }
-            let got = classify(kind, seed, mode);
-            assert_eq!(
-                got,
-                expected,
-                "{kind} under {mode:?} classified {} (expected {})",
-                got.name(),
-                expected.name(),
-            );
+        if kind == FaultKind::SnapshotCorrupt {
+            // Prime the boot cache for this shape so the supervised run
+            // restores a (corrupted) snapshot.
+            probe_cell(seed).expect("cache-priming run");
         }
-    }
-}
-
-/// The env-stall ordinal counts interactions the same way on both
-/// engines: a stall armed *beyond* the cell's interaction count never
-/// fires under either executor.
-#[test]
-fn env_stall_ordinal_counts_interactions_identically() {
-    for mode in [ExecMode::Threads, ExecMode::Coop { workers: 0 }] {
-        let got = classify(FaultKind::EnvStall { at: 1_000_000 }, 0x0D1F_F100, mode);
+        let got = classify(kind, seed);
         assert_eq!(
             got,
-            CellOutcome::Ok,
-            "an unreachable stall ordinal must be inert under {mode:?}"
+            expected,
+            "{kind} classified {} (expected {})",
+            got.name(),
+            expected.name(),
         );
     }
 }
 
-/// The deadlock detector fires deterministically: same typed error —
-/// waiting environments *and* interaction ordinal — for 1, 2 and
-/// host-default coop workers, and the message names the ordinal so logs
-/// are diffable across hosts.
+/// The env-stall ordinal counts interactions: a stall armed *beyond* the
+/// cell's interaction count never fires.
 #[test]
-fn lost_wakeup_deadlock_is_bit_identical_across_worker_counts() {
-    let run = |workers| {
-        fault::arm(Some(FaultKind::LostWakeup { at: 2 }));
-        let r = pair_cell_report(0x0D1F_F200, ExecMode::Coop { workers });
-        fault::arm(None);
-        r.expect_err("the wedged token must be detected, not completed")
-    };
-    let base = run(1);
-    match &base.kind {
+fn env_stall_ordinal_counts_interactions_identically() {
+    let got = classify(FaultKind::EnvStall { at: 1_000_000 }, 0x0D1F_F100);
+    assert_eq!(
+        got,
+        CellOutcome::Ok,
+        "an unreachable stall ordinal must be inert"
+    );
+}
+
+/// The deadlock detector fires deterministically: the waiting environment
+/// set and the interaction ordinal are pinned literals (captured from the
+/// multi-worker executor this driver replaced), and the message names the
+/// ordinal so logs are diffable across hosts.
+#[test]
+fn lost_wakeup_deadlock_matches_pinned_ordinal() {
+    fault::arm(Some(FaultKind::LostWakeup { at: 2 }));
+    let r = pair_cell(0x0D1F_F200);
+    fault::arm(None);
+    let e = r.expect_err("the wedged token must be detected, not completed");
+    assert_eq!(
+        e.kind,
         SimErrorKind::Deadlock {
-            waiting_envs,
-            at_interaction,
-        } => {
-            assert!(!waiting_envs.is_empty());
-            assert!(*at_interaction > 0);
-            assert!(
-                base.message
-                    .contains(&format!("at interaction {at_interaction}")),
-                "{}",
-                base.message
-            );
-        }
-        other => panic!("expected a typed deadlock, got {other:?}: {}", base.message),
-    }
-    for workers in [2, 0] {
-        let e = run(workers);
-        assert_eq!(
-            e, base,
-            "deadlock detection must be bit-identical across worker counts"
-        );
-    }
+            waiting_envs: vec![0],
+            at_interaction: 17,
+        },
+        "{}",
+        e.message
+    );
+    assert_eq!(
+        e.message,
+        "deadlock: 1 environment(s) suspended with no runnable progress at interaction 17"
+    );
 }

@@ -395,24 +395,13 @@ fn validate_rejects_broken_configs() {
     assert!(!cfg.validate().is_empty());
 }
 
-/// Build-and-run one fixed multi-environment workload under a chosen
-/// executor; used by the M-independence property below. Three domains on
-/// one core — a probing primary, a computing daemon and a paging daemon —
-/// exercise preemption, batched sweeps and kernel allocation paths.
+/// Build-and-run one fixed multi-environment workload; used by the pinned
+/// executor tests below. Three domains on one core — a probing primary, a
+/// computing daemon and a paging daemon — exercise preemption, batched
+/// sweeps and kernel allocation paths.
 fn executor_fixture(
     platform: tp_sim::Platform,
     seed: u64,
-    mode: tp_core::ExecMode,
-) -> tp_core::SystemReport {
-    executor_fixture_result(platform, seed, mode).expect("fixture run")
-}
-
-/// [`executor_fixture`] without the unwrap, for the fault-isolation
-/// property (a fault aimed at the primary surfaces here as `Err`).
-fn executor_fixture_result(
-    platform: tp_sim::Platform,
-    seed: u64,
-    mode: tp_core::ExecMode,
 ) -> Result<tp_core::SystemReport, tp_core::SimError> {
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -424,8 +413,7 @@ fn executor_fixture_result(
     let mut b = SystemBuilder::new(platform, ProtectionConfig::protected())
         .seed(seed)
         .slice_us(30.0)
-        .max_cycles(600_000_000)
-        .executor(mode);
+        .max_cycles(600_000_000);
     let d0 = b.domain(None);
     let d1 = b.domain(None);
     let d2 = b.domain(None);
@@ -451,116 +439,190 @@ fn executor_fixture_result(
     b.try_run()
 }
 
-proptest! {
-    /// The cooperative executor's host worker count is invisible: for any
-    /// platform and seed, running the same multi-environment workload under
-    /// the thread-per-environment executor and under cooperative executors
-    /// with 1, 2 and host-default workers produces the same final kernel
-    /// state hash and the same per-core cycle counts. This is the
-    /// structural determinism contract of the executor redesign.
-    #[test]
-    fn executor_worker_count_is_invisible(
-        p in proptest::sample::select(tp_sim::Platform::ALL),
-        seed in any::<u64>(),
-    ) {
-        use tp_core::ExecMode;
-        let base = executor_fixture(p, seed, ExecMode::Threads);
-        for mode in [
-            ExecMode::Coop { workers: 1 },
-            ExecMode::Coop { workers: 2 },
-            ExecMode::Coop { workers: 0 },
-        ] {
-            let r = executor_fixture(p, seed, mode);
-            prop_assert_eq!(
-                r.state_hash, base.state_hash,
-                "{}: {mode:?} state hash diverged from Threads", p.key()
-            );
-            prop_assert_eq!(
-                &r.cycles, &base.cycles,
-                "{}: {mode:?} cycle counts diverged from Threads", p.key()
-            );
-        }
-    }
+/// `(platform, seed, state_hash, per-core cycles)` of a clean
+/// [`executor_fixture`] run, captured from the thread-per-environment
+/// engine the single-thread driver replaced (the cooperative executor
+/// agreed with it at every worker count).
+const FIXTURE_PINS: [(tp_sim::Platform, u64, u64, &[u64]); 8] = {
+    use tp_sim::Platform::{Haswell, HiKey, Sabre, Skylake};
+    const S: u64 = 0x9e37_79b9_7f4a_7c15;
+    [
+        (Haswell, 0, 0x00e9_7060_6bce_34da, &[5_699_211, 0, 0, 0]),
+        (Haswell, S, 0xad4e_3e45_42f1_9bec, &[5_698_947, 0, 0, 0]),
+        (Sabre, 0, 0x3e9f_9a6a_9662_c2da, &[5_711_034, 0, 0, 0]),
+        (Sabre, S, 0x70ac_c065_b51f_3991, &[5_711_037, 0, 0, 0]),
+        (Skylake, 0, 0xdb85_2921_aeef_1dd0, &[4_453_707, 0, 0, 0]),
+        (Skylake, S, 0xad6e_ce8e_ef43_9e8f, &[4_443_242, 0, 0, 0]),
+        (
+            HiKey,
+            0,
+            0xe799_9c75_4e3e_17e9,
+            &[2_280_161, 0, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            HiKey,
+            S,
+            0xefb9_9dc2_6509_5011,
+            &[2_280_159, 0, 0, 0, 0, 0, 0, 0],
+        ),
+    ]
+};
 
-    /// Per-environment failure isolation is executor- and worker-count-
-    /// invariant: arm an `env-panic` at an arbitrary interaction ordinal
-    /// and the outcome — whichever environment dies, the survivors' final
-    /// kernel state hash, per-core cycle counts and the typed
-    /// [`tp_core::EnvOutcome`] list — is bit-identical under the
-    /// thread-per-environment executor and cooperative executors with 1,
-    /// 2 and host-default workers. A panic that lands on a daemon must
-    /// never abort the run or perturb its siblings; one that lands on the
-    /// primary must produce the identical error everywhere.
-    #[test]
-    fn env_failure_isolation_is_executor_invariant(
-        p in proptest::sample::select(tp_sim::Platform::ALL),
-        seed in any::<u64>(),
-        at in 2u64..18,
-    ) {
-        use tp_core::{fault, EnvOutcome, ExecMode, FaultKind};
-        let run = |mode| {
-            fault::arm(Some(FaultKind::EnvPanic { at }));
-            let r = executor_fixture_result(p, seed, mode);
-            fault::arm(None);
-            r
-        };
-        let base = run(ExecMode::Threads);
-        for mode in [
-            ExecMode::Coop { workers: 1 },
-            ExecMode::Coop { workers: 2 },
-            ExecMode::Coop { workers: 0 },
-        ] {
-            match (&base, &run(mode)) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(
-                        b.state_hash, a.state_hash,
-                        "{}: {mode:?} survivor state diverged from Threads", p.key()
+/// The single-thread driver replays the retired executors step for step:
+/// final kernel state hash and per-core cycle counts of the fixture on
+/// every platform and two seeds match the values pinned from the
+/// thread-per-environment engine. One changed simulated step moves the
+/// hash.
+#[test]
+fn executor_fixture_matches_pinned_state() {
+    for (p, seed, hash, cycles) in FIXTURE_PINS {
+        let r = executor_fixture(p, seed).expect("fixture run");
+        assert_eq!(r.state_hash, hash, "{} seed {seed:#x}: state hash", p.key());
+        assert_eq!(r.cycles, cycles, "{} seed {seed:#x}: cycle counts", p.key());
+    }
+}
+
+/// How an `env-panic@at` run of the fixture ends: the survivors' final
+/// state hash, per-core cycles and `Debug` of the `env_outcomes`, or the
+/// error string when the panic landed on the primary.
+type IsolationPin = Result<(u64, &'static [u64], &'static str), &'static str>;
+
+/// `(platform, at, outcome)` of [`executor_fixture`] at seed 0 with
+/// `env-panic@at` armed, pinned from the thread-per-environment engine.
+/// The rows cover a death of each daemon, a death of the primary and an
+/// ordinal past the run's last interaction on every platform family.
+const ISOLATION_PINS: [(tp_sim::Platform, u64, IsolationPin); 10] = {
+    use tp_sim::Platform::{Haswell, HiKey, Sabre, Skylake};
+    [
+        (
+            Haswell,
+            2,
+            Ok((
+                0x1654_b02f_979c_0c62,
+                &[5_699_487, 0, 0, 0],
+                "[Completed, Completed, Failed { env: 2, message: \"injected fault: env-panic at syscall 2\" }]",
+            )),
+        ),
+        (
+            Haswell,
+            3,
+            Err("simulated program failed: injected fault: env-panic at syscall 3 (env 0)"),
+        ),
+        (
+            Haswell,
+            4,
+            Ok((
+                0x409a_2c9d_1036_d440,
+                &[5_699_433, 0, 0, 0],
+                "[Completed, Failed { env: 1, message: \"injected fault: env-panic at syscall 4\" }, Completed]",
+            )),
+        ),
+        (
+            Sabre,
+            2,
+            Ok((
+                0x8521_d042_9cda_cffc,
+                &[5_636_004, 0, 0, 0],
+                "[Completed, Failed { env: 1, message: \"injected fault: env-panic at syscall 2\" }, Completed]",
+            )),
+        ),
+        (
+            Sabre,
+            3,
+            Ok((
+                0x4427_e506_cba9_550f,
+                &[5_710_989, 0, 0, 0],
+                "[Completed, Completed, Failed { env: 2, message: \"injected fault: env-panic at syscall 3\" }]",
+            )),
+        ),
+        (
+            Skylake,
+            5,
+            Err("simulated program failed: injected fault: env-panic at syscall 5 (env 0)"),
+        ),
+        (
+            Skylake,
+            17,
+            Ok((
+                0xdb85_2921_aeef_1dd0,
+                &[4_453_707, 0, 0, 0],
+                "[Completed, Completed, Completed]",
+            )),
+        ),
+        (
+            HiKey,
+            9,
+            Err("simulated program failed: injected fault: env-panic at syscall 9 (env 0)"),
+        ),
+        (
+            HiKey,
+            13,
+            Ok((
+                0xbeb4_d92d_e253_ac97,
+                &[2_280_161, 0, 0, 0, 0, 0, 0, 0],
+                "[Completed, Failed { env: 1, message: \"injected fault: env-panic at syscall 13\" }, Completed]",
+            )),
+        ),
+        (
+            HiKey,
+            1_000_000,
+            Ok((
+                0xe799_9c75_4e3e_17e9,
+                &[2_280_161, 0, 0, 0, 0, 0, 0, 0],
+                "[Completed, Completed, Completed]",
+            )),
+        ),
+    ]
+};
+
+/// Per-environment failure isolation reproduces the retired executors'
+/// outcomes exactly: arm an `env-panic` at each pinned interaction ordinal
+/// and the dying environment, the survivors' state hash, cycle counts and
+/// typed [`tp_core::EnvOutcome`] list — or, when the primary dies, the
+/// error — match the pins. A panic that lands on a daemon must never
+/// abort the run, and an ordinal the run never reaches must leave no
+/// trace at all.
+#[test]
+fn env_failure_isolation_matches_pinned_outcomes() {
+    use tp_core::{fault, EnvOutcome, FaultKind};
+    for (p, at, pin) in ISOLATION_PINS {
+        fault::arm(Some(FaultKind::EnvPanic { at }));
+        let got = executor_fixture(p, 0);
+        fault::arm(None);
+        match (got, pin) {
+            (Ok(r), Ok((hash, cycles, outcomes))) => {
+                assert_eq!(r.state_hash, hash, "{} env-panic@{at}: hash", p.key());
+                assert_eq!(r.cycles, cycles, "{} env-panic@{at}: cycles", p.key());
+                assert_eq!(format!("{:?}", r.env_outcomes), outcomes);
+                let failed = r
+                    .env_outcomes
+                    .iter()
+                    .filter(|o| matches!(o, EnvOutcome::Failed { .. }))
+                    .count();
+                if failed == 0 {
+                    // Inert: identical to the clean run.
+                    let clean = executor_fixture(p, 0).expect("clean fixture");
+                    assert_eq!(
+                        r.state_hash,
+                        clean.state_hash,
+                        "{}: inert env-panic@{at} perturbed the run",
+                        p.key()
                     );
-                    prop_assert_eq!(&b.cycles, &a.cycles);
-                    prop_assert_eq!(&b.env_outcomes, &a.env_outcomes);
-                }
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(
-                        a.to_string(), b.to_string(),
-                        "{}: {mode:?} primary-death error diverged", p.key()
-                    );
-                }
-                (a, b) => {
-                    panic!(
-                        "{}: Threads {} but {mode:?} {}",
-                        p.key(),
-                        if a.is_ok() { "completed" } else { "errored" },
-                        if b.is_ok() { "completed" } else { "errored" },
+                } else {
+                    // Contained, not collapsed: at least one sibling survived.
+                    assert!(
+                        failed < r.env_outcomes.len(),
+                        "{}: env-panic@{at} took the whole fleet down",
+                        p.key()
                     );
                 }
             }
-        }
-        if let Ok(a) = &base {
-            let failed = a
-                .env_outcomes
-                .iter()
-                .filter(|o| matches!(o, EnvOutcome::Failed { .. }))
-                .count();
-            if failed == 0 {
-                // The ordinal was beyond the run's interaction count: the
-                // armed-but-inert fault must leave no trace at all.
-                let clean = executor_fixture_result(p, seed, ExecMode::Threads)
-                    .expect("clean fixture");
-                prop_assert_eq!(
-                    a.state_hash, clean.state_hash,
-                    "{}: inert env-panic@{} perturbed the run", p.key(), at
-                );
-            } else {
-                // Contained, not collapsed: at least one daemon survived.
-                // (A death mid-critical-section can legitimately take a
-                // sibling with it — the cascade is itself deterministic
-                // and executor-invariant, pinned by the `env_outcomes`
-                // equality above.)
-                prop_assert!(
-                    failed < a.env_outcomes.len(),
-                    "{}: env-panic@{} took the whole fleet down", p.key(), at
-                );
-            }
+            (Err(e), Err(msg)) => assert_eq!(e.to_string(), msg),
+            (got, pin) => panic!(
+                "{} env-panic@{at}: got {:?}, pinned {pin:?}",
+                p.key(),
+                got.map(|r| r.env_outcomes)
+            ),
         }
     }
 }
