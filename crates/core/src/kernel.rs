@@ -359,6 +359,11 @@ pub struct Kernel {
     pub cores: Vec<CoreSched>,
     /// Ready queues per (core, domain).
     pub run_queues: HashMap<(usize, DomainId), ReadyQueues>,
+    /// Every thread per (core, domain), in creation order. A thread's core
+    /// and domain never change and TCBs are never freed, so this is also
+    /// ascending [`TcbId`] order; the slot rotation visits only the
+    /// incoming slot's threads to wake its sleepers.
+    pub(crate) slot_threads: HashMap<(usize, DomainId), Vec<TcbId>>,
     /// Interrupt table.
     pub irqs: [IrqState; NUM_IRQS],
     /// Preemption-slice length in cycles.
@@ -439,6 +444,7 @@ impl Kernel {
             boot_domain,
             cores,
             run_queues: HashMap::new(),
+            slot_threads: HashMap::new(),
             irqs: [IrqState::default(); NUM_IRQS],
             slice_cycles,
             stats: KernelStats::default(),
@@ -573,9 +579,12 @@ impl Kernel {
             .entry((core, domain))
             .or_default()
             .enqueue(prio, t);
-        if !self.cores[core].slots.contains(&domain) {
+        let slot = self.slot_threads.entry((core, domain)).or_default();
+        if slot.is_empty() {
+            // The domain's first thread on this core gives it a slot.
             self.cores[core].slots.push(domain);
         }
+        slot.push(t);
         Ok(t)
     }
 
@@ -714,13 +723,11 @@ impl Kernel {
         let f = foot(kind);
         let line = self.cfg.line;
         let global = self.prot.kernel_global_mappings;
-        let img = self.images.get(image.0).expect("live image");
-        let text = img.layout.text.clone();
-        let stack = img.layout.stack.clone();
+        let layout = &self.images.get(image.0).expect("live image").layout;
         m.advance(core, self.cfg.lat.mode_switch);
         for i in 0..f.text {
             let li = f.off + i;
-            let pa = ImageFrames::line_pa(&text, li, line);
+            let pa = ImageFrames::line_pa(&layout.text, li, line);
             let va = VAddr(KERNEL_VBASE + li * line);
             m.insn_fetch(core, asid, va, pa, global);
         }
@@ -733,7 +740,7 @@ impl Kernel {
             m.data_access(core, asid, va, pa, j == 0, global);
         }
         for j in 0..f.stack {
-            let pa = ImageFrames::line_pa(&stack, j, line);
+            let pa = ImageFrames::line_pa(&layout.stack, j, line);
             let va = VAddr(KERNEL_VBASE + 0x50_0000 + j * line);
             m.data_access(core, asid, va, pa, true, global);
         }

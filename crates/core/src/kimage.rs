@@ -78,14 +78,10 @@ impl Kernel {
         let img = self.kernel_clone(m, core, src, kmem)?;
         self.domains.get_mut(domain.0).unwrap().image = img;
         // Threads already created in the domain are re-bound to the clone.
-        let rebind: Vec<usize> = self
-            .tcbs
-            .iter()
-            .filter(|(_, t)| t.domain == domain)
-            .map(|(i, _)| i)
-            .collect();
-        for i in rebind {
-            self.tcbs.get_mut(i).unwrap().image = img;
+        for core in 0..self.cores.len() {
+            for t in self.slot_threads.get(&(core, domain)).into_iter().flatten() {
+                self.tcbs.get_mut(t.0).unwrap().image = img;
+            }
         }
         Ok(img)
     }

@@ -165,12 +165,16 @@ impl ImageFrames {
     }
 
     /// Physical address of the `i`-th line of a section, given the
-    /// platform line size.
+    /// platform line size. `PlatformConfig::validate` pins line sizes to
+    /// powers of two, so the page and offset split is a shift and a mask.
     #[must_use]
     pub fn line_pa(section: &[u64], i: u64, line: u64) -> PAddr {
-        let lines_per_page = FRAME_SIZE / line;
-        let page = (i / lines_per_page) as usize % section.len();
-        PAddr(section[page] * FRAME_SIZE + (i % lines_per_page) * line)
+        debug_assert!(line.is_power_of_two() && line <= FRAME_SIZE);
+        let line_shift = line.trailing_zeros();
+        let per_page_shift = FRAME_SIZE.trailing_zeros() - line_shift;
+        let page = (i >> per_page_shift) as usize % section.len();
+        let offset = (i & ((1 << per_page_shift) - 1)) << line_shift;
+        PAddr(section[page] * FRAME_SIZE + offset)
     }
 
     /// All frames of the image (used by destruction to return memory).
@@ -376,6 +380,25 @@ mod tests {
         let img = ImageLayout { base_pfn: 100 };
         let pa = PAddr(img.text().0 + 0x123);
         assert_eq!(img.kva(pa).0, KERNEL_VBASE + 0x123);
+    }
+
+    #[test]
+    fn line_pa_matches_division_form() {
+        let section = [7u64, 3, 42];
+        for p in Platform::ALL {
+            let line = p.config().line;
+            let per_page = FRAME_SIZE / line;
+            for i in 0..4 * per_page * section.len() as u64 {
+                let page = (i / per_page) as usize % section.len();
+                let want = PAddr(section[page] * FRAME_SIZE + (i % per_page) * line);
+                assert_eq!(
+                    ImageFrames::line_pa(&section, i, line),
+                    want,
+                    "{} line {i}",
+                    p.key()
+                );
+            }
+        }
     }
 
     #[test]

@@ -140,11 +140,17 @@ pub struct Capability {
 #[derive(Debug, Clone)]
 pub struct Arena<T> {
     items: Vec<Option<T>>,
+    /// Freed slots in `items`: while there are none, `alloc` appends
+    /// without scanning for the lowest free slot.
+    holes: usize,
 }
 
 impl<T> Default for Arena<T> {
     fn default() -> Self {
-        Arena { items: Vec::new() }
+        Arena {
+            items: Vec::new(),
+            holes: 0,
+        }
     }
 }
 
@@ -157,8 +163,10 @@ impl<T> Arena<T> {
 
     /// Insert an object, returning its index.
     pub fn alloc(&mut self, item: T) -> usize {
-        if let Some(i) = self.items.iter().position(Option::is_none) {
+        if self.holes > 0 {
+            let i = self.items.iter().position(Option::is_none).expect("a hole");
             self.items[i] = Some(item);
+            self.holes -= 1;
             i
         } else {
             self.items.push(Some(item));
@@ -179,7 +187,9 @@ impl<T> Arena<T> {
 
     /// Remove an object.
     pub fn remove(&mut self, idx: usize) -> Option<T> {
-        self.items.get_mut(idx).and_then(Option::take)
+        let item = self.items.get_mut(idx).and_then(Option::take);
+        self.holes += usize::from(item.is_some());
+        item
     }
 
     /// Iterate over live objects.
@@ -193,7 +203,7 @@ impl<T> Arena<T> {
     /// Number of live objects.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.items.iter().filter(|o| o.is_some()).count()
+        self.items.len() - self.holes
     }
 
     /// Whether the arena is empty.
@@ -207,12 +217,35 @@ impl<T> Arena<T> {
 ///
 /// Colour pools are arithmetic sequences of frame numbers (colours
 /// interleave every page), so the pool stores an explicit free list.
-#[derive(Debug, Clone)]
+/// The live list is `free[head..]`: carving consumes a prefix, so the
+/// frames before `head` are dead and neither cloned nor shown.
 pub struct Untyped {
     free: Vec<u64>,
+    head: usize,
     /// The colours this pool draws from.
     pub colors: ColorSet,
     total: usize,
+}
+
+impl Clone for Untyped {
+    fn clone(&self) -> Self {
+        Untyped {
+            free: self.free_frames().to_vec(),
+            head: 0,
+            colors: self.colors,
+            total: self.total,
+        }
+    }
+}
+
+impl std::fmt::Debug for Untyped {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Untyped")
+            .field("free", &self.free_frames())
+            .field("colors", &self.colors)
+            .field("total", &self.total)
+            .finish()
+    }
 }
 
 impl Untyped {
@@ -224,6 +257,7 @@ impl Untyped {
         let total = frames.len();
         Untyped {
             free: frames,
+            head: 0,
             colors,
             total,
         }
@@ -232,7 +266,7 @@ impl Untyped {
     /// Allocate `n` frames; `None` if exhausted (allocation is
     /// all-or-nothing).
     pub fn alloc(&mut self, n: usize) -> Option<Vec<u64>> {
-        if self.free.len() < n {
+        if self.available() < n {
             return None;
         }
         Some(self.free.split_off(self.free.len() - n))
@@ -244,26 +278,37 @@ impl Untyped {
     }
 
     /// Extract up to `max` frames matching `pred`, preserving the pool's
-    /// allocation order for the rest. One in-place pass — domain carving
-    /// used to drain and re-sort the whole boot pool per domain, which
-    /// dominated the setup cost of short workload runs.
+    /// allocation order for the rest. Costs O(frames scanned up to the
+    /// `max`-th match), not O(pool): the scanned window is compacted in
+    /// order against the unscanned rest, and the slots the taken frames
+    /// vacate join the dead prefix. Domain carving calls this once per
+    /// domain on the boot pool, so a whole-pool pass made a fleet boot
+    /// quadratic in its tenant count.
     pub fn take_matching(&mut self, max: usize, mut pred: impl FnMut(u64) -> bool) -> Vec<u64> {
         let mut taken = Vec::new();
-        self.free.retain(|&f| {
-            if taken.len() < max && pred(f) {
+        let mut kept = self.head;
+        let mut scan = self.head;
+        while scan < self.free.len() && taken.len() < max {
+            let f = self.free[scan];
+            if pred(f) {
                 taken.push(f);
-                false
             } else {
-                true
+                self.free[kept] = f;
+                kept += 1;
             }
-        });
+            scan += 1;
+        }
+        // Slide the kept frames up against the unscanned rest.
+        self.free
+            .copy_within(self.head..kept, self.head + taken.len());
+        self.head += taken.len();
         taken
     }
 
     /// Remaining frames.
     #[must_use]
     pub fn available(&self) -> usize {
-        self.free.len()
+        self.free.len() - self.head
     }
 
     /// Pool size at creation.
@@ -277,7 +322,7 @@ impl Untyped {
     /// because allocation pops from the tail.
     #[must_use]
     pub fn free_frames(&self) -> &[u64] {
-        &self.free
+        &self.free[self.head..]
     }
 }
 

@@ -16,20 +16,13 @@ use std::collections::VecDeque;
 pub const NUM_PRIOS: usize = 256;
 
 /// Per-priority ready queues with a constant-time highest-priority lookup
-/// bitmap.
-#[derive(Debug, Clone)]
+/// bitmap. A queue exists only for a priority that has held a thread
+/// (kept in ascending priority order), so every `(core, domain)` of a
+/// large fleet costs a few words rather than `NUM_PRIOS` queues.
+#[derive(Debug, Clone, Default)]
 pub struct ReadyQueues {
-    queues: Vec<VecDeque<TcbId>>,
+    queues: Vec<(u8, VecDeque<TcbId>)>,
     bitmap: [u64; NUM_PRIOS / 64],
-}
-
-impl Default for ReadyQueues {
-    fn default() -> Self {
-        ReadyQueues {
-            queues: (0..NUM_PRIOS).map(|_| VecDeque::new()).collect(),
-            bitmap: [0; 4],
-        }
-    }
 }
 
 impl ReadyQueues {
@@ -39,19 +32,38 @@ impl ReadyQueues {
         Self::default()
     }
 
+    /// The queue of priority `prio`, created empty on first use.
+    fn queue_mut(&mut self, prio: u8) -> &mut VecDeque<TcbId> {
+        let i = match self.queues.binary_search_by_key(&prio, |(p, _)| *p) {
+            Ok(i) => i,
+            Err(i) => {
+                self.queues.insert(i, (prio, VecDeque::new()));
+                i
+            }
+        };
+        &mut self.queues[i].1
+    }
+
+    fn mark(&mut self, prio: u8, ready: bool) {
+        let p = prio as usize;
+        if ready {
+            self.bitmap[p / 64] |= 1u64 << (p % 64);
+        } else {
+            self.bitmap[p / 64] &= !(1u64 << (p % 64));
+        }
+    }
+
     /// Enqueue a thread at the tail of its priority queue (round-robin).
     pub fn enqueue(&mut self, prio: u8, t: TcbId) {
-        let p = prio as usize;
-        self.queues[p].push_back(t);
-        self.bitmap[p / 64] |= 1u64 << (p % 64);
+        self.queue_mut(prio).push_back(t);
+        self.mark(prio, true);
     }
 
     /// Enqueue at the head (used when a thread is preempted mid-operation
     /// and must resume first).
     pub fn enqueue_front(&mut self, prio: u8, t: TcbId) {
-        let p = prio as usize;
-        self.queues[p].push_front(t);
-        self.bitmap[p / 64] |= 1u64 << (p % 64);
+        self.queue_mut(prio).push_front(t);
+        self.mark(prio, true);
     }
 
     /// Highest ready priority, if any (constant-time via the bitmap).
@@ -68,23 +80,28 @@ impl ReadyQueues {
 
     /// Dequeue the highest-priority thread.
     pub fn dequeue(&mut self) -> Option<TcbId> {
-        let p = self.highest()? as usize;
-        let t = self.queues[p].pop_front();
-        if self.queues[p].is_empty() {
-            self.bitmap[p / 64] &= !(1u64 << (p % 64));
+        let p = self.highest()?;
+        let q = self.queue_mut(p);
+        let t = q.pop_front();
+        if q.is_empty() {
+            self.mark(p, false);
         }
         t
     }
 
     /// Remove a specific thread (e.g. on destruction or suspension).
     pub fn remove(&mut self, prio: u8, t: TcbId) -> bool {
-        let p = prio as usize;
-        let before = self.queues[p].len();
-        self.queues[p].retain(|&x| x != t);
-        if self.queues[p].is_empty() {
-            self.bitmap[p / 64] &= !(1u64 << (p % 64));
+        let Ok(i) = self.queues.binary_search_by_key(&prio, |(p, _)| *p) else {
+            return false;
+        };
+        let q = &mut self.queues[i].1;
+        let before = q.len();
+        q.retain(|&x| x != t);
+        let removed = q.len() != before;
+        if q.is_empty() {
+            self.mark(prio, false);
         }
-        self.queues[p].len() != before
+        removed
     }
 
     /// Whether no thread is ready.
@@ -96,7 +113,7 @@ impl ReadyQueues {
     /// Total ready threads.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queues.iter().map(|(_, q)| q.len()).sum()
     }
 
     /// Iterate over the non-empty priority queues in ascending priority
@@ -105,9 +122,8 @@ impl ReadyQueues {
     pub fn iter(&self) -> impl Iterator<Item = (u8, impl Iterator<Item = TcbId> + '_)> + '_ {
         self.queues
             .iter()
-            .enumerate()
             .filter(|(_, q)| !q.is_empty())
-            .map(|(p, q)| (p as u8, q.iter().copied()))
+            .map(|(p, q)| (*p, q.iter().copied()))
     }
 }
 
@@ -155,6 +171,19 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.highest(), None);
         assert!(!q.remove(7, TcbId(1)));
+    }
+
+    #[test]
+    fn iter_is_ascending_and_skips_emptied_queues() {
+        let mut q = ReadyQueues::new();
+        q.enqueue(200, TcbId(1));
+        q.enqueue(10, TcbId(2));
+        q.enqueue(50, TcbId(3));
+        q.enqueue(10, TcbId(4));
+        assert_eq!(q.dequeue(), Some(TcbId(1)));
+        let seen: Vec<(u8, Vec<TcbId>)> = q.iter().map(|(p, ts)| (p, ts.collect())).collect();
+        assert_eq!(seen, [(10, vec![TcbId(2), TcbId(4)]), (50, vec![TcbId(3)])]);
+        assert_eq!(q.len(), 3);
     }
 
     #[test]

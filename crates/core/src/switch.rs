@@ -214,13 +214,15 @@ impl Kernel {
     }
 
     fn wake_sleepers(&mut self, core: usize, domain: DomainId) {
-        let sleepers: Vec<_> = self
-            .tcbs
+        let Some(threads) = self.slot_threads.get(&(core, domain)) else {
+            return;
+        };
+        let sleepers: Vec<_> = threads
             .iter()
-            .filter(|(_, t)| {
-                t.core == core && t.domain == domain && t.state == ThreadState::SleepingUntilSlice
+            .copied()
+            .filter(|t| {
+                self.tcbs.get(t.0).expect("live thread").state == ThreadState::SleepingUntilSlice
             })
-            .map(|(i, _)| crate::objects::TcbId(i))
             .collect();
         for t in sleepers {
             self.wake(t);
@@ -533,39 +535,74 @@ mod tests {
         assert!(!k.irqs[5].pending);
     }
 
+    /// Take `t` off its run queue and put it to sleep until its slot.
+    fn put_to_sleep(k: &mut Kernel, t: crate::objects::TcbId) {
+        let (core, domain, prio) = {
+            let tcb = k.tcbs.get(t.0).unwrap();
+            (tcb.core, tcb.domain, tcb.priority)
+        };
+        k.run_queues
+            .get_mut(&(core, domain))
+            .unwrap()
+            .remove(prio, t);
+        k.tcbs.get_mut(t.0).unwrap().state = ThreadState::SleepingUntilSlice;
+    }
+
     #[test]
     fn sleepers_wake_at_their_slot() {
         let (mut m, mut k) = two_domain_kernel(ProtectionConfig::protected());
-        // Put d1's thread to sleep.
-        let d1_thread = k
+        // Put the non-current (d1) thread to sleep.
+        let s = k
             .tcbs
             .iter()
-            .find(|(_, t)| {
-                Some(crate::objects::TcbId(0)) != Some(crate::objects::TcbId(t.core))
-                    && k.cores[0].cur != Some(crate::objects::TcbId(0))
-            })
-            .map(|(i, _)| crate::objects::TcbId(i));
-        let _ = d1_thread;
-        // Simpler: directly mark the non-current thread sleeping.
-        let sleeping: Vec<_> = k
-            .tcbs
-            .iter()
-            .filter(|(i, _)| k.cores[0].cur != Some(crate::objects::TcbId(*i)))
             .map(|(i, _)| crate::objects::TcbId(i))
-            .collect();
-        let s = sleeping[0];
-        {
-            let (core, domain, prio) = {
-                let t = k.tcbs.get(s.0).unwrap();
-                (t.core, t.domain, t.priority)
-            };
-            k.run_queues
-                .get_mut(&(core, domain))
-                .unwrap()
-                .remove(prio, s);
-            k.tcbs.get_mut(s.0).unwrap().state = ThreadState::SleepingUntilSlice;
-        }
+            .find(|&t| k.cores[0].cur != Some(t))
+            .unwrap();
+        put_to_sleep(&mut k, s);
         k.handle_tick(&mut m, 0);
         assert_eq!(k.cores[0].cur, Some(s), "sleeper must wake for its slot");
+    }
+
+    #[test]
+    fn only_the_incoming_slots_sleepers_wake_in_tcb_order() {
+        let cfg = Platform::Haswell.config();
+        let mut m = Machine::new(cfg, 11);
+        let mut k = Kernel::new(cfg, ProtectionConfig::raw(), 16384, 3_400_000);
+        let d0 = k.create_domain(ColorSet::range(0, 4), 2048).unwrap();
+        let d1 = k.create_domain(ColorSet::range(4, 8), 2048).unwrap();
+        let t0 = k.create_thread(d0, 0, 100).unwrap();
+        // Interleave the incoming slot's sleepers with sleepers in another
+        // domain on the same core and in the same domain on another core.
+        let a = k.create_thread(d1, 0, 100).unwrap();
+        let other_domain = k.create_thread(d0, 0, 100).unwrap();
+        let b = k.create_thread(d1, 0, 100).unwrap();
+        let other_core = k.create_thread(d1, 1, 100).unwrap();
+        let c = k.create_thread(d1, 0, 100).unwrap();
+        for t in [a, other_domain, b, other_core, c] {
+            put_to_sleep(&mut k, t);
+        }
+        assert_eq!(k.run_queues.get_mut(&(0, d0)).unwrap().dequeue(), Some(t0));
+        k.cores[0].cur = Some(t0);
+        k.cores[0].slot_idx = 0;
+
+        k.handle_tick(&mut m, 0); // rotates core 0 into d1's slot
+        let state = |k: &Kernel, t: crate::objects::TcbId| k.tcbs.get(t.0).unwrap().state;
+        for t in [a, b, c] {
+            assert_eq!(state(&k, t), ThreadState::Ready, "{t:?} must wake");
+        }
+        for t in [other_domain, other_core] {
+            assert_eq!(
+                state(&k, t),
+                ThreadState::SleepingUntilSlice,
+                "{t:?} must sleep on"
+            );
+        }
+        // Woken in ascending TcbId order: the first runs, the rest queue.
+        assert_eq!(k.cores[0].cur, Some(a));
+        let q = k.run_queues.get_mut(&(0, d1)).unwrap();
+        assert_eq!(
+            [q.dequeue(), q.dequeue(), q.dequeue()],
+            [Some(b), Some(c), None]
+        );
     }
 }

@@ -369,10 +369,12 @@ impl SystemBuilder {
         let cfg = self.spec.platform;
         let slice_cycles = cfg.us_to_cycles(self.spec.slice_us);
         let boot_start = std::time::Instant::now();
-        let key = self.boot_key(slice_cycles);
+        // Only the warm-boot cache reads the key; a cold-only run skips
+        // formatting both configs into it.
+        let key = self.warm_boot.then(|| self.boot_key(slice_cycles));
         let armed_fault = crate::fault::armed();
 
-        let restored = if self.warm_boot {
+        let restored = if let Some(key) = key {
             let mut cache = BOOT_CACHE.lock().expect("boot cache");
             cache.iter().position(|(k, _)| *k == key).and_then(|i| {
                 // LRU: a hit moves the entry to the back so campaign-wide
@@ -459,7 +461,7 @@ impl SystemBuilder {
                     tcbs.push(t);
                 }
 
-                if self.warm_boot {
+                if let Some(key) = key {
                     let mut cache = BOOT_CACHE.lock().expect("boot cache");
                     if !cache.iter().any(|(k, _)| *k == key) {
                         if cache.len() >= BOOT_CACHE_CAP {

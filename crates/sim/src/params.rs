@@ -635,6 +635,10 @@ impl PlatformConfig {
             format!("page size {} not a power of two", self.page),
         );
         err(
+            self.line.is_power_of_two() && self.line <= self.page,
+            format!("line size {} not a power of two within a page", self.line),
+        );
+        err(
             self.switch_pad_us > 0.0,
             "non-positive switch padding".into(),
         );

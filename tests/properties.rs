@@ -178,6 +178,68 @@ proptest! {
     }
 }
 
+/// The reference colour-pool carving: one whole-pool `retain` pass over
+/// the free list, taking up to `max` matching frames.
+fn carve_by_retain(free: &mut Vec<u64>, max: usize, mut pred: impl FnMut(u64) -> bool) -> Vec<u64> {
+    let mut taken = Vec::new();
+    free.retain(|&f| {
+        if taken.len() < max && pred(f) {
+            taken.push(f);
+            false
+        } else {
+            true
+        }
+    });
+    taken
+}
+
+proptest! {
+    /// `Untyped::take_matching` stops scanning at the `max`-th match, yet
+    /// carves exactly what the whole-pool `retain` oracle carves and
+    /// leaves the same free-list order (which `state_hash` folds and
+    /// allocation pops from), through random colour predicates and pools
+    /// perturbed by `alloc` and `free`. A clone carries the same live
+    /// list.
+    #[test]
+    fn take_matching_matches_retain_oracle(
+        frames in proptest::collection::vec(0u64..2048, 0..300),
+        ops in proptest::collection::vec((0u8..3, any::<u64>(), 0usize..80), 1..24),
+        n_colors in 1u64..17,
+    ) {
+        use time_protection::core::objects::Untyped;
+        let mut pool = Untyped::new(frames.clone(), ColorSet::all(n_colors));
+        let mut oracle = frames;
+        oracle.sort_unstable_by(|a, b| b.cmp(a));
+        let mut held = Vec::new();
+        for (op, bits, n) in ops {
+            match op {
+                0 => {
+                    let colors = ColorSet(bits);
+                    let pred = |f| colors.contains(tp_sim::color_of_frame(f, n_colors));
+                    let got = pool.take_matching(n, pred);
+                    prop_assert_eq!(got, carve_by_retain(&mut oracle, n, pred));
+                }
+                1 => {
+                    let got = pool.alloc(n);
+                    let want = (oracle.len() >= n).then(|| oracle.split_off(oracle.len() - n));
+                    prop_assert_eq!(&got, &want);
+                    held.extend(got.unwrap_or_default());
+                }
+                _ => {
+                    let back: Vec<u64> = held.drain(..n.min(held.len())).collect();
+                    pool.free(back.iter().copied());
+                    oracle.extend(back);
+                }
+            }
+            prop_assert_eq!(pool.free_frames(), oracle.as_slice());
+            prop_assert_eq!(pool.available(), oracle.len());
+            let twin = pool.clone();
+            prop_assert_eq!(twin.free_frames(), pool.free_frames());
+            prop_assert_eq!(twin.available(), pool.available());
+        }
+    }
+}
+
 proptest! {
     /// The batch sweep is bit-identical to the scalar access path: same
     /// per-line cycle costs, same hit levels, same machine state — for
@@ -393,6 +455,10 @@ fn validate_rejects_broken_configs() {
     let mut cfg = Platform::Sabre.config();
     cfg.l2.line = 64; // mixed line sizes (platform line is 32)
     assert!(!cfg.validate().is_empty());
+
+    let mut cfg = Platform::Haswell.config();
+    cfg.line = 96; // kernel line addressing splits pages by shift and mask
+    assert!(cfg.validate().iter().any(|e| e.contains("line size 96")));
 }
 
 /// Build-and-run one fixed multi-environment workload; used by the pinned
