@@ -7,36 +7,31 @@
 //! found during an untimed profiling phase (the [`tp_core::UserEnv::translate`]
 //! oracle stands in for timing-based eviction-set construction).
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use tp_core::{EnvPlan, UserEnv};
 use tp_sim::cache::phys_set;
 use tp_sim::machine::slice_index;
 use tp_sim::{CacheGeom, VAddr, FRAME_SIZE};
 
-/// Cached per-buffer sweep plans, one per access side (the I- and D-side
-/// L1 geometries can differ).
-#[derive(Debug, Clone, Default)]
-struct Plans {
-    data: Option<EnvPlan>,
-    insn: Option<EnvPlan>,
-}
-
 /// An ordered set of probe addresses.
 ///
 /// All probe entry points run through the environment's batched sweep API:
-/// the buffer lazily builds (and caches) a translated [`EnvPlan`] per
-/// access side, so a probe takes the simulation lock and the scheduler
-/// turn once per sweep instead of once per line. The `*_scalar` siblings
-/// keep the original line-at-a-time path as a reference oracle — the
-/// workspace property tests pin batch and scalar to bit-identical cycle
-/// totals and hit sequences.
+/// the buffer lazily builds one translated [`EnvPlan`] per access side (the
+/// I- and D-side L1 geometries can differ) on first use and keeps it, so a
+/// probe takes the simulation lock and the scheduler turn once per sweep
+/// instead of once per line and never re-translates its lines. A plan
+/// cannot go stale: user mappings are append-only (see [`EnvPlan`]). The
+/// `*_scalar` siblings keep the original line-at-a-time path as a
+/// reference oracle — the workspace property tests pin batch and scalar to
+/// bit-identical cycle totals and machine state.
 #[derive(Debug, Clone)]
 pub struct ProbeBuf {
     /// The probe addresses, grouped by target set.
     pub lines: Vec<VAddr>,
     /// Lines per target set.
     pub per_set: usize,
-    plans: RefCell<Plans>,
+    /// The data-side (`[0]`) and instruction-side (`[1]`) plans.
+    plans: [OnceCell<EnvPlan>; 2],
 }
 
 impl ProbeBuf {
@@ -46,67 +41,32 @@ impl ProbeBuf {
         ProbeBuf {
             lines,
             per_set,
-            plans: RefCell::new(Plans::default()),
+            plans: Default::default(),
         }
     }
 
-    /// Run `sweep` against the cached plan for the chosen side, building or
-    /// rebuilding the plan when absent or stale (address space changed).
-    fn with_plan<R>(
-        &self,
-        env: &mut UserEnv,
-        insn: bool,
-        mut sweep: impl FnMut(&EnvPlan, &mut UserEnv) -> Option<R>,
-    ) -> R {
-        loop {
-            {
-                let mut plans = self.plans.borrow_mut();
-                let slot = if insn {
-                    &mut plans.insn
-                } else {
-                    &mut plans.data
-                };
-                if slot.is_none() {
-                    *slot = Some(env.build_plan(&self.lines, insn));
-                }
-            }
-            let plans = self.plans.borrow();
-            let plan = if insn { &plans.insn } else { &plans.data };
-            if let Some(r) = sweep(plan.as_ref().expect("plan built above"), env) {
-                return r;
-            }
-            drop(plans);
-            let mut plans = self.plans.borrow_mut();
-            *(if insn {
-                &mut plans.insn
-            } else {
-                &mut plans.data
-            }) = None;
-        }
+    /// The plan for the chosen side, built by the first sweep that needs
+    /// it.
+    fn plan(&self, env: &UserEnv, insn: bool) -> &EnvPlan {
+        self.plans[usize::from(insn)].get_or_init(|| env.build_plan(&self.lines, insn))
     }
 
     /// Probe with loads; returns the total latency in cycles.
     #[must_use]
     pub fn probe(&self, env: &mut UserEnv) -> u64 {
-        self.with_plan(env, false, |p, env| {
-            env.probe_batch(p, usize::MAX, false, None)
-        })
+        env.probe_batch(self.plan(env, false), usize::MAX, false, None)
     }
 
     /// Probe with stores (dirties the lines).
     #[must_use]
     pub fn probe_write(&self, env: &mut UserEnv) -> u64 {
-        self.with_plan(env, false, |p, env| {
-            env.probe_batch(p, usize::MAX, true, None)
-        })
+        env.probe_batch(self.plan(env, false), usize::MAX, true, None)
     }
 
     /// Probe with instruction fetches.
     #[must_use]
     pub fn probe_exec(&self, env: &mut UserEnv) -> u64 {
-        self.with_plan(env, true, |p, env| {
-            env.probe_batch(p, usize::MAX, false, None)
-        })
+        env.probe_batch(self.plan(env, true), usize::MAX, false, None)
     }
 
     /// Probe with loads, counting accesses slower than `threshold` (cache
@@ -114,22 +74,19 @@ impl ProbeBuf {
     #[must_use]
     pub fn probe_misses(&self, env: &mut UserEnv, threshold: u64) -> u64 {
         let mut costs = Vec::with_capacity(self.lines.len());
-        self.with_plan(env, false, |p, env| {
-            costs.clear();
-            env.probe_batch(p, usize::MAX, false, Some(&mut costs))
-        });
+        env.probe_batch(self.plan(env, false), usize::MAX, false, Some(&mut costs));
         costs.iter().filter(|&&c| c >= threshold).count() as u64
     }
 
     /// Probe a sub-range `[0, n)` of the buffer's lines with loads.
     #[must_use]
     pub fn probe_prefix(&self, env: &mut UserEnv, n: usize) -> u64 {
-        self.with_plan(env, false, |p, env| env.probe_batch(p, n, false, None))
+        env.probe_batch(self.plan(env, false), n, false, None)
     }
 
     /// Dirty the first `n` lines (the §5.3.4 sender).
     pub fn dirty_prefix(&self, env: &mut UserEnv, n: usize) {
-        self.with_plan(env, false, |p, env| env.probe_batch(p, n, true, None));
+        env.probe_batch(self.plan(env, false), n, true, None);
     }
 
     /// Line-at-a-time load probe: the reference oracle for

@@ -51,9 +51,11 @@ pub const VOTE_SEED_BASE: u64 = 0x5EED;
 /// Seeds for the three independent repetitions behind every pinned
 /// verdict. A channel is reported as leaking iff at least two of three
 /// seeds flag it: real channels (M ≫ M0) leak under every seed, while a
-/// cell whose M hovers at the M0 boundary — a ~1% single-shot false
-/// positive of the §5.1 shuffle test — does not survive the vote. This is
-/// what makes the golden file a stable CI gate.
+/// closed cell rarely survives the vote. M0 is the 95th percentile of 100
+/// shuffles, so a closed cell leaks under one seed with probability
+/// p ≈ 5%, and under the vote with 3p² − 2p³ ≈ 0.7% (assuming
+/// independent seeds; the rate is not yet calibrated). This is what makes
+/// the golden file a stable CI gate.
 const VOTE_SEEDS: [u64; 3] = [
     VOTE_SEED_BASE,
     VOTE_SEED_BASE ^ 0x9E37_79B9,

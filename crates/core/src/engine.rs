@@ -26,7 +26,6 @@
 use crate::kernel::{Kernel, KernelError, SysReturn, Syscall};
 use crate::objects::{DomainId, TcbId, ThreadState, VSpaceId};
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -512,50 +511,17 @@ impl<F: FnMut(&mut UserEnv) + Send + 'static> UserProgram for F {
     }
 }
 
-/// Slots in the per-env direct-mapped translation cache.
-const TCACHE_SLOTS: usize = 64;
-
-/// One cached positive translation, validated against the owning
-/// [`tp_sim::PhysMap`]'s generation counter.
-#[derive(Clone, Copy)]
-struct TransEntry {
-    vpn: u64,
-    pa_base: u64,
-    gen: u64,
-    valid: bool,
-}
-
-/// Per-environment lookup state: the thread's (immutable) VSpace/ASID ids
-/// and a small direct-mapped translation cache, so the probe hot path
-/// skips the kernel page-table walk on repeated addresses.
-struct EnvCache {
-    ids: Option<(VSpaceId, Asid)>,
-    entries: [TransEntry; TCACHE_SLOTS],
-}
-
-impl EnvCache {
-    fn new() -> Self {
-        EnvCache {
-            ids: None,
-            entries: [TransEntry {
-                vpn: 0,
-                pa_base: 0,
-                gen: 0,
-                valid: false,
-            }; TCACHE_SLOTS],
-        }
-    }
-}
-
 /// A precomputed, translated probe sweep bound to one environment: the
-/// simulator-side [`SweepPlan`] plus the page-table generation it was
-/// translated at. [`UserEnv::probe_batch`] refuses a stale plan (the
-/// mappings changed since it was built), in which case the caller rebuilds
-/// with [`UserEnv::build_plan`].
+/// simulator-side [`SweepPlan`] over the physical addresses behind its
+/// probe lines.
+///
+/// A plan never goes stale. The only mapping operation,
+/// `Kernel::map_user_pages`, maps fresh pages at the VSpace's next free
+/// address, and nothing unmaps, so a translation taken once holds for the
+/// thread's lifetime.
 #[derive(Debug, Clone)]
 pub struct EnvPlan {
     plan: SweepPlan,
-    gen: u64,
 }
 
 impl EnvPlan {
@@ -583,11 +549,16 @@ pub struct UserEnv {
     pub domain: DomainId,
     cfg: PlatformConfig,
     colors: ColorSet,
-    cache: RefCell<EnvCache>,
+    /// The thread's VSpace and its ASID, both fixed at thread creation.
+    vspace: VSpaceId,
+    asid: Asid,
 }
 
 impl UserEnv {
     /// Build an environment for a thread (used by the system builder).
+    ///
+    /// # Panics
+    /// Panics if `tcb` is not a live thread.
     #[must_use]
     pub fn new(
         ctl: Arc<SimCtl>,
@@ -597,6 +568,12 @@ impl UserEnv {
         cfg: PlatformConfig,
         colors: ColorSet,
     ) -> Self {
+        let (vspace, asid) = {
+            let g = ctl.inner.lock();
+            let t = g.kernel.tcbs.get(tcb.0).expect("live thread");
+            let asid = g.kernel.vspaces.get(t.vspace.0).expect("live vspace").asid;
+            (t.vspace, asid)
+        };
         UserEnv {
             ctl,
             tcb,
@@ -604,7 +581,8 @@ impl UserEnv {
             domain,
             cfg,
             colors,
-            cache: RefCell::new(EnvCache::new()),
+            vspace,
+            asid,
         }
     }
 
@@ -691,68 +669,44 @@ impl UserEnv {
         })
     }
 
-    /// The thread's VSpace and ASID, resolved once (both are fixed at
-    /// thread creation).
-    fn cached_ids(&self, g: &SimInner) -> (VSpaceId, Asid) {
-        let mut cache = self.cache.borrow_mut();
-        if let Some(ids) = cache.ids {
-            return ids;
-        }
-        let t = g.kernel.tcbs.get(self.tcb.0).expect("live thread");
-        let asid = g.kernel.vspaces.get(t.vspace.0).expect("live vspace").asid;
-        cache.ids = Some((t.vspace, asid));
-        (t.vspace, asid)
-    }
-
-    /// Translate through the per-env cache; falls back to the kernel page
-    /// table on a miss or when the mapping generation moved.
+    /// Translate through the thread's page table.
     ///
     /// # Panics
     /// Panics on a page fault, like real attack code would.
-    fn translate_cached(&self, g: &SimInner, va: VAddr) -> (PAddr, Asid) {
-        let (vs, asid) = self.cached_ids(g);
-        let map = &g.kernel.vspaces.get(vs.0).expect("live vspace").map;
-        let gen = map.generation();
-        let vpn = va.vpn();
-        let mut cache = self.cache.borrow_mut();
-        let e = &mut cache.entries[(vpn as usize) % TCACHE_SLOTS];
-        if e.valid && e.vpn == vpn && e.gen == gen {
-            return (PAddr(e.pa_base + va.page_offset()), asid);
-        }
-        let pa = map
+    fn translate_in(&self, g: &SimInner, va: VAddr) -> PAddr {
+        g.kernel
+            .vspaces
+            .get(self.vspace.0)
+            .expect("live vspace")
+            .map
             .translate(va)
-            .unwrap_or_else(|| panic!("page fault at {va:?}"));
-        *e = TransEntry {
-            vpn,
-            pa_base: pa.0 - va.page_offset(),
-            gen,
-            valid: true,
-        };
-        (pa, asid)
+            .unwrap_or_else(|| panic!("page fault at {va:?}"))
     }
 
     /// Load from a user virtual address; returns the access latency in
     /// cycles (what a real attacker measures with two counter reads).
     pub fn load(&self, va: VAddr) -> u64 {
         self.op(|g| {
-            let (pa, asid) = self.translate_cached(g, va);
-            g.machine.data_access(self.core, asid, va, pa, false, false)
+            let pa = self.translate_in(g, va);
+            g.machine
+                .data_access(self.core, self.asid, va, pa, false, false)
         })
     }
 
     /// Store to a user virtual address; returns the latency.
     pub fn store(&self, va: VAddr) -> u64 {
         self.op(|g| {
-            let (pa, asid) = self.translate_cached(g, va);
-            g.machine.data_access(self.core, asid, va, pa, true, false)
+            let pa = self.translate_in(g, va);
+            g.machine
+                .data_access(self.core, self.asid, va, pa, true, false)
         })
     }
 
     /// Fetch/execute an instruction at a user virtual address.
     pub fn exec(&self, va: VAddr) -> u64 {
         self.op(|g| {
-            let (pa, asid) = self.translate_cached(g, va);
-            g.machine.insn_fetch(self.core, asid, va, pa, false)
+            let pa = self.translate_in(g, va);
+            g.machine.insn_fetch(self.core, self.asid, va, pa, false)
         })
     }
 
@@ -792,6 +746,19 @@ impl UserEnv {
         (single, trigger)
     }
 
+    /// The gate between two timed steps of a sweep: what the scalar path
+    /// does between two env ops (the epilogue of one, the admission check
+    /// of the next), skipped while `fast` (from
+    /// [`UserEnv::sweep_fast_state`]) proves it a no-op.
+    #[inline]
+    fn sweep_step(&self, g: &mut parking_lot::MutexGuard<'_, SimInner>, fast: &mut (bool, u64)) {
+        if !fast.0 || g.machine.cycles(self.core) >= fast.1 {
+            self.sweep_tail(g);
+            self.resume_turn(g);
+            *fast = self.sweep_fast_state(g);
+        }
+    }
+
     /// Precompute a probe sweep over `vas`: translate every address and
     /// build the simulator-side [`SweepPlan`] (with the instruction-side L1
     /// geometry when `insn`). One untimed environment operation, however
@@ -799,31 +766,17 @@ impl UserEnv {
     #[must_use]
     pub fn build_plan(&self, vas: &[VAddr], insn: bool) -> EnvPlan {
         self.op(|g| {
-            let mut pas = Vec::with_capacity(vas.len());
-            for &va in vas {
-                pas.push(self.translate_cached(g, va).0);
-            }
-            let (vs, _) = self.cached_ids(g);
-            let gen = g
-                .kernel
-                .vspaces
-                .get(vs.0)
-                .expect("live vspace")
-                .map
-                .generation();
+            let pas: Vec<PAddr> = vas.iter().map(|&va| self.translate_in(g, va)).collect();
             EnvPlan {
                 plan: g.machine.plan_sweep(insn, &pas),
-                gen,
             }
         })
     }
 
     /// Run the first `n` lines of a precomputed probe sweep, taking the
     /// simulation lock and the scheduler turn **once** for the whole sweep
-    /// instead of once per line. Returns the total latency, or `None` when
-    /// the plan is stale (the address space changed since [`UserEnv::build_plan`];
-    /// rebuild and retry). Per-line latencies are appended to `costs` when
-    /// provided.
+    /// instead of once per line. Returns the total latency; per-line
+    /// latencies are appended to `costs` when provided.
     ///
     /// Semantics are identical to issuing the lines as scalar
     /// [`UserEnv::load`]/[`UserEnv::store`]/[`UserEnv::exec`] calls — due
@@ -837,80 +790,52 @@ impl UserEnv {
         n: usize,
         write: bool,
         mut costs: Option<&mut Vec<u64>>,
-    ) -> Option<u64> {
+    ) -> u64 {
         let lines = &plan.plan.lines()[..n.min(plan.plan.len())];
         if lines.is_empty() {
-            return Some(0);
+            return 0;
         }
         let insn = plan.plan.is_insn();
         let mut g = self.ctl.inner.lock();
         self.wait_turn(&mut g);
-        let (vs, asid) = self.cached_ids(&g);
-        let gen = g
-            .kernel
-            .vspaces
-            .get(vs.0)
-            .expect("live vspace")
-            .map
-            .generation();
-        if gen != plan.gen {
-            return None;
-        }
         let mut total = 0u64;
-        let (mut fast, mut trigger) = self.sweep_fast_state(&g);
+        let mut fast = self.sweep_fast_state(&g);
         for (i, ln) in lines.iter().enumerate() {
-            if i > 0 && (!fast || g.machine.cycles(self.core) >= trigger) {
-                self.sweep_tail(&mut g);
-                self.resume_turn(&mut g);
-                (fast, trigger) = self.sweep_fast_state(&g);
+            if i > 0 {
+                self.sweep_step(&mut g, &mut fast);
             }
             let (c, _) = g
                 .machine
-                .access_planned(self.core, asid, ln, write, false, insn);
+                .access_planned(self.core, self.asid, ln, write, false, insn);
             total += c;
             if let Some(costs) = costs.as_deref_mut() {
                 costs.push(c);
             }
         }
         self.sweep_tail(&mut g);
-        Some(total)
-    }
-
-    /// Load every address in `vas` under a single lock/turn acquisition;
-    /// returns the total latency. The unplanned sibling of
-    /// [`UserEnv::probe_batch`] for ad-hoc sweeps whose addresses are not
-    /// reused across samples.
-    pub fn load_sweep(&self, vas: &[VAddr]) -> u64 {
-        self.access_sweep_inner(vas.iter().map(|&va| (va, false)), 0)
+        total
     }
 
     /// Run a mixed load/store sweep (`true` = store) with `compute` pure
     /// cycles after each access, under a single lock/turn acquisition.
     /// Returns the total access latency (compute cycles excluded, as with
-    /// scalar [`UserEnv::compute`]).
+    /// scalar [`UserEnv::compute`]). Bit-identical to the scalar
+    /// [`UserEnv::load`]/[`UserEnv::store`]/[`UserEnv::compute`] sequence.
     pub fn access_sweep(&self, ops: &[(VAddr, bool)], compute: u64) -> u64 {
-        self.access_sweep_inner(ops.iter().copied(), compute)
-    }
-
-    fn access_sweep_inner(&self, ops: impl Iterator<Item = (VAddr, bool)>, compute: u64) -> u64 {
         let mut g = self.ctl.inner.lock();
         self.wait_turn(&mut g);
         let mut total = 0u64;
-        let (mut fast, mut trigger) = self.sweep_fast_state(&g);
-        for (i, (va, write)) in ops.enumerate() {
-            if i > 0 && (!fast || g.machine.cycles(self.core) >= trigger) {
-                self.sweep_tail(&mut g);
-                self.resume_turn(&mut g);
-                (fast, trigger) = self.sweep_fast_state(&g);
+        let mut fast = self.sweep_fast_state(&g);
+        for (i, &(va, write)) in ops.iter().enumerate() {
+            if i > 0 {
+                self.sweep_step(&mut g, &mut fast);
             }
-            let (pa, asid) = self.translate_cached(&g, va);
-            total += g.machine.data_access(self.core, asid, va, pa, write, false);
+            let pa = self.translate_in(&g, va);
+            total += g
+                .machine
+                .data_access(self.core, self.asid, va, pa, write, false);
             if compute > 0 {
-                if !fast || g.machine.cycles(self.core) >= trigger {
-                    self.sweep_tail(&mut g);
-                    self.resume_turn(&mut g);
-                    (fast, trigger) = self.sweep_fast_state(&g);
-                }
+                self.sweep_step(&mut g, &mut fast);
                 g.machine.advance(self.core, compute);
             }
         }
@@ -948,7 +873,7 @@ impl UserEnv {
     /// stands in for that untimed profiling phase.
     #[must_use]
     pub fn translate(&self, va: VAddr) -> PAddr {
-        self.op(|g| self.translate_cached(g, va).0)
+        self.op(|g| self.translate_in(g, va))
     }
 
     /// Issue a system call. Blocking calls return when the thread is next

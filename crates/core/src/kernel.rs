@@ -1384,6 +1384,40 @@ mod tests {
         assert!(k.translate(t, VAddr(0xdead_0000)).is_none());
     }
 
+    /// User mappings are append-only: mapping more pages never moves an
+    /// earlier translation and never bumps a VSpace's generation. The
+    /// engine's probe plans translate once and rely on this.
+    #[test]
+    fn user_mappings_are_append_only() {
+        let (_, mut k) = setup();
+        let other = k.create_domain(ColorSet::range(0, 4), 512).unwrap();
+        let threads: Vec<TcbId> = [(k.boot_domain, 0), (k.boot_domain, 1), (other, 0)]
+            .into_iter()
+            .map(|(d, core)| k.create_thread(d, core, 100).unwrap())
+            .collect();
+        let mut seen: Vec<(TcbId, VAddr, PAddr)> = Vec::new();
+        for round in 0..4 {
+            for &t in &threads {
+                let (va, frames) = k.map_user_pages(t, 1 + round).unwrap();
+                for (i, &pfn) in frames.iter().enumerate() {
+                    let off = i as u64 * FRAME_SIZE + 64 * round as u64;
+                    seen.push((
+                        t,
+                        VAddr(va.0 + off),
+                        PAddr(pfn * FRAME_SIZE + off % FRAME_SIZE),
+                    ));
+                }
+                for &(t, va, pa) in &seen {
+                    assert_eq!(k.translate(t, va), Some(pa), "round {round}");
+                }
+            }
+        }
+        for &t in &threads {
+            let vs = k.tcbs.get(t.0).unwrap().vspace;
+            assert_eq!(k.vspaces.get(vs.0).unwrap().map.generation(), 0);
+        }
+    }
+
     #[test]
     fn colored_domain_gets_only_its_colors() {
         let cfg = Platform::Haswell.config();

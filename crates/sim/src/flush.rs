@@ -16,7 +16,7 @@
 
 use crate::cache::{phys_set, phys_tag};
 use crate::machine::Machine;
-use crate::{Asid, PAddr};
+use crate::{Asid, PAddr, VAddr};
 
 /// Fixed pipeline/serialisation cost of issuing a flush sequence.
 const FLUSH_BASE: u64 = 200;
@@ -92,21 +92,13 @@ pub fn flush_branch_predictor(m: &mut Machine, core: usize) -> FlushWork {
 /// buffer at physical `buf_pa`. Under a pseudo-LRU policy this can leave
 /// stale lines resident (footnote 6); [`foreign_lines`] counts them.
 pub fn manual_flush_l1d(m: &mut Machine, core: usize, buf_pa: PAddr) -> FlushWork {
-    let geom = m.cfg.l1d;
+    let line = m.cfg.line;
     let start = m.cycles(core);
-    // Kernel data accesses: global mapping, kernel ASID. The walk runs on
-    // every domain switch over a fixed buffer — use the memoised plan.
-    let idx = m.flush_plan(buf_pa, false, geom.lines());
-    let plan = m.take_flush_plan(idx);
-    m.access_batch(
-        core,
-        Asid::KERNEL,
-        &plan,
-        false,
-        true,
-        &mut crate::machine::BatchOut::default(),
-    );
-    m.restore_flush_plan(idx, plan);
+    // Kernel data accesses: global mapping, kernel ASID.
+    for i in 0..m.cfg.l1d.lines() {
+        let pa = buf_pa.0 + i * line;
+        m.data_access(core, Asid::KERNEL, VAddr(pa), PAddr(pa), false, true);
+    }
     FlushWork {
         lines: 0,
         writebacks: 0,
@@ -119,25 +111,16 @@ pub fn manual_flush_l1d(m: &mut Machine, core: usize, buf_pa: PAddr) -> FlushWor
 /// in Table 2 is a surprisingly high 26 µs). Also pollutes part of the BTB,
 /// "indirectly flushing" it.
 pub fn manual_flush_l1i(m: &mut Machine, core: usize, buf_pa: PAddr) -> FlushWork {
-    let geom = m.cfg.l1i;
     let line = m.cfg.line;
     let jump_cost = m.cfg.lat.manual_jump;
     let start = m.cycles(core);
-    let idx = m.flush_plan(buf_pa, true, geom.lines());
-    let plan = m.take_flush_plan(idx);
-    for ln in plan.lines() {
-        m.access_planned(core, Asid::KERNEL, ln, false, true, true);
+    for i in 0..m.cfg.l1i.lines() {
+        let pa = buf_pa.0 + i * line;
+        m.insn_fetch(core, Asid::KERNEL, VAddr(pa), PAddr(pa), true);
         // The chained jump: mispredicted, BTB entry installed.
-        m.branch(
-            core,
-            crate::VAddr(ln.pa),
-            crate::VAddr(ln.pa + line),
-            true,
-            false,
-        );
+        m.branch(core, VAddr(pa), VAddr(pa + line), true, false);
         m.advance(core, jump_cost);
     }
-    m.restore_flush_plan(idx, plan);
     FlushWork {
         lines: 0,
         writebacks: 0,
@@ -234,7 +217,6 @@ fn shared_flush(m: &mut Machine, slice: usize) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::params::Platform;
-    use crate::VAddr;
 
     fn dirty_l1(m: &mut Machine, core: usize, lines: u64) {
         let sz = m.cfg.line;

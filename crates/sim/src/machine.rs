@@ -18,6 +18,12 @@
 //! plan on the fly and funnels into the *same* per-access function
 //! ([`Machine::access_planned`]), so batch and scalar are bit-identical by
 //! construction — a contract the workspace property tests pin down.
+//!
+//! Plans are held by their users (the engine's per-probe-buffer plans and
+//! the benchmark's probes); the machine keeps none. The x86 manual L1
+//! flushes walk their kernel buffer through the scalar path: a cached plan
+//! per flush buffer saves no measurable time end to end and costs memory
+//! for every kernel clone (DESIGN.md § Fast-path audit).
 
 use crate::cache::{phys_set, Cache, Replacement};
 use crate::corestate::CoreState;
@@ -201,11 +207,6 @@ pub struct Machine {
     /// `slices - 1` when the slice count is a power of two (mask dispatch,
     /// matching [`slice_index`] bit-for-bit); `None` falls back to it.
     slice_mask: Option<u64>,
-    /// Memoised sweep plans for the kernel's fixed flush buffers, keyed by
-    /// `(buffer base, insn side)` (a handful per machine: one or two per
-    /// kernel image). The manual x86 L1 flushes walk these buffers on
-    /// every domain switch.
-    flush_plans: Vec<(u64, bool, SweepPlan)>,
     /// Per-core rings of recent DRAM-access cycle stamps (bus contention).
     bus: Vec<[u64; BUS_RING]>,
     /// Next write position per bus ring.
@@ -242,7 +243,6 @@ impl Machine {
             idx_l2: GeomIdx::new(cfg.l2),
             idx_sh: GeomIdx::new(slice_geom),
             slice_mask: n_slices.is_power_of_two().then(|| n_slices - 1),
-            flush_plans: Vec::new(),
             shared,
             bus: vec![[BUS_EMPTY; BUS_RING]; n],
             bus_pos: vec![0; n],
@@ -611,42 +611,6 @@ impl Machine {
 
         self.cores[core].advance(cost);
         (cost, hit_level)
-    }
-
-    /// The memoised sweep plan covering the `lines`-line buffer at
-    /// `buf_pa` (built on first use). Flush buffers are fixed per kernel
-    /// image, so the cache stays tiny.
-    pub(crate) fn flush_plan(&mut self, buf_pa: PAddr, insn: bool, lines: u64) -> usize {
-        if let Some(i) = self
-            .flush_plans
-            .iter()
-            .position(|(b, ins, _)| *b == buf_pa.0 && *ins == insn)
-        {
-            return i;
-        }
-        let line = self.cfg.line;
-        let pas: Vec<PAddr> = (0..lines).map(|i| PAddr(buf_pa.0 + i * line)).collect();
-        let plan = self.plan_sweep(insn, &pas);
-        self.flush_plans.push((buf_pa.0, insn, plan));
-        self.flush_plans.len() - 1
-    }
-
-    /// Temporarily take a memoised flush plan out of the machine (so the
-    /// caller can run it against `&mut self`); restore with
-    /// [`Machine::restore_flush_plan`].
-    pub(crate) fn take_flush_plan(&mut self, idx: usize) -> SweepPlan {
-        std::mem::replace(
-            &mut self.flush_plans[idx].2,
-            SweepPlan {
-                insn: false,
-                lines: Vec::new(),
-            },
-        )
-    }
-
-    /// Put a plan taken with [`Machine::take_flush_plan`] back.
-    pub(crate) fn restore_flush_plan(&mut self, idx: usize, plan: SweepPlan) {
-        self.flush_plans[idx].2 = plan;
     }
 
     /// Execute a branch instruction at `pc`; returns the cycle cost.

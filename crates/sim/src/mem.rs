@@ -111,11 +111,10 @@ pub struct Mapping {
 /// lowest mapped VPN) rather than a search tree: user mappings are handed
 /// out as dense VPN ranges, so lookups — the innermost operation of every
 /// simulated load — are a bounds check and an index. A generation counter
-/// bumps whenever an existing translation changes (replace or unmap),
-/// letting callers (the per-env translation cache in `tp-core`) validate
-/// cached positive translations in O(1); *fresh* mappings of previously
-/// unmapped pages leave the generation untouched, since no positive cache
-/// entry can exist for them.
+/// bumps whenever an existing translation changes (replace or unmap), so a
+/// caller can tell whether a translation it took earlier still holds;
+/// *fresh* mappings of previously unmapped pages leave the generation
+/// untouched. `tp-core` folds it into the kernel's state hash.
 #[derive(Debug, Clone, Default)]
 pub struct PhysMap {
     asid: u16,

@@ -303,59 +303,100 @@ proptest! {
     }
 }
 
-/// End-to-end batch-vs-scalar equivalence through the engine: a probe
-/// buffer swept with the batched `ProbeBuf::probe`/`probe_exec` in one
-/// system produces bit-identical cycle totals to the scalar
-/// line-at-a-time oracle in an identically-seeded twin system.
+/// End-to-end batch-vs-scalar equivalence through the engine. Two threads
+/// on two cores sweep probe buffers with every batched entry point
+/// (`ProbeBuf::probe*`, `dirty_prefix`, `probe_misses` and the splash
+/// path `UserEnv::access_sweep` with compute between accesses) in one
+/// system; an identically-seeded twin issues the same accesses line by
+/// line through scalar `load`/`store`/`exec`/`compute`. While both cores
+/// run, every sweep step takes the gate's slow path through token
+/// rotations; once one thread finishes, the other runs on the fast path.
+/// Per-call totals, final cycle counters and the kernel state hash must
+/// agree bit-for-bit.
 #[test]
 fn engine_probe_batch_matches_scalar_oracle() {
     use parking_lot::Mutex;
     use std::sync::Arc;
     use time_protection::attacks::probe::l1_probe;
     use tp_core::{ProtectionConfig, SystemBuilder, UserEnv};
+    use tp_sim::{VAddr, FRAME_SIZE};
+
+    fn sweeps(env: &mut UserEnv, batch: bool, rounds: usize) -> Vec<u64> {
+        let dbuf = l1_probe(env, env.platform().l1d);
+        let ibuf = l1_probe(env, env.platform().l1i);
+        let threshold = env.platform().lat.l1_hit + 1;
+        let mut totals = Vec::new();
+        for round in 0..rounds {
+            let n = 100 + round;
+            // The splash-style sweep runs over fresh pages, so its
+            // accesses go to DRAM and contend for the bus with the other
+            // core's; every third access stores. With 1000 compute cycles
+            // after each access, the window token changes hands every few
+            // accesses while both cores run.
+            let (base, _) = env.map_pages(8);
+            let line = env.platform().line;
+            let ops: Vec<(VAddr, bool)> = (0..8 * FRAME_SIZE / line)
+                .map(|k| (VAddr(base.0 + k * line), k % 3 == 0))
+                .collect();
+            if batch {
+                totals.push(dbuf.probe(env));
+                totals.push(dbuf.probe_prefix(env, n));
+                totals.push(dbuf.probe_write(env));
+                totals.push(ibuf.probe_exec(env));
+                // Data loads over the I-side buffer miss the L1-D that
+                // `dbuf` fills.
+                totals.push(ibuf.probe_misses(env, threshold));
+                dbuf.dirty_prefix(env, n);
+                totals.push(env.now());
+                totals.push(env.access_sweep(&ops, 1000));
+            } else {
+                totals.push(dbuf.probe_scalar(env));
+                totals.push(dbuf.lines[..n].iter().map(|&va| env.load(va)).sum());
+                totals.push(dbuf.probe_write_scalar(env));
+                totals.push(ibuf.probe_exec_scalar(env));
+                let misses = ibuf.lines.iter().map(|&va| env.load(va) >= threshold);
+                totals.push(misses.filter(|&m| m).count() as u64);
+                for &va in &dbuf.lines[..n] {
+                    env.store(va);
+                }
+                totals.push(env.now());
+                let mut sum = 0;
+                for &(va, write) in &ops {
+                    sum += if write { env.store(va) } else { env.load(va) };
+                    env.compute(1000);
+                }
+                totals.push(sum);
+            }
+        }
+        totals
+    }
 
     for platform in tp_sim::Platform::ALL {
-        let run = |batch: bool| -> Vec<u64> {
-            let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-            let out2 = Arc::clone(&out);
+        assert!(platform.config().cores >= 2, "{}", platform.key());
+        let run = |batch: bool| {
+            let out: Arc<Mutex<[Vec<u64>; 2]>> = Arc::default();
             let mut b = SystemBuilder::new(platform, ProtectionConfig::raw())
                 .seed(0xBA7C)
                 .max_cycles(400_000_000);
             let d = b.domain(None);
-            b.spawn(d, 0, 100, move |env: &mut UserEnv| {
-                let dbuf = l1_probe(env, env.platform().l1d);
-                let ibuf = l1_probe(env, env.platform().l1i);
-                let mut totals = Vec::new();
-                for round in 0..3 {
-                    if batch {
-                        totals.push(dbuf.probe(env));
-                        totals.push(dbuf.probe_prefix(env, 100 + round));
-                        totals.push(dbuf.probe_write(env));
-                        totals.push(ibuf.probe_exec(env));
-                    } else {
-                        totals.push(dbuf.probe_scalar(env));
-                        totals.push(
-                            dbuf.lines[..100 + round]
-                                .iter()
-                                .map(|&va| env.load(va))
-                                .sum(),
-                        );
-                        totals.push(dbuf.probe_write_scalar(env));
-                        totals.push(ibuf.probe_exec_scalar(env));
-                    }
-                }
-                *out2.lock() = totals;
-            });
-            let _ = b.run();
-            let v = out.lock().clone();
-            v
+            // Core 1 finishes first, leaving core 0 alone for its last
+            // round.
+            for (core, rounds) in [(0, 3), (1, 2)] {
+                let out2 = Arc::clone(&out);
+                b.spawn(d, core, 100, move |env: &mut UserEnv| {
+                    out2.lock()[core] = sweeps(env, batch, rounds);
+                });
+            }
+            let r = b.run();
+            let totals = out.lock().clone();
+            (totals, r.cycles, r.state_hash)
         };
         let batched = run(true);
         let scalar = run(false);
         assert_eq!(
-            batched.len(),
-            12,
-            "{}: program did not finish",
+            [batched.0[0].len(), batched.0[1].len()],
+            [21, 14],
+            "{}: programs did not finish",
             platform.key()
         );
         assert_eq!(batched, scalar, "{}", platform.key());
