@@ -11,8 +11,6 @@
 //! campaign --check goldens/verdicts.json  # fail on any verdict diff
 //! campaign --update-goldens goldens/verdicts.json
 //! campaign --resume                       # skip journaled cells
-//! campaign --shard 0/2                    # run half the matrix
-//! campaign --merge 2                      # fold shard journals + finish
 //! ```
 //!
 //! `TP_SAMPLES` scales sample counts as everywhere else; the pinned
@@ -32,11 +30,9 @@
 //! campaign killed at any point resumes with `--resume` instead of
 //! re-running finished work: the journal is replayed, torn records are
 //! truncated, verified cells are skipped, and the final artifacts are
-//! byte-identical (modulo wall times) to an uninterrupted run. `--shard
-//! i/N` deterministically runs every Nth cell into a per-shard journal;
-//! `--merge N` folds the shard journals together, runs anything still
-//! missing, and emits the single unified artifacts. An advisory lock next
-//! to each journal keeps concurrent campaigns from interleaving appends.
+//! byte-identical (modulo wall times) to an uninterrupted run. An advisory
+//! lock next to the journal keeps concurrent campaigns from interleaving
+//! appends.
 
 use std::process::ExitCode;
 use std::sync::Mutex;
@@ -58,7 +54,7 @@ use tp_sim::Platform;
 /// Where the quarantine ledger is written (next to the golden verdicts).
 const QUARANTINE_PATH: &str = "goldens/quarantine.json";
 
-/// The unsharded per-cell journal (shards append `.shard-i-of-N`).
+/// The per-cell journal.
 const JOURNAL_PATH: &str = "goldens/campaign.journal";
 
 /// How long to wait on the advisory lock before giving up.
@@ -72,22 +68,6 @@ struct Args {
     check: Option<String>,
     update_goldens: Option<String>,
     resume: bool,
-    shard: Option<(usize, usize)>,
-    merge: Option<usize>,
-}
-
-fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
-    let (i, n) = spec
-        .split_once('/')
-        .ok_or_else(|| format!("--shard {spec:?} is not i/N (e.g. 0/2)"))?;
-    let (i, n): (usize, usize) = match (i.parse(), n.parse()) {
-        (Ok(i), Ok(n)) => (i, n),
-        _ => return Err(format!("--shard {spec:?} is not i/N with integer i and N")),
-    };
-    if n == 0 || i >= n {
-        return Err(format!("--shard {spec:?} needs 0 <= i < N"));
-    }
-    Ok((i, n))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -100,8 +80,6 @@ fn parse_args() -> Result<Args, String> {
         check: None,
         update_goldens: None,
         resume: false,
-        shard: None,
-        merge: None,
     };
     let mut it = cli::ArgStream::from_env();
     while let Some(arg) = it.next() {
@@ -117,17 +95,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--check" => args.check = Some(it.value("--check")?),
             "--update-goldens" => args.update_goldens = Some(it.value("--update-goldens")?),
-            "--shard" => args.shard = Some(parse_shard(&it.value("--shard")?)?),
-            "--merge" => {
-                let n: usize = it
-                    .value("--merge")?
-                    .parse()
-                    .map_err(|_| "--merge needs a shard count N".to_string())?;
-                if n == 0 {
-                    return Err("--merge needs N >= 1".into());
-                }
-                args.merge = Some(n);
-            }
             other => {
                 return Err(format!(
                     "unknown argument {other:?} (see --list usage in the module docs)"
@@ -137,21 +104,7 @@ fn parse_args() -> Result<Args, String> {
     }
     args.platforms = common.platforms;
     args.json = common.json;
-    if args.shard.is_some() && args.merge.is_some() {
-        return Err("--shard and --merge are mutually exclusive".into());
-    }
-    if args.shard.is_some()
-        && (args.json.is_some() || args.check.is_some() || args.update_goldens.is_some())
-    {
-        return Err(
-            "--shard runs write only their journal; emit artifacts from --merge instead".into(),
-        );
-    }
     Ok(args)
-}
-
-fn shard_journal_path(i: usize, n: usize) -> String {
-    format!("{JOURNAL_PATH}.shard-{i}-of-{n}")
 }
 
 fn print_list(defs: &[ExperimentDef], platforms: &[Platform]) {
@@ -226,9 +179,7 @@ fn main() -> ExitCode {
         .map(|(t, _)| parse_bench_history(&t))
         .unwrap_or_default();
 
-    // Work items keyed by registry × platform report order. The index is
-    // assigned over the *full* supported matrix before any shard filter,
-    // so shard i/N always owns the same deterministic slice of cells.
+    // Work items keyed by registry × platform report order.
     let mut schedule: Vec<(usize, &ExperimentDef, Platform)> = Vec::new();
     for d in &defs {
         for &p in &args.platforms {
@@ -237,17 +188,9 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some((i, n)) = args.shard {
-        schedule.retain(|&(idx, _, _)| idx % n == i);
-        eprintln!("[shard {i}/{n}: {} of the matrix's cells]", schedule.len());
-    }
 
     // The journal this run appends to, guarded by its advisory lock.
-    let journal_path = match args.shard {
-        Some((i, n)) => shard_journal_path(i, n),
-        None => JOURNAL_PATH.to_string(),
-    };
-    let _lock = match CampaignLock::acquire(format!("{journal_path}.lock"), LOCK_TIMEOUT) {
+    let _lock = match CampaignLock::acquire(format!("{JOURNAL_PATH}.lock"), LOCK_TIMEOUT) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("campaign: {e}");
@@ -255,46 +198,23 @@ fn main() -> ExitCode {
         }
     };
 
-    // Replay whatever journals this invocation trusts: every shard journal
-    // on --merge, plus this run's own journal on --resume. The own journal
-    // is then reopened for append — a fresh run truncates it, a resumed run
-    // rewrites the verified prefix and continues after it.
+    // A fresh run truncates the journal; a resumed run replays it, rewrites
+    // the verified prefix and continues appending after it.
     let header = JournalHeader::current();
-    let mut reports = Vec::new();
-    if let Some(n) = args.merge {
-        for i in 0..n {
-            let path = shard_journal_path(i, n);
-            let report = Journal::load(&path, &header);
-            if report.records.is_empty() && report.truncated == 0 {
-                eprintln!("[merge: shard journal {path} is missing or empty]");
-            } else if let Some(why) = &report.why {
-                eprintln!(
-                    "[journal {path}: {why} — {} record(s) recovered, {} dropped and will recompute]",
-                    report.recovered, report.truncated,
-                );
-            }
-            store::note_load(&report);
-            reports.push(report);
-        }
-    }
-    let mut own_keys: std::collections::BTreeSet<(String, String)> = Default::default();
-    let journal = if args.resume {
-        Journal::open_resume(&journal_path, &header).map(|(j, report)| {
-            own_keys = report.records.iter().map(CellRecord::key).collect();
-            reports.push(report);
-            j
-        })
+    let opened = if args.resume {
+        Journal::open_resume(JOURNAL_PATH, &header)
     } else {
-        Journal::create(&journal_path, &header)
+        Journal::create(JOURNAL_PATH, &header).map(|j| (j, store::LoadReport::default()))
     };
-    let journal = match journal {
-        Ok(j) => Mutex::new(j),
+    let (journal, report) = match opened {
+        Ok(o) => o,
         Err(e) => {
-            eprintln!("campaign: cannot open journal {journal_path}: {e}");
+            eprintln!("campaign: cannot open journal {JOURNAL_PATH}: {e}");
             return ExitCode::from(2);
         }
     };
-    let completed = store::completed_cells(&reports);
+    let journal = Mutex::new(journal);
+    let completed = store::completed_cells(&report);
 
     // Partition the schedule: journaled cells replay, the rest run.
     let mut replayed: Vec<(usize, ExperimentResult)> = Vec::new();
@@ -314,29 +234,6 @@ fn main() -> ExitCode {
             replayed.len(),
             todo.len()
         );
-    }
-
-    // Cells replayed from *other* journals (merged shards) land in this
-    // run's own journal too, so the merged journal is itself a complete
-    // resume point; cells already in the own journal's verified prefix were
-    // rewritten by `open_resume` and must not be appended twice.
-    {
-        let mut j = journal.lock().expect("journal lock");
-        for &(_, d, p) in &schedule {
-            let key = (d.name.to_string(), p.key().to_string());
-            if own_keys.contains(&key) {
-                continue;
-            }
-            if let Some(rec) = completed.get(&key) {
-                if let Err(e) = j.append(rec) {
-                    eprintln!(
-                        "[failed to journal replayed {} on {}: {e}]",
-                        d.name,
-                        p.key()
-                    );
-                }
-            }
-        }
     }
 
     // Heavy-first scheduling so expensive experiments overlap the cheap
@@ -424,22 +321,6 @@ fn main() -> ExitCode {
     }
     results.sort_by_key(|&(i, _)| i);
     let results: Vec<ExperimentResult> = results.into_iter().map(|(_, r)| r).collect();
-
-    if let Some((i, n)) = args.shard {
-        // Shard runs produce only their journal; `--merge N` folds the
-        // shards into the unified artifacts (and owns the golden gate).
-        eprintln!(
-            "[shard {i}/{n} done: {} cell(s) journaled to {journal_path}, {} quarantined, {:.1}s]",
-            results.len(),
-            quarantine.len(),
-            total_seconds,
-        );
-        return if quarantine.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
 
     // The ledger is written on every run, so a clean campaign visibly
     // overwrites the previous chaos run's entries with `[]`.

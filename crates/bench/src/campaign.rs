@@ -15,6 +15,7 @@
 //! gate is robust against single-shot boundary noise in the §5.1 shuffle
 //! test.
 
+use crate::store::str_field;
 use crate::util::samples;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -515,12 +516,11 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     let sup = crate::supervise::counters();
     let _ = writeln!(
         s,
-        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"snapshot_corrupt\": {}, \"replay_diverged\": {}, \"quarantined\": {}, \"fallback_boots\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
+        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"snapshot_corrupt\": {}, \"quarantined\": {}, \"fallback_boots\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
         sup.retries,
         sup.timeouts,
         sup.panics,
         sup.snapshot_corrupt,
-        sup.replay_diverged,
         sup.quarantined,
         boot.fallback_boots,
         sup.env_failed,
@@ -604,16 +604,6 @@ pub fn golden_json_from_map(m: &BTreeMap<VerdictKey, String>, tp_samples: f64) -
     s
 }
 
-/// Extract a `"field": "value"` string from one line of golden JSON.
-/// (The golden file is machine-written, one verdict object per line; a
-/// full JSON parser would be a dependency for no robustness gain.)
-fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
 /// Extract the `tp_samples` header a golden file was pinned at, if any.
 #[must_use]
 pub fn golden_tp_samples(text: &str) -> Option<f64> {
@@ -632,11 +622,11 @@ pub fn parse_golden(text: &str) -> BTreeMap<VerdictKey, String> {
     let mut m = BTreeMap::new();
     for line in text.lines() {
         let (Some(exp), Some(plat), Some(chan), Some(mech), Some(verdict)) = (
-            field(line, "experiment"),
-            field(line, "platform"),
-            field(line, "channel"),
-            field(line, "mechanism"),
-            field(line, "verdict"),
+            str_field(line, "experiment"),
+            str_field(line, "platform"),
+            str_field(line, "channel"),
+            str_field(line, "mechanism"),
+            str_field(line, "verdict"),
         ) else {
             continue;
         };

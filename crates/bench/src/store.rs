@@ -94,13 +94,6 @@ pub fn note_cell_skipped() {
     CELLS_SKIPPED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Fold one journal load's accounting into the global counters (used for
-/// shard journals, which are loaded read-only rather than resumed).
-pub fn note_load(report: &LoadReport) {
-    RECORDS_RECOVERED.fetch_add(report.recovered, Ordering::Relaxed);
-    RECORDS_TRUNCATED.fetch_add(report.truncated, Ordering::Relaxed);
-}
-
 // ------------------------------------------------------- checksum trailer
 
 /// Start of the trailer line appended to every artifact.
@@ -255,18 +248,25 @@ pub fn write_atomic(path: impl AsRef<Path>, payload: &str) -> std::io::Result<()
 }
 
 // ------------------------------------------------------- field extraction
-// The journal is machine-written one record per line, same as the golden
-// and bench files; a full JSON parser would be a dependency for no
-// robustness gain (every line is additionally checksummed).
+// Every file the harness reads back — journal records, artifact trailers,
+// golden verdicts, `BENCH-campaign.json` — is machine-written with one
+// object per line in the `"name": value` spelling these readers expect. A
+// full JSON parser would be a dependency for no robustness gain (journal
+// lines and artifacts are additionally checksummed).
 
-fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+/// The string value of the first `"name": "value"` in `line` (no escape
+/// handling: the writers never emit a quote inside a value they read back).
+#[must_use]
+pub fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     let tag = format!("\"{name}\": \"");
     let start = line.find(&tag)? + tag.len();
     let end = line[start..].find('"')?;
     Some(&line[start..start + end])
 }
 
-fn num_field(line: &str, name: &str) -> Option<f64> {
+/// The numeric value of the first `"name": <number>` in `line`.
+#[must_use]
+pub fn num_field(line: &str, name: &str) -> Option<f64> {
     let tag = format!("\"{name}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
@@ -276,7 +276,9 @@ fn num_field(line: &str, name: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn u64_field(line: &str, name: &str) -> Option<u64> {
+/// The unsigned integer value of the first `"name": <digits>` in `line`.
+#[must_use]
+pub fn u64_field(line: &str, name: &str) -> Option<u64> {
     let tag = format!("\"{name}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
@@ -286,7 +288,9 @@ fn u64_field(line: &str, name: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-fn bool_field(line: &str, name: &str) -> Option<bool> {
+/// The boolean value of the first `"name": true|false` in `line`.
+#[must_use]
+pub fn bool_field(line: &str, name: &str) -> Option<bool> {
     let tag = format!("\"{name}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
@@ -632,7 +636,8 @@ impl Journal {
     ) -> std::io::Result<(Self, LoadReport)> {
         let path = path.as_ref();
         let report = Self::load(path, header);
-        note_load(&report);
+        RECORDS_RECOVERED.fetch_add(report.recovered, Ordering::Relaxed);
+        RECORDS_TRUNCATED.fetch_add(report.truncated, Ordering::Relaxed);
         if let Some(why) = &report.why {
             eprintln!(
                 "[journal {}: {} — {} record(s) recovered, {} dropped and will recompute]",
@@ -686,15 +691,12 @@ impl Journal {
 /// first record per key and dropping records whose platform fingerprint no
 /// longer matches the current code's.
 #[must_use]
-pub fn completed_cells(reports: &[LoadReport]) -> BTreeMap<(String, String), CellRecord> {
+pub fn completed_cells(report: &LoadReport) -> BTreeMap<(String, String), CellRecord> {
     let mut m = BTreeMap::new();
-    for report in reports {
-        for rec in &report.records {
-            let stale = Platform::from_key(&rec.platform)
-                .is_none_or(|p| config_fingerprint(p) != rec.config_fnv);
-            if stale {
-                continue;
-            }
+    for rec in &report.records {
+        let stale = Platform::from_key(&rec.platform)
+            .is_none_or(|p| config_fingerprint(p) != rec.config_fnv);
+        if !stale {
             m.entry(rec.key()).or_insert_with(|| rec.clone());
         }
     }
@@ -999,11 +1001,11 @@ mod tests {
         dup.platform = a.platform.clone();
         let mut stale = record("tlb", 1.0);
         stale.config_fnv ^= 1;
-        let m = completed_cells(&[LoadReport {
+        let m = completed_cells(&LoadReport {
             records: vec![a.clone(), dup, stale],
             recovered: 3,
             ..Default::default()
-        }]);
+        });
         assert_eq!(m.len(), 1);
         assert_eq!(m[&a.key()], a, "first record for a key wins");
     }

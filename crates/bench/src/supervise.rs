@@ -12,18 +12,23 @@
 //! ```text
 //!            ┌────────────── retry (≤2, seed-bumped) ──────────────┐
 //!            ▼                                                     │
-//!   spawn → run ─ Ok ──────────→ selfchecks ──→ Ok                 │
-//!            │                     │   │                           │
-//!            │                     │   └ fallback seen → SnapshotCorrupt
-//!            │                     └ replay diverges   → ReplayDiverged
+//!   spawn → run ─ Ok ──→ selfchecks ──→ Ok                         │
+//!            │             │   │                                   │
+//!            │             │   └ fallback seen   → SnapshotCorrupt │
+//!            │             └ env died in isolation → EnvFailed     │
 //!            ├─ SimError(watchdog) / recv timeout → TimedOut ──────┤
+//!            ├─ SimError(deadlock)                → Deadlock ──────┤
+//!            ├─ SimError(stack overflow)          → StackOverflow ─┤
 //!            └─ panic / SimError(program)         → Panicked ──────┘
 //! ```
 //!
 //! All counters feed the `supervisor` object of `BENCH-campaign.json`; a
-//! healthy campaign reports zeroes everywhere and CI gates on that.
+//! healthy campaign reports zeroes everywhere and CI gates on that. The
+//! fault classes that exercise each branch are `tp_core::fault`'s; every
+//! branch has a unit test below, and the chaos binary covers the store.
 
 use crate::campaign::ChannelResult;
+use crate::store::{num_field, str_field};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -62,7 +67,6 @@ static RETRIES: AtomicU64 = AtomicU64::new(0);
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static PANICS: AtomicU64 = AtomicU64::new(0);
 static SNAPSHOT_CORRUPT: AtomicU64 = AtomicU64::new(0);
-static REPLAY_DIVERGED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static ENV_FAILED: AtomicU64 = AtomicU64::new(0);
 static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
@@ -80,8 +84,6 @@ pub struct SupervisorCounters {
     pub panics: u64,
     /// Cells that completed only after a cold-boot fallback.
     pub snapshot_corrupt: u64,
-    /// Cells whose commit log failed the replay selfcheck.
-    pub replay_diverged: u64,
     /// Cells written to the quarantine ledger.
     pub quarantined: u64,
     /// Cells that completed with at least one environment failed in
@@ -101,7 +103,6 @@ pub fn counters() -> SupervisorCounters {
         timeouts: TIMEOUTS.load(Ordering::Relaxed),
         panics: PANICS.load(Ordering::Relaxed),
         snapshot_corrupt: SNAPSHOT_CORRUPT.load(Ordering::Relaxed),
-        replay_diverged: REPLAY_DIVERGED.load(Ordering::Relaxed),
         quarantined: QUARANTINED.load(Ordering::Relaxed),
         env_failed: ENV_FAILED.load(Ordering::Relaxed),
         deadlocks: DEADLOCKS.load(Ordering::Relaxed),
@@ -126,8 +127,6 @@ pub enum CellOutcome {
     /// A warm-boot snapshot failed its `state_hash()` check; the cell
     /// completed on the cold-boot fallback but is flagged for review.
     SnapshotCorrupt,
-    /// The commit-log replay selfcheck found a diverging commit.
-    ReplayDiverged,
     /// The cell completed, but one or more non-primary environments failed
     /// in isolation: partial results over the survivors, not a quarantine.
     EnvFailed,
@@ -147,7 +146,6 @@ impl CellOutcome {
             CellOutcome::Panicked => "panicked",
             CellOutcome::TimedOut => "timed-out",
             CellOutcome::SnapshotCorrupt => "snapshot-corrupt",
-            CellOutcome::ReplayDiverged => "replay-diverged",
             CellOutcome::EnvFailed => "env-failed",
             CellOutcome::Deadlock => "deadlock",
             CellOutcome::StackOverflow => "stack-overflow",
@@ -199,15 +197,18 @@ fn run_attempt(
     f: Arc<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync>,
 ) -> Attempt {
     let fallback_before = tp_core::boot_stats().fallback_boots;
-    let env_failed_before = tp_core::health_stats().env_failed;
     let (tx, rx) = mpsc::channel();
     let cutoff = Instant::now() + deadline;
     std::thread::spawn(move || {
         fault::arm(armed);
         fault::set_deadline(Some(cutoff));
         set_retry_salt(salt);
+        // The engine counts isolated env failures on the thread that drives
+        // the system, so this delta is exactly this attempt's, whatever
+        // other cells run concurrently.
+        let env_failed_before = tp_core::thread_env_failed();
         let r = catch_unwind(AssertUnwindSafe(|| f()));
-        let _ = tx.send(r);
+        let _ = tx.send((r, tp_core::thread_env_failed() - env_failed_before));
     });
     // Grace beyond the engine deadline: the engine watchdog should fire
     // first and return a classified error; the host-side timeout is the
@@ -219,7 +220,7 @@ fn run_attempt(
             "cell exceeded its {:.0}s deadline plus grace; worker abandoned",
             deadline.as_secs_f64()
         )),
-        Ok(Err(payload)) => {
+        Ok((Err(payload), _)) => {
             // Cells whose experiments drive `SystemBuilder::run` (rather
             // than `try_run`) surface a watchdog abort as a panic carrying
             // the watchdog message; classify it by cause, not by transport.
@@ -234,33 +235,15 @@ fn run_attempt(
                 Attempt::Panicked(msg)
             }
         }
-        Ok(Ok(Err(e))) => match e.kind {
+        Ok((Ok(Err(e)), _)) => match e.kind {
             SimErrorKind::Watchdog => Attempt::TimedOut(e.to_string()),
             SimErrorKind::ProgramPanic => Attempt::Panicked(e.to_string()),
             SimErrorKind::Deadlock { .. } => Attempt::Deadlocked(e.to_string()),
             SimErrorKind::StackOverflow => Attempt::StackOverflow(e.to_string()),
         },
-        Ok(Ok(Ok(channels))) => {
+        Ok((Ok(Ok(channels)), env_failed)) => {
             let fell_back = matches!(armed, Some(FaultKind::SnapshotCorrupt))
                 && tp_core::boot_stats().fallback_boots > fallback_before;
-            // The env-failure delta is only trusted when the armed fault is
-            // one that can kill an environment — the counter is process-wide
-            // and concurrent healthy cells must not inherit a stray delta.
-            // (`noise-poison` qualifies: the exhausted stream panics inside
-            // whichever environment drew next, and when that is a daemon the
-            // isolation plane degrades the run instead of failing it.)
-            let env_failed = if matches!(
-                armed,
-                Some(FaultKind::EnvPanic { .. })
-                    | Some(FaultKind::StackOverflow)
-                    | Some(FaultKind::NoisePoison { .. })
-            ) {
-                tp_core::health_stats()
-                    .env_failed
-                    .saturating_sub(env_failed_before)
-            } else {
-                0
-            };
             Attempt::Done(channels, fell_back, env_failed)
         }
     }
@@ -303,22 +286,6 @@ pub fn run_cell(
                                 .to_string(),
                         ),
                     };
-                }
-                if let Some(FaultKind::CommitFlip { index }) = armed {
-                    if let Some(d) = commit_flip_selfcheck(index) {
-                        REPLAY_DIVERGED.fetch_add(1, Ordering::Relaxed);
-                        return CellReport {
-                            outcome: CellOutcome::ReplayDiverged,
-                            channels: Some(channels),
-                            attempts: attempt + 1,
-                            env_failed: 0,
-                            error: Some(format!(
-                                "commit log fails replay: first divergence at commit #{} \
-                                 (expected {:#018x}, got {:#018x})",
-                                d.index, d.expected, d.actual
-                            )),
-                        };
-                    }
                 }
                 if env_failed > 0 {
                     // Graceful degradation, not a quarantine: the cell
@@ -375,52 +342,8 @@ pub fn run_cell(
     }
 }
 
-/// Verify that a forged commit is *detectable*: record the scripted
-/// reference run twice — once clean (whose per-commit hash trace is the
-/// truth) and once with the commit log forging index `flip` — and replay
-/// the forged log against the clean trace. A healthy replay plane returns
-/// the divergence; `None` means the forgery went undetected.
-#[must_use]
-pub fn commit_flip_selfcheck(flip: usize) -> Option<tp_core::Divergence> {
-    use tp_core::replay::hash_trace;
-    use tp_core::{Booted, Genesis};
-    const STEPS: u64 = 60;
-    let g = Genesis::new(tp_sim::Platform::Haswell);
-
-    let Booted {
-        mut machine,
-        mut kernel,
-        driver,
-    } = g.boot();
-    kernel.log.enable();
-    for i in 0..STEPS {
-        driver.step(&mut machine, &mut kernel, i * 7 + 3, i, i * 13 + 1);
-    }
-    let clean = kernel.log.take();
-    if clean.is_empty() {
-        return None;
-    }
-    let trace = hash_trace(&g, &clean);
-    let flip = flip % clean.len();
-
-    let Booted {
-        mut machine,
-        mut kernel,
-        driver,
-    } = g.boot();
-    kernel.log.enable();
-    kernel.log.arm_flip(flip);
-    for i in 0..STEPS {
-        driver.step(&mut machine, &mut kernel, i * 7 + 3, i, i * 13 + 1);
-    }
-    let forged = kernel.log.take();
-    tp_core::replay_diff(&g, &forged, &trace)
-}
-
-/// A miniature synthetic cell for the chaos harness and the supervisor
-/// tests: a single domain issuing enough syscalls to trip the env faults
-/// and enough cache evictions to drain a poisoned noise stream, in well
-/// under a second.
+/// A miniature synthetic cell for the supervisor tests: a single domain
+/// issuing enough syscalls to trip the env faults, in well under a second.
 ///
 /// # Errors
 /// Returns the [`SimError`] when the simulation fails — which is the
@@ -476,39 +399,6 @@ pub fn pair_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
     Ok(Vec::new())
 }
 
-/// A small fleet cell: one primary plus two daemon tenants in their own
-/// domains on one core. The daemons issue all the early syscalls (tight
-/// `Yield` loops), so a low-ordinal `env-panic@N` deterministically kills a
-/// *daemon* — exercising per-environment isolation ([`CellOutcome::EnvFailed`],
-/// survivors unperturbed).
-///
-/// # Errors
-/// The [`SimError`] when the simulation fails.
-pub fn fleet_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-    use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
-    let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
-        .seed(seed)
-        .slice_us(50.0)
-        .max_cycles(300_000_000);
-    let d0 = b.domain(None);
-    let d1 = b.domain(None);
-    let d2 = b.domain(None);
-    b.spawn(d0, 0, 100, |env: &mut UserEnv| {
-        let (base, _) = env.map_pages(16);
-        for i in 0..400u64 {
-            env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
-            env.compute(500);
-        }
-    });
-    for d in [d1, d2] {
-        b.spawn_daemon(d, 0, 100, |env: &mut UserEnv| loop {
-            let _ = env.syscall(Syscall::Yield);
-        });
-    }
-    b.try_run()?;
-    Ok(Vec::new())
-}
-
 /// Parse a `TP_CELL_TIMEOUT` value (seconds). `None`/empty means "unset";
 /// anything set but not a positive finite number is a hard error naming
 /// the variable — a typo must never silently degrade to the default
@@ -533,8 +423,7 @@ pub fn parse_cell_timeout(raw: Option<&str>) -> Result<Option<Duration>, String>
 
 /// The `TP_CELL_TIMEOUT` override, if set. Exits with status 2 on a
 /// malformed value, naming the variable — same contract as `TP_FAULT`.
-#[must_use]
-pub fn cell_timeout_override() -> Option<Duration> {
+fn cell_timeout_override() -> Option<Duration> {
     match parse_cell_timeout(std::env::var("TP_CELL_TIMEOUT").ok().as_deref()) {
         Ok(v) => v,
         Err(e) => {
@@ -556,23 +445,6 @@ pub fn cell_deadline(history_seconds: Option<f64>) -> Duration {
         Some(s) if s > 0.0 => Duration::from_secs_f64((s * 20.0).clamp(30.0, 600.0)),
         _ => Duration::from_secs(120),
     }
-}
-
-fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-fn num_field(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Parse the `cells` records of a previous `BENCH-campaign.json` into a
@@ -647,6 +519,39 @@ mod tests {
         FaultPlan::new(kind)
     }
 
+    /// A small fleet cell: one primary plus two daemon tenants in their own
+    /// domains on one core. The daemons issue all the early syscalls (tight
+    /// `Yield` loops), so a low-ordinal `env-panic@N` deterministically kills a
+    /// *daemon* — exercising per-environment isolation ([`CellOutcome::EnvFailed`],
+    /// survivors unperturbed).
+    ///
+    /// # Errors
+    /// The [`SimError`] when the simulation fails.
+    fn fleet_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
+        use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
+        let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
+            .seed(seed)
+            .slice_us(50.0)
+            .max_cycles(300_000_000);
+        let d0 = b.domain(None);
+        let d1 = b.domain(None);
+        let d2 = b.domain(None);
+        b.spawn(d0, 0, 100, |env: &mut UserEnv| {
+            let (base, _) = env.map_pages(16);
+            for i in 0..400u64 {
+                env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
+                env.compute(500);
+            }
+        });
+        for d in [d1, d2] {
+            b.spawn_daemon(d, 0, 100, |env: &mut UserEnv| loop {
+                let _ = env.syscall(Syscall::Yield);
+            });
+        }
+        b.try_run()?;
+        Ok(Vec::new())
+    }
+
     #[test]
     fn healthy_cell_is_ok_first_attempt() {
         let r = run_cell("tiny", "haswell", None, Duration::from_secs(60), || {
@@ -699,20 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn noise_poison_classifies_as_panicked() {
-        let p = plan(FaultKind::NoisePoison { after: 64 });
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E003)
-        });
-        assert_eq!(r.outcome, CellOutcome::Panicked, "{:?}", r.error);
-        assert!(
-            r.error.as_deref().unwrap_or("").contains("noise-poison"),
-            "{:?}",
-            r.error
-        );
-    }
-
-    #[test]
     fn snapshot_corrupt_falls_back_cold_and_is_flagged() {
         // Populate the boot cache with this shape first (cold boot), so
         // the supervised run below takes the warm-restore path and meets
@@ -733,27 +624,6 @@ mod tests {
             r.channels.is_some(),
             "the cell completes on the cold-boot fallback"
         );
-    }
-
-    #[test]
-    fn commit_flip_fails_the_replay_selfcheck() {
-        let p = plan(FaultKind::CommitFlip { index: 17 });
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E005)
-        });
-        assert_eq!(r.outcome, CellOutcome::ReplayDiverged, "{:?}", r.error);
-        assert!(
-            r.error.as_deref().unwrap_or("").contains("divergence"),
-            "{:?}",
-            r.error
-        );
-    }
-
-    #[test]
-    fn selfcheck_finds_the_forged_commit() {
-        let d = commit_flip_selfcheck(17).expect("forged log must diverge");
-        assert_eq!(d.index, 17, "divergence at the forged index");
-        assert!(commit_flip_selfcheck(3).is_some());
     }
 
     #[test]
@@ -851,6 +721,39 @@ mod tests {
             "{:?}",
             r.error
         );
+    }
+
+    /// A daemon that dies in the primary's own domain with no fault armed
+    /// is a real failure: the cell completes over the survivors and must
+    /// be reported `EnvFailed`, never journaled as healthy.
+    #[test]
+    fn unarmed_daemon_death_is_env_failed() {
+        use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
+        let r = run_cell("daemon", "haswell", None, Duration::from_secs(60), || {
+            let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
+                .seed(0xA11C_E00A)
+                .max_cycles(300_000_000);
+            let d = b.domain(None);
+            b.spawn(d, 0, 100, |env: &mut UserEnv| {
+                let (base, _) = env.map_pages(16);
+                for i in 0..400u64 {
+                    env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
+                    if i % 20 == 0 {
+                        let _ = env.syscall(Syscall::Yield);
+                    }
+                }
+            });
+            b.spawn_daemon(d, 0, 100, |env: &mut UserEnv| {
+                let _ = env.syscall(Syscall::Yield);
+                panic!("daemon died");
+            });
+            b.try_run()?;
+            Ok(Vec::new())
+        });
+        assert_eq!(r.outcome, CellOutcome::EnvFailed, "{:?}", r.error);
+        assert_eq!(r.env_failed, 1);
+        assert_eq!(r.attempts, 1, "partial completion, not a retry");
+        assert!(r.channels.is_some(), "survivor results are reported");
     }
 
     #[test]

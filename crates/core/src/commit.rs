@@ -144,10 +144,6 @@ pub struct CommitLog {
     enabled: bool,
     depth: u32,
     commits: Vec<Commit>,
-    /// Fault injection: when `Some(i)`, the `i`-th recorded commit is
-    /// replaced with a forged one, so replaying the log diverges from the
-    /// live run at exactly that index.
-    flip: Option<usize>,
 }
 
 impl CommitLog {
@@ -156,25 +152,9 @@ impl CommitLog {
         self.enabled = true;
     }
 
-    /// Arm the bit-flip fault: corrupt the commit recorded at `index`.
-    pub fn arm_flip(&mut self, index: usize) {
-        self.flip = Some(index);
-    }
-
-    /// Record `commit`, substituting the forged commit at the armed flip
-    /// index. The forgery is a plausible-but-wrong entry (a signal with a
-    /// recognisable badge) rather than random bytes, so it exercises the
-    /// replay oracle, not the parser.
+    /// Record `commit`.
     fn push(&mut self, commit: impl FnOnce() -> Commit) {
-        let forged = self.flip == Some(self.commits.len());
-        self.commits.push(if forged {
-            Commit::Signal {
-                ntfn: crate::objects::NtfnId(0),
-                badge: 0xFA17_FA17,
-            }
-        } else {
-            commit()
-        });
+        self.commits.push(commit());
     }
 
     /// Whether recording is on.

@@ -130,6 +130,14 @@ static ENV_FAILED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::
 static DEADLOCKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static STACK_OVERFLOWS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+thread_local! {
+    /// [`HealthStats::env_failed`] restricted to systems driven by this
+    /// thread: the supervisor diffs it around one attempt, so a failure in
+    /// a cell running concurrently on another thread is never attributed
+    /// to this one.
+    static THREAD_ENV_FAILED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Snapshot the process-wide executor health counters.
 #[must_use]
 pub fn health_stats() -> HealthStats {
@@ -139,6 +147,15 @@ pub fn health_stats() -> HealthStats {
         deadlocks: DEADLOCKS.load(Relaxed),
         stack_overflows: STACK_OVERFLOWS.load(Relaxed),
     }
+}
+
+/// Environments that failed in isolation in systems run on the calling
+/// thread, cumulative since the thread started. The engine counts each
+/// failure on the thread that called `try_run`, so this is exact per cell
+/// where the process-wide [`health_stats`] is not.
+#[must_use]
+pub fn thread_env_failed() -> u64 {
+    THREAD_ENV_FAILED.with(std::cell::Cell::get)
 }
 
 /// Panic payload a failing environment's unwind is re-wrapped in before it
@@ -1050,6 +1067,7 @@ fn finish_program(
                 // let the siblings keep running. `thread_exited` below
                 // retires it from the scheduler like a normal exit.
                 ENV_FAILED.fetch_add(1, Relaxed);
+                THREAD_ENV_FAILED.with(|c| c.set(c.get() + 1));
                 g.env_failures.push((env, msg));
             }
         }

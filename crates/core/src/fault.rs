@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] names one fault class (and optionally the single
 //! experiment×platform cell it applies to). Faults are **deterministic**: a
-//! fault point is a position in the simulated event stream — syscall number,
-//! commit index, noise-stream draw — never a wall-clock instant, so a chaos
+//! fault point is a position in the simulated event stream — interaction
+//! ordinal, token-rotation ordinal — never a wall-clock instant, so a chaos
 //! run with the same plan and seed reproduces bit-for-bit.
 //!
 //! Plans travel to a cell through a thread-local rather than a global: the
@@ -38,20 +38,9 @@ pub enum FaultKind {
         /// 1-based syscall ordinal after which the environment hangs.
         at: u64,
     },
-    /// The commit log records a forged commit at `index`, so replay of the
-    /// log diverges from the live run — exercising the replay oracle.
-    CommitFlip {
-        /// 0-based commit index to corrupt.
-        index: usize,
-    },
     /// The warm-boot restore path hands out a corrupted snapshot clone,
     /// exercising the `state_hash()` verification + cold-boot fallback.
     SnapshotCorrupt,
-    /// The machine's noise stream panics after `after` further draws.
-    NoisePoison {
-        /// Number of draws that still succeed before the stream faults.
-        after: u64,
-    },
     /// The `at`-th cross-core token rotation is swallowed and the token
     /// wedges — modelling a lost scheduler wakeup that nothing re-delivers.
     /// The executor's deadlock detector must classify the
@@ -74,27 +63,10 @@ impl FaultKind {
         match self {
             FaultKind::EnvPanic { .. } => "env-panic",
             FaultKind::EnvStall { .. } => "env-stall",
-            FaultKind::CommitFlip { .. } => "commit-flip",
             FaultKind::SnapshotCorrupt => "snapshot-corrupt",
-            FaultKind::NoisePoison { .. } => "noise-poison",
             FaultKind::LostWakeup { .. } => "lost-wakeup",
             FaultKind::StackOverflow => "stack-overflow",
         }
-    }
-
-    /// All seven classes at their default trigger points, in a fixed order —
-    /// what the chaos binary iterates when `TP_FAULT` is unset.
-    #[must_use]
-    pub fn all_defaults() -> [FaultKind; 7] {
-        [
-            FaultKind::EnvPanic { at: 3 },
-            FaultKind::EnvStall { at: 3 },
-            FaultKind::CommitFlip { index: 17 },
-            FaultKind::SnapshotCorrupt,
-            FaultKind::NoisePoison { after: 64 },
-            FaultKind::LostWakeup { at: 2 },
-            FaultKind::StackOverflow,
-        ]
     }
 }
 
@@ -103,9 +75,7 @@ impl fmt::Display for FaultKind {
         match *self {
             FaultKind::EnvPanic { at } => write!(f, "env-panic@{at}"),
             FaultKind::EnvStall { at } => write!(f, "env-stall@{at}"),
-            FaultKind::CommitFlip { index } => write!(f, "commit-flip@{index}"),
             FaultKind::SnapshotCorrupt => write!(f, "snapshot-corrupt"),
-            FaultKind::NoisePoison { after } => write!(f, "noise-poison@{after}"),
             FaultKind::LostWakeup { at } => write!(f, "lost-wakeup@{at}"),
             FaultKind::StackOverflow => write!(f, "stack-overflow"),
         }
@@ -133,13 +103,12 @@ impl FaultPlan {
     ///
     /// ```text
     /// plan  := class [ "@" N ] [ ":cell=" experiment "/" platform ]
-    /// class := "env-panic" | "env-stall" | "commit-flip"
-    ///        | "snapshot-corrupt" | "noise-poison"
+    /// class := "env-panic" | "env-stall" | "snapshot-corrupt"
     ///        | "lost-wakeup" | "stack-overflow"
     /// ```
     ///
-    /// `@N` sets the trigger point (interaction ordinal, commit index,
-    /// draw count or rotation ordinal depending on class)
+    /// `@N` sets the trigger point (interaction ordinal or rotation
+    /// ordinal depending on class)
     /// and defaults per class; `snapshot-corrupt` and `stack-overflow`
     /// have no trigger point and reject one.
     ///
@@ -176,18 +145,12 @@ impl FaultPlan {
             "env-stall" => FaultKind::EnvStall {
                 at: at.unwrap_or(3),
             },
-            "commit-flip" => FaultKind::CommitFlip {
-                index: at.unwrap_or(17) as usize,
-            },
             "snapshot-corrupt" => {
                 if at.is_some() {
                     return Err("snapshot-corrupt takes no trigger point".into());
                 }
                 FaultKind::SnapshotCorrupt
             }
-            "noise-poison" => FaultKind::NoisePoison {
-                after: at.unwrap_or(64),
-            },
             "lost-wakeup" => FaultKind::LostWakeup {
                 at: at.unwrap_or(2),
             },
@@ -200,8 +163,7 @@ impl FaultPlan {
             other => {
                 return Err(format!(
                     "unknown fault class `{other}` (expected env-panic, env-stall, \
-                     commit-flip, snapshot-corrupt, noise-poison, lost-wakeup \
-                     or stack-overflow)"
+                     snapshot-corrupt, lost-wakeup or stack-overflow)"
                 ))
             }
         };
@@ -290,16 +252,8 @@ mod tests {
             FaultKind::EnvStall { at: 3 }
         );
         assert_eq!(
-            FaultPlan::parse("commit-flip@9").unwrap().kind,
-            FaultKind::CommitFlip { index: 9 }
-        );
-        assert_eq!(
             FaultPlan::parse("snapshot-corrupt").unwrap().kind,
             FaultKind::SnapshotCorrupt
-        );
-        assert_eq!(
-            FaultPlan::parse("noise-poison@1000").unwrap().kind,
-            FaultKind::NoisePoison { after: 1000 }
         );
         assert_eq!(
             FaultPlan::parse("lost-wakeup@7").unwrap().kind,
@@ -334,6 +288,21 @@ mod tests {
         assert!(FaultPlan::parse("stack-overflow@3").is_err());
         assert!(FaultPlan::parse("env-panic:cell=flush").is_err());
         assert!(FaultPlan::parse("env-panic:cell=/haswell").is_err());
+        // The retired classes are unknown, and the error names the five
+        // that remain.
+        for retired in ["commit-flip@17", "noise-poison@64"] {
+            let err = FaultPlan::parse(retired).unwrap_err();
+            assert!(err.starts_with("unknown fault class"), "{err}");
+            for class in [
+                "env-panic",
+                "env-stall",
+                "snapshot-corrupt",
+                "lost-wakeup",
+                "stack-overflow",
+            ] {
+                assert!(err.contains(class), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -341,9 +310,7 @@ mod tests {
         for spec in [
             "env-panic@3",
             "env-stall@7",
-            "commit-flip@17",
             "snapshot-corrupt",
-            "noise-poison@64",
             "lost-wakeup@2",
             "stack-overflow",
             "env-panic@5:cell=flush/haswell",

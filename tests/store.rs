@@ -3,7 +3,6 @@
 //! cell replayed from the journal re-serialises byte-identically.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use tp_bench::campaign::{golden_json, results_json, ChannelResult, ExperimentResult};
 use tp_bench::store::{
@@ -61,7 +60,7 @@ fn ground_truth() -> &'static (String, Vec<CellRecord>, JournalHeader) {
 /// What a resumed campaign would end up with: journaled cells served from
 /// `completed`, every other scheduled cell recomputed from ground truth.
 fn final_results(report: &LoadReport, truth: &[CellRecord]) -> Vec<CellRecord> {
-    let completed = completed_cells(std::slice::from_ref(report));
+    let completed = completed_cells(report);
     truth
         .iter()
         .map(|want| completed.get(&want.key()).unwrap_or(want).clone())
@@ -147,43 +146,5 @@ fn replayed_cells_reserialize_byte_identically() {
         golden_json(&originals),
         golden_json(&replayed),
         "the golden file must not change across a journal roundtrip"
-    );
-}
-
-/// Shard journals partition the cell matrix: disjoint shards merge into
-/// exactly the full set, and an overlapping cell takes the first shard's
-/// record rather than duplicating.
-#[test]
-fn shard_journals_merge_to_full_coverage() {
-    let truth: Vec<CellRecord> = (0..12).map(record).collect();
-    let shard = |i: usize, n: usize| LoadReport {
-        records: truth
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx % n == i)
-            .map(|(_, r)| r.clone())
-            .collect(),
-        ..Default::default()
-    };
-    let shards: Vec<LoadReport> = (0..3).map(|i| shard(i, 3)).collect();
-    let merged = completed_cells(&shards);
-    assert_eq!(merged.len(), truth.len(), "shards must cover every cell");
-    let by_key: BTreeMap<_, _> = truth.iter().map(|r| (r.key(), r.clone())).collect();
-    assert_eq!(merged, by_key);
-
-    // Overlap: shard 0 re-listing a cell of shard 1 must not override it.
-    let mut dup = truth[1].clone();
-    dup.seconds += 100.0;
-    let overlapping = vec![
-        shards[1].clone(),
-        LoadReport {
-            records: vec![dup],
-            ..Default::default()
-        },
-    ];
-    assert_eq!(
-        completed_cells(&overlapping)[&truth[1].key()],
-        truth[1],
-        "first shard's record wins for an overlapping cell"
     );
 }

@@ -156,13 +156,12 @@ fn healthy_cells_leave_the_counters_untouched() {
             c.timeouts,
             c.panics,
             c.snapshot_corrupt,
-            c.replay_diverged,
             c.quarantined,
             c.env_failed,
             c.deadlocks,
             c.stack_overflows
         ),
-        (0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0),
         "healthy campaign must report a clean supervisor line"
     );
 }
