@@ -14,9 +14,10 @@
 //! change. A [`SweepPlan`] precomputes the per-line geometry once
 //! ([`Machine::plan_sweep`]) and [`Machine::access_batch`] walks the
 //! hierarchy over the plan in one tight loop. The scalar path
-//! ([`Machine::data_access`] / [`Machine::insn_fetch`]) builds a one-line
-//! plan on the fly and funnels into the *same* per-access function
-//! ([`Machine::access_planned`]), so batch and scalar are bit-identical by
+//! ([`Machine::data_access`] / [`Machine::insn_fetch`]) derives only the
+//! L1 set and tag up front and the outer levels' geometry only on an L1
+//! miss, but runs the *same* two halves of the walk as
+//! [`Machine::access_planned`], so batch and scalar are bit-identical by
 //! construction — a contract the workspace property tests pin down.
 //!
 //! Plans are held by their users (the engine's per-probe-buffer plans and
@@ -31,6 +32,7 @@ use crate::noise::NoiseRng;
 use crate::params::{CacheGeom, PlatformConfig};
 use crate::tlb::TlbLevel;
 use crate::{Asid, PAddr, VAddr};
+use std::ops::ControlFlow;
 
 /// Extra latency charged to a demand miss per resumed stale prefetch
 /// stream (the §5.3.2 residual-channel mechanism).
@@ -329,7 +331,10 @@ impl Machine {
         let floor = now.saturating_sub(BUS_WINDOW);
         let mut contenders = 0u64;
         for (c, ring) in self.bus.iter().enumerate() {
-            if c == core {
+            // Each core writes its ring in cycle order, so when the newest
+            // stamp is empty or out of the window no older one counts.
+            let newest = ring[(usize::from(self.bus_pos[c]) + BUS_RING - 1) % BUS_RING];
+            if c == core || newest == BUS_EMPTY || newest < floor {
                 continue;
             }
             for &t in ring {
@@ -349,10 +354,16 @@ impl Machine {
     fn back_invalidate(&mut self, line_addr: u64) {
         let pa = line_addr << self.idx_l1d.line_shift;
         let (d, i, l2i) = (self.idx_l1d, self.idx_l1i, self.idx_l2);
+        // Invalidating in an empty cache is a no-op, so skip those: an
+        // idle core's private caches cost nothing here.
         for core in &mut self.cores {
-            core.l1d.invalidate_line(d.set(pa), d.tag(pa));
-            core.l1i.invalidate_line(i.set(pa), i.tag(pa));
-            if let Some(l2) = &mut core.l2 {
+            if !core.l1d.is_empty() {
+                core.l1d.invalidate_line(d.set(pa), d.tag(pa));
+            }
+            if !core.l1i.is_empty() {
+                core.l1i.invalidate_line(i.set(pa), i.tag(pa));
+            }
+            if let Some(l2) = core.l2.as_mut().filter(|l2| !l2.is_empty()) {
                 l2.invalidate_line(l2i.set(pa), l2i.tag(pa));
             }
         }
@@ -379,17 +390,37 @@ impl Machine {
     #[inline]
     #[must_use]
     pub fn plan_line(&self, insn: bool, pa: PAddr) -> PlannedLine {
+        let mut ln = self.plan_l1(insn, pa);
+        self.plan_outer(&mut ln);
+        ln
+    }
+
+    /// The L1 part of [`Machine::plan_line`]; the outer levels' fields stay
+    /// zero until [`Machine::plan_outer`] fills them. Only
+    /// [`Machine::access_l1`] may read such a row.
+    #[inline]
+    fn plan_l1(&self, insn: bool, pa: PAddr) -> PlannedLine {
         let l1 = if insn { self.idx_l1i } else { self.idx_l1d };
         PlannedLine {
             pa: pa.0,
             l1_tag: l1.tag(pa.0),
-            l2_tag: self.idx_l2.tag(pa.0),
-            sh_tag: self.idx_sh.tag(pa.0),
+            l2_tag: 0,
+            sh_tag: 0,
             l1_set: l1.set(pa.0) as u32,
-            l2_set: self.idx_l2.set(pa.0) as u32,
-            slice: self.slice_of(pa) as u16,
-            sh_set: self.idx_sh.set(pa.0) as u32,
+            l2_set: 0,
+            slice: 0,
+            sh_set: 0,
         }
+    }
+
+    /// Fill in the private-L2 and shared-slice geometry of `ln`.
+    #[inline]
+    fn plan_outer(&self, ln: &mut PlannedLine) {
+        ln.l2_tag = self.idx_l2.tag(ln.pa);
+        ln.sh_tag = self.idx_sh.tag(ln.pa);
+        ln.l2_set = self.idx_l2.set(ln.pa) as u32;
+        ln.slice = self.slice_of(PAddr(ln.pa)) as u16;
+        ln.sh_set = self.idx_sh.set(ln.pa) as u32;
     }
 
     /// Precompute a sweep plan for a fixed probe-address list. `insn`
@@ -414,8 +445,8 @@ impl Machine {
         global: bool,
     ) -> u64 {
         let _ = va; // Physically-indexed model; see corestate docs.
-        let ln = self.plan_line(false, pa);
-        self.access_planned(core, asid, &ln, write, global, false).0
+        self.access_with_level(core, asid, pa, write, global, false)
+            .0
     }
 
     /// An instruction fetch at `pa`.
@@ -428,13 +459,14 @@ impl Machine {
         global: bool,
     ) -> u64 {
         let _ = va;
-        let ln = self.plan_line(true, pa);
-        self.access_planned(core, asid, &ln, false, global, true).0
+        self.access_with_level(core, asid, pa, false, global, true)
+            .0
     }
 
     /// A scalar access that also reports where it was satisfied — the
     /// reference oracle the batch-equivalence property tests compare
-    /// against.
+    /// against. Only the L1 set and tag are derived up front; the outer
+    /// levels' geometry only on an L1 miss.
     pub fn access_with_level(
         &mut self,
         core: usize,
@@ -444,8 +476,14 @@ impl Machine {
         global: bool,
         insn: bool,
     ) -> (u64, HitLevel) {
-        let ln = self.plan_line(insn, pa);
-        self.access_planned(core, asid, &ln, write, global, insn)
+        let mut ln = self.plan_l1(insn, pa);
+        match self.access_l1(core, asid, &ln, write, global, insn) {
+            ControlFlow::Break(cost) => (cost, HitLevel::L1),
+            ControlFlow::Continue(cost) => {
+                self.plan_outer(&mut ln);
+                self.access_outer(core, &ln, cost, write, insn)
+            }
+        }
     }
 
     /// Run a whole sweep plan as one tight loop; returns the total cycle
@@ -479,7 +517,8 @@ impl Machine {
 
     /// The hierarchy walk for one planned access: translation timing, L1,
     /// prefetcher hooks, private L2, shared cache, DRAM + bus. Scalar and
-    /// batch paths both land here.
+    /// batch paths both run its two halves, `access_l1` and
+    /// `access_outer`.
     pub fn access_planned(
         &mut self,
         core: usize,
@@ -489,8 +528,26 @@ impl Machine {
         global: bool,
         insn: bool,
     ) -> (u64, HitLevel) {
+        match self.access_l1(core, asid, ln, write, global, insn) {
+            ControlFlow::Break(cost) => (cost, HitLevel::L1),
+            ControlFlow::Continue(cost) => self.access_outer(core, ln, cost, write, insn),
+        }
+    }
+
+    /// Translation timing and the L1: `Break(cost)` on an L1 hit, with the
+    /// core already advanced; `Continue(cost so far)` on a miss, for
+    /// `access_outer` to finish. Reads only the L1 fields of `ln`.
+    #[inline(always)]
+    fn access_l1(
+        &mut self,
+        core: usize,
+        asid: Asid,
+        ln: &PlannedLine,
+        write: bool,
+        global: bool,
+        insn: bool,
+    ) -> ControlFlow<u64, u64> {
         let lat = self.cfg.lat;
-        let line = self.cfg.line;
         let mut cost = 0u64;
 
         // 1. Translation timing.
@@ -514,11 +571,28 @@ impl Machine {
         cost += lat.l1_hit;
         if l1_out.hit {
             self.cores[core].advance(cost);
-            return (cost, HitLevel::L1);
+            return ControlFlow::Break(cost);
         }
         if l1_out.writeback {
             cost += lat.writeback;
         }
+        ControlFlow::Continue(cost)
+    }
+
+    /// The rest of the walk after an L1 miss that has cost `cost` so far:
+    /// prefetchers, private L2, shared cache, DRAM + bus.
+    #[inline]
+    fn access_outer(
+        &mut self,
+        core: usize,
+        ln: &PlannedLine,
+        mut cost: u64,
+        write: bool,
+        insn: bool,
+    ) -> (u64, HitLevel) {
+        let lat = self.cfg.lat;
+        let line = self.cfg.line;
+        let line_addr = ln.pa >> self.idx_l1d.line_shift;
 
         // The instruction prefetcher sits at the L1-I (next-line fetch).
         // The targets live in a small inline buffer — this path runs on
@@ -651,6 +725,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::phys_tag;
     use crate::params::Platform;
 
     fn pa(x: u64) -> PAddr {
@@ -767,6 +842,80 @@ mod tests {
             quiet < m.cfg.lat.dram + m.cfg.lat.tlb_walk + m.cfg.lat.l1_hit + 200,
             "stale bus stamps still charged: {quiet}"
         );
+    }
+
+    #[test]
+    fn bus_contention_skips_rings_out_of_the_window() {
+        let mut m = Machine::new(Platform::Haswell.config(), 1);
+        // Core 1 wraps its ring with DRAM stamps; core 0 then probes the
+        // contention at clocks from before the oldest stamp to far past
+        // the newest, and where each stamp sits exactly on the window's
+        // edge, so core 1's ring is wholly in the window, partly and
+        // wholly out. The count must match a scan of every slot.
+        for k in 0..(BUS_RING as u64 + 3) {
+            let a = 0x200_0000 + k * 4096 * 64;
+            m.data_access(1, Asid(1), va(a), pa(a), false, false);
+        }
+        let ring = m.bus[1];
+        let newest = *ring.iter().max().unwrap();
+        let edges = ring
+            .iter()
+            .flat_map(|&t| [t + BUS_WINDOW, t + BUS_WINDOW + 1]);
+        for now in (0..newest + 3 * BUS_WINDOW).step_by(37).chain(edges) {
+            let mut probe = m.clone();
+            probe.cores[0].cycles = now;
+            let floor = now.saturating_sub(BUS_WINDOW);
+            let expect = ring
+                .iter()
+                .filter(|&&t| t != BUS_EMPTY && t >= floor)
+                .count() as u64;
+            assert_eq!(
+                probe.bus_contention(0),
+                expect.min(BUS_MAX_CONTENDERS) * m.cfg.lat.bus_contend,
+                "now {now}, ring {ring:?}"
+            );
+        }
+        // Only out-of-window stamps: no contention at all.
+        m.cores[0].cycles = newest + BUS_WINDOW + 1;
+        assert_eq!(m.bus_contention(0), 0);
+    }
+
+    #[test]
+    fn back_invalidation_reaches_another_cores_private_caches() {
+        for p in Platform::ALL {
+            let cfg = p.config();
+            let mut m = Machine::new(cfg, 1);
+            // Core 1 loads and fetches the first line, so its L1-D, L1-I
+            // and private L2 (if any) hold it. Core 0 then streams enough
+            // lines of the same shared slice and set to evict it there.
+            let first = 0x10_0000;
+            m.data_access(1, Asid(1), va(first), pa(first), false, false);
+            m.insn_fetch(1, Asid(1), va(first), pa(first), false);
+            let span = m.shared_geom().sets() * cfg.line;
+            let conflicting: Vec<u64> = (1..)
+                .map(|k| first + k * span)
+                .filter(|&a| m.slice_of(pa(a)) == m.slice_of(pa(first)))
+                .take(m.shared_geom().ways as usize)
+                .collect();
+            for a in conflicting {
+                m.data_access(0, Asid(1), va(a), pa(a), false, false);
+            }
+            let c = &m.cores[1];
+            let (l1d, l1i) = (c.l1d.geom(), c.l1i.geom());
+            assert!(!c.l1d.peek(phys_set(l1d, first), phys_tag(l1d, first)));
+            assert!(!c.l1i.peek(phys_set(l1i, first), phys_tag(l1i, first)));
+            assert_eq!(c.l1d.stats().flushed_lines, 1, "{}", p.key());
+            assert_eq!(c.l1i.stats().flushed_lines, 1, "{}", p.key());
+            if let Some(l2) = &c.l2 {
+                assert_eq!(l2.stats().flushed_lines, 1, "{}", p.key());
+            }
+            let cost = m.data_access(1, Asid(1), va(first), pa(first), false, false);
+            assert!(
+                cost >= cfg.lat.dram,
+                "{}: DRAM-level cost, got {cost}",
+                p.key()
+            );
+        }
     }
 
     #[test]

@@ -557,6 +557,7 @@ impl PlatformConfig {
     /// Check the structural invariants every registered platform must
     /// satisfy. Returns every violation (empty = valid).
     ///
+    /// * every cache, TLB and BTB level has at least one way;
     /// * every cache level has a power-of-two set count, at least one
     ///   page colour, and the platform-wide line size;
     /// * TLB/BTB set counts are powers of two;
@@ -564,6 +565,23 @@ impl PlatformConfig {
     /// * clock, core count, page size and switch padding are sane.
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
+        let zero_ways: Vec<String> = [
+            ("L1-D", self.l1d.ways),
+            ("L1-I", self.l1i.ways),
+            ("L2", self.l2.ways),
+            ("LLC", self.llc.map_or(1, |g| g.ways)),
+            ("I-TLB", self.itlb.ways),
+            ("D-TLB", self.dtlb.ways),
+            ("L2-TLB", self.stlb.ways),
+            ("BTB", self.btb.ways),
+        ]
+        .into_iter()
+        .filter(|&(_, ways)| ways == 0)
+        .map(|(name, _)| format!("{name}: zero ways"))
+        .collect();
+        if !zero_ways.is_empty() {
+            return zero_ways; // every check below divides by a way count
+        }
         let mut errs = Vec::new();
         let mut err = |cond: bool, msg: String| {
             if !cond {
@@ -722,6 +740,30 @@ mod tests {
             assert_eq!(p.config().platform, p);
         }
         assert_eq!(Platform::from_key("epyc"), None);
+    }
+
+    /// A zero-way level is reported, not a division-by-zero panic inside
+    /// `validate` itself.
+    #[test]
+    fn validate_rejects_zero_ways() {
+        let broken: [fn(&mut PlatformConfig); 4] = [
+            |c| c.l1d.ways = 0,
+            |c| c.l2.ways = 0,
+            |c| c.dtlb.ways = 0,
+            |c| c.btb.ways = 0,
+        ];
+        for p in Platform::ALL {
+            for (i, set) in broken.iter().enumerate() {
+                let mut c = p.config();
+                set(&mut c);
+                let errs = c.validate();
+                assert!(
+                    errs.iter().any(|e| e.ends_with("zero ways")),
+                    "{} case {i}: {errs:?}",
+                    p.key()
+                );
+            }
+        }
     }
 
     #[test]

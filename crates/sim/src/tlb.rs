@@ -111,26 +111,11 @@ impl TlbArray {
         self.clock
     }
 
-    /// Look up `vpn` for `asid`; global entries match any ASID.
-    pub fn lookup(&mut self, asid: Asid, vpn: u64) -> bool {
-        let clock = self.tick();
-        let set = self.set_of(vpn);
-        let base = set * self.ways;
-        for e in &mut self.entries[base..base + self.ways] {
-            if e.valid() && e.vpn == vpn && (e.global() || e.asid() == asid.0) {
-                e.stamp = clock;
-                self.hits += 1;
-                return true;
-            }
-        }
-        self.misses += 1;
-        false
-    }
-
-    /// Fused lookup-or-fill: one pass that returns `true` on a hit and
-    /// otherwise installs the translation into the first invalid (else
-    /// LRU) way. The hierarchy walk fills every level it misses, so the
-    /// separate lookup + fill pair would scan each set twice.
+    /// Fused lookup-or-fill: one pass that returns `true` on a hit (global
+    /// entries match any ASID) and otherwise installs the translation into
+    /// the first invalid (else LRU) way. The hierarchy walk fills every
+    /// level it misses, so a separate lookup and fill would scan each set
+    /// twice.
     pub fn access(&mut self, asid: Asid, vpn: u64, global: bool) -> bool {
         let clock = self.tick();
         let set = self.set_of(vpn);
@@ -162,32 +147,6 @@ impl TlbArray {
             meta: u32::from(asid.0) | if global { META_GLOBAL } else { 0 } | META_VALID,
         };
         false
-    }
-
-    /// Insert a translation, evicting the LRU way of the set.
-    pub fn fill(&mut self, asid: Asid, vpn: u64, global: bool) {
-        let clock = self.tick();
-        let set = self.set_of(vpn);
-        let base = set * self.ways;
-        let slice = &mut self.entries[base..base + self.ways];
-        // One fused pass: first invalid way, else LRU (first minimum).
-        let mut idx = 0usize;
-        let mut best = u32::MAX;
-        for (i, e) in slice.iter().enumerate() {
-            if !e.valid() {
-                idx = i;
-                break;
-            }
-            if e.stamp < best {
-                best = e.stamp;
-                idx = i;
-            }
-        }
-        slice[idx] = Entry {
-            vpn,
-            stamp: clock,
-            meta: u32::from(asid.0) | if global { META_GLOBAL } else { 0 } | META_VALID,
-        };
     }
 
     /// Invalidate everything; returns the number of valid entries dropped.
@@ -275,6 +234,88 @@ impl TlbHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`TlbArray::access`] against a naive model that spells its rule
+    /// out: a hit is the first valid entry of the set with the VPN and a
+    /// matching ASID (or global); a miss fills the first invalid way, else
+    /// the way of least `(stamp, index)`. Random accesses and flushes on
+    /// arrays of 1–2 sets and 1–6 ways; a clock near its wrap point covers
+    /// the renormalisation, after which every stamp is 0.
+    #[test]
+    fn access_matches_a_naive_model() {
+        let mut r = crate::NoiseRng::seeded(0x71b);
+        for case in 0..300u64 {
+            let ways = 1 + r.below(6) as u32;
+            let sets = 1 + r.below(2) as u32;
+            let mut t = TlbArray::new(
+                "t",
+                TlbGeom {
+                    entries: sets * ways,
+                    ways,
+                },
+            );
+            if case % 4 == 0 {
+                t.clock = u32::MAX - 20;
+            }
+            let mut model = t.entries.clone();
+            for _ in 0..200 {
+                let (asid, vpn, global) = (r.below(3) as u16, r.below(12), r.below(8) == 0);
+                match r.below(40) {
+                    0 => {
+                        t.flush_all();
+                        model.iter_mut().for_each(|e| e.meta &= !META_VALID);
+                        continue;
+                    }
+                    1 => {
+                        t.flush_asid(Asid(asid));
+                        for e in &mut model {
+                            if !e.global() && e.asid() == asid {
+                                e.meta &= !META_VALID;
+                            }
+                        }
+                        continue;
+                    }
+                    _ => {}
+                }
+                if t.clock == u32::MAX {
+                    model.iter_mut().for_each(|e| e.stamp = 0);
+                }
+                let clock = t.clock.wrapping_add(1).max(1);
+                let base = (vpn % u64::from(sets)) as usize * ways as usize;
+                let row = &mut model[base..base + ways as usize];
+                let hit = row
+                    .iter()
+                    .position(|e| e.valid() && e.vpn == vpn && (e.global() || e.asid() == asid));
+                let slot = hit.unwrap_or_else(|| {
+                    let ways = 0..row.len();
+                    ways.clone()
+                        .find(|&w| !row[w].valid())
+                        .unwrap_or_else(|| ways.min_by_key(|&w| (row[w].stamp, w)).unwrap())
+                });
+                if hit.is_none() {
+                    let g = if global { META_GLOBAL } else { 0 };
+                    row[slot] = Entry {
+                        vpn,
+                        stamp: 0,
+                        meta: u32::from(asid) | g | META_VALID,
+                    };
+                }
+                row[slot].stamp = clock;
+                assert_eq!(
+                    t.access(Asid(asid), vpn, global),
+                    hit.is_some(),
+                    "case {case}"
+                );
+                for (a, b) in t.entries.iter().zip(&model) {
+                    assert_eq!(
+                        (a.vpn, a.stamp, a.meta),
+                        (b.vpn, b.stamp, b.meta),
+                        "case {case}"
+                    );
+                }
+            }
+        }
+    }
 
     fn hier() -> TlbHierarchy {
         TlbHierarchy::new(

@@ -243,28 +243,46 @@ proptest! {
 proptest! {
     /// The batch sweep is bit-identical to the scalar access path: same
     /// per-line cycle costs, same hit levels, same machine state — for
-    /// random address mixes, read and write rounds, with the platform
-    /// itself drawn as a strategy over the whole registry. This is the
-    /// correctness contract that lets the probe machinery run through
-    /// `Machine::access_batch`.
+    /// random address mixes on the data and the instruction side, read and
+    /// write rounds, with the platform itself drawn as a strategy over the
+    /// whole registry. This is the correctness contract that lets the probe
+    /// machinery run through `Machine::access_batch`, and it must survive
+    /// the scalar path planning only the L1 up front.
+    ///
+    /// The addresses stride over whole shared-cache set spans, up to twice
+    /// as many tags as the shared cache has ways across its slices, so
+    /// they span far more than the platform's L2 and reach DRAM, prefetch
+    /// fills and shared-cache evictions. Rounds alternate between cores 0
+    /// and 1, so back-invalidation meets the other core's non-empty
+    /// private caches (in a quarter to nine tenths of the cases,
+    /// depending on the platform) and DRAM stamps contend on the bus. DRAM
+    /// counts and every cache's statistics must agree too.
     #[test]
     fn batch_sweep_matches_scalar_accesses(
         p in proptest::sample::select(tp_sim::Platform::ALL),
-        line_idx in proptest::collection::vec(0u64..100_000, 8..80),
+        lines in proptest::collection::vec((0u64..2, any::<u64>()), 8..200),
         writes in proptest::collection::vec(any::<bool>(), 3),
+        insn in any::<bool>(),
         seed in any::<u64>(),
     ) {
         use tp_sim::{Asid, BatchOut, Machine, PAddr, SweepPlan};
         let cfg = p.config();
         let mut ms = Machine::new(cfg, seed);
         let mut mb = Machine::new(cfg, seed);
-        let pas: Vec<PAddr> = line_idx.iter().map(|&i| PAddr(0x40_0000 + i * cfg.line)).collect();
-        let plan: SweepPlan = mb.plan_sweep(false, &pas);
-        for &write in &writes {
+        let span = ms.shared_geom().sets() * cfg.line;
+        let tags = 2 * u64::from(ms.shared_geom().ways) * ms.num_slices() as u64;
+        let pas: Vec<PAddr> = lines
+            .iter()
+            .map(|&(off, k)| PAddr(0x40_0000 + off * cfg.line + k % tags * span))
+            .collect();
+        let plan: SweepPlan = mb.plan_sweep(insn, &pas);
+        for (round, &write) in writes.iter().enumerate() {
+            let core = round % 2;
+            let write = write && !insn;
             let mut costs = Vec::new();
             let mut levels = Vec::new();
             let total_b = mb.access_batch(
-                0,
+                core,
                 Asid(1),
                 &plan,
                 write,
@@ -273,13 +291,22 @@ proptest! {
             );
             let mut total_s = 0u64;
             for (i, &pa) in pas.iter().enumerate() {
-                let (c, lvl) = ms.access_with_level(0, Asid(1), pa, write, false, false);
+                let (c, lvl) = ms.access_with_level(core, Asid(1), pa, write, false, insn);
                 total_s += c;
                 prop_assert_eq!(c, costs[i], "{}: line {} cost", p.key(), i);
                 prop_assert_eq!(lvl, levels[i], "{}: line {} level", p.key(), i);
             }
             prop_assert_eq!(total_s, total_b, "{}", p.key());
-            prop_assert_eq!(ms.cycles(0), mb.cycles(0), "{}", p.key());
+            prop_assert_eq!(ms.cycles(core), mb.cycles(core), "{}", p.key());
+        }
+        prop_assert_eq!(ms.dram_accesses(), mb.dram_accesses(), "{}", p.key());
+        for (cs, cb) in ms.cores.iter().zip(&mb.cores) {
+            prop_assert_eq!(cs.l1d.stats(), cb.l1d.stats(), "{}", p.key());
+            prop_assert_eq!(cs.l1i.stats(), cb.l1i.stats(), "{}", p.key());
+            prop_assert_eq!(cs.l2.as_ref().map(|c| c.stats()), cb.l2.as_ref().map(|c| c.stats()));
+        }
+        for i in 0..ms.num_slices() {
+            prop_assert_eq!(ms.shared_slice(i).stats(), mb.shared_slice(i).stats(), "{}", p.key());
         }
     }
 
