@@ -519,6 +519,21 @@ pub fn results_json(results: &[ExperimentResult], total_seconds: f64) -> String 
     s
 }
 
+/// This process's peak resident set size in MB (`VmHWM` in
+/// `/proc/self/status`), or `None` where procfs does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
 /// Serialise the campaign's wall-time record (`BENCH-campaign.json`):
 /// the total plus one entry per experiment × platform cell, mirroring the
 /// `BENCH.json` the `reproduce_all` binary writes. CI budgets the total;
@@ -533,6 +548,10 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     let _ = writeln!(s, "  \"tp_samples\": {},", crate::util::effort());
     let _ = writeln!(s, "  \"threads\": {},", crate::util::threads());
     let _ = writeln!(s, "  \"total_seconds\": {total_seconds:.3},");
+    // Memory: CI budgets the process's peak resident set, which the
+    // warm-boot snapshots dominate.
+    let peak = peak_rss_mb().map_or_else(|| "null".to_owned(), |mb| format!("{mb:.1}"));
+    let _ = writeln!(s, "  \"peak_rss_mb\": {peak},");
     // Boot accounting: CI asserts that warm starts (shared boot-prefix
     // checkpoints) actually cut per-cell boot time vs. cold boots.
     let boot = tp_core::system::boot_stats();

@@ -15,6 +15,7 @@ use crate::engine::{
 use crate::kernel::{EngineMode, Kernel, KernelStats};
 use crate::objects::{DomainId, TcbId};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
 use tp_sim::{ColorSet, Machine, PlatformConfig};
@@ -610,16 +611,24 @@ impl SystemBuilder {
                 },
             )
             .collect();
+        let cfg = g.machine.cfg;
+        let cycles = (0..cfg.cores).map(|c| g.machine.cycles(c)).collect();
+        let commits = g.kernel.log.take();
+        drop(g);
+        // The executor drains every environment before it returns, so the
+        // driver holds the last handle and the final kernel moves out.
+        let kernel = match Arc::try_unwrap(ctl) {
+            Ok(ctl) => ctl.inner.into_inner().kernel,
+            Err(ctl) => ctl.inner.lock().kernel.clone(),
+        };
         Ok(SystemReport {
-            cfg: g.machine.cfg,
-            stats: g.kernel.stats,
-            cycles: (0..g.machine.cfg.cores)
-                .map(|c| g.machine.cycles(c))
-                .collect(),
+            cfg,
+            stats: kernel.stats,
+            cycles,
             domains: domain_ids,
-            state_hash: g.kernel.state_hash(),
+            kernel,
             env_outcomes,
-            commits: g.kernel.log.take(),
+            commits,
         })
     }
 }
@@ -635,9 +644,9 @@ pub struct SystemReport {
     pub cycles: Vec<u64>,
     /// The domains, in declaration order.
     pub domains: Vec<DomainId>,
-    /// [`Kernel::state_hash`] of the final kernel state — the bit-for-bit
-    /// fingerprint the executor tests pin.
-    pub state_hash: u64,
+    /// The final kernel state, hashed on demand by
+    /// [`SystemReport::state_hash`].
+    kernel: Kernel,
     /// Per-environment outcome in spawn order: which environments completed
     /// and which failed in isolation (non-primary panics that did not end
     /// the cell). Multi-tenant scenarios report fleet statistics over the
@@ -649,6 +658,16 @@ pub struct SystemReport {
     /// trail of kernel mutations, not a replayable image (see
     /// [`mod@crate::replay`]).
     pub commits: Vec<Commit>,
+}
+
+impl SystemReport {
+    /// [`Kernel::state_hash`] of the final kernel state — the bit-for-bit
+    /// fingerprint the executor tests pin. Computed on each call: runs
+    /// that never ask pay nothing for it.
+    #[must_use]
+    pub fn state_hash(&self) -> u64 {
+        self.kernel.state_hash()
+    }
 }
 
 #[cfg(test)]

@@ -557,7 +557,8 @@ impl PlatformConfig {
     /// Check the structural invariants every registered platform must
     /// satisfy. Returns every violation (empty = valid).
     ///
-    /// * every cache, TLB and BTB level has at least one way;
+    /// * every cache, TLB and BTB level has at least one way, and no cache
+    ///   level more than [`crate::cache::MAX_WAYS`];
     /// * every cache level has a power-of-two set count, at least one
     ///   page colour, and the platform-wide line size;
     /// * TLB/BTB set counts are powers of two;
@@ -613,6 +614,14 @@ impl PlatformConfig {
             err(
                 g.size % (g.line * u64::from(g.ways)) == 0,
                 format!("{name}: size not set-aligned"),
+            );
+            err(
+                g.ways <= crate::cache::MAX_WAYS,
+                format!(
+                    "{name}: {} ways (a set's recency order holds at most {})",
+                    g.ways,
+                    crate::cache::MAX_WAYS
+                ),
             );
         }
         for (name, t) in [
@@ -761,6 +770,34 @@ mod tests {
                     errs.iter().any(|e| e.ends_with("zero ways")),
                     "{} case {i}: {errs:?}",
                     p.key()
+                );
+            }
+        }
+    }
+
+    /// A cache level wider than a set's recency order can encode is
+    /// reported; the bound itself is accepted.
+    #[test]
+    fn validate_rejects_more_than_max_ways() {
+        use crate::cache::MAX_WAYS;
+        for level in 0..4 {
+            for (ways, rejected) in [(MAX_WAYS, false), (MAX_WAYS + 1, true), (32, true)] {
+                let mut c = Platform::Haswell.config();
+                let g = [&mut c.l1d, &mut c.l1i, &mut c.l2]
+                    .into_iter()
+                    .chain(c.llc.as_mut())
+                    .nth(level)
+                    .unwrap();
+                // Keep the set count, so the way bound is the only
+                // possible complaint about the level.
+                let sets = g.sets();
+                g.ways = ways;
+                g.size = sets * g.line * u64::from(ways);
+                let errs = c.validate();
+                assert_eq!(
+                    errs.iter().any(|e| e.contains(&format!("{ways} ways"))),
+                    rejected,
+                    "level {level}, {ways} ways: {errs:?}"
                 );
             }
         }

@@ -416,7 +416,7 @@ fn engine_probe_batch_matches_scalar_oracle() {
             }
             let r = b.run();
             let totals = out.lock().clone();
-            (totals, r.cycles, r.state_hash)
+            (totals, r.state_hash(), r.cycles)
         };
         let batched = run(true);
         let scalar = run(false);
@@ -611,7 +611,12 @@ const FIXTURE_PINS: [(tp_sim::Platform, u64, u64, &[u64]); 8] = {
 fn executor_fixture_matches_pinned_state() {
     for (p, seed, hash, cycles) in FIXTURE_PINS {
         let r = executor_fixture(p, seed).expect("fixture run");
-        assert_eq!(r.state_hash, hash, "{} seed {seed:#x}: state hash", p.key());
+        assert_eq!(
+            r.state_hash(),
+            hash,
+            "{} seed {seed:#x}: state hash",
+            p.key()
+        );
         assert_eq!(r.cycles, cycles, "{} seed {seed:#x}: cycle counts", p.key());
     }
 }
@@ -725,7 +730,7 @@ fn env_failure_isolation_matches_pinned_outcomes() {
         fault::arm(None);
         match (got, pin) {
             (Ok(r), Ok((hash, cycles, outcomes))) => {
-                assert_eq!(r.state_hash, hash, "{} env-panic@{at}: hash", p.key());
+                assert_eq!(r.state_hash(), hash, "{} env-panic@{at}: hash", p.key());
                 assert_eq!(r.cycles, cycles, "{} env-panic@{at}: cycles", p.key());
                 assert_eq!(format!("{:?}", r.env_outcomes), outcomes);
                 let failed = r
@@ -737,8 +742,8 @@ fn env_failure_isolation_matches_pinned_outcomes() {
                     // Inert: identical to the clean run.
                     let clean = executor_fixture(p, 0).expect("clean fixture");
                     assert_eq!(
-                        r.state_hash,
-                        clean.state_hash,
+                        r.state_hash(),
+                        clean.state_hash(),
                         "{}: inert env-panic@{at} perturbed the run",
                         p.key()
                     );
