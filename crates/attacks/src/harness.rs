@@ -190,11 +190,7 @@ pub fn try_run_intra_core_with_setup<T: Send + 'static>(
     let mut b = SystemBuilder::new(spec.platform, spec.prot)
         .seed(spec.seed)
         .slice_us(spec.slice_us)
-        .max_cycles(spec.cycle_budget())
-        // Channels sharing a boot shape (platform × prot × seed × slice)
-        // restore a cached checkpoint instead of re-booting; restoration
-        // is bit-identical, so verdicts and goldens are unaffected.
-        .warm_boot(true);
+        .max_cycles(spec.cycle_budget());
     // Receiver first: it owns slot 0, so its probe follows the sender slice.
     let d_recv = b.domain(None);
     let d_send = b.domain(None);

@@ -17,7 +17,7 @@
 //! golden file is generated at `TP_SAMPLES=0.25` (what CI runs).
 //!
 //! Every cell runs under the campaign supervisor
-//! ([`tp_bench::supervise`]): a panicking, hanging or corrupted cell is
+//! ([`tp_bench::supervise`]): a panicking, hanging or deadlocked cell is
 //! classified, retried where transient, quarantined into
 //! `goldens/quarantine.json`, and the campaign still completes with the
 //! remaining cells' results. `TP_FAULT` injects a deterministic fault for

@@ -345,29 +345,26 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Draw one fuzzed fault class with a fuzzed trigger ordinal in 1..=40.
 fn fuzz_kind(state: &mut u64) -> FaultKind {
     let at = 1 + splitmix(state) % 40;
-    match splitmix(state) % 5 {
+    match splitmix(state) % 4 {
         0 => FaultKind::EnvPanic { at },
         1 => FaultKind::EnvStall { at },
-        2 => FaultKind::SnapshotCorrupt,
-        3 => FaultKind::LostWakeup { at },
+        2 => FaultKind::LostWakeup { at },
         _ => FaultKind::StackOverflow,
     }
 }
 
 /// The classifications a fuzzed plan is allowed to produce on a real
 /// campaign cell. `Ok` is allowed wherever the fuzzed trigger may simply
-/// never fire (single-core cells never rotate the token; a cold boot has
-/// no snapshot to corrupt; environments that never syscall or
-/// `wait_preempt` — e.g. the bus channel's pure load/compute loops —
-/// never tick the interaction ordinal that arms env-level faults) — but
-/// an `Ok` faulted cell must then be byte-identical to the healthy
-/// reference, which the sweep enforces.
+/// never fire (single-core cells never rotate the token; environments
+/// that never syscall or `wait_preempt` — e.g. the bus channel's pure
+/// load/compute loops — never tick the interaction ordinal that arms
+/// env-level faults) — but an `Ok` faulted cell must then be
+/// byte-identical to the healthy reference, which the sweep enforces.
 fn allowed_outcomes(kind: FaultKind) -> Vec<CellOutcome> {
     use CellOutcome as O;
     match kind {
         FaultKind::EnvPanic { .. } => vec![O::Panicked, O::EnvFailed, O::Ok],
         FaultKind::EnvStall { .. } => vec![O::TimedOut, O::Ok],
-        FaultKind::SnapshotCorrupt => vec![O::SnapshotCorrupt, O::Ok],
         // The detector needs every environment suspended. A cell with a
         // spinning daemon (e.g. the bus sender's compute loop) turns a
         // wedged token into a livelock, which only the watchdog can

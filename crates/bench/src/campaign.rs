@@ -548,41 +548,32 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     let _ = writeln!(s, "  \"tp_samples\": {},", crate::util::effort());
     let _ = writeln!(s, "  \"threads\": {},", crate::util::threads());
     let _ = writeln!(s, "  \"total_seconds\": {total_seconds:.3},");
-    // Memory: CI budgets the process's peak resident set, which the
-    // warm-boot snapshots dominate.
+    // Memory: CI budgets the process's peak resident set.
     let peak = peak_rss_mb().map_or_else(|| "null".to_owned(), |mb| format!("{mb:.1}"));
     let _ = writeln!(s, "  \"peak_rss_mb\": {peak},");
-    // Boot accounting: CI asserts that warm starts (shared boot-prefix
-    // checkpoints) actually cut per-cell boot time vs. cold boots.
+    // Boot accounting: how many systems the campaign booted and the mean
+    // host time one boot took.
     let boot = tp_core::system::boot_stats();
-    let mean_ms = |nanos: u64, n: u64| {
-        if n == 0 {
-            0.0
-        } else {
-            nanos as f64 / n as f64 / 1e6
-        }
+    let cold_mean_ms = if boot.cold_boots == 0 {
+        0.0
+    } else {
+        boot.cold_nanos as f64 / boot.cold_boots as f64 / 1e6
     };
     let _ = writeln!(
         s,
-        "  \"boot\": {{\"cold\": {}, \"warm\": {}, \"fallback\": {}, \"cold_mean_ms\": {:.6}, \"warm_mean_ms\": {:.6}}},",
+        "  \"boot\": {{\"cold\": {}, \"cold_mean_ms\": {cold_mean_ms:.6}}},",
         boot.cold_boots,
-        boot.warm_boots,
-        boot.fallback_boots,
-        mean_ms(boot.cold_nanos, boot.cold_boots),
-        mean_ms(boot.warm_nanos, boot.warm_boots),
     );
     // Supervisor accounting: a healthy (fault-free) campaign reports all
     // zeroes here, and CI gates on exactly that.
     let sup = crate::supervise::counters();
     let _ = writeln!(
         s,
-        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"snapshot_corrupt\": {}, \"quarantined\": {}, \"fallback_boots\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
+        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
         sup.retries,
         sup.timeouts,
         sup.panics,
-        sup.snapshot_corrupt,
         sup.quarantined,
-        boot.fallback_boots,
         sup.env_failed,
         sup.deadlocks,
         sup.stack_overflows,
@@ -768,6 +759,7 @@ pub fn check_goldens(golden_text: &str, results: &[ExperimentResult]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::num_field;
     use std::cell::Cell;
     use tp_analysis::{Dataset, LeakageVerdict, MiEstimate};
     use tp_core::SimErrorKind;
@@ -829,6 +821,67 @@ mod tests {
                 null_sd_bits: 0.0,
                 leaks,
             },
+        }
+    }
+
+    /// The keys of the one-line object `"name": {...}` in a
+    /// [`bench_json`] document, with the line itself.
+    fn object_keys<'a>(doc: &'a str, name: &str) -> (&'a str, Vec<&'a str>) {
+        let tag = format!("  \"{name}\": {{");
+        let line = doc
+            .lines()
+            .find(|l| l.starts_with(&tag))
+            .unwrap_or_else(|| panic!("no `{name}` object in {doc}"));
+        let body = line[tag.len()..]
+            .trim_end_matches(',')
+            .trim_end_matches('}');
+        let keys = body
+            .split(", ")
+            .map(|kv| kv.split_once(": ").map_or(kv, |(k, _)| k).trim_matches('"'))
+            .collect();
+        (line, keys)
+    }
+
+    #[test]
+    fn bench_json_objects_carry_exactly_the_keys_ci_reads() {
+        let doc = bench_json(&[], 0.0);
+        let expected: [(&str, &[&str]); 4] = [
+            ("boot", &["cold", "cold_mean_ms"]),
+            (
+                "supervisor",
+                &[
+                    "retries",
+                    "timeouts",
+                    "panics",
+                    "quarantined",
+                    "env_failed",
+                    "deadlocks",
+                    "stack_overflows",
+                ],
+            ),
+            ("votes", &["verdicts", "seeds_run", "split"]),
+            (
+                "resume",
+                &[
+                    "cells_skipped",
+                    "records_recovered",
+                    "records_truncated",
+                    "lock_waits",
+                ],
+            ),
+        ];
+        for (object, keys) in expected {
+            let (line, got) = object_keys(&doc, object);
+            assert_eq!(got, keys, "{line}");
+            for key in keys {
+                assert!(
+                    num_field(line, key).is_some(),
+                    "`{key}` not a number: {line}"
+                );
+            }
+        }
+        for gone in ["warm", "fallback", "snapshot_corrupt"] {
+            assert!(!doc.contains(gone), "stale `{gone}` key in {doc}");
         }
     }
 

@@ -13,8 +13,7 @@
 //!            ┌────────────── retry (≤2, seed-bumped) ──────────────┐
 //!            ▼                                                     │
 //!   spawn → run ─ Ok ──→ selfchecks ──→ Ok                         │
-//!            │             │   │                                   │
-//!            │             │   └ fallback seen   → SnapshotCorrupt │
+//!            │             │                                       │
 //!            │             └ env died in isolation → EnvFailed     │
 //!            ├─ SimError(watchdog) / recv timeout → TimedOut ──────┤
 //!            ├─ SimError(deadlock)                → Deadlock ──────┤
@@ -66,7 +65,6 @@ pub fn retry_salt() -> u64 {
 static RETRIES: AtomicU64 = AtomicU64::new(0);
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static PANICS: AtomicU64 = AtomicU64::new(0);
-static SNAPSHOT_CORRUPT: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static ENV_FAILED: AtomicU64 = AtomicU64::new(0);
 static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
@@ -82,8 +80,6 @@ pub struct SupervisorCounters {
     pub timeouts: u64,
     /// Attempts that panicked (host panic or simulated-program failure).
     pub panics: u64,
-    /// Cells that completed only after a cold-boot fallback.
-    pub snapshot_corrupt: u64,
     /// Cells written to the quarantine ledger.
     pub quarantined: u64,
     /// Cells that completed with at least one environment failed in
@@ -102,7 +98,6 @@ pub fn counters() -> SupervisorCounters {
         retries: RETRIES.load(Ordering::Relaxed),
         timeouts: TIMEOUTS.load(Ordering::Relaxed),
         panics: PANICS.load(Ordering::Relaxed),
-        snapshot_corrupt: SNAPSHOT_CORRUPT.load(Ordering::Relaxed),
         quarantined: QUARANTINED.load(Ordering::Relaxed),
         env_failed: ENV_FAILED.load(Ordering::Relaxed),
         deadlocks: DEADLOCKS.load(Ordering::Relaxed),
@@ -124,9 +119,6 @@ pub enum CellOutcome {
     Panicked,
     /// Every attempt was stopped by the watchdog (or abandoned outright).
     TimedOut,
-    /// A warm-boot snapshot failed its `state_hash()` check; the cell
-    /// completed on the cold-boot fallback but is flagged for review.
-    SnapshotCorrupt,
     /// The cell completed, but one or more non-primary environments failed
     /// in isolation: partial results over the survivors, not a quarantine.
     EnvFailed,
@@ -145,7 +137,6 @@ impl CellOutcome {
             CellOutcome::Ok => "ok",
             CellOutcome::Panicked => "panicked",
             CellOutcome::TimedOut => "timed-out",
-            CellOutcome::SnapshotCorrupt => "snapshot-corrupt",
             CellOutcome::EnvFailed => "env-failed",
             CellOutcome::Deadlock => "deadlock",
             CellOutcome::StackOverflow => "stack-overflow",
@@ -171,9 +162,9 @@ pub struct CellReport {
 }
 
 enum Attempt {
-    /// Completed: channels, whether a cold-boot fallback was seen, and how
-    /// many environments failed in isolation.
-    Done(Vec<ChannelResult>, bool, u64),
+    /// Completed: channels, and how many environments failed in
+    /// isolation.
+    Done(Vec<ChannelResult>, u64),
     Panicked(String),
     TimedOut(String),
     Deadlocked(String),
@@ -196,7 +187,6 @@ fn run_attempt(
     salt: u64,
     f: Arc<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync>,
 ) -> Attempt {
-    let fallback_before = tp_core::boot_stats().fallback_boots;
     let (tx, rx) = mpsc::channel();
     let cutoff = Instant::now() + deadline;
     std::thread::spawn(move || {
@@ -241,11 +231,7 @@ fn run_attempt(
             SimErrorKind::Deadlock { .. } => Attempt::Deadlocked(e.to_string()),
             SimErrorKind::StackOverflow => Attempt::StackOverflow(e.to_string()),
         },
-        Ok((Ok(Ok(channels)), env_failed)) => {
-            let fell_back = matches!(armed, Some(FaultKind::SnapshotCorrupt))
-                && tp_core::boot_stats().fallback_boots > fallback_before;
-            Attempt::Done(channels, fell_back, env_failed)
-        }
+        Ok((Ok(Ok(channels)), env_failed)) => Attempt::Done(channels, env_failed),
     }
 }
 
@@ -272,21 +258,7 @@ pub fn run_cell(
         }
         let salt = u64::from(attempt).wrapping_mul(RETRY_SALT_STRIDE);
         match run_attempt(armed, deadline, salt, Arc::clone(&f)) {
-            Attempt::Done(channels, fell_back, env_failed) => {
-                if fell_back {
-                    SNAPSHOT_CORRUPT.fetch_add(1, Ordering::Relaxed);
-                    return CellReport {
-                        outcome: CellOutcome::SnapshotCorrupt,
-                        channels: Some(channels),
-                        attempts: attempt + 1,
-                        env_failed: 0,
-                        error: Some(
-                            "a warm-boot snapshot failed its state-hash check; \
-                             the cell completed on the cold-boot fallback"
-                                .to_string(),
-                        ),
-                    };
-                }
+            Attempt::Done(channels, env_failed) => {
                 if env_failed > 0 {
                     // Graceful degradation, not a quarantine: the cell
                     // completed with partial results over the surviving
@@ -352,7 +324,6 @@ pub fn probe_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
     use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
     let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
         .seed(seed)
-        .warm_boot(true)
         .max_cycles(200_000_000);
     let d = b.domain(None);
     b.spawn(d, 0, 100, |env: &mut UserEnv| {
@@ -476,7 +447,7 @@ pub struct QuarantineEntry {
     pub platform: String,
     /// Final classification (never `ok`).
     pub outcome: CellOutcome,
-    /// Attempts consumed before giving up (or detecting corruption).
+    /// Attempts consumed before giving up.
     pub attempts: u32,
     /// The last failure message.
     pub error: String,
@@ -600,29 +571,6 @@ mod tests {
             r.error.as_deref().unwrap_or("").contains("watchdog"),
             "{:?}",
             r.error
-        );
-    }
-
-    #[test]
-    fn snapshot_corrupt_falls_back_cold_and_is_flagged() {
-        // Populate the boot cache with this shape first (cold boot), so
-        // the supervised run below takes the warm-restore path and meets
-        // the corrupted clone.
-        let seed = 0xA11C_E004;
-        tiny_cell(seed).expect("cache-priming run");
-        let p = plan(FaultKind::SnapshotCorrupt);
-        let r = run_cell(
-            "tiny",
-            "haswell",
-            Some(&p),
-            Duration::from_secs(60),
-            move || tiny_cell(seed),
-        );
-        assert_eq!(r.outcome, CellOutcome::SnapshotCorrupt, "{:?}", r.error);
-        assert_eq!(r.attempts, 1, "graceful degradation, not a retry");
-        assert!(
-            r.channels.is_some(),
-            "the cell completes on the cold-boot fallback"
         );
     }
 

@@ -112,7 +112,7 @@ impl std::fmt::Display for SimError {
 }
 
 /// Process-wide executor health counters, cumulative since process start.
-/// Consumers snapshot before and after a run and diff (the same pattern as
+/// Consumers read them before and after a run and diff (as with
 /// `boot_stats`), because campaign cells share one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthStats {
@@ -322,8 +322,7 @@ impl SimInner {
         }
     }
 
-    /// Arm an environment or executor fault. Other fault classes are
-    /// injected elsewhere and ignored here.
+    /// Arm an environment or executor fault.
     pub fn arm_env_fault(&mut self, kind: crate::fault::FaultKind) {
         match kind {
             crate::fault::FaultKind::EnvPanic { at } => self.fault_panic_at = Some(at.max(1)),
@@ -332,7 +331,6 @@ impl SimInner {
                 self.fault_lost_wakeup_at = Some(at.max(1));
             }
             crate::fault::FaultKind::StackOverflow => self.fault_stack_overflow = true,
-            _ => {}
         }
     }
 

@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! TP_FAULT=env-panic@120
-//! TP_FAULT=snapshot-corrupt:cell=flush/haswell
+//! TP_FAULT=lost-wakeup@2:cell=flush/haswell
 //! ```
 
 use std::fmt;
@@ -38,9 +38,6 @@ pub enum FaultKind {
         /// 1-based syscall ordinal after which the environment hangs.
         at: u64,
     },
-    /// The warm-boot restore path hands out a corrupted snapshot clone,
-    /// exercising the `state_hash()` verification + cold-boot fallback.
-    SnapshotCorrupt,
     /// The `at`-th cross-core token rotation is swallowed and the token
     /// wedges — modelling a lost scheduler wakeup that nothing re-delivers.
     /// The executor's deadlock detector must classify the
@@ -63,7 +60,6 @@ impl FaultKind {
         match self {
             FaultKind::EnvPanic { .. } => "env-panic",
             FaultKind::EnvStall { .. } => "env-stall",
-            FaultKind::SnapshotCorrupt => "snapshot-corrupt",
             FaultKind::LostWakeup { .. } => "lost-wakeup",
             FaultKind::StackOverflow => "stack-overflow",
         }
@@ -75,7 +71,6 @@ impl fmt::Display for FaultKind {
         match *self {
             FaultKind::EnvPanic { at } => write!(f, "env-panic@{at}"),
             FaultKind::EnvStall { at } => write!(f, "env-stall@{at}"),
-            FaultKind::SnapshotCorrupt => write!(f, "snapshot-corrupt"),
             FaultKind::LostWakeup { at } => write!(f, "lost-wakeup@{at}"),
             FaultKind::StackOverflow => write!(f, "stack-overflow"),
         }
@@ -103,14 +98,14 @@ impl FaultPlan {
     ///
     /// ```text
     /// plan  := class [ "@" N ] [ ":cell=" experiment "/" platform ]
-    /// class := "env-panic" | "env-stall" | "snapshot-corrupt"
-    ///        | "lost-wakeup" | "stack-overflow"
+    /// class := "env-panic" | "env-stall" | "lost-wakeup"
+    ///        | "stack-overflow"
     /// ```
     ///
     /// `@N` sets the trigger point (interaction ordinal or rotation
     /// ordinal depending on class)
-    /// and defaults per class; `snapshot-corrupt` and `stack-overflow`
-    /// have no trigger point and reject one.
+    /// and defaults per class; `stack-overflow` has no trigger point and
+    /// rejects one.
     ///
     /// # Errors
     /// Returns a human-readable message for an unknown class, a malformed
@@ -145,12 +140,6 @@ impl FaultPlan {
             "env-stall" => FaultKind::EnvStall {
                 at: at.unwrap_or(3),
             },
-            "snapshot-corrupt" => {
-                if at.is_some() {
-                    return Err("snapshot-corrupt takes no trigger point".into());
-                }
-                FaultKind::SnapshotCorrupt
-            }
             "lost-wakeup" => FaultKind::LostWakeup {
                 at: at.unwrap_or(2),
             },
@@ -163,7 +152,7 @@ impl FaultPlan {
             other => {
                 return Err(format!(
                     "unknown fault class `{other}` (expected env-panic, env-stall, \
-                     snapshot-corrupt, lost-wakeup or stack-overflow)"
+                     lost-wakeup or stack-overflow)"
                 ))
             }
         };
@@ -252,10 +241,6 @@ mod tests {
             FaultKind::EnvStall { at: 3 }
         );
         assert_eq!(
-            FaultPlan::parse("snapshot-corrupt").unwrap().kind,
-            FaultKind::SnapshotCorrupt
-        );
-        assert_eq!(
             FaultPlan::parse("lost-wakeup@7").unwrap().kind,
             FaultKind::LostWakeup { at: 7 }
         );
@@ -284,22 +269,15 @@ mod tests {
     fn rejects_malformed_specs() {
         assert!(FaultPlan::parse("frob").is_err());
         assert!(FaultPlan::parse("env-panic@lots").is_err());
-        assert!(FaultPlan::parse("snapshot-corrupt@3").is_err());
         assert!(FaultPlan::parse("stack-overflow@3").is_err());
         assert!(FaultPlan::parse("env-panic:cell=flush").is_err());
         assert!(FaultPlan::parse("env-panic:cell=/haswell").is_err());
-        // The retired classes are unknown, and the error names the five
+        // The retired classes are unknown, and the error names the four
         // that remain.
-        for retired in ["commit-flip@17", "noise-poison@64"] {
+        for retired in ["commit-flip@17", "noise-poison@64", "snapshot-corrupt"] {
             let err = FaultPlan::parse(retired).unwrap_err();
             assert!(err.starts_with("unknown fault class"), "{err}");
-            for class in [
-                "env-panic",
-                "env-stall",
-                "snapshot-corrupt",
-                "lost-wakeup",
-                "stack-overflow",
-            ] {
+            for class in ["env-panic", "env-stall", "lost-wakeup", "stack-overflow"] {
                 assert!(err.contains(class), "{err}");
             }
         }
@@ -310,7 +288,6 @@ mod tests {
         for spec in [
             "env-panic@3",
             "env-stall@7",
-            "snapshot-corrupt",
             "lost-wakeup@2",
             "stack-overflow",
             "env-panic@5:cell=flush/haswell",
@@ -323,8 +300,8 @@ mod tests {
 
     #[test]
     fn thread_local_arming_is_per_thread() {
-        arm(Some(FaultKind::SnapshotCorrupt));
-        assert_eq!(armed(), Some(FaultKind::SnapshotCorrupt));
+        arm(Some(FaultKind::StackOverflow));
+        assert_eq!(armed(), Some(FaultKind::StackOverflow));
         let other = std::thread::spawn(armed).join().unwrap();
         assert_eq!(other, None, "arming must not leak across threads");
         arm(None);

@@ -326,7 +326,7 @@ pub struct KernelStats {
 ///
 /// `Clone` is part of the snapshot/restore contract: a cloned kernel
 /// resumed against a cloned [`Machine`] produces a bit-identical future
-/// (used by warm-boot checkpoints and [`crate::replay::Snapshot`]).
+/// (used by [`crate::replay::Snapshot`]).
 #[derive(Debug, Clone)]
 pub struct Kernel {
     /// Platform configuration (copied from the machine).

@@ -484,7 +484,7 @@ pub fn replay_diff(genesis: &Genesis, commits: &[Commit], expected: &[u64]) -> O
 /// A resumable checkpoint: the state hash, the commit cursor it was taken
 /// at, and a full machine+kernel image. The in-memory clone *is* the
 /// serialized kernel state — the simulation is process-local, so no byte
-/// encoding is needed for warm restarts.
+/// encoding is needed to resume from it.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Number of commits applied before this snapshot was taken.

@@ -16,7 +16,6 @@ use crate::kernel::{EngineMode, Kernel, KernelStats};
 use crate::objects::{DomainId, TcbId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
 
 use tp_sim::{ColorSet, Machine, PlatformConfig};
 
@@ -26,54 +25,24 @@ pub const DEFAULT_RAM_FRAMES: u64 = 32_768;
 /// Default per-domain memory pool in frames.
 pub const DEFAULT_DOMAIN_FRAMES: usize = 8_000;
 
-/// Maximum cached boot-prefix snapshots (LRU eviction). Sized so a full
-/// campaign's working set — platforms × protection configs × vote seeds
-/// for the intra-core channel family — stays resident between cells.
-const BOOT_CACHE_CAP: usize = 64;
-
-/// A boot-prefix checkpoint: the machine/kernel state right after thread
-/// creation, before the setup hook runs. Restoring is a pure clone, so a
-/// warm start is bit-identical to a cold boot with the same parameters.
-struct BootSnapshot {
-    machine: Machine,
-    kernel: Kernel,
-    domain_ids: Vec<DomainId>,
-    tcbs: Vec<TcbId>,
-    /// `kernel.state_hash()` at checkpoint time. Every restore re-hashes
-    /// the clone against this; a mismatch (rot, or an injected
-    /// [`crate::fault::FaultKind::SnapshotCorrupt`]) evicts the entry and
-    /// falls back to a cold boot instead of trusting the snapshot.
-    hash: u64,
-}
-
-/// Shared boot-prefix cache, keyed by a digest of everything that shapes
-/// the boot (platform, protection, seed, slice, RAM, domain and thread
-/// specs). Campaign cells on the same platform×scenario share entries.
-static BOOT_CACHE: StdMutex<Vec<(u64, BootSnapshot)>> = StdMutex::new(Vec::new());
-
 static BOOT_COLD: AtomicU64 = AtomicU64::new(0);
-static BOOT_WARM: AtomicU64 = AtomicU64::new(0);
 static BOOT_COLD_NANOS: AtomicU64 = AtomicU64::new(0);
-static BOOT_WARM_NANOS: AtomicU64 = AtomicU64::new(0);
-static BOOT_FALLBACK: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide boot accounting: how many boots were served cold (built
-/// from scratch) vs. warm (restored from a cached boot snapshot), and the
-/// wall-clock nanoseconds each path spent. CI budgets assert that warm
-/// starts actually cut per-cell boot time.
+/// Process-wide boot accounting: how many systems were booted and the
+/// wall-clock nanoseconds booting took. Every boot is cold (built from
+/// scratch).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BootStats {
     /// Boots built from scratch.
     pub cold_boots: u64,
-    /// Boots restored from a cached snapshot.
+    /// Always 0: every boot is cold. Kept so existing readers of these
+    /// counters still build.
     pub warm_boots: u64,
     /// Total wall-clock nanoseconds spent cold-booting.
     pub cold_nanos: u64,
-    /// Total wall-clock nanoseconds spent warm-restoring.
+    /// Always 0, like [`BootStats::warm_boots`].
     pub warm_nanos: u64,
-    /// Warm restores whose snapshot failed `state_hash()` verification and
-    /// fell back to a cold boot (the cold boot is also counted in
-    /// `cold_boots`).
+    /// Always 0, like [`BootStats::warm_boots`].
     pub fallback_boots: u64,
 }
 
@@ -82,10 +51,8 @@ pub struct BootStats {
 pub fn boot_stats() -> BootStats {
     BootStats {
         cold_boots: BOOT_COLD.load(Ordering::Relaxed),
-        warm_boots: BOOT_WARM.load(Ordering::Relaxed),
         cold_nanos: BOOT_COLD_NANOS.load(Ordering::Relaxed),
-        warm_nanos: BOOT_WARM_NANOS.load(Ordering::Relaxed),
-        fallback_boots: BOOT_FALLBACK.load(Ordering::Relaxed),
+        ..BootStats::default()
     }
 }
 
@@ -167,7 +134,6 @@ pub struct SystemBuilder {
     domains: Vec<DomainSpec>,
     threads: Vec<ThreadSpec>,
     setup: Option<SetupFn>,
-    warm_boot: bool,
     record_commits: bool,
 }
 
@@ -192,7 +158,6 @@ impl SystemBuilder {
             domains: Vec::new(),
             threads: Vec::new(),
             setup: None,
-            warm_boot: false,
             record_commits: false,
         }
     }
@@ -203,16 +168,6 @@ impl SystemBuilder {
         self.spec
     }
 
-    /// Reuse (and populate) the shared boot-prefix snapshot cache: runs
-    /// with identical boot parameters restore a cloned checkpoint instead
-    /// of re-booting. Restoration is bit-identical, so results are
-    /// unaffected; only wall-clock boot time changes.
-    #[must_use]
-    pub fn warm_boot(mut self, on: bool) -> Self {
-        self.warm_boot = on;
-        self
-    }
-
     /// Record a [`Commit`] log for the run (enabled after boot, so the
     /// log covers exactly the post-boot history). The log is returned in
     /// [`SystemReport::commits`].
@@ -220,27 +175,6 @@ impl SystemBuilder {
     pub fn record_commits(mut self, on: bool) -> Self {
         self.record_commits = on;
         self
-    }
-
-    /// Digest of every input that shapes the boot prefix. Scheduling mode
-    /// and cycle caps are applied after the snapshot point and are
-    /// deliberately excluded.
-    fn boot_key(&self, slice_cycles: u64) -> u64 {
-        let mut h = crate::commit::StateHasher::new();
-        h.str(&format!("{:?}", self.spec.platform));
-        h.str(&format!("{:?}", self.spec.prot));
-        h.u64(self.spec.seed)
-            .u64(slice_cycles)
-            .u64(self.spec.ram_frames);
-        h.usize(self.domains.len());
-        for d in &self.domains {
-            h.opt(d.colors.map(|c| c.0)).usize(d.max_frames);
-        }
-        h.usize(self.threads.len());
-        for t in &self.threads {
-            h.usize(t.domain).usize(t.core).byte(t.prio);
-        }
-        h.finish()
     }
 
     /// Set the RNG seed (delegates to [`SystemSpec::seed`]).
@@ -370,131 +304,65 @@ impl SystemBuilder {
         let cfg = self.spec.platform;
         let slice_cycles = cfg.us_to_cycles(self.spec.slice_us);
         let boot_start = std::time::Instant::now();
-        // Only the warm-boot cache reads the key; a cold-only run skips
-        // formatting both configs into it.
-        let key = self.warm_boot.then(|| self.boot_key(slice_cycles));
         let armed_fault = crate::fault::armed();
 
-        let restored = if let Some(key) = key {
-            let mut cache = BOOT_CACHE.lock().expect("boot cache");
-            cache.iter().position(|(k, _)| *k == key).and_then(|i| {
-                // LRU: a hit moves the entry to the back so campaign-wide
-                // reuse distances don't evict live boot shapes.
-                let entry = cache.remove(i);
-                let snap = &entry.1;
-                let machine = snap.machine.clone();
-                let mut kernel = snap.kernel.clone();
-                let state_rest = (snap.domain_ids.clone(), snap.tcbs.clone());
-                if matches!(armed_fault, Some(crate::fault::FaultKind::SnapshotCorrupt)) {
-                    // Deterministic rot: perturb the clone so verification
-                    // must catch it.
-                    kernel.stats.syscalls = kernel.stats.syscalls.wrapping_add(0xBAD);
-                }
-                // Trust nothing restored: re-hash the clone against the
-                // checkpointed hash before handing it to the run.
-                if kernel.state_hash() == snap.hash {
-                    cache.push(entry);
-                    Some((machine, kernel, state_rest.0, state_rest.1))
-                } else {
-                    // Evict (drop `entry`) and fall back to a cold boot.
-                    BOOT_FALLBACK.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            })
-        } else {
-            None
-        };
-        let warm = restored.is_some();
+        let mut machine = Machine::new(cfg, self.spec.seed);
+        let mut kernel = Kernel::new(cfg, self.spec.prot, self.spec.ram_frames, slice_cycles);
 
-        let (mut machine, mut kernel, domain_ids, tcbs) = match restored {
-            Some(state) => state,
-            None => {
-                let mut machine = Machine::new(cfg, self.spec.seed);
-                let mut kernel =
-                    Kernel::new(cfg, self.spec.prot, self.spec.ram_frames, slice_cycles);
-
-                if self.spec.prot.disable_data_prefetcher {
-                    for c in &mut machine.cores {
-                        c.dpf.set_enabled(false);
-                    }
-                }
-
-                // Colour assignment.
-                let n_colors = cfg.partition_colors();
-                let n_domains = self.domains.len().max(1) as u64;
-                let per = (n_colors / n_domains).max(1);
-                let mut domain_ids = Vec::new();
-                for (i, spec) in self.domains.iter().enumerate() {
-                    let colors = spec.colors.unwrap_or_else(|| {
-                        if self.spec.prot.color_userland {
-                            let lo = i as u64 * per;
-                            ColorSet::range(lo, (lo + per).min(n_colors))
-                        } else {
-                            ColorSet::all(n_colors)
-                        }
-                    });
-                    let d = kernel
-                        .create_domain(colors, spec.max_frames)
-                        .expect("domain memory");
-                    if self.spec.prot.clone_kernel {
-                        kernel
-                            .clone_kernel_for_domain(&mut machine, 0, d)
-                            .expect("kernel clone");
-                    }
-                    domain_ids.push(d);
-                }
-
-                if let Some(pad_us) = self.spec.prot.pad_us {
-                    let pad = cfg.us_to_cycles(pad_us);
-                    let ids: Vec<usize> = kernel.images.iter().map(|(i, _)| i).collect();
-                    for i in ids {
-                        kernel.set_pad_cycles(crate::objects::ImageId(i), pad);
-                    }
-                }
-
-                // Threads.
-                let mut tcbs = Vec::new();
-                for spec in &self.threads {
-                    let d = domain_ids[spec.domain];
-                    let t = kernel
-                        .create_thread(d, spec.core, spec.prio)
-                        .expect("thread");
-                    tcbs.push(t);
-                }
-
-                if let Some(key) = key {
-                    let mut cache = BOOT_CACHE.lock().expect("boot cache");
-                    if !cache.iter().any(|(k, _)| *k == key) {
-                        if cache.len() >= BOOT_CACHE_CAP {
-                            cache.remove(0);
-                        }
-                        cache.push((
-                            key,
-                            BootSnapshot {
-                                machine: machine.clone(),
-                                kernel: kernel.clone(),
-                                domain_ids: domain_ids.clone(),
-                                tcbs: tcbs.clone(),
-                                hash: kernel.state_hash(),
-                            },
-                        ));
-                    }
-                }
-                (machine, kernel, domain_ids, tcbs)
+        if self.spec.prot.disable_data_prefetcher {
+            for c in &mut machine.cores {
+                c.dpf.set_enabled(false);
             }
-        };
-
-        let boot_nanos = u64::try_from(boot_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if warm {
-            BOOT_WARM.fetch_add(1, Ordering::Relaxed);
-            BOOT_WARM_NANOS.fetch_add(boot_nanos, Ordering::Relaxed);
-        } else {
-            BOOT_COLD.fetch_add(1, Ordering::Relaxed);
-            BOOT_COLD_NANOS.fetch_add(boot_nanos, Ordering::Relaxed);
         }
 
-        // Recording starts after the (possibly shared) boot prefix, so the
-        // cache stays logging-agnostic and the log covers the run proper.
+        // Colour assignment.
+        let n_colors = cfg.partition_colors();
+        let n_domains = self.domains.len().max(1) as u64;
+        let per = (n_colors / n_domains).max(1);
+        let mut domain_ids = Vec::new();
+        for (i, spec) in self.domains.iter().enumerate() {
+            let colors = spec.colors.unwrap_or_else(|| {
+                if self.spec.prot.color_userland {
+                    let lo = i as u64 * per;
+                    ColorSet::range(lo, (lo + per).min(n_colors))
+                } else {
+                    ColorSet::all(n_colors)
+                }
+            });
+            let d = kernel
+                .create_domain(colors, spec.max_frames)
+                .expect("domain memory");
+            if self.spec.prot.clone_kernel {
+                kernel
+                    .clone_kernel_for_domain(&mut machine, 0, d)
+                    .expect("kernel clone");
+            }
+            domain_ids.push(d);
+        }
+
+        if let Some(pad_us) = self.spec.prot.pad_us {
+            let pad = cfg.us_to_cycles(pad_us);
+            let ids: Vec<usize> = kernel.images.iter().map(|(i, _)| i).collect();
+            for i in ids {
+                kernel.set_pad_cycles(crate::objects::ImageId(i), pad);
+            }
+        }
+
+        // Threads.
+        let mut tcbs = Vec::new();
+        for spec in &self.threads {
+            let d = domain_ids[spec.domain];
+            let t = kernel
+                .create_thread(d, spec.core, spec.prio)
+                .expect("thread");
+            tcbs.push(t);
+        }
+
+        let boot_nanos = u64::try_from(boot_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        BOOT_COLD.fetch_add(1, Ordering::Relaxed);
+        BOOT_COLD_NANOS.fetch_add(boot_nanos, Ordering::Relaxed);
+
+        // Recording starts after boot, so the log covers the run proper.
         if self.record_commits {
             kernel.log.enable();
         }

@@ -190,7 +190,7 @@ pub struct BatchOut<'a> {
 /// `Clone` snapshots the entire micro-architectural state (caches, TLBs,
 /// predictors, noise-stream position, bus rings); a clone resumed from the
 /// same point produces a bit-identical future, which is what makes
-/// `tp-core`'s boot-prefix warm-start and replay snapshots sound.
+/// `tp-core`'s replay snapshots sound.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// Platform configuration.

@@ -155,13 +155,12 @@ fn healthy_cells_leave_the_counters_untouched() {
             c.retries,
             c.timeouts,
             c.panics,
-            c.snapshot_corrupt,
             c.quarantined,
             c.env_failed,
             c.deadlocks,
             c.stack_overflows
         ),
-        (0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0),
         "healthy campaign must report a clean supervisor line"
     );
 }
