@@ -1,15 +1,4 @@
 //! Per-mechanism ablations of the time-protection suite (see DESIGN.md).
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    match tp_bench::channels::ablations() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("ablations: simulation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    tp_bench::cli::report("ablations", tp_bench::channels::ablations)
 }

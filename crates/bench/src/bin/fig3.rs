@@ -1,15 +1,4 @@
 //! Regenerates the paper's fig3 (see DESIGN.md experiment index).
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    match tp_bench::channels::fig3() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fig3: simulation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    tp_bench::cli::report("fig3", tp_bench::channels::fig3)
 }

@@ -1,15 +1,4 @@
 //! Regenerates the paper's fig4 (see DESIGN.md experiment index).
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    match tp_bench::channels::fig4() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fig4: simulation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    tp_bench::cli::report("fig4", tp_bench::channels::fig4)
 }

@@ -1,15 +1,4 @@
 //! Regenerates the paper's fig6 (see DESIGN.md experiment index).
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    match tp_bench::channels::fig6() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fig6: simulation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    tp_bench::cli::report("fig6", tp_bench::channels::fig6)
 }

@@ -1,15 +1,4 @@
 //! Regenerates the paper's fig7 (see DESIGN.md experiment index).
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    match tp_bench::splash::fig7() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fig7: simulation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    tp_bench::cli::report("fig7", tp_bench::splash::fig7)
 }

@@ -1,15 +1,4 @@
 //! Regenerates the paper's table3 (see DESIGN.md experiment index).
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    match tp_bench::channels::table3() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("table3: simulation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    tp_bench::cli::report("table3", tp_bench::channels::table3)
 }

@@ -75,11 +75,21 @@ static VOTES: AtomicU64 = AtomicU64::new(0);
 static VOTE_SEEDS_RUN: AtomicU64 = AtomicU64::new(0);
 static VOTE_SPLITS: AtomicU64 = AtomicU64::new(0);
 
+/// A voted row of a registry cell, with the outcome it reports.
+#[derive(Debug, Clone)]
+pub(crate) struct CellRow {
+    /// The row the journal, the JSON outputs and the golden gate keep.
+    pub row: ChannelResult,
+    /// The reporting seed's outcome: the first vote seed that agrees with
+    /// the majority, whose M, M0 and dataset the row carries.
+    pub outcome: ChannelOutcome,
+}
+
 /// Run one measurement under [`VOTE_SEEDS`] until a majority agrees, and
 /// combine: leak verdict by majority, value/baseline from the first seed
 /// that agrees with the majority (so a reported row is always
 /// self-consistent — a "leak" row shows an M above its M0, a "closed" row
-/// one below).
+/// one below). That seed's outcome is handed back with the row.
 ///
 /// The third seed runs only when the first two disagree. Stopping early is
 /// exact: when seeds 1 and 2 agree they are the majority whatever seed 3
@@ -90,11 +100,11 @@ static VOTE_SPLITS: AtomicU64 = AtomicU64::new(0);
 /// ([`crate::supervise::retry_salt`], zero outside a retry), so a retried
 /// cell explores fresh seeds deterministically while a first attempt is
 /// byte-identical to an unsupervised run.
-fn vote(
+pub(crate) fn vote(
     channel: &'static str,
     mechanism: &'static str,
     run: impl Fn(u64) -> Result<ChannelOutcome, SimError>,
-) -> Result<ChannelResult, SimError> {
+) -> Result<CellRow, SimError> {
     let salt = crate::supervise::retry_salt();
     let majority = VOTE_SEEDS.len() / 2 + 1;
     let mut outcomes: Vec<ChannelOutcome> = Vec::with_capacity(VOTE_SEEDS.len());
@@ -110,29 +120,33 @@ fn vote(
     VOTES.fetch_add(1, Ordering::Relaxed);
     VOTE_SEEDS_RUN.fetch_add(outcomes.len() as u64, Ordering::Relaxed);
     VOTE_SPLITS.fetch_add(u64::from(outcomes.len() > majority), Ordering::Relaxed);
-    Ok(majority_row(channel, mechanism, &outcomes))
+    Ok(majority_row(channel, mechanism, outcomes))
 }
 
 /// The row a vote reports: the majority verdict of `outcomes`, with the
-/// value, baseline and sample count of the first seed that agrees with it.
+/// value, baseline and sample count of the first seed that agrees with it,
+/// and that seed's outcome.
 fn majority_row(
     channel: &'static str,
     mechanism: &'static str,
-    outcomes: &[ChannelOutcome],
-) -> ChannelResult {
+    outcomes: Vec<ChannelOutcome>,
+) -> CellRow {
     let leaks = outcomes.iter().filter(|o| o.verdict.leaks).count() * 2 > outcomes.len();
     let o = outcomes
-        .iter()
+        .into_iter()
         .find(|o| o.verdict.leaks == leaks)
         .expect("majority verdict has at least one witness");
-    ChannelResult {
-        channel,
-        mechanism,
-        metric: "M_mb",
-        value: o.verdict.m.millibits(),
-        baseline: o.verdict.m0_millibits(),
-        leaks,
-        samples: o.dataset.len(),
+    CellRow {
+        row: ChannelResult {
+            channel,
+            mechanism,
+            metric: "M_mb",
+            value: o.verdict.m.millibits(),
+            baseline: o.verdict.m0_millibits(),
+            leaks,
+            samples: o.dataset.len(),
+        },
+        outcome: o,
     }
 }
 
@@ -205,6 +219,11 @@ pub struct ExperimentDef {
     pub run: fn(Platform) -> Result<Vec<ChannelResult>, SimError>,
 }
 
+/// A voted cell's rows without their outcomes.
+fn rows(cell: Result<Vec<CellRow>, SimError>) -> Result<Vec<ChannelResult>, SimError> {
+    cell.map(|rows| rows.into_iter().map(|r| r.row).collect())
+}
+
 fn any_platform(_: Platform) -> bool {
     true
 }
@@ -218,7 +237,7 @@ fn scenario_sweep(
     channel: &'static str,
     run: fn(&IntraCoreSpec) -> Result<ChannelOutcome, SimError>,
     platform: Platform,
-) -> Result<Vec<ChannelResult>, SimError> {
+) -> Result<Vec<CellRow>, SimError> {
     // The L2 channel's protected residue is the paper's most marginal
     // effect; at small sample scales the M-vs-M0 test is noise-prone
     // there, so it gets twice the observations.
@@ -246,31 +265,31 @@ fn scenario_sweep(
     .collect()
 }
 
-fn run_l1d(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_l1d(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("L1-D", cache::try_l1d_channel, p)
 }
 
-fn run_l1i(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_l1i(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("L1-I", cache::try_l1i_channel, p)
 }
 
-fn run_tlb(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_tlb(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("TLB", tlbchan::try_tlb_channel, p)
 }
 
-fn run_btb(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_btb(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("BTB", branchchan::try_btb_channel, p)
 }
 
-fn run_bhb(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_bhb(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("BHB", branchchan::try_bhb_channel, p)
 }
 
-fn run_l2(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_l2(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("L2", cache::try_l2_channel, p)
 }
 
-fn run_kernel_image(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_kernel_image(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let n = samples(300);
     [
         ("coloured-only", kernel_image::coloured_userland_config()),
@@ -280,12 +299,8 @@ fn run_kernel_image(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
     .map(|(mech, prot)| {
         vote("kernel-image", mech, |seed| {
             let spec = IntraCoreSpec {
-                platform: p,
                 prot,
-                n_symbols: 4,
-                samples: n,
-                slice_us: 50.0,
-                seed,
+                ..IntraCoreSpec::new(p, Scenario::Protected, 4, n).with_seed(seed)
             };
             kernel_image::kernel_image_channel(&spec)
         })
@@ -293,16 +308,12 @@ fn run_kernel_image(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
     .collect()
 }
 
-fn run_flush(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_flush(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let n = samples(250);
     let pad = flush_latency::table4_pad_us(p);
     let mk = |pad_us: Option<f64>, seed: u64| IntraCoreSpec {
-        platform: p,
         prot: flush_latency::flush_channel_config(pad_us),
-        n_symbols: 8,
-        samples: n,
-        slice_us: 50.0,
-        seed,
+        ..IntraCoreSpec::new(p, Scenario::Protected, 8, n).with_seed(seed)
     };
     [
         ("online-nopad", flush_latency::Timing::Online, None),
@@ -319,7 +330,7 @@ fn run_flush(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
     .collect()
 }
 
-fn run_interrupt(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+pub(crate) fn run_interrupt(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let n = samples(250);
     [("raw", false), ("partitioned", true)]
         .into_iter()
@@ -331,7 +342,7 @@ fn run_interrupt(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
         .collect()
 }
 
-fn run_bus(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+fn run_bus(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let n = samples(150);
     [("raw", Scenario::Raw), ("protected", Scenario::Protected)]
         .into_iter()
@@ -346,7 +357,7 @@ fn run_bus(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
         .collect()
 }
 
-fn run_cloud(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+fn run_cloud(p: Platform) -> Result<Vec<CellRow>, SimError> {
     [
         ("raw", ProtectionConfig::raw()),
         ("protected", ProtectionConfig::protected()),
@@ -393,7 +404,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.2, Table 3",
             cost: 9,
             supports: any_platform,
-            run: run_l1d,
+            run: |p| rows(run_l1d(p)),
         },
         ExperimentDef {
             name: "l1i",
@@ -401,7 +412,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.2, Table 3",
             cost: 8,
             supports: any_platform,
-            run: run_l1i,
+            run: |p| rows(run_l1i(p)),
         },
         ExperimentDef {
             name: "tlb",
@@ -409,7 +420,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.2, Table 3",
             cost: 6,
             supports: any_platform,
-            run: run_tlb,
+            run: |p| rows(run_tlb(p)),
         },
         ExperimentDef {
             name: "btb",
@@ -417,7 +428,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.2, Table 3",
             cost: 6,
             supports: any_platform,
-            run: run_btb,
+            run: |p| rows(run_btb(p)),
         },
         ExperimentDef {
             name: "bhb",
@@ -425,7 +436,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.2, Table 3",
             cost: 3,
             supports: any_platform,
-            run: run_bhb,
+            run: |p| rows(run_bhb(p)),
         },
         ExperimentDef {
             name: "l2",
@@ -433,7 +444,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.2, Table 3",
             cost: 70,
             supports: any_platform,
-            run: run_l2,
+            run: |p| rows(run_l2(p)),
         },
         ExperimentDef {
             name: "kernel-image",
@@ -441,7 +452,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.1, Figure 3",
             cost: 27,
             supports: any_platform,
-            run: run_kernel_image,
+            run: |p| rows(run_kernel_image(p)),
         },
         ExperimentDef {
             name: "flush-latency",
@@ -449,7 +460,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.4, Figure 5 / Table 4",
             cost: 11,
             supports: any_platform,
-            run: run_flush,
+            run: |p| rows(run_flush(p)),
         },
         ExperimentDef {
             name: "interrupt",
@@ -457,7 +468,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.5, Figure 6",
             cost: 2,
             supports: any_platform,
-            run: run_interrupt,
+            run: |p| rows(run_interrupt(p)),
         },
         ExperimentDef {
             name: "bus",
@@ -465,7 +476,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§2.3 / §6.1",
             cost: 2,
             supports: any_platform,
-            run: run_bus,
+            run: |p| rows(run_bus(p)),
         },
         ExperimentDef {
             name: "llc",
@@ -481,7 +492,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§1 / §2.1 motivation, §5 mechanisms",
             cost: 45,
             supports: any_platform,
-            run: run_cloud,
+            run: |p| rows(run_cloud(p)),
         },
     ]
 }
@@ -706,7 +717,8 @@ pub fn parse_golden(text: &str) -> BTreeMap<VerdictKey, String> {
 /// Diff a run against a golden file. Verdicts for combinations absent
 /// from the run (e.g. a platform-filtered campaign) are not required, but
 /// a combination the golden knows nothing about is an error: new
-/// experiments must be pinned.
+/// experiments must be pinned. So is a run with no verdicts at all, which
+/// would otherwise pass having checked nothing.
 ///
 /// # Errors
 /// Returns a human-readable report of every divergence.
@@ -749,15 +761,17 @@ pub fn check_goldens(golden_text: &str, results: &[ExperimentResult]) -> Result<
             }
         }
     }
-    if report.is_empty() {
-        Ok(checked)
-    } else {
+    if !report.is_empty() {
         Err(report)
+    } else if checked == 0 {
+        Err("the run has no verdicts, so none were checked".into())
+    } else {
+        Ok(checked)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::num_field;
     use std::cell::Cell;
@@ -802,12 +816,12 @@ mod tests {
             .iter()
             .map(|&s| run(s ^ salt))
             .collect::<Result<_, _>>()?;
-        Ok(majority_row("C", "m", &outcomes))
+        Ok(majority_row("C", "m", outcomes).row)
     }
 
     /// Seed `i`'s scripted outcome: its own M, M0 and sample count, so the
     /// reported row names the seed it came from.
-    fn scripted(i: usize, leaks: bool) -> ChannelOutcome {
+    pub(crate) fn scripted(i: usize, leaks: bool) -> ChannelOutcome {
         let n = 10 + i;
         ChannelOutcome {
             dataset: Dataset::from_parts(2, vec![0; n], vec![0.0; n]),
@@ -918,12 +932,15 @@ mod tests {
                         Ok(scripted(i, leaks(i)))
                     }
                 };
-                let lazy = vote("C", "m", run);
+                let lazy = vote("C", "m", run).map(|v| v.row);
                 let ctx = format!("pattern {pattern:03b}, failing seed {failing:?}");
                 match failing {
                     None => {
                         assert_eq!(lazy, reference, "{ctx}");
                         assert_eq!(calls.get(), if split { 3 } else { 2 }, "{ctx}");
+                        // The outcome handed back is the reporting seed's.
+                        let voted = vote("C", "m", run).expect("no failing seed");
+                        assert_eq!(voted.outcome.dataset.len(), voted.row.samples, "{ctx}");
                     }
                     Some(i) if i < 2 || split => assert_eq!(lazy, Err(fail(i)), "{ctx}"),
                     // Seeds 1 and 2 agree: seed 3 never runs, so its
@@ -987,6 +1004,15 @@ mod tests {
             .join("\n");
         let err = check_goldens(&missing, &results).unwrap_err();
         assert!(err.contains("UNPINNED"), "{err}");
+    }
+
+    #[test]
+    fn a_run_without_verdicts_fails_the_check() {
+        // E.g. `--platform sabre --only llc`: llc needs an LLC, so no cell
+        // runs.
+        let golden = golden_json(&fake_results());
+        let err = check_goldens(&golden, &[]).unwrap_err();
+        assert!(err.contains("no verdicts"), "{err}");
     }
 
     #[test]

@@ -1,83 +1,86 @@
 //! The channel experiments: Figures 3–6 and Tables 3–4.
+//!
+//! Figures 3 and 6 and Tables 3 and 4 format the campaign registry's cells,
+//! so they report the experiments the golden gate checks: each verdict mark
+//! is the 2-of-3 vote's, each M and M0 the reporting seed's, and each
+//! matrix that seed's dataset. Figures 4 and 5, the ablations and the
+//! §5.3.2 prefetcher-disabled follow-up run their own sample counts.
 
+use crate::campaign::{self, CellRow};
 use crate::util::{fmt_mb, samples, Table};
-use tp_analysis::ChannelMatrix;
+use tp_analysis::{ChannelMatrix, Dataset};
 use tp_attacks::harness::{ChannelOutcome, IntraCoreSpec, Scenario};
-use tp_attacks::{branchchan, cache, flush_latency, interrupt, kernel_image, llc, tlbchan};
+use tp_attacks::{cache, flush_latency, interrupt, kernel_image, llc};
 use tp_core::{ProtectionConfig, SimError};
 use tp_sim::Platform;
 
+/// The row of a cell measured under `mechanism`.
+fn row<'a>(rows: &'a [CellRow], mechanism: &str) -> &'a CellRow {
+    rows.iter()
+        .find(|r| r.row.mechanism == mechanism)
+        .unwrap_or_else(|| panic!("no {mechanism:?} row in the cell"))
+}
+
+/// A dataset's channel matrix (nothing below 8 observations).
+fn matrix(dataset: &Dataset, labels: &[&str]) -> String {
+    if dataset.len() < 8 {
+        return String::new();
+    }
+    ChannelMatrix::from_dataset(dataset, 48).render(labels)
+}
+
 /// Figure 3: the kernel-image channel matrix and MI, coloured-userland
-/// (shared kernel) vs full time protection, on both platforms.
+/// (shared kernel) vs full time protection, on every platform.
 ///
 /// # Errors
 /// Propagates the first [`SimError`] from a failed channel simulation.
 pub fn fig3() -> Result<String, SimError> {
     let mut out = String::from("Figure 3: Kernel timing-channel matrix (conditional probability\nof LLC misses given the sender's system call).\n\n");
     for platform in Platform::ALL {
-        for (name, prot) in [
-            (
-                "coloured userland only (shared kernel)",
-                kernel_image::coloured_userland_config(),
-            ),
-            (
-                "full time protection (cloned kernels)",
-                ProtectionConfig::protected(),
-            ),
+        let rows = campaign::run_kernel_image(platform)?;
+        for (name, mechanism) in [
+            ("coloured userland only (shared kernel)", "coloured-only"),
+            ("full time protection (cloned kernels)", "protected"),
         ] {
-            let spec = IntraCoreSpec {
-                platform,
-                prot,
-                n_symbols: 4,
-                samples: samples(300),
-                slice_us: 50.0,
-                seed: 0x5EED,
-            };
-            let o = kernel_image::kernel_image_channel(&spec)?;
+            let r = row(&rows, mechanism);
             out.push_str(&format!("{} — {}\n", platform.name(), name));
-            if o.dataset.len() >= 8 {
-                let m = ChannelMatrix::from_dataset(&o.dataset, 48);
-                out.push_str(&m.render(&kernel_image::SYMBOLS));
-            }
-            out.push_str(&format!("  {}\n\n", o.summary()));
+            out.push_str(&matrix(&r.outcome.dataset, &kernel_image::SYMBOLS));
+            out.push_str(&format!("  {}\n\n", r.outcome.summary()));
         }
     }
     Ok(out)
 }
 
-/// The six intra-core channels of Table 3.
-fn run_channel(name: &str, spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
-    match name {
-        "L1-D" => cache::try_l1d_channel(spec),
-        "L1-I" => cache::try_l1i_channel(spec),
-        "TLB" => tlbchan::try_tlb_channel(spec),
-        "BTB" => branchchan::try_btb_channel(spec),
-        "BHB" => branchchan::try_bhb_channel(spec),
-        "L2" => cache::try_l2_channel(spec),
-        _ => unreachable!(),
-    }
-}
-
-fn channel_spec(platform: Platform, scenario: Scenario, name: &str, n: usize) -> IntraCoreSpec {
-    let n_symbols = if name == "BHB" { 2 } else { 8 };
-    let mut spec = IntraCoreSpec::new(platform, scenario, n_symbols, n);
-    // Large L2 probes (slow clocks, big caches) get proportionally longer
-    // slices, derived from the platform geometry.
-    if name == "L2" {
-        spec = spec.with_slice_us(cache::l2_slice_us(&platform.config()));
-    }
-    spec
-}
-
 /// Table 3: MI of the intra-core channels under raw / full flush /
-/// protected, on both platforms. The residual protected x86 L2 channel is
+/// protected, on every platform. The residual protected x86 L2 channel is
 /// additionally re-measured with the data prefetcher disabled (the §5.3.2
 /// follow-up).
 ///
 /// # Errors
-/// Infallible today (the Table 3 channels never fail their simulations);
-/// `Result` keeps the experiment surface uniform.
+/// Propagates the first [`SimError`] from a failed channel simulation.
 pub fn table3() -> Result<String, SimError> {
+    let mut cells = Vec::new();
+    for platform in Platform::ALL {
+        for run in [
+            campaign::run_l1d,
+            campaign::run_l1i,
+            campaign::run_tlb,
+            campaign::run_btb,
+            campaign::run_bhb,
+            campaign::run_l2,
+        ] {
+            cells.push((platform, run(platform)?));
+        }
+    }
+    Ok(format!(
+        "Table 3: Mutual information (mb) of intra-core timing channels.\n('*' marks a definite channel, M > M0.)\n\n{}\n{}",
+        table3_rows(&cells),
+        prefetcher_disabled()?
+    ))
+}
+
+/// Table 3's body: one line per platform × channel cell.
+fn table3_rows(cells: &[(Platform, Vec<CellRow>)]) -> String {
     let mut t = Table::new(&[
         "Platform",
         "Cache",
@@ -87,48 +90,44 @@ pub fn table3() -> Result<String, SimError> {
         "Protected M",
         "(M0)",
     ]);
-    let n = samples(250);
-    let mut residual_note = String::new();
-    for platform in Platform::ALL {
-        for name in ["L1-D", "L1-I", "TLB", "BTB", "BHB", "L2"] {
-            let raw = run_channel(name, &channel_spec(platform, Scenario::Raw, name, n))?;
-            let ff = run_channel(name, &channel_spec(platform, Scenario::FullFlush, name, n))?;
-            let prot = run_channel(name, &channel_spec(platform, Scenario::Protected, name, n))?;
-            t.row(&[
-                platform.short_name().to_string(),
-                name.to_string(),
-                fmt_mb(raw.verdict.m.millibits(), raw.verdict.leaks),
-                fmt_mb(ff.verdict.m.millibits(), ff.verdict.leaks),
-                format!("{:.1}", ff.verdict.m0_millibits()),
-                fmt_mb(prot.verdict.m.millibits(), prot.verdict.leaks),
-                format!("{:.1}", prot.verdict.m0_millibits()),
-            ]);
-            // §5.3.2 follow-up: the protected x86 L2 channel with the data
-            // prefetcher disabled. In the paper the prefetcher *carries* a
-            // residual 50 mb channel; in this model the analogous
-            // unresettable-state channel flows through the brittle manual
-            // L1 flush (pseudo-LRU stragglers), and the prefetcher's fill
-            // noise *masks* it — disabling the prefetcher exposes it. Both
-            // stories share the paper's root cause (x86's missing
-            // architected L1 flush) and conclusion (only the full-hierarchy
-            // flush closes the residue); see EXPERIMENTS.md.
-            if name == "L2" && platform == Platform::Haswell {
-                let mut spec = channel_spec(platform, Scenario::Protected, name, 3 * n);
-                spec.prot = spec.prot.with_prefetcher_disabled();
-                let nopf = run_channel(name, &spec)?;
-                residual_note = format!(
-                    "x86 L2 protected, data prefetcher disabled (n = {}): M = {} mb (M0 = {:.1} mb)\n",
-                    nopf.dataset.len(),
-                    fmt_mb(nopf.verdict.m.millibits(), nopf.verdict.leaks),
-                    nopf.verdict.m0_millibits()
-                );
-            }
-        }
+    for (platform, rows) in cells {
+        let (raw, ff, prot) = (
+            row(rows, "raw"),
+            row(rows, "full-flush"),
+            row(rows, "protected"),
+        );
+        t.row(&[
+            platform.short_name().to_string(),
+            raw.row.channel.to_string(),
+            fmt_mb(raw.row.value, raw.row.leaks),
+            fmt_mb(ff.row.value, ff.row.leaks),
+            format!("{:.1}", ff.row.baseline),
+            fmt_mb(prot.row.value, prot.row.leaks),
+            format!("{:.1}", prot.row.baseline),
+        ]);
     }
+    t.render()
+}
+
+/// §5.3.2 follow-up: the protected x86 L2 channel with the data prefetcher
+/// disabled. In the paper the prefetcher *carries* a residual 50 mb
+/// channel; in this model the analogous unresettable-state channel flows
+/// through the brittle manual L1 flush (pseudo-LRU stragglers), and the
+/// prefetcher's fill noise *masks* it — disabling the prefetcher exposes
+/// it. Both stories share the paper's root cause (x86's missing
+/// architected L1 flush) and conclusion (only the full-hierarchy flush
+/// closes the residue); see EXPERIMENTS.md.
+fn prefetcher_disabled() -> Result<String, SimError> {
+    let platform = Platform::Haswell;
+    let mut spec = IntraCoreSpec::new(platform, Scenario::Protected, 8, 3 * samples(250))
+        .with_slice_us(cache::l2_slice_us(&platform.config()));
+    spec.prot = spec.prot.with_prefetcher_disabled();
+    let nopf = cache::try_l2_channel(&spec)?;
     Ok(format!(
-        "Table 3: Mutual information (mb) of intra-core timing channels.\n('*' marks a definite channel, M > M0.)\n\n{}\n{}",
-        t.render(),
-        residual_note
+        "x86 L2 protected, data prefetcher disabled (n = {}): M = {} mb (M0 = {:.1} mb)\n",
+        nopf.dataset.len(),
+        fmt_mb(nopf.verdict.m.millibits(), nopf.verdict.leaks),
+        nopf.verdict.m0_millibits()
     ))
 }
 
@@ -176,21 +175,17 @@ pub fn fig4() -> Result<String, SimError> {
 /// Propagates the first [`SimError`] from a failed channel simulation.
 pub fn fig5() -> Result<String, SimError> {
     let spec = IntraCoreSpec {
-        platform: Platform::Sabre,
         prot: flush_latency::flush_channel_config(None),
-        n_symbols: 8,
-        samples: samples(300),
-        slice_us: 50.0,
-        seed: 0x5EED,
+        ..IntraCoreSpec::new(Platform::Sabre, Scenario::Protected, 8, samples(300))
     };
     let o = flush_latency::flush_channel(&spec, flush_latency::Timing::Offline)?;
     let mut out = String::from(
         "Figure 5: Unmitigated cache-flush channel on Arm: receiver-observed\noffline time vs sender cache footprint (8 symbols = 0..256 dirty sets).\n\n",
     );
-    if o.dataset.len() >= 8 {
-        let m = ChannelMatrix::from_dataset(&o.dataset, 48);
-        out.push_str(&m.render(&["0", "32", "64", "96", "128", "160", "192", "224"]));
-    }
+    out.push_str(&matrix(
+        &o.dataset,
+        &["0", "32", "64", "96", "128", "160", "192", "224"],
+    ));
     out.push_str(&format!("  {}\n", o.summary()));
     Ok(out)
 }
@@ -209,30 +204,21 @@ pub fn table4() -> Result<String, SimError> {
         "Protected M",
         "(M0)",
     ]);
-    let n = samples(250);
     for platform in Platform::ALL {
         let pad = flush_latency::table4_pad_us(platform);
-        for timing in [
-            flush_latency::Timing::Online,
-            flush_latency::Timing::Offline,
+        let rows = campaign::run_flush(platform)?;
+        for (timing, no_pad, padded) in [
+            ("Online", "online-nopad", "online-pad"),
+            ("Offline", "offline-nopad", "offline-pad"),
         ] {
-            let mk = |pad_us: Option<f64>| IntraCoreSpec {
-                platform,
-                prot: flush_latency::flush_channel_config(pad_us),
-                n_symbols: 8,
-                samples: n,
-                slice_us: 50.0,
-                seed: 0x5EED,
-            };
-            let no_pad = flush_latency::flush_channel(&mk(None), timing)?;
-            let padded = flush_latency::flush_channel(&mk(Some(pad)), timing)?;
+            let (no_pad, padded) = (row(&rows, no_pad), row(&rows, padded));
             t.row(&[
                 format!("{} (pad {pad} µs)", platform.short_name()),
-                format!("{timing:?}"),
-                fmt_mb(no_pad.verdict.m.millibits(), no_pad.verdict.leaks),
-                format!("{:.1}", no_pad.verdict.m0_millibits()),
-                fmt_mb(padded.verdict.m.millibits(), padded.verdict.leaks),
-                format!("{:.1}", padded.verdict.m0_millibits()),
+                timing.to_string(),
+                fmt_mb(no_pad.row.value, no_pad.row.leaks),
+                format!("{:.1}", no_pad.row.baseline),
+                fmt_mb(padded.row.value, padded.row.leaks),
+                format!("{:.1}", padded.row.baseline),
             ]);
         }
     }
@@ -243,26 +229,26 @@ pub fn table4() -> Result<String, SimError> {
 }
 
 /// Figure 6: the interrupt channel (spy online time vs the Trojan's timer
-/// value), unmitigated and with IRQ partitioning.
+/// value), unmitigated and with IRQ partitioning, on Haswell.
 ///
 /// # Errors
 /// Propagates the first [`SimError`] from a failed channel simulation.
 pub fn fig6() -> Result<String, SimError> {
-    let n = samples(250);
-    let raw =
-        interrupt::try_interrupt_channel(&interrupt::paper_spec(Platform::Haswell, false, n))?;
-    let part =
-        interrupt::try_interrupt_channel(&interrupt::paper_spec(Platform::Haswell, true, n))?;
+    let rows = campaign::run_interrupt(Platform::Haswell)?;
+    let (raw, part) = (row(&rows, "raw"), row(&rows, "partitioned"));
     let mut out = String::from(
         "Figure 6: Interrupt channel: spy-observed online time vs the timer\ninterrupt configured by the Trojan (13..17 ms, 10 ms tick).\n\n",
     );
-    if raw.dataset.len() >= 8 {
-        let m = ChannelMatrix::from_dataset(&raw.dataset, 48);
+    let raw_matrix = matrix(
+        &raw.outcome.dataset,
+        &["13ms", "14ms", "15ms", "16ms", "17ms"],
+    );
+    if !raw_matrix.is_empty() {
         out.push_str("unmitigated:\n");
-        out.push_str(&m.render(&["13ms", "14ms", "15ms", "16ms", "17ms"]));
+        out.push_str(&raw_matrix);
     }
-    out.push_str(&format!("  raw:         {}\n", raw.summary()));
-    out.push_str(&format!("  partitioned: {}\n", part.summary()));
+    out.push_str(&format!("  raw:         {}\n", raw.outcome.summary()));
+    out.push_str(&format!("  partitioned: {}\n", part.outcome.summary()));
     Ok(out)
 }
 
@@ -287,12 +273,8 @@ pub fn ablations() -> Result<String, SimError> {
     let mut prot = ProtectionConfig::protected();
     prot.flush = tp_core::FlushMode::None;
     let o = cache::try_l1d_channel(&IntraCoreSpec {
-        platform: Platform::Haswell,
         prot,
-        n_symbols: 8,
-        samples: n,
-        slice_us: 50.0,
-        seed: 0x5EED,
+        ..IntraCoreSpec::new(Platform::Haswell, Scenario::Protected, 8, n)
     })?;
     push_ablation(&mut t, "R1 on-core flush", "L1-D prime&probe", &o);
 
@@ -302,24 +284,16 @@ pub fn ablations() -> Result<String, SimError> {
     // differential kernel footprint; the channel the paper demonstrates is
     // against the colouring-only baseline.)
     let o = kernel_image::kernel_image_channel(&IntraCoreSpec {
-        platform: Platform::Haswell,
         prot: kernel_image::coloured_userland_config(),
-        n_symbols: 4,
-        samples: n,
-        slice_us: 50.0,
-        seed: 0x5EED,
+        ..IntraCoreSpec::new(Platform::Haswell, Scenario::Protected, 4, n)
     })?;
     push_ablation(&mut t, "R2 kernel clone (+R1)", "kernel-image syscalls", &o);
 
     // Requirement 4: padding off -> flush-latency channel (Arm).
     let o = flush_latency::flush_channel(
         &IntraCoreSpec {
-            platform: Platform::Sabre,
             prot: flush_latency::flush_channel_config(None),
-            n_symbols: 8,
-            samples: n,
-            slice_us: 50.0,
-            seed: 0x5EED,
+            ..IntraCoreSpec::new(Platform::Sabre, Scenario::Protected, 8, n)
         },
         flush_latency::Timing::Offline,
     )?;
@@ -369,6 +343,9 @@ fn push_ablation(t: &mut Table, mech: &str, chan: &str, o: &ChannelOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::tests::scripted;
+    use crate::campaign::VerdictKey;
+    use std::cell::Cell;
 
     // The individual channels are tested in tp-attacks; here we exercise
     // the reporting glue at reduced sample counts.
@@ -381,5 +358,132 @@ mod tests {
         assert!(s.contains("raw:"));
         assert!(s.contains("protected:"));
         assert!(s.contains('#'), "raw trace should show activity: {s}");
+    }
+
+    /// A row voted over scripted seeds; seed `i` flags a leak iff
+    /// `leaks[i]`, and its M and M0 name it (see `scripted`).
+    fn voted(mechanism: &'static str, leaks: [bool; 3]) -> CellRow {
+        let calls = Cell::new(0);
+        campaign::vote("L1-D", mechanism, |_| {
+            let i = calls.replace(calls.get() + 1);
+            Ok(scripted(i, leaks[i]))
+        })
+        .expect("scripted seeds do not fail")
+    }
+
+    #[test]
+    fn table3_marks_follow_the_vote_and_values_the_reporting_seed() {
+        let rows = vec![
+            // Seed 1 leaks alone: closed, reported by seed 2.
+            voted("raw", [true, false, false]),
+            // Seed 1 alone is closed: leak, reported by seed 2.
+            voted("full-flush", [false, true, true]),
+            // Seeds 1 and 2 agree: closed, reported by seed 1.
+            voted("protected", [false, false, true]),
+        ];
+        let body = table3_rows(&[(Platform::Sabre, rows)]);
+        let line = body.lines().last().expect("one row");
+        assert_eq!(
+            line.split_whitespace().collect::<Vec<_>>(),
+            ["Arm", "L1-D", "200.0", "1200.0*", "510.0", "100.0", "500.0"],
+            "{body}"
+        );
+    }
+
+    /// The verdicts a `reproduce_all` stdout prints for registry cells:
+    /// Tables 3 and 4's `*` marks and Figures 3 and 6's summary lines.
+    fn printed_verdicts(stdout: &str) -> Vec<(VerdictKey, &'static str)> {
+        let verdict = |leaks: bool| if leaks { "leak" } else { "closed" };
+        let summary = |line: &str| {
+            if line.ends_with("** LEAK **") {
+                "leak"
+            } else {
+                assert!(line.ends_with("(no evidence of leak)"), "{line}");
+                "closed"
+            }
+        };
+        let key = |exp: &str, p: Platform, chan: &str, mech: &str| {
+            (
+                exp.to_string(),
+                p.key().to_string(),
+                chan.to_string(),
+                mech.to_string(),
+            )
+        };
+        let by_short = |s: &str| Platform::ALL.into_iter().find(|p| p.short_name() == s);
+        let mut out = Vec::new();
+        let mut section = "";
+        let mut heading = None;
+        for line in stdout.lines() {
+            if let Some(name) = line.strip_prefix("==================== ") {
+                section = name.trim_end_matches(" ====================");
+                continue;
+            }
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            match (section, cols.as_slice()) {
+                ("table3", [plat, chan, raw, ff, _, prot, _]) => {
+                    let Some(p) = by_short(plat) else { continue };
+                    let exp = chan.to_lowercase().replace('-', "");
+                    for (mech, m) in [("raw", raw), ("full-flush", ff), ("protected", prot)] {
+                        out.push((key(&exp, p, chan, mech), verdict(m.ends_with('*'))));
+                    }
+                }
+                ("table4", [plat, "(pad", _, "µs)", timing, no_pad, _, pad, _]) => {
+                    let p = by_short(plat).expect("a platform");
+                    let timing = timing.to_lowercase();
+                    for (mech, m) in [("nopad", no_pad), ("pad", pad)] {
+                        let mech = format!("{timing}-{mech}");
+                        out.push((
+                            key("flush-latency", p, "flush-latency", &mech),
+                            verdict(m.ends_with('*')),
+                        ));
+                    }
+                }
+                ("fig3", _) => {
+                    if let Some(p) = Platform::ALL
+                        .into_iter()
+                        .find(|p| line.starts_with(&format!("{} — ", p.name())))
+                    {
+                        let mech = if line.contains("coloured") {
+                            "coloured-only"
+                        } else {
+                            "protected"
+                        };
+                        heading = Some(key("kernel-image", p, "kernel-image", mech));
+                    } else if line.starts_with("  M = ") {
+                        let k = heading.take().expect("a summary follows its heading");
+                        out.push((k, summary(line)));
+                    }
+                }
+                ("fig6", [mech @ ("raw:" | "partitioned:"), ..]) => {
+                    let mech = mech.trim_end_matches(':');
+                    let k = key("interrupt", Platform::Haswell, "interrupt", mech);
+                    out.push((k, summary(line)));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// `goldens/reproduce_all.stdout` prints, for every registry cell it
+    /// shows, the verdict `goldens/verdicts.json` pins.
+    #[test]
+    fn pinned_figures_print_the_pinned_verdicts() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens");
+        let stdout = std::fs::read_to_string(format!("{dir}/reproduce_all.stdout"))
+            .expect("pinned reproduce_all stdout readable");
+        let (golden, _) = crate::store::read_artifact(format!("{dir}/verdicts.json"))
+            .expect("pinned verdicts readable");
+        let golden = campaign::parse_golden(&golden);
+        let printed = printed_verdicts(&stdout);
+        // Table 3: 24 rows x 3; Table 4: 8 rows x 2; Fig 3: 8; Fig 6: 2.
+        assert_eq!(printed.len(), 98, "{printed:?}");
+        let wrong: Vec<String> = printed
+            .iter()
+            .filter(|(k, v)| golden.get(k).map(String::as_str) != Some(*v))
+            .map(|(k, v)| format!("{k:?}: printed {v}, pinned {:?}", golden.get(k)))
+            .collect();
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 }

@@ -379,7 +379,7 @@ impl Kernel {
     }
 }
 
-/// Convenience for benches: dirty `lines` distinct L1-D lines so the flush
+/// Test helper: dirty `lines` distinct L1-D lines so the flush
 /// cost reflects the worst case.
 pub fn dirty_l1d(m: &mut Machine, core: usize, base: PAddr, lines: u64) {
     let line = m.cfg.line;
