@@ -57,7 +57,7 @@ pub fn try_btb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     let ways = u64::from(cfg.btb.ways);
     try_measure_channel(
         spec,
-        move |env: &mut UserEnv, sym: usize| {
+        async move |env: &mut UserEnv, sym: usize| {
             // The sender's branches live at *different* code addresses that
             // collide with the receiver's probe slots in the BTB index but
             // differ in tag — filling all ways of the first `k` sets and
@@ -66,23 +66,23 @@ pub fn try_btb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
             for w in 1..=ways {
                 for i in 0..k {
                     let pc = VAddr(slot_pc(i).0 + w * 0x100_0000);
-                    env.branch(pc, VAddr(pc.0 + 8), true, false);
+                    env.branch(pc, VAddr(pc.0 + 8), true, false).await;
                 }
             }
         },
         Receiver {
-            setup: move |env: &mut UserEnv| {
+            setup: async move |env: &mut UserEnv| {
                 // Warm the receiver's probe slots.
                 for i in 0..slots {
                     let pc = slot_pc(i);
-                    env.branch(pc, VAddr(pc.0 + 8), true, false);
+                    env.branch(pc, VAddr(pc.0 + 8), true, false).await;
                 }
             },
-            measure: move |env: &mut UserEnv, (): &mut ()| {
+            measure: async move |env: &mut UserEnv, (): &mut ()| {
                 let mut total = 0u64;
                 for i in 0..slots {
                     let pc = slot_pc(i);
-                    total += env.branch(pc, VAddr(pc.0 + 8), true, false);
+                    total += env.branch(pc, VAddr(pc.0 + 8), true, false).await;
                 }
                 total as f64
             },
@@ -96,10 +96,10 @@ pub fn try_btb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
 /// The scratch pc must not alias the probe pc in the pattern-history table
 /// (indices are `pc/4 xor history` modulo the PHT size), or the zeroing
 /// itself would erase the trained state.
-fn zero_history(env: &mut UserEnv, n: u32) {
+async fn zero_history(env: &UserEnv, n: u32) {
     let pc = VAddr(BRANCH_BASE + 0x44);
     for _ in 0..n {
-        env.branch(pc, VAddr(pc.0 + 8), false, true);
+        env.branch(pc, VAddr(pc.0 + 8), false, true).await;
     }
 }
 
@@ -112,22 +112,25 @@ pub fn try_bhb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     let probe_pc = VAddr(BRANCH_BASE + 0x80);
     try_measure_channel(
         spec,
-        move |env: &mut UserEnv, sym: usize| {
+        async move |env: &mut UserEnv, sym: usize| {
             // Repeatedly train the aliased PHT entry towards taken (1) or
             // not-taken (0), always from zeroed history so the same counter
             // is hit.
             for _ in 0..6 {
-                zero_history(env, ghr_bits + 2);
-                env.branch(probe_pc, VAddr(probe_pc.0 + 8), sym == 1, true);
+                zero_history(env, ghr_bits + 2).await;
+                env.branch(probe_pc, VAddr(probe_pc.0 + 8), sym == 1, true)
+                    .await;
             }
         },
         Receiver {
-            setup: move |_env: &mut UserEnv| (),
-            measure: move |env: &mut UserEnv, (): &mut ()| {
-                zero_history(env, ghr_bits + 2);
+            setup: async move |_env: &mut UserEnv| (),
+            measure: async move |env: &mut UserEnv, (): &mut ()| {
+                zero_history(env, ghr_bits + 2).await;
                 // Probe with a taken branch: fast iff the sender trained
                 // the counter to taken.
-                let lat = env.branch(probe_pc, VAddr(probe_pc.0 + 8), true, true);
+                let lat = env
+                    .branch(probe_pc, VAddr(probe_pc.0 + 8), true, true)
+                    .await;
                 lat as f64
             },
         },

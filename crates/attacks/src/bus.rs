@@ -61,48 +61,49 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     let seed = spec.seed;
 
     let slog = Arc::clone(&sender_log);
-    b.spawn_daemon(d_send, 1, 100, move |env: &mut UserEnv| {
+    b.spawn_daemon(d_send, 1, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         // Stream fresh cache lines over a large buffer: the reuse distance
         // exceeds the LLC, so every access is DRAM traffic.
-        let (base, _) = env.map_pages(4096);
+        let (base, _) = env.map_pages(4096).await;
         let lines = 4096 * (FRAME_SIZE / env.platform().line);
         let line_sz = env.platform().line;
         let mut cursor = 0u64;
         loop {
             let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now();
+            let t0 = env.now().await;
             slog.lock().push((t0, symbol));
             if symbol == 1 {
                 for _ in 0..HAMMER_ACCESSES {
                     cursor = (cursor + 97) % lines; // non-sequential: defeats the prefetcher
-                    env.load(VAddr(base.0 + cursor * line_sz));
+                    env.load(VAddr(base.0 + cursor * line_sz)).await;
                 }
             }
-            let elapsed = env.now() - t0;
+            let elapsed = env.now().await - t0;
             if elapsed < period {
-                env.compute(period - elapsed);
+                env.compute(period - elapsed).await;
             }
         }
     });
 
     let rlog = Arc::clone(&receiver_log);
-    b.spawn(d_recv, 0, 100, move |env: &mut UserEnv| {
-        let (base, _) = env.map_pages(4096);
+    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
+        let (base, _) = env.map_pages(4096).await;
         let lines = 4096 * (FRAME_SIZE / env.platform().line);
         let line_sz = env.platform().line;
         let mut cursor = 0u64;
         for _ in 0..samples + 1 {
-            let t0 = env.now();
+            let t0 = env.now().await;
             let mut total = 0u64;
             for _ in 0..PROBE_ACCESSES {
                 cursor = (cursor + 101) % lines;
-                total += env.load(VAddr(base.0 + cursor * line_sz));
+                total += env.load(VAddr(base.0 + cursor * line_sz)).await;
             }
-            rlog.lock().push((env.now(), total as f64));
-            let elapsed = env.now() - t0;
+            let t1 = env.now().await;
+            rlog.lock().push((t1, total as f64));
+            let elapsed = env.now().await - t0;
             if elapsed < period {
-                env.compute(period - elapsed);
+                env.compute(period - elapsed).await;
             }
         }
     });

@@ -29,23 +29,26 @@ pub fn try_l1d_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     let mut sbuf: Option<ProbeBuf> = None;
     try_measure_channel(
         spec,
-        move |env: &mut UserEnv, sym: usize| {
+        async move |env: &mut UserEnv, sym: usize| {
             let geom = env.platform().l1d;
-            let buf = sbuf.get_or_insert_with(|| l1_probe(env, geom));
+            if sbuf.is_none() {
+                sbuf = Some(l1_probe(env, geom).await);
+            }
+            let buf = sbuf.as_ref().expect("built above");
             let sets = geom.sets() as usize;
             let ways = geom.ways as usize;
             let k = sets * sym / n.max(1);
-            buf.dirty_prefix(env, k * ways);
+            buf.dirty_prefix(env, k * ways).await;
         },
         Receiver {
-            setup: |env: &mut UserEnv| {
+            setup: async |env: &mut UserEnv| {
                 let geom = env.platform().l1d;
-                let buf = l1_probe(env, geom);
+                let buf = l1_probe(env, geom).await;
                 // Warm the backing L2/LLC so probe misses are L2-bounded.
-                let _ = buf.probe(env);
+                let _ = buf.probe(env).await;
                 buf
             },
-            measure: |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env) as f64,
+            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env).await as f64,
         },
     )
 }
@@ -59,24 +62,27 @@ pub fn try_l1i_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     let mut sbuf: Option<ProbeBuf> = None;
     try_measure_channel(
         spec,
-        move |env: &mut UserEnv, sym: usize| {
+        async move |env: &mut UserEnv, sym: usize| {
             let geom = env.platform().l1i;
-            let buf = sbuf.get_or_insert_with(|| l1_probe(env, geom));
+            if sbuf.is_none() {
+                sbuf = Some(l1_probe(env, geom).await);
+            }
+            let buf = sbuf.as_ref().expect("built above");
             let sets = geom.sets() as usize;
             let ways = geom.ways as usize;
             let k = sets * sym / n.max(1);
             for va in &buf.lines[..(k * ways).min(buf.lines.len())] {
-                env.exec(*va);
+                env.exec(*va).await;
             }
         },
         Receiver {
-            setup: |env: &mut UserEnv| {
+            setup: async |env: &mut UserEnv| {
                 let geom = env.platform().l1i;
-                let buf = l1_probe(env, geom);
-                let _ = buf.probe_exec(env);
+                let buf = l1_probe(env, geom).await;
+                let _ = buf.probe_exec(env).await;
                 buf
             },
-            measure: |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe_exec(env) as f64,
+            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe_exec(env).await as f64,
         },
     )
 }
@@ -111,32 +117,33 @@ pub fn try_l2_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> 
     let mut sbuf: Option<ProbeBuf> = None;
     try_measure_channel(
         spec,
-        move |env: &mut UserEnv, sym: usize| {
-            let buf = sbuf.get_or_insert_with(|| {
+        async move |env: &mut UserEnv, sym: usize| {
+            if sbuf.is_none() {
                 let geom = env.platform().l2;
                 let targets: Vec<usize> = (0..n_sets.min(geom.sets() as usize)).collect();
                 let ways = geom.ways as usize;
-                let b = phys_probe(env, geom, &targets, ways, 4 * n_sets.max(64));
+                let b = phys_probe(env, geom, &targets, ways, 4 * n_sets.max(64)).await;
                 // Warm the whole buffer once so per-slice footprints are
                 // L2-bounded and fit within the slice.
-                let _ = b.probe(env);
-                b
-            });
+                let _ = b.probe(env).await;
+                sbuf = Some(b);
+            }
+            let buf = sbuf.as_ref().expect("built above");
             let per_set = buf.per_set.max(1);
             let covered = buf.len() / per_set;
             let k = covered * sym / n.max(1);
-            buf.dirty_prefix(env, k * per_set);
+            buf.dirty_prefix(env, k * per_set).await;
         },
         Receiver {
-            setup: move |env: &mut UserEnv| {
+            setup: async move |env: &mut UserEnv| {
                 let geom = env.platform().l2;
                 let targets: Vec<usize> = (0..n_sets.min(geom.sets() as usize)).collect();
                 let ways = geom.ways as usize;
-                let buf = phys_probe(env, geom, &targets, ways, 4 * n_sets.max(64));
-                let _ = buf.probe(env);
+                let buf = phys_probe(env, geom, &targets, ways, 4 * n_sets.max(64)).await;
+                let _ = buf.probe(env).await;
                 buf
             },
-            measure: |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env) as f64,
+            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env).await as f64,
         },
     )
 }
@@ -156,27 +163,30 @@ pub fn try_l2_prefetcher_residual(spec: &IntraCoreSpec) -> Result<ChannelOutcome
     let mut sender_buf: Option<tp_sim::VAddr> = None;
     try_measure_channel(
         spec,
-        move |env: &mut UserEnv, sym: usize| {
-            let pages = 2 * n;
-            let base = *sender_buf.get_or_insert_with(|| env.map_pages(pages).0);
+        async move |env: &mut UserEnv, sym: usize| {
+            let base = match sender_buf {
+                Some(base) => base,
+                None => *sender_buf.insert(env.map_pages(2 * n).await.0),
+            };
             let line = env.platform().line;
             let lines_per_page = tp_sim::FRAME_SIZE / line;
             // Walk `2·sym` pages sequentially: one trained stream each.
             for p in 0..(2 * sym) as u64 {
                 for l in 0..lines_per_page {
-                    env.load(tp_sim::VAddr(base.0 + p * tp_sim::FRAME_SIZE + l * line));
+                    env.load(tp_sim::VAddr(base.0 + p * tp_sim::FRAME_SIZE + l * line))
+                        .await;
                 }
             }
         },
         Receiver {
-            setup: move |env: &mut UserEnv| {
+            setup: async move |env: &mut UserEnv| {
                 let geom = env.platform().l2;
                 let targets: Vec<usize> = (0..256).collect();
-                let buf = phys_probe(env, geom, &targets, geom.ways as usize, 1024);
-                let _ = buf.probe(env);
+                let buf = phys_probe(env, geom, &targets, geom.ways as usize, 1024).await;
+                let _ = buf.probe(env).await;
                 buf
             },
-            measure: |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env) as f64,
+            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env).await as f64,
         },
     )
 }

@@ -64,29 +64,29 @@ pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutc
     let seed = spec.seed;
 
     let slog = Arc::clone(&sender_log);
-    b.spawn_daemon(d_send, 0, 100, move |env: &mut UserEnv| {
+    b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         let geom = env.platform().l1d;
-        let buf: ProbeBuf = l1_probe(env, geom);
+        let buf: ProbeBuf = l1_probe(env, geom).await;
         loop {
             let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now();
+            let t0 = env.now().await;
             slog.lock().push((t0, symbol));
             // Dirty `k` cache sets: the flush on the switch away from us
             // will write them all back.
             let per_set = geom.ways as usize;
             let k = geom.sets() as usize * symbol / n_symbols.max(1);
-            buf.dirty_prefix(env, k * per_set);
-            let _ = env.wait_preempt();
+            buf.dirty_prefix(env, k * per_set).await;
+            let _ = env.wait_preempt().await;
         }
     });
 
     let rlog = Arc::clone(&receiver_log);
-    b.spawn(d_recv, 0, 100, move |env: &mut UserEnv| {
+    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
         let mut last_resume: Option<u64> = None;
         let mut taken = 0usize;
         while taken < samples + 1 {
-            let (gap_start, resume) = env.wait_preempt();
+            let (gap_start, resume) = env.wait_preempt().await;
             // Pairing timestamps: the offline period *contains* the sender
             // slice that modulated the flush, so it is stamped at its end
             // (resume); the online period follows the switch-in from the

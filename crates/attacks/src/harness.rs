@@ -139,11 +139,12 @@ impl ChannelOutcome {
 
 /// A sender body: called once per sender slice with the environment and the
 /// symbol to encode.
-pub trait SenderFn: FnMut(&mut UserEnv, usize) + Send + 'static {}
-impl<F: FnMut(&mut UserEnv, usize) + Send + 'static> SenderFn for F {}
+pub trait SenderFn: AsyncFnMut(&mut UserEnv, usize) + 'static {}
+impl<F: AsyncFnMut(&mut UserEnv, usize) + 'static> SenderFn for F {}
 
 /// A receiver body: `setup` runs once (untimed allocation/profiling),
-/// `measure` once per slice returning the observation.
+/// `measure` once per slice returning the observation. Both are `async`
+/// closures.
 pub struct Receiver<S, M> {
     /// One-time setup returning the receiver's probe state.
     pub setup: S,
@@ -158,12 +159,12 @@ pub struct Receiver<S, M> {
 ///
 /// # Errors
 /// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_run_intra_core<T: Send + 'static>(
+pub fn try_run_intra_core<T: 'static>(
     spec: &IntraCoreSpec,
     sender: impl SenderFn,
     receiver: Receiver<
-        impl FnOnce(&mut UserEnv) -> T + Send + 'static,
-        impl FnMut(&mut UserEnv, &mut T) -> f64 + Send + 'static,
+        impl AsyncFnOnce(&mut UserEnv) -> T + 'static,
+        impl AsyncFnMut(&mut UserEnv, &mut T) -> f64 + 'static,
     >,
 ) -> Result<Dataset, SimError> {
     try_run_intra_core_with_setup(spec, None, sender, receiver)
@@ -175,13 +176,13 @@ pub fn try_run_intra_core<T: Send + 'static>(
 ///
 /// # Errors
 /// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_run_intra_core_with_setup<T: Send + 'static>(
+pub fn try_run_intra_core_with_setup<T: 'static>(
     spec: &IntraCoreSpec,
     setup_hook: Option<tp_core::system::SetupFn>,
     mut sender: impl SenderFn,
     receiver: Receiver<
-        impl FnOnce(&mut UserEnv) -> T + Send + 'static,
-        impl FnMut(&mut UserEnv, &mut T) -> f64 + Send + 'static,
+        impl AsyncFnOnce(&mut UserEnv) -> T + 'static,
+        impl AsyncFnMut(&mut UserEnv, &mut T) -> f64 + 'static,
     >,
 ) -> Result<Dataset, SimError> {
     let sender_log: SenderLog = Arc::new(Mutex::new(Vec::new()));
@@ -203,29 +204,28 @@ pub fn try_run_intra_core_with_setup<T: Send + 'static>(
     let seed = spec.seed;
 
     let slog = Arc::clone(&sender_log);
-    b.spawn_daemon(d_send, 0, 100, move |env: &mut UserEnv| {
+    b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         loop {
             let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now();
+            let t0 = env.now().await;
             slog.lock().push((t0, symbol));
-            sender(env, symbol);
-            let _ = env.wait_preempt();
+            sender(env, symbol).await;
+            let _ = env.wait_preempt().await;
         }
     });
 
     let rlog = Arc::clone(&receiver_log);
     let Receiver { setup, mut measure } = receiver;
-    let mut setup = Some(setup);
-    b.spawn(d_recv, 0, 100, move |env: &mut UserEnv| {
-        let mut state = (setup.take().expect("setup once"))(env);
+    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
+        let mut state = setup(env).await;
         // Synchronise to a slice boundary after setup.
-        let _ = env.wait_preempt();
+        let _ = env.wait_preempt().await;
         for _ in 0..samples + 1 {
-            let t0 = env.now();
-            let out = measure(env, &mut state);
+            let t0 = env.now().await;
+            let out = measure(env, &mut state).await;
             rlog.lock().push((t0, out));
-            let _ = env.wait_preempt();
+            let _ = env.wait_preempt().await;
         }
     });
 
@@ -255,12 +255,12 @@ pub fn pair_logs(n_symbols: usize, sends: &[(u64, usize)], recvs: &[(u64, f64)])
 ///
 /// # Errors
 /// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_measure_channel<T: Send + 'static>(
+pub fn try_measure_channel<T: 'static>(
     spec: &IntraCoreSpec,
     sender: impl SenderFn,
     receiver: Receiver<
-        impl FnOnce(&mut UserEnv) -> T + Send + 'static,
-        impl FnMut(&mut UserEnv, &mut T) -> f64 + Send + 'static,
+        impl AsyncFnOnce(&mut UserEnv) -> T + 'static,
+        impl AsyncFnMut(&mut UserEnv, &mut T) -> f64 + 'static,
     >,
 ) -> Result<ChannelOutcome, SimError> {
     let dataset = try_run_intra_core(spec, sender, receiver)?;
@@ -297,13 +297,13 @@ mod tests {
         let spec = IntraCoreSpec::new(Platform::Haswell, Scenario::Raw, 2, 10).with_slice_us(20.0);
         let d = try_run_intra_core(
             &spec,
-            |env: &mut UserEnv, _sym| {
-                env.compute(500);
+            async |env: &mut UserEnv, _sym| {
+                env.compute(500).await;
             },
             Receiver {
-                setup: |_env: &mut UserEnv| (),
-                measure: |env: &mut UserEnv, (): &mut ()| {
-                    env.compute(100);
+                setup: async |_env: &mut UserEnv| (),
+                measure: async |env: &mut UserEnv, (): &mut ()| {
+                    env.compute(100).await;
                     1.0
                 },
             },

@@ -79,26 +79,26 @@ pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, Sim
     let seed = spec.seed;
 
     let slog = Arc::clone(&sender_log);
-    b.spawn_daemon(d_trojan, 0, 100, move |env: &mut UserEnv| {
+    b.spawn_daemon(d_trojan, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         loop {
             let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now();
+            let t0 = env.now().await;
             slog.lock().push((t0, symbol));
-            let _ = env.set_timer_us(0, TIMER_VALUES_MS[symbol] * 1000.0);
+            let _ = env.set_timer_us(0, TIMER_VALUES_MS[symbol] * 1000.0).await;
             // Sleep for the rest of the slice.
-            env.sleep_slice();
+            env.sleep_slice().await;
         }
     });
 
     let rlog = Arc::clone(&receiver_log);
     let slot_cycles = spec.platform.config().us_to_cycles(spec.slice_us);
-    b.spawn(d_spy, 0, 100, move |env: &mut UserEnv| {
+    b.spawn(d_spy, 0, 100, async move |env: &mut UserEnv| {
         let mut last_resume: Option<u64> = None;
         let mut prev_offline = u64::MAX; // before the first resume: a slot boundary
         let mut taken = 0usize;
         while taken < samples + 1 {
-            let (gap_start, resume) = env.wait_preempt();
+            let (gap_start, resume) = env.wait_preempt().await;
             // Record the *first* online period of each of our slots: the
             // one whose start followed a long (slot-boundary) offline
             // period. Its length is where the Trojan's interrupt landed.

@@ -118,32 +118,34 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
     let samples = spec.samples;
     let seed = spec.seed;
     let slog = Arc::clone(&sender_log);
-    b.spawn_daemon(d_send, 0, 100, move |env: &mut UserEnv| {
+    b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         loop {
             let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now();
+            let t0 = env.now().await;
             slog.lock().push((t0, symbol));
             for _ in 0..REPS {
                 match symbol {
                     0 => {
-                        let _ = env.syscall(Syscall::Signal { cap: 0 });
+                        let _ = env.syscall(Syscall::Signal { cap: 0 }).await;
                     }
                     1 => {
-                        let _ = env.syscall(Syscall::TcbSetPriority { cap: 1, prio: 100 });
+                        let _ = env
+                            .syscall(Syscall::TcbSetPriority { cap: 1, prio: 100 })
+                            .await;
                     }
                     2 => {
-                        let _ = env.syscall(Syscall::Poll { cap: 0 });
+                        let _ = env.syscall(Syscall::Poll { cap: 0 }).await;
                     }
-                    _ => env.compute(400),
+                    _ => env.compute(400).await,
                 }
             }
-            let _ = env.wait_preempt();
+            let _ = env.wait_preempt().await;
         }
     });
 
     let rlog = Arc::clone(&receiver_log);
-    b.spawn(d_recv, 0, 100, move |env: &mut UserEnv| {
+    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
         let cfg = *env.platform();
         // The eviction machinery: a data probe over exactly the unified-L2
         // sets the candidate handlers are served from (the real attack
@@ -159,26 +161,29 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
             &targets,
             cfg.l2.ways as usize,
             6 * targets.len(),
-        );
-        let ibuf: ProbeBuf = crate::probe::l1_probe(env, cfg.l1i);
-        let _ = dbuf.probe(env);
-        let _ = ibuf.probe_exec(env);
-        let _ = env.wait_preempt();
+        )
+        .await;
+        let ibuf: ProbeBuf = crate::probe::l1_probe(env, cfg.l1i).await;
+        let _ = dbuf.probe(env).await;
+        let _ = ibuf.probe_exec(env).await;
+        let _ = env.wait_preempt().await;
         for _ in 0..samples + 1 {
             // Time the three handler syscalls back to back; the sum drops
             // by (LLC − L2 latency) × footprint for the handler the sender
             // kept warm.
-            let t0 = env.now();
-            let _ = env.syscall(Syscall::Signal { cap: 0 });
-            let _ = env.syscall(Syscall::TcbSetPriority { cap: 1, prio: 100 });
-            let _ = env.syscall(Syscall::Poll { cap: 0 });
-            let t1 = env.now();
+            let t0 = env.now().await;
+            let _ = env.syscall(Syscall::Signal { cap: 0 }).await;
+            let _ = env
+                .syscall(Syscall::TcbSetPriority { cap: 1, prio: 100 })
+                .await;
+            let _ = env.syscall(Syscall::Poll { cap: 0 }).await;
+            let t1 = env.now().await;
             rlog.lock().push((t0, (t1 - t0) as f64));
             // Evict the handlers from the L2 (data probe over their sets)
             // and from the L1-I, re-arming the measurement.
-            let _ = dbuf.probe(env);
-            let _ = ibuf.probe_exec(env);
-            let _ = env.wait_preempt();
+            let _ = dbuf.probe(env).await;
+            let _ = ibuf.probe_exec(env).await;
+            let _ = env.wait_preempt().await;
         }
     });
 

@@ -130,11 +130,11 @@ pub fn try_llc_attack_on(
     let target2 = Arc::clone(&square_target);
     let square_log2 = Arc::clone(&square_log);
     let ntfn_victim = Arc::clone(&ntfn_cap);
-    b.spawn_daemon(d_victim, 1, 100, move |env: &mut UserEnv| {
+    b.spawn_daemon(d_victim, 1, 100, async move |env: &mut UserEnv| {
         let cfg = *env.platform();
         let line = cfg.line;
         // Code pages: square function and multiply function.
-        let (code_va, code_frames) = env.map_pages(2);
+        let (code_va, code_frames) = env.map_pages(2).await;
         let square_va = code_va;
         let mul_va = VAddr(code_va.0 + FRAME_SIZE);
         // Publish the (slice, set) of the square function's first line,
@@ -151,29 +151,35 @@ pub fn try_llc_attack_on(
             *target2.lock() = Some((slice, set));
             let cap = ntfn_victim.lock().0;
             env.syscall(Syscall::Signal { cap })
+                .await
                 .expect("signal placement");
         }
         // Operand data.
-        let (data_va, _) = env.map_pages(2);
+        let (data_va, _) = env.map_pages(2).await;
         let c1 = BigUint::from_limbs(vec![0x1234_5678_9abc_def0, 0x0fed_cba9]);
+        // The key and ciphertext are fixed, so every decryption performs
+        // the same square/multiply sequence.
+        let mut ops = Vec::new();
+        let _ = key.decrypt_shared(&c1, |op| ops.push(op));
         loop {
-            let _ = key.decrypt_shared(&c1, |op| {
+            for &op in &ops {
                 let (fn_va, limbs, compute) = match op {
                     ExpOp::Square => (square_va, 4u64, SQUARE_COMPUTE),
                     ExpOp::Multiply => (mul_va, 4u64, MUL_COMPUTE),
                 };
                 if op == ExpOp::Square {
-                    square_log2.lock().push(env.now());
+                    let t = env.now().await;
+                    square_log2.lock().push(t);
                 }
                 for i in 0..4u64 {
-                    env.exec(VAddr(fn_va.0 + i * line));
+                    env.exec(VAddr(fn_va.0 + i * line)).await;
                 }
                 for i in 0..limbs {
-                    env.load(VAddr(data_va.0 + i * line));
+                    env.load(VAddr(data_va.0 + i * line)).await;
                 }
-                env.compute(compute);
-            });
-            env.compute(DECRYPT_PAUSE);
+                env.compute(compute).await;
+            }
+            env.compute(DECRYPT_PAUSE).await;
         }
     });
 
@@ -182,7 +188,7 @@ pub fn try_llc_attack_on(
     let trace2 = Arc::clone(&trace);
     let evset2 = Arc::clone(&evset_size);
     let ntfn_spy = Arc::clone(&ntfn_cap);
-    b.spawn(d_spy, 0, 100, move |env: &mut UserEnv| {
+    b.spawn(d_spy, 0, 100, async move |env: &mut UserEnv| {
         let cfg = *env.platform();
         let llc = cfg.llc.expect("x86");
         let per_slice = CacheGeom {
@@ -196,11 +202,15 @@ pub fn try_llc_attack_on(
         let cap = ntfn_spy.lock().1;
         let mut tgt = None;
         for _ in 0..10_000 {
-            if env.syscall(Syscall::Poll { cap }).expect("poll placement") != 0 {
+            let placed = env
+                .syscall(Syscall::Poll { cap })
+                .await
+                .expect("poll placement");
+            if placed != 0 {
                 tgt = *target.lock();
                 break;
             }
-            env.compute(1_000);
+            env.compute(1_000).await;
         }
         let (slice, set) = tgt.expect("victim placement");
         let buf = llc_slice_probe(
@@ -211,17 +221,18 @@ pub fn try_llc_attack_on(
             set,
             llc.ways as usize,
             4096,
-        );
+        )
+        .await;
         *evset2.lock() = buf.len();
         // Prime once.
-        let _ = buf.probe(env);
+        let _ = buf.probe(env).await;
         for _slot in 0..slots as u64 {
-            let t0 = env.now();
-            let lat = buf.probe(env);
+            let t0 = env.now().await;
+            let lat = buf.probe(env).await;
             trace2.lock().push((t0, lat));
-            let elapsed = env.now() - t0;
+            let elapsed = env.now().await - t0;
             if elapsed < SLOT_CYCLES {
-                env.compute(SLOT_CYCLES - elapsed);
+                env.compute(SLOT_CYCLES - elapsed).await;
             }
         }
     });

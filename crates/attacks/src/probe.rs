@@ -18,8 +18,8 @@ use tp_sim::{CacheGeom, VAddr, FRAME_SIZE};
 /// All probe entry points run through the environment's batched sweep API:
 /// the buffer lazily builds one translated [`EnvPlan`] per access side (the
 /// I- and D-side L1 geometries can differ) on first use and keeps it, so a
-/// probe takes the simulation lock and the scheduler turn once per sweep
-/// instead of once per line and never re-translates its lines. A plan
+/// probe takes the scheduler turn once per sweep instead of once per line
+/// and never re-translates its lines. A plan
 /// cannot go stale: user mappings are append-only (see [`EnvPlan`]). The
 /// `*_scalar` siblings keep the original line-at-a-time path as a
 /// reference oracle — the workspace property tests pin batch and scalar to
@@ -47,67 +47,91 @@ impl ProbeBuf {
 
     /// The plan for the chosen side, built by the first sweep that needs
     /// it.
-    fn plan(&self, env: &UserEnv, insn: bool) -> &EnvPlan {
-        self.plans[usize::from(insn)].get_or_init(|| env.build_plan(&self.lines, insn))
+    async fn plan(&self, env: &UserEnv, insn: bool) -> &EnvPlan {
+        let cell = &self.plans[usize::from(insn)];
+        if let Some(plan) = cell.get() {
+            return plan;
+        }
+        let plan = env.build_plan(&self.lines, insn).await;
+        cell.get_or_init(|| plan)
     }
 
     /// Probe with loads; returns the total latency in cycles.
     #[must_use]
-    pub fn probe(&self, env: &mut UserEnv) -> u64 {
-        env.probe_batch(self.plan(env, false), usize::MAX, false, None)
+    pub async fn probe(&self, env: &UserEnv) -> u64 {
+        let plan = self.plan(env, false).await;
+        env.probe_batch(plan, usize::MAX, false, None).await
     }
 
     /// Probe with stores (dirties the lines).
     #[must_use]
-    pub fn probe_write(&self, env: &mut UserEnv) -> u64 {
-        env.probe_batch(self.plan(env, false), usize::MAX, true, None)
+    pub async fn probe_write(&self, env: &UserEnv) -> u64 {
+        let plan = self.plan(env, false).await;
+        env.probe_batch(plan, usize::MAX, true, None).await
     }
 
     /// Probe with instruction fetches.
     #[must_use]
-    pub fn probe_exec(&self, env: &mut UserEnv) -> u64 {
-        env.probe_batch(self.plan(env, true), usize::MAX, false, None)
+    pub async fn probe_exec(&self, env: &UserEnv) -> u64 {
+        let plan = self.plan(env, true).await;
+        env.probe_batch(plan, usize::MAX, false, None).await
     }
 
     /// Probe with loads, counting accesses slower than `threshold` (cache
     /// misses at the monitored level).
     #[must_use]
-    pub fn probe_misses(&self, env: &mut UserEnv, threshold: u64) -> u64 {
+    pub async fn probe_misses(&self, env: &UserEnv, threshold: u64) -> u64 {
         let mut costs = Vec::with_capacity(self.lines.len());
-        env.probe_batch(self.plan(env, false), usize::MAX, false, Some(&mut costs));
+        let plan = self.plan(env, false).await;
+        env.probe_batch(plan, usize::MAX, false, Some(&mut costs))
+            .await;
         costs.iter().filter(|&&c| c >= threshold).count() as u64
     }
 
     /// Probe a sub-range `[0, n)` of the buffer's lines with loads.
     #[must_use]
-    pub fn probe_prefix(&self, env: &mut UserEnv, n: usize) -> u64 {
-        env.probe_batch(self.plan(env, false), n, false, None)
+    pub async fn probe_prefix(&self, env: &UserEnv, n: usize) -> u64 {
+        let plan = self.plan(env, false).await;
+        env.probe_batch(plan, n, false, None).await
     }
 
     /// Dirty the first `n` lines (the §5.3.4 sender).
-    pub fn dirty_prefix(&self, env: &mut UserEnv, n: usize) {
-        env.probe_batch(self.plan(env, false), n, true, None);
+    pub async fn dirty_prefix(&self, env: &UserEnv, n: usize) {
+        let plan = self.plan(env, false).await;
+        env.probe_batch(plan, n, true, None).await;
     }
 
     /// Line-at-a-time load probe: the reference oracle for
     /// [`ProbeBuf::probe`].
     #[must_use]
-    pub fn probe_scalar(&self, env: &mut UserEnv) -> u64 {
-        self.lines.iter().map(|&va| env.load(va)).sum()
+    pub async fn probe_scalar(&self, env: &UserEnv) -> u64 {
+        let mut total = 0;
+        for &va in &self.lines {
+            total += env.load(va).await;
+        }
+        total
     }
 
     /// Line-at-a-time store probe: the reference oracle for
     /// [`ProbeBuf::probe_write`].
     #[must_use]
-    pub fn probe_write_scalar(&self, env: &mut UserEnv) -> u64 {
-        self.lines.iter().map(|&va| env.store(va)).sum()
+    pub async fn probe_write_scalar(&self, env: &UserEnv) -> u64 {
+        let mut total = 0;
+        for &va in &self.lines {
+            total += env.store(va).await;
+        }
+        total
     }
 
     /// Line-at-a-time fetch probe: the reference oracle for
     /// [`ProbeBuf::probe_exec`].
     #[must_use]
-    pub fn probe_exec_scalar(&self, env: &mut UserEnv) -> u64 {
-        self.lines.iter().map(|&va| env.exec(va)).sum()
+    pub async fn probe_exec_scalar(&self, env: &UserEnv) -> u64 {
+        let mut total = 0;
+        for &va in &self.lines {
+            total += env.exec(va).await;
+        }
+        total
     }
 
     /// Number of probe lines.
@@ -126,13 +150,13 @@ impl ProbeBuf {
 /// Build a probe buffer covering the L1 cache (`sets × ways` lines). The L1
 /// set index is a pure page-offset function, so any `ways` pages suffice.
 #[must_use]
-pub fn l1_probe(env: &mut UserEnv, geom: CacheGeom) -> ProbeBuf {
+pub async fn l1_probe(env: &UserEnv, geom: CacheGeom) -> ProbeBuf {
     let sets = geom.sets();
     let ways = geom.ways as u64;
     let line = geom.line;
     let lines_per_page = FRAME_SIZE / line;
     let pages_per_way = (sets * line).div_ceil(FRAME_SIZE).max(1);
-    let (va, _) = env.map_pages((ways * pages_per_way) as usize);
+    let (va, _) = env.map_pages((ways * pages_per_way) as usize).await;
     let mut lines = Vec::with_capacity((sets * ways) as usize);
     for set in 0..sets {
         for w in 0..ways {
@@ -154,8 +178,8 @@ pub fn l1_probe(env: &mut UserEnv, geom: CacheGeom) -> ProbeBuf {
 /// off-colour sets under partitioning) are simply not covered — exactly the
 /// situation of a coloured attacker.
 #[must_use]
-pub fn phys_probe(
-    env: &mut UserEnv,
+pub async fn phys_probe(
+    env: &UserEnv,
     geom: CacheGeom,
     target_sets: &[usize],
     ways: usize,
@@ -163,7 +187,7 @@ pub fn phys_probe(
 ) -> ProbeBuf {
     let line = geom.line;
     let lines_per_page = FRAME_SIZE / line;
-    let (va, frames) = env.map_pages(pool_pages);
+    let (va, frames) = env.map_pages(pool_pages).await;
     // Direct set → target-slot table: the profiling scan visits every line
     // of the pool, so membership tests must be O(1) (a linear
     // `contains` over hundreds of target sets made this scan quadratic).
@@ -201,8 +225,8 @@ pub fn phys_probe(
 /// Build a probe buffer for one (slice, set) position of the sliced LLC —
 /// the cross-core attack's monitored set (§5.3.3).
 #[must_use]
-pub fn llc_slice_probe(
-    env: &mut UserEnv,
+pub async fn llc_slice_probe(
+    env: &UserEnv,
     per_slice_geom: CacheGeom,
     slices: u64,
     target_slice: usize,
@@ -212,7 +236,7 @@ pub fn llc_slice_probe(
 ) -> ProbeBuf {
     let line = per_slice_geom.line;
     let lines_per_page = FRAME_SIZE / line;
-    let (va, frames) = env.map_pages(pool_pages);
+    let (va, frames) = env.map_pages(pool_pages).await;
     let mut lines = Vec::new();
     'outer: for (pi, pfn) in frames.iter().enumerate() {
         for l in 0..lines_per_page {
@@ -252,11 +276,11 @@ mod tests {
         let mut b =
             SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw()).max_cycles(50_000_000);
         let d = b.domain(None);
-        b.spawn(d, 0, 100, move |env: &mut UserEnv| {
+        b.spawn(d, 0, 100, async move |env: &mut UserEnv| {
             let geom = env.platform().l1d;
-            let buf = l1_probe(env, geom);
-            let cold = buf.probe(env);
-            let warm = buf.probe(env);
+            let buf = l1_probe(env, geom).await;
+            let cold = buf.probe(env).await;
+            let warm = buf.probe(env).await;
             *hits2.lock() = (buf.len(), cold, warm);
         });
         let _ = b.run();
@@ -276,15 +300,15 @@ mod tests {
             .max_cycles(50_000_000);
         let d0 = b.domain(None); // colours 0..4
         let _d1 = b.domain(None); // colours 4..8
-        b.spawn(d0, 0, 100, move |env: &mut UserEnv| {
+        b.spawn(d0, 0, 100, async move |env: &mut UserEnv| {
             let geom = env.platform().l2;
             // L2 colour = set/64 on Haswell (512 sets, 8 colours).
             // Sets 0..64 are colour 0 (ours); sets 256..320 are colour 4
             // (the other domain's).
             let ours: Vec<usize> = (0..64).collect();
             let theirs: Vec<usize> = (256..320).collect();
-            let buf_ours = phys_probe(env, geom, &ours, 8, 128);
-            let buf_theirs = phys_probe(env, geom, &theirs, 8, 128);
+            let buf_ours = phys_probe(env, geom, &ours, 8, 128).await;
+            let buf_theirs = phys_probe(env, geom, &theirs, 8, 128).await;
             *found2.lock() = (buf_ours.len(), buf_theirs.len());
         });
         let _ = b.run();
@@ -300,14 +324,15 @@ mod tests {
         let mut b =
             SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw()).max_cycles(50_000_000);
         let d = b.domain(None);
-        b.spawn(d, 0, 100, move |env: &mut UserEnv| {
+        b.spawn(d, 0, 100, async move |env: &mut UserEnv| {
             let cfg = *env.platform();
             let llc = cfg.llc.unwrap();
             let per_slice = CacheGeom {
                 size: llc.size / u64::from(cfg.llc_slices),
                 ..llc
             };
-            let buf = llc_slice_probe(env, per_slice, cfg.llc_slices.into(), 2, 100, 16, 4096);
+            let buf =
+                llc_slice_probe(env, per_slice, cfg.llc_slices.into(), 2, 100, 16, 4096).await;
             *found2.lock() = buf.len();
         });
         let _ = b.run();

@@ -54,29 +54,32 @@ pub fn try_tlb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     let mut sender_base: Option<VAddr> = None;
     try_measure_channel(
         spec,
-        move |env: &mut UserEnv, sym: usize| {
-            let base = *sender_base.get_or_insert_with(|| env.map_pages(sweep).0);
+        async move |env: &mut UserEnv, sym: usize| {
+            let base = match sender_base {
+                Some(base) => base,
+                None => *sender_base.insert(env.map_pages(sweep).await.0),
+            };
             let k = sweep * sym / n.max(1);
             for p in 0..k {
-                env.load(VAddr(base.0 + p as u64 * FRAME_SIZE));
+                env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
             }
         },
         crate::harness::Receiver {
-            setup: move |env: &mut UserEnv| {
-                let (base, _) = env.map_pages(pages);
+            setup: async move |env: &mut UserEnv| {
+                let (base, _) = env.map_pages(pages).await;
                 // Warm the pages into caches so the residual signal is TLB
                 // latency, not cache misses.
                 for _ in 0..2 {
                     for p in 0..pages {
-                        env.load(VAddr(base.0 + p as u64 * FRAME_SIZE));
+                        env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
                     }
                 }
                 base
             },
-            measure: move |env: &mut UserEnv, base: &mut VAddr| {
+            measure: async move |env: &mut UserEnv, base: &mut VAddr| {
                 let mut total = 0u64;
                 for p in 0..pages {
-                    total += env.load(VAddr(base.0 + p as u64 * FRAME_SIZE));
+                    total += env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
                 }
                 total as f64
             },

@@ -345,11 +345,10 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Draw one fuzzed fault class with a fuzzed trigger ordinal in 1..=40.
 fn fuzz_kind(state: &mut u64) -> FaultKind {
     let at = 1 + splitmix(state) % 40;
-    match splitmix(state) % 4 {
+    match splitmix(state) % 3 {
         0 => FaultKind::EnvPanic { at },
         1 => FaultKind::EnvStall { at },
-        2 => FaultKind::LostWakeup { at },
-        _ => FaultKind::StackOverflow,
+        _ => FaultKind::LostWakeup { at },
     }
 }
 
@@ -370,7 +369,6 @@ fn allowed_outcomes(kind: FaultKind) -> Vec<CellOutcome> {
         // wedged token into a livelock, which only the watchdog can
         // classify — `TimedOut` is the correct verdict there.
         FaultKind::LostWakeup { .. } => vec![O::Deadlock, O::TimedOut, O::Ok],
-        FaultKind::StackOverflow => vec![O::StackOverflow, O::EnvFailed, O::Ok],
     }
 }
 

@@ -580,14 +580,13 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     let sup = crate::supervise::counters();
     let _ = writeln!(
         s,
-        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
+        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}}},",
         sup.retries,
         sup.timeouts,
         sup.panics,
         sup.quarantined,
         sup.env_failed,
         sup.deadlocks,
-        sup.stack_overflows,
     );
     // Resume/durability accounting: a clean (non-resumed, uncontended)
     // campaign reports all zeroes here, and CI gates on exactly that.
@@ -870,7 +869,6 @@ pub(crate) mod tests {
                     "quarantined",
                     "env_failed",
                     "deadlocks",
-                    "stack_overflows",
                 ],
             ),
             ("votes", &["verdicts", "seeds_run", "split"]),

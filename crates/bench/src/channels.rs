@@ -21,6 +21,31 @@ fn row<'a>(rows: &'a [CellRow], mechanism: &str) -> &'a CellRow {
         .unwrap_or_else(|| panic!("no {mechanism:?} row in the cell"))
 }
 
+/// A registry experiment's runner for one platform.
+type CellRun = fn(Platform) -> Result<Vec<CellRow>, SimError>;
+
+/// One registry cell of a report: experiment name, platform and runner.
+type Cell = (&'static str, Platform, CellRun);
+
+/// Run `cells` on the worker pool, heaviest experiment first by registry
+/// cost, and return their rows in `cells` order, so a report reads the
+/// same at every `TP_THREADS`. The first failure in `cells` order is the
+/// error.
+fn par_cells(cells: &[Cell]) -> Result<Vec<Vec<CellRow>>, SimError> {
+    let registry = campaign::registry();
+    let cost = |name: &str| {
+        registry
+            .iter()
+            .find(|d| d.name == name)
+            .map_or(0, |d| d.cost)
+    };
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(cost(cells[i].0)));
+    let mut done = rayon::par_map(&order, |&i| (i, (cells[i].2)(cells[i].1)));
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, rows)| rows).collect()
+}
+
 /// A dataset's channel matrix (nothing below 8 observations).
 fn matrix(dataset: &Dataset, labels: &[&str]) -> String {
     if dataset.len() < 8 {
@@ -36,8 +61,10 @@ fn matrix(dataset: &Dataset, labels: &[&str]) -> String {
 /// Propagates the first [`SimError`] from a failed channel simulation.
 pub fn fig3() -> Result<String, SimError> {
     let mut out = String::from("Figure 3: Kernel timing-channel matrix (conditional probability\nof LLC misses given the sender's system call).\n\n");
-    for platform in Platform::ALL {
-        let rows = campaign::run_kernel_image(platform)?;
+    let cells: [Cell; 4] =
+        Platform::ALL.map(|p| ("kernel-image", p, campaign::run_kernel_image as _));
+    let runs = par_cells(&cells)?;
+    for (platform, rows) in Platform::ALL.into_iter().zip(runs) {
         for (name, mechanism) in [
             ("coloured userland only (shared kernel)", "coloured-only"),
             ("full time protection (cloned kernels)", "protected"),
@@ -59,23 +86,24 @@ pub fn fig3() -> Result<String, SimError> {
 /// # Errors
 /// Propagates the first [`SimError`] from a failed channel simulation.
 pub fn table3() -> Result<String, SimError> {
-    let mut cells = Vec::new();
-    for platform in Platform::ALL {
-        for run in [
-            campaign::run_l1d,
-            campaign::run_l1i,
-            campaign::run_tlb,
-            campaign::run_btb,
-            campaign::run_bhb,
-            campaign::run_l2,
-        ] {
-            cells.push((platform, run(platform)?));
-        }
-    }
+    let channels: [(&str, CellRun); 6] = [
+        ("l1d", campaign::run_l1d),
+        ("l1i", campaign::run_l1i),
+        ("tlb", campaign::run_tlb),
+        ("btb", campaign::run_btb),
+        ("bhb", campaign::run_bhb),
+        ("l2", campaign::run_l2),
+    ];
+    let cells: Vec<Cell> = Platform::ALL
+        .into_iter()
+        .flat_map(|p| channels.map(|(name, run)| (name, p, run)))
+        .collect();
+    let (rows, follow_up) = rayon::join(|| par_cells(&cells), prefetcher_disabled);
+    let cells: Vec<(Platform, Vec<CellRow>)> = cells.iter().map(|c| c.1).zip(rows?).collect();
     Ok(format!(
         "Table 3: Mutual information (mb) of intra-core timing channels.\n('*' marks a definite channel, M > M0.)\n\n{}\n{}",
         table3_rows(&cells),
-        prefetcher_disabled()?
+        follow_up?
     ))
 }
 
@@ -204,9 +232,10 @@ pub fn table4() -> Result<String, SimError> {
         "Protected M",
         "(M0)",
     ]);
-    for platform in Platform::ALL {
+    let cells: [Cell; 4] = Platform::ALL.map(|p| ("flush-latency", p, campaign::run_flush as _));
+    let runs = par_cells(&cells)?;
+    for (platform, rows) in Platform::ALL.into_iter().zip(runs) {
         let pad = flush_latency::table4_pad_us(platform);
-        let rows = campaign::run_flush(platform)?;
         for (timing, no_pad, padded) in [
             ("Online", "online-nopad", "online-pad"),
             ("Offline", "offline-nopad", "offline-pad"),

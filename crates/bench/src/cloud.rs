@@ -31,7 +31,9 @@ use std::sync::Arc;
 use tp_analysis::{leakage_test, Dataset};
 use tp_attacks::harness::{pair_logs, ChannelOutcome};
 use tp_attacks::probe::{l1_probe, ProbeBuf};
-use tp_core::{EnvOutcome, ProtectionConfig, SimError, SystemBuilder, SystemSpec, UserEnv};
+use tp_core::{
+    EnvOutcome, ProtectionConfig, SimError, SystemBuilder, SystemSpec, UserEnv, UserProgram,
+};
 use tp_sim::{ColorSet, Platform};
 
 /// Symbols the attacker pairs encode (8 ⇒ up to 3 bits per slice).
@@ -151,6 +153,53 @@ const PAIR_FRAMES: usize = 96;
 /// of mapped pages).
 const TENANT_FRAMES: usize = 64;
 
+/// One ordinary tenant: an open-loop request server. Requests arrive with
+/// exponential gaps of mean `mean_gap` cycles and take Pareto service
+/// times; each completed request's sojourn (queueing + service, cycles)
+/// goes to `log`.
+fn tenant(seed: u64, mean_gap: f64, log: Arc<Mutex<Vec<u64>>>) -> impl UserProgram {
+    async move |env: &mut UserEnv| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let exp = |rng: &mut StdRng, mean: f64| -> u64 {
+            let u: f64 = rng.gen();
+            (-mean * (1.0 - u).max(f64::MIN_POSITIVE).ln()) as u64
+        };
+        let pareto = |rng: &mut StdRng| -> u64 {
+            let u: f64 = rng.gen();
+            (PARETO_XM * (1.0 - u).max(f64::MIN_POSITIVE).powf(-1.0 / PARETO_ALPHA)) as u64
+        };
+        // A couple of mapped pages give each request real memory
+        // traffic, so tenants act as cache noise between rotations.
+        let (va, _) = env.map_pages(2).await;
+        let mut next_arrival = env.now().await + exp(&mut rng, mean_gap);
+        let mut backlog: std::collections::VecDeque<u64> = Default::default();
+        loop {
+            let now = env.now().await;
+            while next_arrival <= now {
+                backlog.push_back(next_arrival);
+                next_arrival += exp(&mut rng, mean_gap).max(1);
+            }
+            match backlog.pop_front() {
+                Some(arrived) => {
+                    env.load(va).await;
+                    env.compute(pareto(&mut rng)).await;
+                    // The sojourn log is shared by every tenant: read the
+                    // clock *before* locking it, because env ops suspend
+                    // until this tenant is scheduled and holding the lock
+                    // across that wait would deadlock the fleet.
+                    let done = env.now().await;
+                    log.lock().push(done - arrived);
+                }
+                None => {
+                    // Idle until the next slice; arrivals accrue in
+                    // simulated time regardless.
+                    let _ = env.wait_preempt().await;
+                }
+            }
+        }
+    }
+}
+
 /// Run the scenario.
 ///
 /// Rotation order is `[V0, A0, V1, A1, …, T0, T1, …]`: each attacker's
@@ -222,34 +271,37 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
         // Victim: encodes a seeded symbol stream into L1-D occupancy,
         // one symbol per slice (identical to the §5.3.2 harness sender).
         let seed = spec.seed ^ 0xABCD_EF01 ^ (k as u64).wrapping_mul(0x9E37_79B9);
-        let mut sbuf: Option<ProbeBuf> = None;
-        b.spawn_daemon(d_victim, 0, 100, move |env: &mut UserEnv| {
+        b.spawn_daemon(d_victim, 0, 100, async move |env: &mut UserEnv| {
             let mut rng = StdRng::seed_from_u64(seed);
+            let mut sbuf: Option<ProbeBuf> = None;
             loop {
                 let symbol = rng.gen_range(0..CLOUD_SYMBOLS);
-                let t0 = env.now();
+                let t0 = env.now().await;
                 slog.lock().push((t0, symbol));
                 let geom = env.platform().l1d;
-                let buf = sbuf.get_or_insert_with(|| l1_probe(env, geom));
+                if sbuf.is_none() {
+                    sbuf = Some(l1_probe(env, geom).await);
+                }
+                let buf = sbuf.as_ref().expect("built above");
                 let sets = geom.sets() as usize;
                 let ways = geom.ways as usize;
                 let prefix_sets = sets * symbol / CLOUD_SYMBOLS;
-                buf.dirty_prefix(env, prefix_sets * ways);
-                let _ = env.wait_preempt();
+                buf.dirty_prefix(env, prefix_sets * ways).await;
+                let _ = env.wait_preempt().await;
             }
         });
 
         // Attacker: primary; the run ends once every pair has its quota.
-        b.spawn(d_attacker, 0, 100, move |env: &mut UserEnv| {
+        b.spawn(d_attacker, 0, 100, async move |env: &mut UserEnv| {
             let geom = env.platform().l1d;
-            let buf = l1_probe(env, geom);
-            let _ = buf.probe(env); // warm the backing levels
-            let _ = env.wait_preempt(); // sync to a slice boundary
+            let buf = l1_probe(env, geom).await;
+            let _ = buf.probe(env).await; // warm the backing levels
+            let _ = env.wait_preempt().await; // sync to a slice boundary
             for _ in 0..per_pair + 1 {
-                let t0 = env.now();
-                let lat = buf.probe(env) as f64;
+                let t0 = env.now().await;
+                let lat = buf.probe(env).await as f64;
                 rlog.lock().push((t0, lat));
-                let _ = env.wait_preempt();
+                let _ = env.wait_preempt().await;
             }
         });
     }
@@ -265,53 +317,14 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
         let d = next_domain(&mut b, TENANT_FRAMES);
         let log = Arc::clone(&sojourns);
         let seed = spec.seed ^ 0xC10D_0000 ^ (i as u64).wrapping_mul(0x6A09_E667);
-        b.spawn_daemon(d, 0, 100, move |env: &mut UserEnv| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let exp = |rng: &mut StdRng, mean: f64| -> u64 {
-                let u: f64 = rng.gen();
-                (-mean * (1.0 - u).max(f64::MIN_POSITIVE).ln()) as u64
-            };
-            let pareto = |rng: &mut StdRng| -> u64 {
-                let u: f64 = rng.gen();
-                (PARETO_XM * (1.0 - u).max(f64::MIN_POSITIVE).powf(-1.0 / PARETO_ALPHA)) as u64
-            };
-            // A couple of mapped pages give each request real memory
-            // traffic, so tenants act as cache noise between rotations.
-            let (va, _) = env.map_pages(2);
-            let mut next_arrival = env.now() + exp(&mut rng, mean_gap);
-            let mut backlog: std::collections::VecDeque<u64> = Default::default();
-            loop {
-                let now = env.now();
-                while next_arrival <= now {
-                    backlog.push_back(next_arrival);
-                    next_arrival += exp(&mut rng, mean_gap).max(1);
-                }
-                match backlog.pop_front() {
-                    Some(arrived) => {
-                        env.load(va);
-                        env.compute(pareto(&mut rng));
-                        // The sojourn log is shared by every tenant: read the
-                        // clock *before* locking it, because env ops block
-                        // until this tenant is scheduled and holding the lock
-                        // across that wait would deadlock the fleet.
-                        let done = env.now();
-                        log.lock().push(done - arrived);
-                    }
-                    None => {
-                        // Idle until the next slice; arrivals accrue in
-                        // simulated time regardless.
-                        let _ = env.wait_preempt();
-                    }
-                }
-            }
-        });
+        b.spawn_daemon(d, 0, 100, tenant(seed, mean_gap, log));
     }
 
     let report = b.try_run()?;
 
-    // Per-environment isolation: a tenant daemon that died (panic, stack
-    // smash) is counted here, not propagated — the fleet completed and
-    // every stat below covers the survivors.
+    // Per-environment isolation: a tenant daemon that died (a panic) is
+    // counted here, not propagated — the fleet completed and every stat
+    // below covers the survivors.
     let failed_tenants = report
         .env_outcomes
         .iter()
@@ -414,6 +427,30 @@ mod tests {
             faulted.summary()
         );
         assert!(faulted.summary().contains("stats over survivors"));
+    }
+
+    /// An environment costs its future's state and nothing else, so a
+    /// fleet of a thousand tenants fits in a couple of MiB: the boxed
+    /// future of one tenant (its RNG, backlog queue and request loop, the
+    /// environment handle and every env op it can be suspended in) must
+    /// stay within 2 KiB.
+    #[test]
+    fn a_tenant_future_fits_in_two_kib() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use tp_core::{Kernel, SimInner};
+        let cfg = Platform::Haswell.config();
+        let prot = ProtectionConfig::raw();
+        let mut kernel = Kernel::new(cfg, prot, tp_core::system::DEFAULT_RAM_FRAMES, 200_000);
+        let colors = ColorSet::all(cfg.partition_colors());
+        let d = kernel.create_domain(colors, TENANT_FRAMES).expect("domain");
+        let t = kernel.create_thread(d, 0, 100).expect("thread");
+        let machine = tp_sim::Machine::new(cfg, 0);
+        let sim = SimInner::new(machine, kernel, 4_000, u64::MAX);
+        let env = UserEnv::new(Rc::new(RefCell::new(sim)), t, 0, d, cfg, colors);
+        let fut = Box::new(tenant(1, 1e6, Arc::default())).start(env);
+        let bytes = std::mem::size_of_val(&*fut);
+        assert!(bytes <= 2048, "a tenant's future takes {bytes} bytes");
     }
 
     #[test]

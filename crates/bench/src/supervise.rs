@@ -17,7 +17,6 @@
 //!            │             └ env died in isolation → EnvFailed     │
 //!            ├─ SimError(watchdog) / recv timeout → TimedOut ──────┤
 //!            ├─ SimError(deadlock)                → Deadlock ──────┤
-//!            ├─ SimError(stack overflow)          → StackOverflow ─┤
 //!            └─ panic / SimError(program)         → Panicked ──────┘
 //! ```
 //!
@@ -68,7 +67,6 @@ static PANICS: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static ENV_FAILED: AtomicU64 = AtomicU64::new(0);
 static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
-static STACK_OVERFLOWS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide supervisor accounting, serialised into
 /// `BENCH-campaign.json` as the `supervisor` object.
@@ -87,8 +85,6 @@ pub struct SupervisorCounters {
     pub env_failed: u64,
     /// Attempts classified as a deterministic scheduler deadlock.
     pub deadlocks: u64,
-    /// Attempts killed by a dead stack guard canary.
-    pub stack_overflows: u64,
 }
 
 /// Snapshot the supervisor counters.
@@ -101,7 +97,6 @@ pub fn counters() -> SupervisorCounters {
         quarantined: QUARANTINED.load(Ordering::Relaxed),
         env_failed: ENV_FAILED.load(Ordering::Relaxed),
         deadlocks: DEADLOCKS.load(Ordering::Relaxed),
-        stack_overflows: STACK_OVERFLOWS.load(Ordering::Relaxed),
     }
 }
 
@@ -125,8 +120,6 @@ pub enum CellOutcome {
     /// Every attempt ended in a deterministic scheduler deadlock (the
     /// driver proved no environment can ever be admitted again).
     Deadlock,
-    /// Every attempt died on a clobbered stack guard canary.
-    StackOverflow,
 }
 
 impl CellOutcome {
@@ -139,7 +132,6 @@ impl CellOutcome {
             CellOutcome::TimedOut => "timed-out",
             CellOutcome::EnvFailed => "env-failed",
             CellOutcome::Deadlock => "deadlock",
-            CellOutcome::StackOverflow => "stack-overflow",
         }
     }
 }
@@ -168,7 +160,6 @@ enum Attempt {
     Panicked(String),
     TimedOut(String),
     Deadlocked(String),
-    StackOverflow(String),
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -219,8 +210,6 @@ fn run_attempt(
                 Attempt::TimedOut(msg)
             } else if msg.starts_with("deadlock") {
                 Attempt::Deadlocked(msg)
-            } else if msg.starts_with("stack overflow") {
-                Attempt::StackOverflow(msg)
             } else {
                 Attempt::Panicked(msg)
             }
@@ -229,7 +218,6 @@ fn run_attempt(
             SimErrorKind::Watchdog => Attempt::TimedOut(e.to_string()),
             SimErrorKind::ProgramPanic => Attempt::Panicked(e.to_string()),
             SimErrorKind::Deadlock { .. } => Attempt::Deadlocked(e.to_string()),
-            SimErrorKind::StackOverflow => Attempt::StackOverflow(e.to_string()),
         },
         Ok((Ok(Ok(channels)), env_failed)) => Attempt::Done(channels, env_failed),
     }
@@ -298,11 +286,6 @@ pub fn run_cell(
                 last_error = Some(msg);
                 last_outcome = CellOutcome::Deadlock;
             }
-            Attempt::StackOverflow(msg) => {
-                STACK_OVERFLOWS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::StackOverflow;
-            }
         }
     }
     CellReport {
@@ -326,12 +309,13 @@ pub fn probe_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
         .seed(seed)
         .max_cycles(200_000_000);
     let d = b.domain(None);
-    b.spawn(d, 0, 100, |env: &mut UserEnv| {
-        let (base, _) = env.map_pages(32);
+    b.spawn(d, 0, 100, async |env: &mut UserEnv| {
+        let (base, _) = env.map_pages(32).await;
         for i in 0..600u64 {
-            env.load(tp_sim::VAddr(base.0 + (i % 32) * tp_sim::FRAME_SIZE));
+            env.load(tp_sim::VAddr(base.0 + (i % 32) * tp_sim::FRAME_SIZE))
+                .await;
             if i % 20 == 0 {
-                let _ = env.syscall(Syscall::Yield);
+                let _ = env.syscall(Syscall::Yield).await;
             }
         }
     });
@@ -343,7 +327,7 @@ pub fn probe_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
 /// loads with `Yield`s, so forward progress *requires* cross-core token
 /// rotation. The `lost-wakeup` fault wedges the token here and the
 /// driver's deadlock detector must classify it — deterministically, at the
-/// same interaction ordinal on every run and coroutine backend.
+/// same interaction ordinal on every run.
 ///
 /// # Errors
 /// The [`SimError`] when the simulation fails (under `lost-wakeup`, a
@@ -356,12 +340,13 @@ pub fn pair_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
     let d0 = b.domain(None);
     let d1 = b.domain(None);
     for (core, d) in [d0, d1].into_iter().enumerate() {
-        b.spawn(d, core, 100, move |env: &mut UserEnv| {
-            let (base, _) = env.map_pages(16);
+        b.spawn(d, core, 100, async |env: &mut UserEnv| {
+            let (base, _) = env.map_pages(16).await;
             for i in 0..400u64 {
-                env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
+                env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE))
+                    .await;
                 if i % 25 == 0 {
-                    let _ = env.syscall(Syscall::Yield);
+                    let _ = env.syscall(Syscall::Yield).await;
                 }
             }
         });
@@ -507,16 +492,17 @@ mod tests {
         let d0 = b.domain(None);
         let d1 = b.domain(None);
         let d2 = b.domain(None);
-        b.spawn(d0, 0, 100, |env: &mut UserEnv| {
-            let (base, _) = env.map_pages(16);
+        b.spawn(d0, 0, 100, async |env: &mut UserEnv| {
+            let (base, _) = env.map_pages(16).await;
             for i in 0..400u64 {
-                env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
-                env.compute(500);
+                env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE))
+                    .await;
+                env.compute(500).await;
             }
         });
         for d in [d1, d2] {
-            b.spawn_daemon(d, 0, 100, |env: &mut UserEnv| loop {
-                let _ = env.syscall(Syscall::Yield);
+            b.spawn_daemon(d, 0, 100, async |env: &mut UserEnv| loop {
+                let _ = env.syscall(Syscall::Yield).await;
             });
         }
         b.try_run()?;
@@ -639,18 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_overflow_classifies_and_names_the_guard() {
-        let p = plan(FaultKind::StackOverflow);
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E008)
-        });
-        assert_eq!(r.outcome, CellOutcome::StackOverflow, "{:?}", r.error);
-        let err = r.error.expect("overflow detail");
-        assert!(err.starts_with("stack overflow"), "{err}");
-        assert!(err.contains("TP_STACK_KB"), "{err}");
-    }
-
-    #[test]
     fn fleet_daemon_panic_degrades_to_env_failed() {
         let p = plan(FaultKind::EnvPanic { at: 2 });
         let r = run_cell(
@@ -682,17 +656,18 @@ mod tests {
                 .seed(0xA11C_E00A)
                 .max_cycles(300_000_000);
             let d = b.domain(None);
-            b.spawn(d, 0, 100, |env: &mut UserEnv| {
-                let (base, _) = env.map_pages(16);
+            b.spawn(d, 0, 100, async |env: &mut UserEnv| {
+                let (base, _) = env.map_pages(16).await;
                 for i in 0..400u64 {
-                    env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
+                    env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE))
+                        .await;
                     if i % 20 == 0 {
-                        let _ = env.syscall(Syscall::Yield);
+                        let _ = env.syscall(Syscall::Yield).await;
                     }
                 }
             });
-            b.spawn_daemon(d, 0, 100, |env: &mut UserEnv| {
-                let _ = env.syscall(Syscall::Yield);
+            b.spawn_daemon(d, 0, 100, async |env: &mut UserEnv| {
+                let _ = env.syscall(Syscall::Yield).await;
                 panic!("daemon died");
             });
             b.try_run()?;

@@ -1,23 +1,23 @@
 //! The execution engine: deterministic cooperative co-simulation.
 //!
 //! Each simulated user program runs as a schedulable task, but **all**
-//! hardware and kernel interaction goes through [`UserEnv`], which holds a
-//! single global simulation lock and only admits the task that the
-//! simulated kernel has scheduled (and, on multicore, whose core holds the
-//! window token). Preemption, blocking IPC and idle-time skipping happen
-//! *inside* env calls, so attack code is written as natural straight-line
-//! loops reading the simulated cycle counter — exactly like real attack
-//! code against real hardware.
+//! hardware and kernel interaction goes through the `async` ops of
+//! [`UserEnv`], which only admit the task that the simulated kernel has
+//! scheduled (and, on multicore, whose core holds the window token).
+//! Preemption, blocking IPC and idle-time skipping happen *inside* env
+//! calls, so attack code is written as natural straight-line loops reading
+//! the simulated cycle counter — exactly like real attack code against real
+//! hardware, with an `.await` on every env op.
 //!
-//! Every environment is a stackful coroutine ([`tp_exec::Coro`]) driven by
-//! the host thread that calls [`run_programs`]. Wherever an environment
-//! would block — the `wait_turn` admission loop, and therefore every env op
-//! and `wait_preempt` — it *suspends* back to the driver, which picks the
-//! next admissible task straight from the kernel's scheduling state. One
-//! thread is enough: with a single window token at most one environment is
-//! admissible at any instant, so the simulation is logically serial. This
-//! is what lets a simulation hold thousands of environments (the `cloud`
-//! scenario) without thousands of host threads.
+//! Every environment is a boxed future polled by the host thread that calls
+//! [`run_programs`]. Wherever an environment would block — the admission
+//! loop at the head of every env op and inside `wait_preempt` — it returns
+//! `Pending` to the driver, which picks the next admissible task straight
+//! from the kernel's scheduling state. One thread is enough: with a single
+//! window token at most one environment is admissible at any instant, so
+//! the simulation is logically serial. An environment costs only its
+//! future's state (a few hundred bytes to a few KiB), which is what lets a
+//! simulation hold thousands of them (the `cloud` scenario).
 //!
 //! Determinism: the scheduling admission predicate is a pure function of
 //! simulation state, all randomness is seeded, and cross-core interleaving
@@ -25,18 +25,17 @@
 
 use crate::kernel::{Kernel, KernelError, SysReturn, Syscall};
 use crate::objects::{DomainId, TcbId, ThreadState, VSpaceId};
-use parking_lot::Mutex;
+use std::cell::{RefCell, RefMut};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use tp_sim::{Asid, ColorSet, Machine, PAddr, PlatformConfig, SweepPlan, VAddr};
 
 /// Default cross-core interleaving window (cycles).
 pub const DEFAULT_WINDOW: u64 = 4_000;
-
-/// Unwind payload that unwinds an environment's coroutine when the
-/// simulation stops.
-pub struct SimExit;
 
 /// Why a failed simulation failed — the typed form of what used to be a
 /// bare panic out of [`crate::SystemBuilder::run`].
@@ -61,8 +60,8 @@ pub enum SimErrorKind {
     /// The cooperative scheduler proved no progress is possible: every live
     /// environment is suspended and no token rotation can admit one.
     /// Detected deterministically from simulation state alone — same
-    /// `at_interaction` and `waiting_envs` for a given seed on every run and
-    /// coroutine backend; no wall clock involved.
+    /// `at_interaction` and `waiting_envs` for a given seed on every run;
+    /// no wall clock involved.
     Deadlock {
         /// Thread ids of the environments still live when progress died,
         /// in spawn order.
@@ -71,16 +70,12 @@ pub enum SimErrorKind {
         /// which the deadlock was proven.
         at_interaction: u64,
     },
-    /// A coroutine's stack guard canary was found dead at a check point —
-    /// the environment overflowed its stack (or the `stack-overflow` fault
-    /// class simulated doing so).
-    StackOverflow,
 }
 
 impl SimError {
     /// Classify an engine error string: watchdog aborts announce themselves
-    /// with a `watchdog:` prefix, deadlock reports with `deadlock`, canary
-    /// deaths with `stack overflow`; everything else is a program failure.
+    /// with a `watchdog:` prefix, deadlock reports with `deadlock`;
+    /// everything else is a program failure.
     /// Typed deadlock details travel out-of-band through
     /// `SimInner::deadlock`; this string fallback carries empty fields.
     pub(crate) fn from_message(message: String) -> Self {
@@ -91,8 +86,6 @@ impl SimError {
                 waiting_envs: Vec::new(),
                 at_interaction: 0,
             }
-        } else if message.starts_with("stack overflow") {
-            SimErrorKind::StackOverflow
         } else {
             SimErrorKind::ProgramPanic
         };
@@ -104,9 +97,9 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.kind {
             SimErrorKind::ProgramPanic => write!(f, "simulated program failed: {}", self.message),
-            SimErrorKind::Watchdog
-            | SimErrorKind::Deadlock { .. }
-            | SimErrorKind::StackOverflow => write!(f, "{}", self.message),
+            SimErrorKind::Watchdog | SimErrorKind::Deadlock { .. } => {
+                write!(f, "{}", self.message)
+            }
         }
     }
 }
@@ -121,14 +114,13 @@ pub struct HealthStats {
     pub env_failed: u64,
     /// Deterministic scheduler deadlocks detected by the driver.
     pub deadlocks: u64,
-    /// Stack guard canary deaths (real overflows or the `stack-overflow`
-    /// fault class).
+    /// Always 0: environments are futures and have no stacks to overflow.
+    /// Kept so existing readers of these counters still build.
     pub stack_overflows: u64,
 }
 
 static ENV_FAILED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static DEADLOCKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static STACK_OVERFLOWS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 thread_local! {
     /// [`HealthStats::env_failed`] restricted to systems driven by this
@@ -145,7 +137,7 @@ pub fn health_stats() -> HealthStats {
     HealthStats {
         env_failed: ENV_FAILED.load(Relaxed),
         deadlocks: DEADLOCKS.load(Relaxed),
-        stack_overflows: STACK_OVERFLOWS.load(Relaxed),
+        stack_overflows: 0,
     }
 }
 
@@ -158,22 +150,12 @@ pub fn thread_env_failed() -> u64 {
     THREAD_ENV_FAILED.with(std::cell::Cell::get)
 }
 
-/// Panic payload a failing environment's unwind is re-wrapped in before it
-/// crosses [`tp_exec::Coro::take_panic`], so quarantine records and exit
-/// messages can name the env, not just the cell.
-pub struct EnvPanicPayload {
-    /// The failing environment's thread id (`TcbId.0`).
-    pub env: u64,
-    /// The original panic message.
-    pub message: String,
-}
-
 /// Per-environment completion outcome, carried in `SystemReport` in spawn
 /// order so multi-tenant scenarios can report fleet statistics over
 /// survivors instead of quarantining the whole cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnvOutcome {
-    /// The environment ran to completion (or unwound in a normal stop).
+    /// The environment ran to completion (or was dropped in a normal stop).
     Completed,
     /// The environment panicked and was isolated; its siblings kept
     /// running.
@@ -248,14 +230,11 @@ pub struct SimInner {
     /// Injected fault: swallow token rotations from the `at`-th would-move
     /// onward (sticky, so the wedge cannot self-heal on a later rotate).
     fault_lost_wakeup_at: Option<u64>,
-    /// Injected fault: clobber the running coroutine's stack canary and
-    /// raise the canonical overflow panic at the next interaction.
-    fault_stack_overflow: bool,
     /// Token moves attempted while a lost-wakeup fault is armed, for the
     /// trigger ordinal.
     rotations_seen: u64,
-    /// Syscalls and preemption waits executed so far — counted under the
-    /// lock at execution time, so the ordinal is schedule-deterministic.
+    /// Syscalls and preemption waits executed so far — counted at
+    /// execution time, so the ordinal is schedule-deterministic.
     /// Always counted (not just when a fault is armed): deadlock reports
     /// timestamp themselves with it.
     syscalls_seen: u64,
@@ -271,27 +250,11 @@ pub struct SimInner {
 /// Action an armed environment fault demands at the current syscall.
 enum EnvFault {
     /// Panic inside the engine op (unwinds out of the environment's
-    /// coroutine into the driver).
+    /// future into the driver).
     Panic(u64),
-    /// Return normally, then stop yielding (spin off-lock forever).
-    Stall(u64),
-    /// Clobber the stack guard canary and raise the canonical overflow
-    /// panic.
-    StackSmash(u64),
-}
-
-/// The `stack-overflow` fault firing at interaction `n`: kill the running
-/// coroutine's guard canary (so the backend's own at-suspend check would
-/// trip too) and raise the canonical overflow panic directly. The direct
-/// panic keeps the fault deterministic: a task that stays admitted may not
-/// suspend again.
-fn smash_stack(n: u64) -> ! {
-    tp_exec::clobber_canary();
-    debug_assert!(!tp_exec::on_coroutine() || !tp_exec::canary_intact());
-    panic!(
-        "stack overflow: coroutine guard canary clobbered at interaction {n} \
-         (raise TP_STACK_KB)"
-    );
+    /// Return normally, then stop yielding (hold the driver thread until
+    /// the watchdog fires).
+    Stall,
 }
 
 impl SimInner {
@@ -313,7 +276,6 @@ impl SimInner {
             fault_panic_at: None,
             fault_stall_at: None,
             fault_lost_wakeup_at: None,
-            fault_stack_overflow: false,
             rotations_seen: 0,
             syscalls_seen: 0,
             deadlock: None,
@@ -330,7 +292,6 @@ impl SimInner {
             crate::fault::FaultKind::LostWakeup { at } => {
                 self.fault_lost_wakeup_at = Some(at.max(1));
             }
-            crate::fault::FaultKind::StackOverflow => self.fault_stack_overflow = true,
         }
     }
 
@@ -342,11 +303,7 @@ impl SimInner {
             return Some(EnvFault::Panic(self.syscalls_seen));
         }
         if self.fault_stall_at == Some(self.syscalls_seen) {
-            return Some(EnvFault::Stall(self.syscalls_seen));
-        }
-        if self.fault_stack_overflow {
-            self.fault_stack_overflow = false;
-            return Some(EnvFault::StackSmash(self.syscalls_seen));
+            return Some(EnvFault::Stall);
         }
         None
     }
@@ -496,34 +453,36 @@ impl SimInner {
     }
 }
 
-/// The control block shared by the driver and every environment.
-pub struct SimCtl {
-    /// The state. A lock rather than a plain cell because the thread
-    /// backend of non-x86_64 targets runs each environment's body on its
-    /// own OS thread.
-    pub inner: Mutex<SimInner>,
-}
-
-impl SimCtl {
-    /// Wrap inner state.
-    #[must_use]
-    pub fn new(inner: SimInner) -> Arc<Self> {
-        Arc::new(SimCtl {
-            inner: Mutex::new(inner),
-        })
-    }
-}
+/// A running simulated program: the future the driver polls.
+pub type EnvFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 /// A user program: the body of a simulated thread.
-pub trait UserProgram: Send + 'static {
-    /// Run to completion against the environment.
-    fn run(&mut self, env: &mut UserEnv);
+///
+/// Every `async` closure taking `&mut UserEnv` is one:
+/// `async move |env: &mut UserEnv| { env.compute(100).await; }`.
+pub trait UserProgram: 'static {
+    /// The future that runs the program to completion against `env`.
+    fn start(self: Box<Self>, env: UserEnv) -> EnvFuture;
 }
 
-impl<F: FnMut(&mut UserEnv) + Send + 'static> UserProgram for F {
-    fn run(&mut self, env: &mut UserEnv) {
-        self(env);
+impl<F: AsyncFnOnce(&mut UserEnv) + 'static> UserProgram for F {
+    fn start(self: Box<Self>, mut env: UserEnv) -> EnvFuture {
+        Box::pin(async move { (*self)(&mut env).await })
     }
+}
+
+/// A future that returns `Pending` once, handing the driver thread back,
+/// and is ready when polled again.
+fn suspend() -> impl Future<Output = ()> {
+    let mut yielded = false;
+    std::future::poll_fn(move |_| {
+        if yielded {
+            Poll::Ready(())
+        } else {
+            yielded = true;
+            Poll::Pending
+        }
+    })
 }
 
 /// A precomputed, translated probe sweep bound to one environment: the
@@ -555,7 +514,10 @@ impl EnvPlan {
 
 /// The mediated hardware/kernel interface handed to user programs.
 pub struct UserEnv {
-    ctl: Arc<SimCtl>,
+    /// The simulation, owned by the driver thread. An op borrows it for
+    /// its synchronous body only, never across a suspension, so at most
+    /// one borrow is live at any instant.
+    sim: Rc<RefCell<SimInner>>,
     /// This thread.
     pub tcb: TcbId,
     /// The core the thread is pinned to.
@@ -576,7 +538,7 @@ impl UserEnv {
     /// Panics if `tcb` is not a live thread.
     #[must_use]
     pub fn new(
-        ctl: Arc<SimCtl>,
+        sim: Rc<RefCell<SimInner>>,
         tcb: TcbId,
         core: usize,
         domain: DomainId,
@@ -584,13 +546,13 @@ impl UserEnv {
         colors: ColorSet,
     ) -> Self {
         let (vspace, asid) = {
-            let g = ctl.inner.lock();
+            let g = sim.borrow();
             let t = g.kernel.tcbs.get(tcb.0).expect("live thread");
             let asid = g.kernel.vspaces.get(t.vspace.0).expect("live vspace").asid;
             (t.vspace, asid)
         };
         UserEnv {
-            ctl,
+            sim,
             tcb,
             core,
             domain,
@@ -613,75 +575,91 @@ impl UserEnv {
         self.colors
     }
 
-    fn wait_turn<'a>(&self, g: &mut parking_lot::MutexGuard<'a, SimInner>) {
+    /// Whether the scheduler admits this thread: it is current on its core
+    /// and that core holds the window token.
+    fn admitted(&self, g: &SimInner) -> bool {
+        g.kernel.cores[self.core].cur == Some(self.tcb) && g.token == self.core
+    }
+
+    /// Wait for this thread's turn and borrow the simulation for one step.
+    ///
+    /// The only suspension point of the engine: while the thread is not
+    /// admitted, hand the driver thread back (which picks the next task);
+    /// watchdog duties live in the driver's decide loop. Once the
+    /// simulation stops this never returns — the driver drops the
+    /// environment's future instead.
+    async fn turn(&self) -> RefMut<'_, SimInner> {
         loop {
-            if g.stop {
-                std::panic::panic_any(SimExit);
+            {
+                let mut g = self.sim.borrow_mut();
+                if !g.stop {
+                    if self.admitted(&g) {
+                        return g;
+                    }
+                    if !g.any_current() {
+                        g.idle_advance();
+                        g.rotate_token();
+                        continue;
+                    }
+                }
             }
-            if g.kernel.cores[self.core].cur == Some(self.tcb) && g.token == self.core {
-                return;
-            }
-            if !g.any_current() {
-                g.idle_advance();
-                g.rotate_token();
-                continue;
-            }
-            // Hand the host thread back to the driver. The simulation lock
-            // is released for the duration of the suspend (the driver takes
-            // it to pick the next task) and re-acquired before the
-            // predicate is re-checked. Watchdog duties live in the driver's
-            // decide loop.
-            g.unlocked(tp_exec::suspend);
+            suspend().await;
         }
     }
 
     /// The armed-stall endgame: hold the simulated core without yielding,
-    /// sleeping off-lock between checks. The driver never regains control,
-    /// so the watchdog deadline is checked here: the loop exits only when
-    /// the deadline passes (or the simulation already stopped).
-    fn stall_loop(&self) -> ! {
+    /// sleeping between checks. The driver never regains control, so the
+    /// watchdog deadline is checked here; once it passes (or the
+    /// simulation already stopped) the environment parks until the driver
+    /// drops it.
+    async fn stall<T>(&self) -> T {
         loop {
             std::thread::sleep(std::time::Duration::from_millis(10));
-            let mut g = self.ctl.inner.lock();
+            let mut g = self.sim.borrow_mut();
             if g.stop {
-                std::panic::panic_any(SimExit);
+                break;
             }
-            if let Some(d) = g.deadline {
-                if std::time::Instant::now() >= d {
-                    g.stop = true;
-                    if g.error.is_none() {
-                        g.error = Some(
-                            "watchdog: environment stopped yielding (wall-clock \
-                             deadline exceeded)"
-                                .to_string(),
-                        );
-                    }
-                    std::panic::panic_any(SimExit);
+            if g.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+                g.stop = true;
+                if g.error.is_none() {
+                    g.error = Some(
+                        "watchdog: environment stopped yielding (wall-clock \
+                         deadline exceeded)"
+                            .to_string(),
+                    );
                 }
+                break;
             }
         }
+        std::future::pending().await
     }
 
-    fn op<R>(&self, f: impl FnOnce(&mut SimInner) -> R) -> R {
-        let mut g = self.ctl.inner.lock();
-        self.wait_turn(&mut g);
-        let r = f(&mut g);
+    /// The epilogue of every timed step: deliver due events, skip idle
+    /// time and rotate the cross-core token.
+    fn tail(&self, g: &mut SimInner) {
         g.process_due(self.core);
         if !g.any_current() {
             g.idle_advance();
         }
         g.rotate_token();
+    }
+
+    async fn op<R>(&self, f: impl FnOnce(&mut SimInner) -> R) -> R {
+        let mut g = self.turn().await;
+        let r = f(&mut g);
+        self.tail(&mut g);
         r
     }
 
     /// Read the cycle counter (models `rdtsc` / `PMCCNTR`, including its
     /// cost and a little jitter).
-    pub fn now(&self) -> u64 {
+    pub async fn now(&self) -> u64 {
         self.op(|g| {
             let j = g.machine.rng().below(3);
             g.machine.advance(self.core, 20 + j);
             g.machine.cycles(self.core)
         })
+        .await
     }
 
     /// Translate through the thread's page table.
@@ -700,48 +678,32 @@ impl UserEnv {
 
     /// Load from a user virtual address; returns the access latency in
     /// cycles (what a real attacker measures with two counter reads).
-    pub fn load(&self, va: VAddr) -> u64 {
+    pub async fn load(&self, va: VAddr) -> u64 {
         self.op(|g| {
             let pa = self.translate_in(g, va);
             g.machine
                 .data_access(self.core, self.asid, va, pa, false, false)
         })
+        .await
     }
 
     /// Store to a user virtual address; returns the latency.
-    pub fn store(&self, va: VAddr) -> u64 {
+    pub async fn store(&self, va: VAddr) -> u64 {
         self.op(|g| {
             let pa = self.translate_in(g, va);
             g.machine
                 .data_access(self.core, self.asid, va, pa, true, false)
         })
+        .await
     }
 
     /// Fetch/execute an instruction at a user virtual address.
-    pub fn exec(&self, va: VAddr) -> u64 {
+    pub async fn exec(&self, va: VAddr) -> u64 {
         self.op(|g| {
             let pa = self.translate_in(g, va);
             g.machine.insn_fetch(self.core, self.asid, va, pa, false)
         })
-    }
-
-    /// The per-access epilogue of a batched sweep, mirroring the tail of
-    /// [`UserEnv::op`]: deliver due events, skip idle time and rotate the
-    /// cross-core token.
-    fn sweep_tail(&self, g: &mut SimInner) {
-        g.process_due(self.core);
-        if !g.any_current() {
-            g.idle_advance();
-        }
-        g.rotate_token();
-    }
-
-    /// Re-check admission before the next access of a sweep (the batched
-    /// equivalent of the `wait_turn` at the top of every scalar op).
-    fn resume_turn(&self, g: &mut parking_lot::MutexGuard<'_, SimInner>) {
-        if g.stop || g.kernel.cores[self.core].cur != Some(self.tcb) || g.token != self.core {
-            self.wait_turn(g);
-        }
+        .await
     }
 
     /// Sweep fast-path state: whether this thread is the only runnable one
@@ -764,13 +726,41 @@ impl UserEnv {
     /// The gate between two timed steps of a sweep: what the scalar path
     /// does between two env ops (the epilogue of one, the admission check
     /// of the next), skipped while `fast` (from
-    /// [`UserEnv::sweep_fast_state`]) proves it a no-op.
+    /// [`UserEnv::sweep_fast_state`]) proves it a no-op. Returns `false`
+    /// when the thread lost its turn.
     #[inline]
-    fn sweep_step(&self, g: &mut parking_lot::MutexGuard<'_, SimInner>, fast: &mut (bool, u64)) {
+    fn sweep_step(&self, g: &mut SimInner, fast: &mut (bool, u64)) -> bool {
         if !fast.0 || g.machine.cycles(self.core) >= fast.1 {
-            self.sweep_tail(g);
-            self.resume_turn(g);
+            self.tail(g);
+            if g.stop || !self.admitted(g) {
+                return false;
+            }
             *fast = self.sweep_fast_state(g);
+        }
+        true
+    }
+
+    /// Run `steps` timed steps (`step(g, k)` for `k` in order) with the
+    /// [`UserEnv::sweep_step`] gate between each two and the epilogue
+    /// after the last, waiting in [`UserEnv::turn`] only when the gate
+    /// finds the turn lost — the batched equivalent of the admission check
+    /// at the top of every scalar op.
+    async fn sweep(&self, steps: usize, mut step: impl FnMut(&mut SimInner, usize)) {
+        let mut k = 0;
+        loop {
+            let mut g = self.turn().await;
+            let mut fast = self.sweep_fast_state(&g);
+            loop {
+                if k == steps {
+                    self.tail(&mut g);
+                    return;
+                }
+                step(&mut g, k);
+                k += 1;
+                if k < steps && !self.sweep_step(&mut g, &mut fast) {
+                    break;
+                }
+            }
         }
     }
 
@@ -779,27 +769,28 @@ impl UserEnv {
     /// geometry when `insn`). One untimed environment operation, however
     /// long the list.
     #[must_use]
-    pub fn build_plan(&self, vas: &[VAddr], insn: bool) -> EnvPlan {
+    pub async fn build_plan(&self, vas: &[VAddr], insn: bool) -> EnvPlan {
         self.op(|g| {
             let pas: Vec<PAddr> = vas.iter().map(|&va| self.translate_in(g, va)).collect();
             EnvPlan {
                 plan: g.machine.plan_sweep(insn, &pas),
             }
         })
+        .await
     }
 
     /// Run the first `n` lines of a precomputed probe sweep, taking the
-    /// simulation lock and the scheduler turn **once** for the whole sweep
-    /// instead of once per line. Returns the total latency; per-line
-    /// latencies are appended to `costs` when provided.
+    /// scheduler turn **once** for the whole sweep instead of once per
+    /// line. Returns the total latency; per-line latencies are appended to
+    /// `costs` when provided.
     ///
     /// Semantics are identical to issuing the lines as scalar
     /// [`UserEnv::load`]/[`UserEnv::store`]/[`UserEnv::exec`] calls — due
     /// events are still delivered between lines and the cross-core window
-    /// token still rotates — only the lock/turn bookkeeping is hoisted out
-    /// of the loop. The workspace property tests pin this equivalence
+    /// token still rotates — only the turn bookkeeping is hoisted out of
+    /// the loop. The workspace property tests pin this equivalence
     /// bit-for-bit.
-    pub fn probe_batch(
+    pub async fn probe_batch(
         &self,
         plan: &EnvPlan,
         n: usize,
@@ -811,61 +802,53 @@ impl UserEnv {
             return 0;
         }
         let insn = plan.plan.is_insn();
-        let mut g = self.ctl.inner.lock();
-        self.wait_turn(&mut g);
         let mut total = 0u64;
-        let mut fast = self.sweep_fast_state(&g);
-        for (i, ln) in lines.iter().enumerate() {
-            if i > 0 {
-                self.sweep_step(&mut g, &mut fast);
-            }
+        self.sweep(lines.len(), |g, k| {
             let (c, _) = g
                 .machine
-                .access_planned(self.core, self.asid, ln, write, false, insn);
+                .access_planned(self.core, self.asid, &lines[k], write, false, insn);
             total += c;
             if let Some(costs) = costs.as_deref_mut() {
                 costs.push(c);
             }
-        }
-        self.sweep_tail(&mut g);
+        })
+        .await;
         total
     }
 
     /// Run a mixed load/store sweep (`true` = store) with `compute` pure
-    /// cycles after each access, under a single lock/turn acquisition.
-    /// Returns the total access latency (compute cycles excluded, as with
-    /// scalar [`UserEnv::compute`]). Bit-identical to the scalar
+    /// cycles after each access, taking the scheduler turn once. Returns
+    /// the total access latency (compute cycles excluded, as with scalar
+    /// [`UserEnv::compute`]). Bit-identical to the scalar
     /// [`UserEnv::load`]/[`UserEnv::store`]/[`UserEnv::compute`] sequence.
-    pub fn access_sweep(&self, ops: &[(VAddr, bool)], compute: u64) -> u64 {
-        let mut g = self.ctl.inner.lock();
-        self.wait_turn(&mut g);
+    pub async fn access_sweep(&self, ops: &[(VAddr, bool)], compute: u64) -> u64 {
+        // Each op is an access step, then a compute step when `compute > 0`.
+        let per_op = if compute > 0 { 2 } else { 1 };
         let mut total = 0u64;
-        let mut fast = self.sweep_fast_state(&g);
-        for (i, &(va, write)) in ops.iter().enumerate() {
-            if i > 0 {
-                self.sweep_step(&mut g, &mut fast);
-            }
-            let pa = self.translate_in(&g, va);
-            total += g
-                .machine
-                .data_access(self.core, self.asid, va, pa, write, false);
-            if compute > 0 {
-                self.sweep_step(&mut g, &mut fast);
+        self.sweep(ops.len() * per_op, |g, k| {
+            let (va, write) = ops[k / per_op];
+            if k % per_op == 0 {
+                let pa = self.translate_in(g, va);
+                total += g
+                    .machine
+                    .data_access(self.core, self.asid, va, pa, write, false);
+            } else {
                 g.machine.advance(self.core, compute);
             }
-        }
-        self.sweep_tail(&mut g);
+        })
+        .await;
         total
     }
 
     /// Execute a branch instruction; returns its latency.
-    pub fn branch(&self, pc: VAddr, target: VAddr, taken: bool, conditional: bool) -> u64 {
+    pub async fn branch(&self, pc: VAddr, target: VAddr, taken: bool, conditional: bool) -> u64 {
         self.op(|g| g.machine.branch(self.core, pc, target, taken, conditional))
+            .await
     }
 
     /// Pure computation for `n` cycles.
-    pub fn compute(&self, n: u64) {
-        self.op(|g| g.machine.advance(self.core, n));
+    pub async fn compute(&self, n: u64) {
+        self.op(|g| g.machine.advance(self.core, n)).await;
     }
 
     /// Map `n` fresh pages of the domain's (coloured) memory; returns the
@@ -873,12 +856,13 @@ impl UserEnv {
     ///
     /// # Panics
     /// Panics if the domain pool is exhausted.
-    pub fn map_pages(&self, n: usize) -> (VAddr, Vec<u64>) {
+    pub async fn map_pages(&self, n: usize) -> (VAddr, Vec<u64>) {
         self.op(|g| {
             g.kernel
                 .map_user_pages(self.tcb, n)
                 .expect("domain pool exhausted")
         })
+        .await
     }
 
     /// Translation oracle: the physical address behind a user VA.
@@ -887,8 +871,8 @@ impl UserEnv {
     /// eviction-set construction (e.g. Liu et al. (2015)); the oracle
     /// stands in for that untimed profiling phase.
     #[must_use]
-    pub fn translate(&self, va: VAddr) -> PAddr {
-        self.op(|g| self.translate_in(g, va))
+    pub async fn translate(&self, va: VAddr) -> PAddr {
+        self.op(|g| self.translate_in(g, va)).await
     }
 
     /// Issue a system call. Blocking calls return when the thread is next
@@ -896,39 +880,39 @@ impl UserEnv {
     ///
     /// # Errors
     /// Kernel errors (bad capability, rights, types) are returned verbatim.
-    pub fn syscall(&self, sys: Syscall) -> Result<u64, KernelError> {
-        let mut stall_after = None;
-        let ret = self.op(|g| {
-            match g.env_fault_tick() {
-                Some(EnvFault::Panic(n)) => panic!("injected fault: env-panic at syscall {n}"),
-                Some(EnvFault::Stall(n)) => stall_after = Some(n),
-                Some(EnvFault::StackSmash(n)) => smash_stack(n),
-                None => {}
-            }
-            let SimInner {
-                machine, kernel, ..
-            } = g;
-            let out = kernel.syscall(machine, self.core, self.tcb, sys);
-            if let Some((at, irq)) = out.arm_timer {
-                g.push_event(self.core, at, EvKind::Timer { irq });
-            }
-            out.ret
-        });
-        if stall_after.is_some() {
+    pub async fn syscall(&self, sys: Syscall) -> Result<u64, KernelError> {
+        let mut stall = false;
+        let ret = self
+            .op(|g| {
+                match g.env_fault_tick() {
+                    Some(EnvFault::Panic(n)) => panic!("injected fault: env-panic at syscall {n}"),
+                    Some(EnvFault::Stall) => stall = true,
+                    None => {}
+                }
+                let SimInner {
+                    machine, kernel, ..
+                } = g;
+                let out = kernel.syscall(machine, self.core, self.tcb, sys);
+                if let Some((at, irq)) = out.arm_timer {
+                    g.push_event(self.core, at, EvKind::Timer { irq });
+                }
+                out.ret
+            })
+            .await;
+        if stall {
             // The injected stall: the syscall completed, but the environment
             // never hands control back to the program.
-            self.stall_loop();
+            return self.stall().await;
         }
         match ret {
             SysReturn::Val(v) => Ok(v),
             SysReturn::Err(e) => Err(e),
-            SysReturn::Blocked => Ok(self.wait_unblocked()),
+            SysReturn::Blocked => Ok(self.wait_unblocked().await),
         }
     }
 
-    fn wait_unblocked(&self) -> u64 {
-        let mut g = self.ctl.inner.lock();
-        self.wait_turn(&mut g);
+    async fn wait_unblocked(&self) -> u64 {
+        let g = self.turn().await;
         debug_assert_eq!(
             g.kernel.tcbs.get(self.tcb.0).map(|t| t.state),
             Some(ThreadState::Ready)
@@ -937,13 +921,13 @@ impl UserEnv {
     }
 
     /// Yield the rest of the slice within the domain.
-    pub fn yield_now(&self) {
-        let _ = self.syscall(Syscall::Yield);
+    pub async fn yield_now(&self) {
+        let _ = self.syscall(Syscall::Yield).await;
     }
 
     /// Sleep until the domain's next time slot.
-    pub fn sleep_slice(&self) {
-        let _ = self.syscall(Syscall::SleepSlice);
+    pub async fn sleep_slice(&self) {
+        let _ = self.syscall(Syscall::SleepSlice).await;
     }
 
     /// Spin on the cycle counter until this thread is preempted (or another
@@ -953,62 +937,55 @@ impl UserEnv {
     /// the core and the cycle at which it got it back. This is the O(1)
     /// equivalent of the receiver loop in §5.3.4 ("observes its progress by
     /// monitoring a cycle counter, waiting for a large jump").
-    pub fn wait_preempt(&self) -> (u64, u64) {
+    pub async fn wait_preempt(&self) -> (u64, u64) {
         // A spinning receiver's loop period: counter jumps smaller than
         // this are indistinguishable from normal execution. Kernel events
         // that consume no observable time (e.g. an interrupt deferred by
         // partitioning) therefore do NOT end the wait.
         const OBSERVABLE: u64 = 150;
-        let mut g = self.ctl.inner.lock();
-        let mut fault_checked = false;
+        // The wait counts as one environment interaction for the fault
+        // plane (ticked after the turn, so ordinals follow the
+        // deterministic simulated schedule). Harness environments that
+        // never issue explicit syscalls still block here, so env faults
+        // reach every real cell.
+        let fault = self.turn().await.env_fault_tick();
+        match fault {
+            Some(EnvFault::Panic(n)) => panic!("injected fault: env-panic at syscall {n}"),
+            Some(EnvFault::Stall) => return self.stall().await,
+            None => {}
+        }
         loop {
-            self.wait_turn(&mut g);
-            if !fault_checked {
-                // The wait counts as one environment interaction for the
-                // fault plane (ticked after `wait_turn`, so ordinals follow
-                // the deterministic simulated schedule, not host threading).
-                // Harness environments that never issue explicit syscalls
-                // still block here, so env faults reach every real cell.
-                fault_checked = true;
-                match g.env_fault_tick() {
-                    Some(EnvFault::Panic(n)) => {
-                        panic!("injected fault: env-panic at syscall {n}")
-                    }
-                    Some(EnvFault::Stall(_)) => {
-                        drop(g);
-                        self.stall_loop();
-                    }
-                    Some(EnvFault::StackSmash(n)) => smash_stack(n),
-                    None => {}
+            let preempted_at = {
+                let mut g = self.turn().await;
+                let Some(evc) = g.next_event_cycle(self.core) else {
+                    // Nothing will ever preempt us: end the simulation (the
+                    // next turn never comes).
+                    g.stop = true;
+                    continue;
+                };
+                let now = g.machine.cycles(self.core);
+                if now < evc {
+                    g.machine.advance(self.core, evc - now);
                 }
-            }
-            let Some(evc) = g.next_event_cycle(self.core) else {
-                // Nothing will ever preempt us: treat as end of simulation.
-                g.stop = true;
-                std::panic::panic_any(SimExit);
+                let before = g.machine.cycles(self.core);
+                self.tail(&mut g);
+                if g.kernel.cores[self.core].cur != Some(self.tcb) {
+                    before
+                } else {
+                    let after = g.machine.cycles(self.core);
+                    if after - before > OBSERVABLE {
+                        // An in-slice kernel intrusion (e.g. interrupt
+                        // handling) long enough to show up as a
+                        // cycle-counter jump.
+                        return (before, after);
+                    }
+                    // Invisible event: keep spinning.
+                    continue;
+                }
             };
-            let now = g.machine.cycles(self.core);
-            if now < evc {
-                g.machine.advance(self.core, evc - now);
-            }
-            let before = g.machine.cycles(self.core);
-            g.process_due(self.core);
-            if !g.any_current() {
-                g.idle_advance();
-            }
-            g.rotate_token();
-            if g.kernel.cores[self.core].cur != Some(self.tcb) {
-                // Preempted: wait to be scheduled again.
-                self.wait_turn(&mut g);
-                return (before, g.machine.cycles(self.core));
-            }
-            let after = g.machine.cycles(self.core);
-            if after - before > OBSERVABLE {
-                // An in-slice kernel intrusion (e.g. interrupt handling)
-                // long enough to show up as a cycle-counter jump.
-                return (before, after);
-            }
-            // Invisible event: keep spinning.
+            // Preempted: wait to be scheduled again.
+            let resume = self.turn().await.machine.cycles(self.core);
+            return (preempted_at, resume);
         }
     }
 
@@ -1017,57 +994,45 @@ impl UserEnv {
     ///
     /// # Errors
     /// Propagates kernel errors.
-    pub fn set_timer_us(&self, cap: usize, us: f64) -> Result<u64, KernelError> {
-        self.syscall(Syscall::SetTimer { cap, us })
+    pub async fn set_timer_us(&self, cap: usize, us: f64) -> Result<u64, KernelError> {
+        self.syscall(Syscall::SetTimer { cap, us }).await
     }
 }
 
 /// One program to run: (tcb, core, domain, colors, program, primary).
 pub type ProgramSpec = (TcbId, usize, DomainId, ColorSet, Box<dyn UserProgram>, bool);
 
-/// Exit bookkeeping for a finished environment: classify the unwind
-/// payload (a [`SimExit`] is a normal stop, anything else is the cell's
-/// first error), retire the thread in the kernel, count down primaries and
+/// The message of a failing environment's panic payload.
+fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "environment panicked".to_string())
+}
+
+/// Exit bookkeeping for a finished environment: record its failure (if
+/// it panicked), retire the thread in the kernel, count down primaries and
 /// stop when none remain, then let the simulation reschedule.
-fn finish_program(
-    ctl: &SimCtl,
-    tcb: TcbId,
-    primary: bool,
-    payload: Option<Box<dyn std::any::Any + Send>>,
-) {
+fn finish_program(sim: &RefCell<SimInner>, tcb: TcbId, primary: bool, failure: Option<String>) {
     use std::sync::atomic::Ordering::Relaxed;
-    let mut g = ctl.inner.lock();
-    if let Some(p) = payload {
-        if !p.is::<SimExit>() {
-            let (env, msg) = match p.downcast::<EnvPanicPayload>() {
-                Ok(ep) => (ep.env, ep.message),
-                Err(p) => (
-                    tcb.0 as u64,
-                    p.downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                        .unwrap_or_else(|| "environment panicked".to_string()),
-                ),
-            };
-            if msg.starts_with("stack overflow") {
-                STACK_OVERFLOWS.fetch_add(1, Relaxed);
+    let mut g = sim.borrow_mut();
+    if let Some(msg) = failure {
+        let env = tcb.0 as u64;
+        if primary {
+            // A dead primary ends the cell: the result it was supposed
+            // to produce cannot exist. Surface the error, naming the
+            // failing environment.
+            g.stop = true;
+            if g.error.is_none() {
+                g.error = Some(format!("{msg} (env {env})"));
             }
-            if primary {
-                // A dead primary ends the cell: the result it was supposed
-                // to produce cannot exist. Surface the error, naming the
-                // failing environment.
-                g.stop = true;
-                if g.error.is_none() {
-                    g.error = Some(format!("{msg} (env {env})"));
-                }
-            } else {
-                // A dead daemon is isolated: record the per-env outcome and
-                // let the siblings keep running. `thread_exited` below
-                // retires it from the scheduler like a normal exit.
-                ENV_FAILED.fetch_add(1, Relaxed);
-                THREAD_ENV_FAILED.with(|c| c.set(c.get() + 1));
-                g.env_failures.push((env, msg));
-            }
+        } else {
+            // A dead daemon is isolated: record the per-env outcome and
+            // let the siblings keep running. `thread_exited` below
+            // retires it from the scheduler like a normal exit.
+            ENV_FAILED.fetch_add(1, Relaxed);
+            THREAD_ENV_FAILED.with(|c| c.set(c.get() + 1));
+            g.env_failures.push((env, msg));
         }
     }
     let SimInner {
@@ -1086,31 +1051,11 @@ fn finish_program(
     g.rotate_token();
 }
 
-/// Tag a failing environment's unwind payload with its env id (unless it is
-/// a normal [`SimExit`] or already tagged), so everything downstream —
-/// [`finish_program`], `Coro::take_panic`, supervisor quarantine records —
-/// can name the env.
-fn wrap_env_payload(tcb: TcbId, p: Box<dyn std::any::Any + Send>) -> Box<dyn std::any::Any + Send> {
-    if p.is::<SimExit>() || p.is::<EnvPanicPayload>() {
-        return p;
-    }
-    let message = p
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "environment panicked".to_string());
-    Box::new(EnvPanicPayload {
-        env: tcb.0 as u64,
-        message,
-    })
-}
-
 /// One environment task owned by the driver.
 struct CoopTask {
-    /// The coroutine; `None` once it completed. Dropping it at once frees
-    /// its stack: a stopping fleet unwinds thousands of environments, and
-    /// each unwind touches stack pages.
-    coro: Option<tp_exec::Coro>,
+    /// The program's future; `None` once it finished. Dropping it at once
+    /// frees its state.
+    fut: Option<EnvFuture>,
     tcb: TcbId,
     primary: bool,
 }
@@ -1120,7 +1065,7 @@ struct CoopState {
     tasks: Vec<CoopTask>,
     /// `tcb.0` → task index, for the driver's admission lookup.
     by_tcb: Vec<Option<usize>>,
-    /// Tasks not yet run to completion.
+    /// Tasks not yet finished.
     remaining: usize,
 }
 
@@ -1132,9 +1077,9 @@ impl CoopState {
 
 /// What the driver decided to do next.
 enum Pick {
-    /// Resume the task at this index.
+    /// Poll (or, once stopped, drop) the task at this index.
     Run(usize),
-    /// Every task has completed; the executor is done.
+    /// Every task has finished; the executor is done.
     Done,
 }
 
@@ -1142,9 +1087,8 @@ enum Pick {
 /// the kernel has scheduled on the token-holding core. Advances idle time
 /// and rotates the token while no environment is admissible, and owns the
 /// wall-clock watchdog when a deadline is armed.
-/// Once the simulation stops, drains the remaining tasks in ascending index
-/// order so each unwinds (via [`SimExit`] at its next admission check) and
-/// releases its resources.
+/// Once the simulation stops, picks the remaining tasks in ascending index
+/// order so the driver drops each and retires its thread.
 fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
     loop {
         if st.remaining == 0 {
@@ -1154,7 +1098,7 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
             let idx = st
                 .tasks
                 .iter()
-                .position(|t| t.coro.is_some())
+                .position(|t| t.fut.is_some())
                 .expect("remaining > 0 implies an unfinished task");
             return Pick::Run(idx);
         }
@@ -1173,7 +1117,7 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
         }
         let token = g.token;
         if let Some(tcb) = g.kernel.cores[token].cur {
-            match st.task_of(tcb).filter(|&i| st.tasks[i].coro.is_some()) {
+            match st.task_of(tcb).filter(|&i| st.tasks[i].fut.is_some()) {
                 Some(idx) => return Pick::Run(idx),
                 None => {
                     // A scheduled thread with no live task violates the
@@ -1209,7 +1153,7 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
             let waiting: Vec<u64> = st
                 .tasks
                 .iter()
-                .filter(|t| t.coro.is_some())
+                .filter(|t| t.fut.is_some())
                 .map(|t| t.tcb.0 as u64)
                 .collect();
             g.note_deadlock(waiting);
@@ -1217,45 +1161,37 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
     }
 }
 
-/// Run the set of programs to completion on the calling thread and return
-/// the final state.
+/// Run the set of programs to completion on the calling thread, leaving
+/// the final state in `sim`.
 ///
-/// The driver loop: decide the next admissible task under the simulation
-/// lock, resume its coroutine with the lock released (the task re-acquires
-/// it inside its env ops and releases it across suspends), and on
-/// completion run the exit bookkeeping. The simulation stops when all
-/// primary programs finish, `max_cycles` elapses, or the system goes
-/// permanently idle.
-#[must_use]
-pub fn run_programs(ctl: Arc<SimCtl>, programs: Vec<ProgramSpec>) -> Arc<SimCtl> {
-    install_quiet_panic_hook();
+/// The driver loop: decide the next admissible task, poll its future
+/// (which runs until it returns `Pending` in [`UserEnv`]'s admission loop
+/// or finishes), and on completion run the exit bookkeeping. A panic
+/// inside a poll is caught and charged to that environment alone. Once the
+/// simulation stops — all primary programs finished, `max_cycles`
+/// elapsed, the system went permanently idle, or a failure or watchdog
+/// ended it — nothing is polled again: the environment that saw the stop
+/// is retired first, then the rest in index order, each by dropping its
+/// future.
+pub fn run_programs(sim: &Rc<RefCell<SimInner>>, programs: Vec<ProgramSpec>) {
     if programs.is_empty() {
-        return ctl;
+        return;
     }
     let cfg = {
-        let mut g = ctl.inner.lock();
+        let mut g = sim.borrow_mut();
         g.primaries_left = programs.iter().filter(|p| p.5).count();
         g.machine.cfg
     };
     let mut tasks = Vec::with_capacity(programs.len());
     let mut by_tcb: Vec<Option<usize>> = Vec::new();
-    for (idx, (tcb, core, domain, colors, mut prog, primary)) in programs.into_iter().enumerate() {
-        let ctl2 = Arc::clone(&ctl);
-        let coro = tp_exec::Coro::new(move || {
-            let mut env = UserEnv::new(ctl2, tcb, core, domain, cfg, colors);
-            // Catch-and-retag so the payload crossing `take_panic` names
-            // the env; `wrap_env_payload` passes SimExit through untouched.
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prog.run(&mut env)));
-            if let Err(p) = r {
-                std::panic::resume_unwind(wrap_env_payload(tcb, p));
-            }
-        });
+    for (idx, (tcb, core, domain, colors, prog, primary)) in programs.into_iter().enumerate() {
+        let env = UserEnv::new(Rc::clone(sim), tcb, core, domain, cfg, colors);
         if by_tcb.len() <= tcb.0 {
             by_tcb.resize(tcb.0 + 1, None);
         }
         by_tcb[tcb.0] = Some(idx);
         tasks.push(CoopTask {
-            coro: Some(coro),
+            fut: Some(prog.start(env)),
             tcb,
             primary,
         });
@@ -1266,35 +1202,148 @@ pub fn run_programs(ctl: Arc<SimCtl>, programs: Vec<ProgramSpec>) -> Arc<SimCtl>
         by_tcb,
         remaining,
     };
+    let mut cx = Context::from_waker(Waker::noop());
     loop {
-        // The guard must be gone before the resume: the task takes the
-        // simulation lock itself inside its env ops.
-        let pick = coop_decide(&mut ctl.inner.lock(), &st);
+        let pick = coop_decide(&mut sim.borrow_mut(), &st);
         let Pick::Run(idx) = pick else { break };
-        // Runs until the task suspends in `wait_turn` (no longer admitted)
-        // or completes (return / unwind).
         let t = &mut st.tasks[idx];
-        let coro = t.coro.as_mut().expect("the driver picks live tasks only");
-        if coro.resume() {
-            let payload = coro.take_panic();
-            t.coro = None;
-            finish_program(&ctl, t.tcb, t.primary, payload);
-            st.remaining -= 1;
-        }
+        let fut = t.fut.as_mut().expect("the driver picks live tasks only");
+        let failure = if sim.borrow().stop {
+            None
+        } else {
+            let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fut.as_mut().poll(&mut cx)
+            }));
+            match polled {
+                // Suspended in the admission loop: decide again. A task
+                // that suspends after the simulation stopped saw the stop
+                // itself and is retired at once.
+                Ok(Poll::Pending) if !sim.borrow().stop => continue,
+                Ok(_) => None,
+                Err(payload) => Some(panic_message(payload.as_ref())),
+            }
+        };
+        t.fut = None;
+        finish_program(sim, t.tcb, t.primary, failure);
+        st.remaining -= 1;
     }
-    ctl
 }
 
-fn install_quiet_panic_hook() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<SimExit>() {
-                return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ProtectionConfig, SystemBuilder};
+    use std::cell::Cell;
+    use tp_sim::Platform;
+
+    #[test]
+    fn suspend_is_pending_once_then_ready() {
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut fut = std::pin::pin!(suspend());
+        assert!(fut.as_mut().poll(&mut cx).is_pending());
+        assert!(fut.as_mut().poll(&mut cx).is_ready());
+    }
+
+    /// Thousands of environments are nothing but futures on the calling
+    /// thread: 4096 daemons that each compute, yield and finish, and one
+    /// primary that waits for them all, run to completion with no host
+    /// thread spawned.
+    #[test]
+    fn thousands_of_daemons_run_to_completion_on_one_thread() {
+        const DAEMONS: usize = 4096;
+        let host = std::thread::current().id();
+        let done = Rc::new(Cell::new(0usize));
+        let mut b = SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw())
+            .max_cycles(4_000_000_000);
+        let d = b.domain(None);
+        for _ in 0..DAEMONS {
+            let done = Rc::clone(&done);
+            b.spawn_daemon(d, 0, 100, async move |env: &mut UserEnv| {
+                env.compute(1_000).await;
+                env.yield_now().await;
+                assert_eq!(std::thread::current().id(), host);
+                done.set(done.get() + 1);
+            });
+        }
+        let seen = Rc::clone(&done);
+        b.spawn(d, 0, 100, async move |env: &mut UserEnv| {
+            while seen.get() < DAEMONS {
+                env.yield_now().await;
             }
-            default(info);
-        }));
-    });
+        });
+        let report = b.run();
+        assert_eq!(done.get(), DAEMONS);
+        assert_eq!(report.env_outcomes.len(), DAEMONS + 1);
+        assert!(report
+            .env_outcomes
+            .iter()
+            .all(|o| *o == EnvOutcome::Completed));
+    }
+
+    /// A panic inside one environment's poll is caught and charged to that
+    /// environment alone: the primary keeps running to completion.
+    #[test]
+    fn panic_in_a_daemon_is_isolated() {
+        let finished = Rc::new(Cell::new(false));
+        let mut b =
+            SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw()).max_cycles(400_000_000);
+        let d = b.domain(None);
+        b.spawn_daemon(d, 0, 100, async |env: &mut UserEnv| {
+            env.yield_now().await;
+            panic!("daemon died");
+        });
+        let flag = Rc::clone(&finished);
+        b.spawn(d, 0, 100, async move |env: &mut UserEnv| {
+            for _ in 0..4 {
+                env.yield_now().await;
+            }
+            flag.set(true);
+        });
+        let report = b.try_run().expect("a daemon's death does not end the cell");
+        assert!(finished.get());
+        assert_eq!(
+            report.env_outcomes,
+            [
+                EnvOutcome::Failed {
+                    env: 0,
+                    message: "daemon died".to_string()
+                },
+                EnvOutcome::Completed
+            ]
+        );
+    }
+
+    /// Once the simulation stops, the unfinished environments are dropped,
+    /// never polled again, and their threads retired in spawn order.
+    #[test]
+    fn stop_drops_unfinished_environments_in_spawn_order() {
+        struct Noisy(usize, Rc<RefCell<Vec<usize>>>);
+        impl Drop for Noisy {
+            fn drop(&mut self) {
+                self.1.borrow_mut().push(self.0);
+            }
+        }
+        let dropped = Rc::new(RefCell::new(Vec::new()));
+        let mut b =
+            SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw()).max_cycles(400_000_000);
+        let d = b.domain(None);
+        b.spawn(d, 0, 100, async |env: &mut UserEnv| {
+            env.compute(1_000).await;
+        });
+        for i in 1..4 {
+            let guard = Noisy(i, Rc::clone(&dropped));
+            b.spawn_daemon(d, 0, 100, async move |env: &mut UserEnv| {
+                let _guard = guard;
+                loop {
+                    env.yield_now().await;
+                }
+            });
+        }
+        let report = b.run();
+        assert_eq!(*dropped.borrow(), [1, 2, 3]);
+        assert!(report
+            .env_outcomes
+            .iter()
+            .all(|o| *o == EnvOutcome::Completed));
+    }
 }

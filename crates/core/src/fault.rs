@@ -33,7 +33,7 @@ pub enum FaultKind {
         at: u64,
     },
     /// The simulated environment stops yielding after its `at`-th syscall:
-    /// the thread spins off-lock forever, exercising the engine watchdog.
+    /// it holds the driver thread forever, exercising the engine watchdog.
     EnvStall {
         /// 1-based syscall ordinal after which the environment hangs.
         at: u64,
@@ -47,10 +47,6 @@ pub enum FaultKind {
         /// 1-based token-rotation ordinal at which rotations stop.
         at: u64,
     },
-    /// The environment's coroutine stack guard canary is clobbered at its
-    /// next interaction, exercising the stack-overflow detection that runs
-    /// at every suspend.
-    StackOverflow,
 }
 
 impl FaultKind {
@@ -61,7 +57,6 @@ impl FaultKind {
             FaultKind::EnvPanic { .. } => "env-panic",
             FaultKind::EnvStall { .. } => "env-stall",
             FaultKind::LostWakeup { .. } => "lost-wakeup",
-            FaultKind::StackOverflow => "stack-overflow",
         }
     }
 }
@@ -72,7 +67,6 @@ impl fmt::Display for FaultKind {
             FaultKind::EnvPanic { at } => write!(f, "env-panic@{at}"),
             FaultKind::EnvStall { at } => write!(f, "env-stall@{at}"),
             FaultKind::LostWakeup { at } => write!(f, "lost-wakeup@{at}"),
-            FaultKind::StackOverflow => write!(f, "stack-overflow"),
         }
     }
 }
@@ -99,13 +93,10 @@ impl FaultPlan {
     /// ```text
     /// plan  := class [ "@" N ] [ ":cell=" experiment "/" platform ]
     /// class := "env-panic" | "env-stall" | "lost-wakeup"
-    ///        | "stack-overflow"
     /// ```
     ///
     /// `@N` sets the trigger point (interaction ordinal or rotation
-    /// ordinal depending on class)
-    /// and defaults per class; `stack-overflow` has no trigger point and
-    /// rejects one.
+    /// ordinal depending on class) and defaults per class.
     ///
     /// # Errors
     /// Returns a human-readable message for an unknown class, a malformed
@@ -143,16 +134,10 @@ impl FaultPlan {
             "lost-wakeup" => FaultKind::LostWakeup {
                 at: at.unwrap_or(2),
             },
-            "stack-overflow" => {
-                if at.is_some() {
-                    return Err("stack-overflow takes no trigger point".into());
-                }
-                FaultKind::StackOverflow
-            }
             other => {
                 return Err(format!(
-                    "unknown fault class `{other}` (expected env-panic, env-stall, \
-                     lost-wakeup or stack-overflow)"
+                    "unknown fault class `{other}` (expected env-panic, env-stall \
+                     or lost-wakeup)"
                 ))
             }
         };
@@ -248,10 +233,6 @@ mod tests {
             FaultPlan::parse("lost-wakeup").unwrap().kind,
             FaultKind::LostWakeup { at: 2 }
         );
-        assert_eq!(
-            FaultPlan::parse("stack-overflow").unwrap().kind,
-            FaultKind::StackOverflow
-        );
     }
 
     #[test]
@@ -269,17 +250,35 @@ mod tests {
     fn rejects_malformed_specs() {
         assert!(FaultPlan::parse("frob").is_err());
         assert!(FaultPlan::parse("env-panic@lots").is_err());
-        assert!(FaultPlan::parse("stack-overflow@3").is_err());
         assert!(FaultPlan::parse("env-panic:cell=flush").is_err());
         assert!(FaultPlan::parse("env-panic:cell=/haswell").is_err());
-        // The retired classes are unknown, and the error names the four
+        // The retired classes are unknown, and the error names the three
         // that remain.
-        for retired in ["commit-flip@17", "noise-poison@64", "snapshot-corrupt"] {
+        for retired in [
+            "commit-flip@17",
+            "noise-poison@64",
+            "snapshot-corrupt",
+            "stack-overflow",
+        ] {
             let err = FaultPlan::parse(retired).unwrap_err();
             assert!(err.starts_with("unknown fault class"), "{err}");
-            for class in ["env-panic", "env-stall", "lost-wakeup", "stack-overflow"] {
+            for class in ["env-panic", "env-stall", "lost-wakeup"] {
                 assert!(err.contains(class), "{err}");
             }
+        }
+    }
+
+    /// Environments are futures with no stacks, so there is no
+    /// `stack-overflow` class: a plan naming it, with or without a trigger
+    /// point, is an unknown class.
+    #[test]
+    fn stack_overflow_class_is_rejected() {
+        for spec in ["stack-overflow", "stack-overflow@3"] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(
+                err.contains("unknown fault class `stack-overflow`"),
+                "{err}"
+            );
         }
     }
 
@@ -289,7 +288,6 @@ mod tests {
             "env-panic@3",
             "env-stall@7",
             "lost-wakeup@2",
-            "stack-overflow",
             "env-panic@5:cell=flush/haswell",
         ] {
             let p = FaultPlan::parse(spec).unwrap();
@@ -300,8 +298,8 @@ mod tests {
 
     #[test]
     fn thread_local_arming_is_per_thread() {
-        arm(Some(FaultKind::StackOverflow));
-        assert_eq!(armed(), Some(FaultKind::StackOverflow));
+        arm(Some(FaultKind::LostWakeup { at: 2 }));
+        assert_eq!(armed(), Some(FaultKind::LostWakeup { at: 2 }));
         let other = std::thread::spawn(armed).join().unwrap();
         assert_eq!(other, None, "arming must not leak across threads");
         arm(None);

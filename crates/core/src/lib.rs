@@ -23,7 +23,7 @@
 //! itself is a measurable cache actor — the §5.3.1 kernel-image channel
 //! falls out of the model rather than being scripted.
 //!
-//! The [`engine`] executes user programs (coroutines driven by one host
+//! The [`engine`] executes user programs (futures polled by one host
 //! thread) against the simulated machine with deterministic scheduling; the
 //! [`system`] builder plays the role of seL4's initial user task,
 //! partitioning memory into coloured pools and cloning kernels per §3.3.
@@ -39,12 +39,12 @@
 //!     .max_cycles(10_000_000);
 //! let d0 = b.domain(None); // colours split automatically
 //! let d1 = b.domain(None);
-//! b.spawn(d0, 0, 100, |env: &mut tp_core::UserEnv| {
-//!     let (va, _) = env.map_pages(1);
-//!     env.load(va);
+//! b.spawn(d0, 0, 100, async |env: &mut tp_core::UserEnv| {
+//!     let (va, _) = env.map_pages(1).await;
+//!     env.load(va).await;
 //! });
-//! b.spawn_daemon(d1, 0, 100, |env: &mut tp_core::UserEnv| loop {
-//!     env.compute(1_000);
+//! b.spawn_daemon(d1, 0, 100, async |env: &mut tp_core::UserEnv| loop {
+//!     env.compute(1_000).await;
 //! });
 //! let report = b.run();
 //! assert!(report.cycles[0] > 0);
@@ -69,8 +69,8 @@ pub mod system;
 pub use commit::{Commit, CommitLog, StateHasher};
 pub use config::{FlushMode, ProtectionConfig};
 pub use engine::{
-    health_stats, thread_env_failed, EnvOutcome, EnvPanicPayload, EnvPlan, HealthStats, SimCtl,
-    SimError, SimErrorKind, SimInner, UserEnv, UserProgram,
+    health_stats, thread_env_failed, EnvFuture, EnvOutcome, EnvPlan, HealthStats, SimError,
+    SimErrorKind, SimInner, UserEnv, UserProgram,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use kernel::{EngineMode, FootKind, Kernel, KernelError, SysReturn, Syscall};

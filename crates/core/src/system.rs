@@ -9,13 +9,13 @@
 use crate::commit::Commit;
 use crate::config::ProtectionConfig;
 use crate::engine::{
-    run_programs, EnvOutcome, EvKind, SimCtl, SimError, SimErrorKind, SimInner, UserProgram,
-    DEFAULT_WINDOW,
+    run_programs, EnvOutcome, EvKind, SimError, SimErrorKind, SimInner, UserProgram, DEFAULT_WINDOW,
 };
 use crate::kernel::{EngineMode, Kernel, KernelStats};
 use crate::objects::{DomainId, TcbId};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use tp_sim::{ColorSet, Machine, PlatformConfig};
 
@@ -289,7 +289,7 @@ impl SystemBuilder {
     /// instead of panicking when a simulated program fails or the engine
     /// watchdog aborts the run.
     ///
-    /// Every environment runs as a coroutine driven by the calling thread.
+    /// Every environment runs as a future polled by the calling thread.
     /// Any [`crate::fault`] plan and deadline armed on that thread is
     /// applied to this run.
     ///
@@ -423,25 +423,18 @@ impl SystemBuilder {
                 }
             }
         }
-        let ctl = SimCtl::new(inner);
+        let sim = Rc::new(RefCell::new(inner));
 
         let programs = specs
             .into_iter()
             .map(|(t, core, d, prog, primary)| {
-                let colors = ctl
-                    .inner
-                    .lock()
-                    .kernel
-                    .domains
-                    .get(d.0)
-                    .expect("domain")
-                    .colors;
+                let colors = sim.borrow().kernel.domains.get(d.0).expect("domain").colors;
                 (t, core, d, colors, prog, primary)
             })
             .collect();
 
-        let ctl = run_programs(ctl, programs);
-        let mut g = ctl.inner.lock();
+        run_programs(&sim, programs);
+        let mut g = sim.borrow_mut();
         // The typed deadlock slot outranks the error string: it carries the
         // waiting-env set and the exact interaction ordinal the detector
         // proved the wedge at.
@@ -485,9 +478,9 @@ impl SystemBuilder {
         drop(g);
         // The executor drains every environment before it returns, so the
         // driver holds the last handle and the final kernel moves out.
-        let kernel = match Arc::try_unwrap(ctl) {
-            Ok(ctl) => ctl.inner.into_inner().kernel,
-            Err(ctl) => ctl.inner.lock().kernel.clone(),
+        let kernel = match Rc::try_unwrap(sim) {
+            Ok(sim) => sim.into_inner().kernel,
+            Err(sim) => sim.borrow().kernel.clone(),
         };
         Ok(SystemReport {
             cfg,
@@ -551,11 +544,11 @@ mod tests {
         let done2 = Arc::clone(&done);
         let mut b = SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw());
         let d = b.domain(None);
-        b.spawn(d, 0, 100, move |env: &mut crate::engine::UserEnv| {
-            let (va, _) = env.map_pages(2);
+        b.spawn(d, 0, 100, async move |env: &mut crate::engine::UserEnv| {
+            let (va, _) = env.map_pages(2).await;
             let mut sum = 0;
             for i in 0..64u64 {
-                sum += env.load(tp_sim::VAddr(va.0 + i * 64));
+                sum += env.load(tp_sim::VAddr(va.0 + i * 64)).await;
             }
             *done2.lock() = sum.max(1);
         });
@@ -573,14 +566,16 @@ mod tests {
             .max_cycles(40_000_000);
         let d0 = b.domain(None);
         let d1 = b.domain(None);
-        b.spawn(d0, 0, 100, move |env: &mut crate::engine::UserEnv| {
+        b.spawn(d0, 0, 100, async move |env: &mut crate::engine::UserEnv| {
             for _ in 0..5 {
-                let (gap, resume) = env.wait_preempt();
+                let (gap, resume) = env.wait_preempt().await;
                 log2.lock().push((gap, resume));
             }
         });
-        b.spawn_daemon(d1, 0, 100, move |env: &mut crate::engine::UserEnv| loop {
-            env.compute(1000);
+        b.spawn_daemon(d1, 0, 100, async move |env: &mut crate::engine::UserEnv| {
+            loop {
+                env.compute(1000).await;
+            }
         });
         let report = b.run();
         let log = log.lock();
@@ -601,11 +596,11 @@ mod tests {
             .slice_us(50.0)
             .max_cycles(20_000_000);
         let d = b.domain(None);
-        b.spawn(d, 0, 100, |env: &mut crate::engine::UserEnv| {
-            env.compute(10_000);
+        b.spawn(d, 0, 100, async |env: &mut crate::engine::UserEnv| {
+            env.compute(10_000).await;
         });
-        b.spawn_daemon(d, 0, 100, |env: &mut crate::engine::UserEnv| loop {
-            env.compute(500);
+        b.spawn_daemon(d, 0, 100, async |env: &mut crate::engine::UserEnv| loop {
+            env.compute(500).await;
         });
         let _ = b.run();
     }
@@ -632,15 +627,15 @@ mod tests {
             assert_eq!(c1, 0);
         }));
         let mut b = b.open_scheduling();
-        b.spawn(d0, 0, 100, move |env: &mut crate::engine::UserEnv| {
+        b.spawn(d0, 0, 100, async move |env: &mut crate::engine::UserEnv| {
             for i in 0..10u64 {
-                let r = env.syscall(Syscall::Call { cap: 0, msg: i }).unwrap();
+                let r = env.syscall(Syscall::Call { cap: 0, msg: i }).await.unwrap();
                 assert_eq!(r, i + 1);
             }
             *count2.lock() = 10;
         });
-        b.spawn_daemon(d1, 0, 100, |env: &mut crate::engine::UserEnv| {
-            let first = env.syscall(Syscall::Recv { cap: 0 }).unwrap();
+        b.spawn_daemon(d1, 0, 100, async |env: &mut crate::engine::UserEnv| {
+            let first = env.syscall(Syscall::Recv { cap: 0 }).await.unwrap();
             let mut msg = first;
             loop {
                 msg = env
@@ -648,6 +643,7 @@ mod tests {
                         cap: 0,
                         msg: msg + 1,
                     })
+                    .await
                     .unwrap();
             }
         });

@@ -135,16 +135,16 @@ pub fn run_workload(bench: &Benchmark, run: &WorkloadRun) -> Result<PerfResult, 
     let seed = run.seed;
     let time_shared = run.time_shared;
     let slice_cy = cfg.us_to_cycles(run.slice_us);
-    b.spawn(d_bench, 0, 100, move |env: &mut UserEnv| {
-        let (base, _) = env.map_pages(bench2.ws_pages);
+    b.spawn(d_bench, 0, 100, async move |env: &mut UserEnv| {
+        let (base, _) = env.map_pages(bench2.ws_pages).await;
         // Warm-up: touch every page once (deterministic paging-in — a
         // random warm-up could miss pages) plus a short pattern pass to
         // settle the hot set.
         let touch: Vec<(tp_sim::VAddr, bool)> = (0..bench2.ws_pages as u64)
             .map(|p| (tp_sim::VAddr(base.0 + p * tp_sim::FRAME_SIZE), false))
             .collect();
-        let _ = env.access_sweep(&touch, 0);
-        let _ = bench2.execute(env, base, bench2.ws_pages, seed ^ 1);
+        let _ = env.access_sweep(&touch, 0).await;
+        let _ = bench2.execute(env, base, bench2.ws_pages, seed ^ 1).await;
         if time_shared {
             // Slice-throughput measurement: count accesses completed in a
             // fixed number of *whole* slices. A completion-time span a few
@@ -158,26 +158,28 @@ pub fn run_workload(bench: &Benchmark, run: &WorkloadRun) -> Result<PerfResult, 
             const CHUNK: usize = 256;
             let mut done = 0u64;
             for r in 0..ROUNDS {
-                let _ = env.wait_preempt(); // align to a fresh slice
-                let t0 = env.now();
+                let _ = env.wait_preempt().await; // align to a fresh slice
+                let t0 = env.now().await;
                 let mut chunk = 0u64;
-                while env.now() - t0 < slice_cy {
-                    let _ = bench2.execute(env, base, CHUNK, seed ^ (r * 1009 + chunk));
+                while env.now().await - t0 < slice_cy {
+                    let _ = bench2
+                        .execute(env, base, CHUNK, seed ^ (r * 1009 + chunk))
+                        .await;
                     chunk += 1;
                     done += CHUNK as u64;
                 }
             }
             *outcome2.lock() = (ROUNDS * slice_cy, done);
         } else {
-            let t0 = env.now();
-            let _ = bench2.execute(env, base, ops, seed);
-            let t1 = env.now();
+            let t0 = env.now().await;
+            let _ = bench2.execute(env, base, ops, seed).await;
+            let t1 = env.now().await;
             *outcome2.lock() = (t1 - t0, ops as u64);
         }
     });
     if let Some(d) = d_idle {
-        b.spawn_daemon(d, 0, 100, |env: &mut UserEnv| loop {
-            let _ = env.wait_preempt();
+        b.spawn_daemon(d, 0, 100, async |env: &mut UserEnv| loop {
+            let _ = env.wait_preempt().await;
         });
     }
     let _ = b.try_run()?;

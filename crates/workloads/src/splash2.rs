@@ -151,11 +151,11 @@ impl Benchmark {
     ///
     /// The address process is purely RNG-driven (no access depends on a
     /// previous access's outcome), so chunks of it are pre-generated and
-    /// issued through the environment's batched sweep — one lock/turn
-    /// acquisition per chunk instead of two per access. Draw order from
+    /// issued through the environment's batched sweep — one scheduler
+    /// turn per chunk instead of two per access. Draw order from
     /// the seeded RNG is unchanged, so the access sequence is identical to
     /// the scalar loop this replaces.
-    pub fn execute(&self, env: &mut UserEnv, base: VAddr, ops: usize, seed: u64) -> usize {
+    pub async fn execute(&self, env: &UserEnv, base: VAddr, ops: usize, seed: u64) -> usize {
         /// Accesses issued per batched sweep (bounds the pre-generated
         /// buffer; a chunk spans several preemption slices at most).
         const CHUNK: usize = 1024;
@@ -179,12 +179,12 @@ impl Benchmark {
             let write = rng.gen::<f64>() < self.write_frac;
             batch.push((va, write));
             if batch.len() == CHUNK {
-                env.access_sweep(&batch, self.compute);
+                env.access_sweep(&batch, self.compute).await;
                 batch.clear();
             }
         }
         if !batch.is_empty() {
-            env.access_sweep(&batch, self.compute);
+            env.access_sweep(&batch, self.compute).await;
         }
         ops
     }

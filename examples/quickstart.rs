@@ -18,8 +18,8 @@ fn main() {
 
     let n_colors = Platform::Haswell.config().partition_colors();
 
-    b.spawn(alice, 0, 100, move |env: &mut UserEnv| {
-        let (va, frames) = env.map_pages(16);
+    b.spawn(alice, 0, 100, async move |env: &mut UserEnv| {
+        let (va, frames) = env.map_pages(16).await;
         // Every frame this domain can ever get is one of its own colours.
         for f in &frames {
             assert!(env.my_colors().contains(color_of_frame(*f, n_colors)));
@@ -29,16 +29,16 @@ fn main() {
         let mut cold = 0;
         let mut warm = 0;
         for i in 0..1024u64 {
-            cold += env.load(VAddr(va.0 + (i % 1024) * 64));
+            cold += env.load(VAddr(va.0 + (i % 1024) * 64)).await;
         }
         for i in 0..1024u64 {
-            warm += env.load(VAddr(va.0 + (i % 1024) * 64));
+            warm += env.load(VAddr(va.0 + (i % 1024) * 64)).await;
         }
         println!("[alice] cold pass {cold} cycles, warm pass {warm} cycles");
     });
 
-    b.spawn(bob, 0, 100, move |env: &mut UserEnv| {
-        let (_, frames) = env.map_pages(16);
+    b.spawn(bob, 0, 100, async move |env: &mut UserEnv| {
+        let (_, frames) = env.map_pages(16).await;
         for f in &frames {
             assert!(env.my_colors().contains(color_of_frame(*f, n_colors)));
         }

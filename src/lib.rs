@@ -30,18 +30,19 @@
 //!     .max_cycles(20_000_000);
 //! let d0 = b.domain(None);
 //! let d1 = b.domain(None);
-//! b.spawn(d0, 0, 100, |env: &mut UserEnv| {
-//!     let (va, _) = env.map_pages(4);
+//! // Every program is an `async` closure; each env op is awaited.
+//! b.spawn(d0, 0, 100, async |env: &mut UserEnv| {
+//!     let (va, _) = env.map_pages(4).await;
 //!     for i in 0..256 {
-//!         env.load(tp_sim::VAddr(va.0 + i * 64));
+//!         env.load(tp_sim::VAddr(va.0 + i * 64)).await;
 //!     }
 //!     // Sit through a couple of preemptions (the other domain runs in
 //!     // between, with the full domain-switch path on each boundary).
-//!     env.wait_preempt();
-//!     env.wait_preempt();
+//!     env.wait_preempt().await;
+//!     env.wait_preempt().await;
 //! });
-//! b.spawn_daemon(d1, 0, 100, |env: &mut UserEnv| loop {
-//!     env.compute(1_000);
+//! b.spawn_daemon(d1, 0, 100, async |env: &mut UserEnv| loop {
+//!     env.compute(1_000).await;
 //! });
 //! let report = b.run();
 //! assert_eq!(report.stats.clones, 2);

@@ -30,8 +30,8 @@ fn classify(kind: FaultKind, seed: u64) -> CellOutcome {
 }
 
 /// The fault classes armed on the probe cell classify as the taxonomy
-/// table says. (The executor classes, `lost-wakeup` and `stack-overflow`,
-/// are pinned below and in the supervise unit tests.)
+/// table says. (The executor class, `lost-wakeup`, is pinned below and in
+/// the supervise unit tests.)
 #[test]
 fn probe_cell_fault_classes_classify_per_the_taxonomy() {
     let cases: [(FaultKind, CellOutcome); 2] = [

@@ -108,8 +108,8 @@ fn colour_partitioning_is_airtight() {
     let d1 = b.domain(None);
     for d in [d0, d1] {
         let seen2 = Arc::clone(&seen);
-        b.spawn(d, 0, 100, move |env: &mut UserEnv| {
-            let (_, frames) = env.map_pages(64);
+        b.spawn(d, 0, 100, async move |env: &mut UserEnv| {
+            let (_, frames) = env.map_pages(64).await;
             seen2.lock().push((env.my_colors().0, frames));
         });
     }
@@ -149,22 +149,24 @@ fn cross_domain_ipc_delivers_messages() {
         k.grant_cap(tcbs[1], cap);
     }));
     let mut b = b.open_scheduling();
-    b.spawn(d0, 0, 100, move |env: &mut UserEnv| {
+    b.spawn(d0, 0, 100, async move |env: &mut UserEnv| {
         for i in 0..5 {
             let r = env
                 .syscall(Syscall::Call {
                     cap: 0,
                     msg: 10 + i,
                 })
+                .await
                 .unwrap();
             got2.lock().push(r);
         }
     });
-    b.spawn_daemon(d1, 0, 100, |env: &mut UserEnv| {
-        let mut v = env.syscall(Syscall::Recv { cap: 0 }).unwrap();
+    b.spawn_daemon(d1, 0, 100, async |env: &mut UserEnv| {
+        let mut v = env.syscall(Syscall::Recv { cap: 0 }).await.unwrap();
         loop {
             v = env
                 .syscall(Syscall::ReplyRecv { cap: 0, msg: v * 2 })
+                .await
                 .unwrap();
         }
     });

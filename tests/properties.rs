@@ -348,9 +348,9 @@ fn engine_probe_batch_matches_scalar_oracle() {
     use tp_core::{ProtectionConfig, SystemBuilder, UserEnv};
     use tp_sim::{VAddr, FRAME_SIZE};
 
-    fn sweeps(env: &mut UserEnv, batch: bool, rounds: usize) -> Vec<u64> {
-        let dbuf = l1_probe(env, env.platform().l1d);
-        let ibuf = l1_probe(env, env.platform().l1i);
+    async fn sweeps(env: &UserEnv, batch: bool, rounds: usize) -> Vec<u64> {
+        let dbuf = l1_probe(env, env.platform().l1d).await;
+        let ibuf = l1_probe(env, env.platform().l1i).await;
         let threshold = env.platform().lat.l1_hit + 1;
         let mut totals = Vec::new();
         for round in 0..rounds {
@@ -360,37 +360,48 @@ fn engine_probe_batch_matches_scalar_oracle() {
             // core's; every third access stores. With 1000 compute cycles
             // after each access, the window token changes hands every few
             // accesses while both cores run.
-            let (base, _) = env.map_pages(8);
+            let (base, _) = env.map_pages(8).await;
             let line = env.platform().line;
             let ops: Vec<(VAddr, bool)> = (0..8 * FRAME_SIZE / line)
                 .map(|k| (VAddr(base.0 + k * line), k % 3 == 0))
                 .collect();
             if batch {
-                totals.push(dbuf.probe(env));
-                totals.push(dbuf.probe_prefix(env, n));
-                totals.push(dbuf.probe_write(env));
-                totals.push(ibuf.probe_exec(env));
+                totals.push(dbuf.probe(env).await);
+                totals.push(dbuf.probe_prefix(env, n).await);
+                totals.push(dbuf.probe_write(env).await);
+                totals.push(ibuf.probe_exec(env).await);
                 // Data loads over the I-side buffer miss the L1-D that
                 // `dbuf` fills.
-                totals.push(ibuf.probe_misses(env, threshold));
-                dbuf.dirty_prefix(env, n);
-                totals.push(env.now());
-                totals.push(env.access_sweep(&ops, 1000));
+                totals.push(ibuf.probe_misses(env, threshold).await);
+                dbuf.dirty_prefix(env, n).await;
+                totals.push(env.now().await);
+                totals.push(env.access_sweep(&ops, 1000).await);
             } else {
-                totals.push(dbuf.probe_scalar(env));
-                totals.push(dbuf.lines[..n].iter().map(|&va| env.load(va)).sum());
-                totals.push(dbuf.probe_write_scalar(env));
-                totals.push(ibuf.probe_exec_scalar(env));
-                let misses = ibuf.lines.iter().map(|&va| env.load(va) >= threshold);
-                totals.push(misses.filter(|&m| m).count() as u64);
+                totals.push(dbuf.probe_scalar(env).await);
+                let mut prefix = 0;
                 for &va in &dbuf.lines[..n] {
-                    env.store(va);
+                    prefix += env.load(va).await;
                 }
-                totals.push(env.now());
+                totals.push(prefix);
+                totals.push(dbuf.probe_write_scalar(env).await);
+                totals.push(ibuf.probe_exec_scalar(env).await);
+                let mut misses = 0;
+                for &va in &ibuf.lines {
+                    misses += u64::from(env.load(va).await >= threshold);
+                }
+                totals.push(misses);
+                for &va in &dbuf.lines[..n] {
+                    env.store(va).await;
+                }
+                totals.push(env.now().await);
                 let mut sum = 0;
                 for &(va, write) in &ops {
-                    sum += if write { env.store(va) } else { env.load(va) };
-                    env.compute(1000);
+                    sum += if write {
+                        env.store(va).await
+                    } else {
+                        env.load(va).await
+                    };
+                    env.compute(1000).await;
                 }
                 totals.push(sum);
             }
@@ -410,8 +421,9 @@ fn engine_probe_batch_matches_scalar_oracle() {
             // round.
             for (core, rounds) in [(0, 3), (1, 2)] {
                 let out2 = Arc::clone(&out);
-                b.spawn(d, core, 100, move |env: &mut UserEnv| {
-                    out2.lock()[core] = sweeps(env, batch, rounds);
+                b.spawn(d, core, 100, async move |env: &mut UserEnv| {
+                    let totals = sweeps(env, batch, rounds).await;
+                    out2.lock()[core] = totals;
                 });
             }
             let r = b.run();
@@ -551,23 +563,24 @@ fn executor_fixture(
     let d0 = b.domain(None);
     let d1 = b.domain(None);
     let d2 = b.domain(None);
-    b.spawn(d0, 0, 100, move |env: &mut UserEnv| {
-        let buf = l1_probe(env, env.platform().l1d);
+    b.spawn(d0, 0, 100, async move |env: &mut UserEnv| {
+        let buf = l1_probe(env, env.platform().l1d).await;
         for _ in 0..6 {
-            obs2.lock().push(buf.probe(env));
-            let _ = env.wait_preempt();
+            let lat = buf.probe(env).await;
+            obs2.lock().push(lat);
+            let _ = env.wait_preempt().await;
         }
     });
-    b.spawn_daemon(d1, 0, 100, move |env: &mut UserEnv| loop {
-        env.compute(10_000);
-        env.sleep_slice();
+    b.spawn_daemon(d1, 0, 100, async move |env: &mut UserEnv| loop {
+        env.compute(10_000).await;
+        env.sleep_slice().await;
     });
-    b.spawn_daemon(d2, 0, 100, move |env: &mut UserEnv| {
-        let (va, _) = env.map_pages(4);
+    b.spawn_daemon(d2, 0, 100, async move |env: &mut UserEnv| {
+        let (va, _) = env.map_pages(4).await;
         loop {
-            env.load(va);
-            env.store(va);
-            let _ = env.wait_preempt();
+            env.load(va).await;
+            env.store(va).await;
+            let _ = env.wait_preempt().await;
         }
     });
     b.try_run()

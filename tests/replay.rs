@@ -102,19 +102,20 @@ fn commit_logging_does_not_perturb_simulated_time() {
                 .record_commits(record);
             let d0 = b.domain(None);
             let d1 = b.domain(None);
-            b.spawn(d0, 0, 100, move |env: &mut UserEnv| {
-                let (va, _) = env.map_pages(2);
+            b.spawn(d0, 0, 100, async move |env: &mut UserEnv| {
+                let (va, _) = env.map_pages(2).await;
                 for i in 0..40 {
-                    out.lock().push(env.now());
-                    env.load(tp_sim::VAddr(va.0 + (i % 64) * 64));
-                    env.compute(500);
+                    let t = env.now().await;
+                    out.lock().push(t);
+                    env.load(tp_sim::VAddr(va.0 + (i % 64) * 64)).await;
+                    env.compute(500).await;
                     if i % 8 == 0 {
-                        let _ = env.wait_preempt();
+                        let _ = env.wait_preempt().await;
                     }
                 }
             });
-            b.spawn_daemon(d1, 0, 100, |env: &mut UserEnv| loop {
-                env.compute(1_000);
+            b.spawn_daemon(d1, 0, 100, async |env: &mut UserEnv| loop {
+                env.compute(1_000).await;
             });
             let report = b.run();
             let v = stamps.lock().clone();

@@ -66,12 +66,12 @@ fn minimal_protected_system_runs() {
         .max_cycles(5_000_000);
     let d0 = b.domain(None);
     let d1 = b.domain(None);
-    b.spawn(d0, 0, 100, |env: &mut UserEnv| {
-        let (va, _) = env.map_pages(1);
-        env.load(va);
+    b.spawn(d0, 0, 100, async |env: &mut UserEnv| {
+        let (va, _) = env.map_pages(1).await;
+        env.load(va).await;
     });
-    b.spawn(d1, 0, 100, |env: &mut UserEnv| {
-        env.compute(100);
+    b.spawn(d1, 0, 100, async |env: &mut UserEnv| {
+        env.compute(100).await;
     });
     let report = b.run();
     assert_eq!(report.stats.clones, 2, "one cloned kernel per domain");

@@ -157,10 +157,9 @@ fn healthy_cells_leave_the_counters_untouched() {
             c.panics,
             c.quarantined,
             c.env_failed,
-            c.deadlocks,
-            c.stack_overflows
+            c.deadlocks
         ),
-        (0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0),
         "healthy campaign must report a clean supervisor line"
     );
 }
