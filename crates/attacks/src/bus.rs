@@ -13,11 +13,10 @@
 //! accesses and reads the sender's bit from the queuing delay — even under
 //! full time protection.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec};
-use parking_lot::Mutex;
+use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::rc::Rc;
 use tp_analysis::leakage_test;
 use tp_core::{SimError, SystemBuilder, UserEnv};
 use tp_sim::{VAddr, FRAME_SIZE};
@@ -44,8 +43,8 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
         spec.n_symbols, 2,
         "the bus channel sends one bit per period"
     );
-    let sender_log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let receiver_log: Arc<Mutex<Vec<(u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sender_log = SenderLog::default();
+    let receiver_log = ReceiverLog::default();
     let period = spec.platform.config().us_to_cycles(spec.slice_us);
 
     let mut b = SystemBuilder::new(spec.platform, spec.prot)
@@ -60,7 +59,7 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     let samples = spec.samples;
     let seed = spec.seed;
 
-    let slog = Arc::clone(&sender_log);
+    let slog = Rc::clone(&sender_log);
     b.spawn_daemon(d_send, 1, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         // Stream fresh cache lines over a large buffer: the reuse distance
@@ -72,7 +71,7 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
         loop {
             let symbol = rng.gen_range(0..n_symbols);
             let t0 = env.now().await;
-            slog.lock().push((t0, symbol));
+            slog.borrow_mut().push((t0, symbol));
             if symbol == 1 {
                 for _ in 0..HAMMER_ACCESSES {
                     cursor = (cursor + 97) % lines; // non-sequential: defeats the prefetcher
@@ -86,7 +85,7 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
         }
     });
 
-    let rlog = Arc::clone(&receiver_log);
+    let rlog = Rc::clone(&receiver_log);
     b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
         let (base, _) = env.map_pages(4096).await;
         let lines = 4096 * (FRAME_SIZE / env.platform().line);
@@ -100,7 +99,7 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
                 total += env.load(VAddr(base.0 + cursor * line_sz)).await;
             }
             let t1 = env.now().await;
-            rlog.lock().push((t1, total as f64));
+            rlog.borrow_mut().push((t1, total as f64));
             let elapsed = env.now().await - t0;
             if elapsed < period {
                 env.compute(period - elapsed).await;
@@ -109,7 +108,7 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     });
 
     let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.lock(), &receiver_log.lock());
+    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
     let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
     Ok(ChannelOutcome { dataset, verdict })
 }

@@ -8,12 +8,11 @@
 //! jumps) and *offline* time (the jump length). Requirement 4: padding the
 //! switch to its worst-case latency closes the channel.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec};
+use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
 use crate::probe::{l1_probe, ProbeBuf};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::rc::Rc;
 use tp_analysis::leakage_test;
 use tp_core::{ProtectionConfig, SimError, SystemBuilder, UserEnv};
 use tp_sim::Platform;
@@ -49,8 +48,8 @@ pub fn flush_channel_config(pad_us: Option<f64>) -> ProtectionConfig {
 /// # Errors
 /// Returns the [`SimError`] if the simulation fails.
 pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutcome, SimError> {
-    let sender_log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let receiver_log: Arc<Mutex<Vec<(u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sender_log = SenderLog::default();
+    let receiver_log = ReceiverLog::default();
 
     let mut b = SystemBuilder::new(spec.platform, spec.prot)
         .seed(spec.seed)
@@ -63,7 +62,7 @@ pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutc
     let samples = spec.samples;
     let seed = spec.seed;
 
-    let slog = Arc::clone(&sender_log);
+    let slog = Rc::clone(&sender_log);
     b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         let geom = env.platform().l1d;
@@ -71,7 +70,7 @@ pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutc
         loop {
             let symbol = rng.gen_range(0..n_symbols);
             let t0 = env.now().await;
-            slog.lock().push((t0, symbol));
+            slog.borrow_mut().push((t0, symbol));
             // Dirty `k` cache sets: the flush on the switch away from us
             // will write them all back.
             let per_set = geom.ways as usize;
@@ -81,7 +80,7 @@ pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutc
         }
     });
 
-    let rlog = Arc::clone(&receiver_log);
+    let rlog = Rc::clone(&receiver_log);
     b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
         let mut last_resume: Option<u64> = None;
         let mut taken = 0usize;
@@ -97,7 +96,7 @@ pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutc
                 Timing::Online => last_resume.map(|lr| ((gap_start - lr) as f64, gap_start)),
             };
             if let Some((v, ts)) = value {
-                rlog.lock().push((ts, v));
+                rlog.borrow_mut().push((ts, v));
                 taken += 1;
             }
             last_resume = Some(resume);
@@ -105,7 +104,7 @@ pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutc
     });
 
     let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.lock(), &receiver_log.lock());
+    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
     let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
     Ok(ChannelOutcome { dataset, verdict })
 }

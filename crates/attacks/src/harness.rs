@@ -8,10 +8,10 @@
 //! multi-slice receiver setup phases), yielding a
 //! [`Dataset`] for MI estimation.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use tp_analysis::{leakage_test, Dataset, LeakageVerdict};
 use tp_core::{ProtectionConfig, SimError, SystemBuilder, UserEnv};
 use tp_sim::Platform;
@@ -106,9 +106,9 @@ impl IntraCoreSpec {
 }
 
 /// Log shared between harness and programs: (slice-start cycle, symbol).
-pub type SenderLog = Arc<Mutex<Vec<(u64, usize)>>>;
+pub type SenderLog = Rc<RefCell<Vec<(u64, usize)>>>;
 /// Log of receiver observations: (probe-start cycle, output).
-pub type ReceiverLog = Arc<Mutex<Vec<(u64, f64)>>>;
+pub type ReceiverLog = Rc<RefCell<Vec<(u64, f64)>>>;
 
 /// Outcome of a channel measurement: the dataset and its leakage verdict.
 #[derive(Debug, Clone)]
@@ -185,8 +185,8 @@ pub fn try_run_intra_core_with_setup<T: 'static>(
         impl AsyncFnMut(&mut UserEnv, &mut T) -> f64 + 'static,
     >,
 ) -> Result<Dataset, SimError> {
-    let sender_log: SenderLog = Arc::new(Mutex::new(Vec::new()));
-    let receiver_log: ReceiverLog = Arc::new(Mutex::new(Vec::new()));
+    let sender_log = SenderLog::default();
+    let receiver_log = ReceiverLog::default();
 
     let mut b = SystemBuilder::new(spec.platform, spec.prot)
         .seed(spec.seed)
@@ -203,19 +203,19 @@ pub fn try_run_intra_core_with_setup<T: 'static>(
     let samples = spec.samples;
     let seed = spec.seed;
 
-    let slog = Arc::clone(&sender_log);
+    let slog = Rc::clone(&sender_log);
     b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         loop {
             let symbol = rng.gen_range(0..n_symbols);
             let t0 = env.now().await;
-            slog.lock().push((t0, symbol));
+            slog.borrow_mut().push((t0, symbol));
             sender(env, symbol).await;
             let _ = env.wait_preempt().await;
         }
     });
 
-    let rlog = Arc::clone(&receiver_log);
+    let rlog = Rc::clone(&receiver_log);
     let Receiver { setup, mut measure } = receiver;
     b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
         let mut state = setup(env).await;
@@ -224,15 +224,15 @@ pub fn try_run_intra_core_with_setup<T: 'static>(
         for _ in 0..samples + 1 {
             let t0 = env.now().await;
             let out = measure(env, &mut state).await;
-            rlog.lock().push((t0, out));
+            rlog.borrow_mut().push((t0, out));
             let _ = env.wait_preempt().await;
         }
     });
 
     let _ = b.try_run()?;
 
-    let sends = sender_log.lock().clone();
-    let recvs = receiver_log.lock().clone();
+    let sends = sender_log.take();
+    let recvs = receiver_log.take();
     Ok(pair_logs(n_symbols, &sends, &recvs))
 }
 

@@ -9,11 +9,10 @@
 //! stays masked until the Trojan's kernel is next active, and the spy's
 //! slice is uninterrupted.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec};
-use parking_lot::Mutex;
+use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::rc::Rc;
 use tp_analysis::leakage_test;
 use tp_core::{CapObject, Capability, ProtectionConfig, Rights, SimError, SystemBuilder, UserEnv};
 
@@ -46,8 +45,8 @@ pub fn interrupt_config(partitioned: bool) -> ProtectionConfig {
 /// Panics if `spec.n_symbols` does not match [`TIMER_VALUES_MS`].
 pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     assert_eq!(spec.n_symbols, TIMER_VALUES_MS.len());
-    let sender_log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let receiver_log: Arc<Mutex<Vec<(u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sender_log = SenderLog::default();
+    let receiver_log = ReceiverLog::default();
 
     let mut b = SystemBuilder::new(spec.platform, spec.prot)
         .seed(spec.seed)
@@ -78,20 +77,20 @@ pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, Sim
     let samples = spec.samples;
     let seed = spec.seed;
 
-    let slog = Arc::clone(&sender_log);
+    let slog = Rc::clone(&sender_log);
     b.spawn_daemon(d_trojan, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         loop {
             let symbol = rng.gen_range(0..n_symbols);
             let t0 = env.now().await;
-            slog.lock().push((t0, symbol));
+            slog.borrow_mut().push((t0, symbol));
             let _ = env.set_timer_us(0, TIMER_VALUES_MS[symbol] * 1000.0).await;
             // Sleep for the rest of the slice.
             env.sleep_slice().await;
         }
     });
 
-    let rlog = Arc::clone(&receiver_log);
+    let rlog = Rc::clone(&receiver_log);
     let slot_cycles = spec.platform.config().us_to_cycles(spec.slice_us);
     b.spawn(d_spy, 0, 100, async move |env: &mut UserEnv| {
         let mut last_resume: Option<u64> = None;
@@ -105,7 +104,7 @@ pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, Sim
             if let Some(lr) = last_resume {
                 if prev_offline > slot_cycles / 2 {
                     let online = (gap_start - lr) as f64;
-                    rlog.lock().push((gap_start, online));
+                    rlog.borrow_mut().push((gap_start, online));
                     taken += 1;
                 }
             }
@@ -115,7 +114,7 @@ pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, Sim
     });
 
     let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.lock(), &receiver_log.lock());
+    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
     let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
     Ok(ChannelOutcome { dataset, verdict })
 }

@@ -18,12 +18,11 @@
 //! its own colours (and the receiver only ever times its own clone), so
 //! the channel disappears.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec};
+use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
 use crate::probe::{phys_probe, ProbeBuf};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::rc::Rc;
 use tp_analysis::leakage_test;
 use tp_core::{
     CapObject, Capability, ProtectionConfig, Rights, SimError, Syscall, SystemBuilder, UserEnv,
@@ -80,8 +79,8 @@ pub fn kernel_attack_sets(cfg: &tp_sim::PlatformConfig) -> Vec<usize> {
 /// API, not a simulation outcome.
 pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     assert_eq!(spec.n_symbols, SYMBOLS.len(), "the channel has 4 symbols");
-    let sender_log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let receiver_log: Arc<Mutex<Vec<(u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sender_log = SenderLog::default();
+    let receiver_log = ReceiverLog::default();
 
     let mut b = SystemBuilder::new(spec.platform, spec.prot)
         .seed(spec.seed)
@@ -117,13 +116,13 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
     let n_symbols = spec.n_symbols;
     let samples = spec.samples;
     let seed = spec.seed;
-    let slog = Arc::clone(&sender_log);
+    let slog = Rc::clone(&sender_log);
     b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
         loop {
             let symbol = rng.gen_range(0..n_symbols);
             let t0 = env.now().await;
-            slog.lock().push((t0, symbol));
+            slog.borrow_mut().push((t0, symbol));
             for _ in 0..REPS {
                 match symbol {
                     0 => {
@@ -144,7 +143,7 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
         }
     });
 
-    let rlog = Arc::clone(&receiver_log);
+    let rlog = Rc::clone(&receiver_log);
     b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
         let cfg = *env.platform();
         // The eviction machinery: a data probe over exactly the unified-L2
@@ -178,7 +177,7 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
                 .await;
             let _ = env.syscall(Syscall::Poll { cap: 0 }).await;
             let t1 = env.now().await;
-            rlog.lock().push((t0, (t1 - t0) as f64));
+            rlog.borrow_mut().push((t0, (t1 - t0) as f64));
             // Evict the handlers from the L2 (data probe over their sets)
             // and from the L1-I, re-arming the measurement.
             let _ = dbuf.probe(env).await;
@@ -188,7 +187,7 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
     });
 
     let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.lock(), &receiver_log.lock());
+    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
     let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
     Ok(ChannelOutcome { dataset, verdict })
 }

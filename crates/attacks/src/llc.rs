@@ -10,8 +10,8 @@
 
 use crate::elgamal::{key_bits, BigUint, ElGamalKey, ExpOp};
 use crate::probe::llc_slice_probe;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use tp_core::{
     CapObject, Capability, ProtectionConfig, Rights, SimError, Syscall, SystemBuilder, UserEnv,
 };
@@ -95,9 +95,9 @@ pub fn try_llc_attack_on(
     // a simulated kernel notification: host-side polling of shared state
     // would make the spy's start slot depend on host-thread scheduling and
     // break run-to-run determinism (Invariant 1).
-    let square_target: Arc<Mutex<Option<(usize, usize)>>> = Arc::new(Mutex::new(None));
-    let trace: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let evset_size: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
+    let square_target: Rc<RefCell<Option<(usize, usize)>>> = Rc::new(RefCell::new(None));
+    let trace: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+    let evset_size: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
 
     let mut b = SystemBuilder::new(platform, prot)
         .seed(seed)
@@ -111,8 +111,8 @@ pub fn try_llc_attack_on(
 
     // Notification both threads hold a capability to (victim signals it
     // once the placement is published; the spy polls it in simulated time).
-    let ntfn_cap: Arc<Mutex<(usize, usize)>> = Arc::new(Mutex::new((0, 0)));
-    let ntfn_cap2 = Arc::clone(&ntfn_cap);
+    let ntfn_cap: Rc<RefCell<(usize, usize)>> = Rc::new(RefCell::new((0, 0)));
+    let ntfn_cap2 = Rc::clone(&ntfn_cap);
     b.setup(Box::new(move |k, _m, tcbs, domains| {
         let n = k.create_notification(domains[0]).expect("notification");
         let cap = Capability {
@@ -121,15 +121,15 @@ pub fn try_llc_attack_on(
         };
         let victim_cap = k.grant_cap(tcbs[0], cap);
         let spy_cap = k.grant_cap(tcbs[1], cap);
-        *ntfn_cap2.lock() = (victim_cap, spy_cap);
+        *ntfn_cap2.borrow_mut() = (victim_cap, spy_cap);
     }));
 
-    let square_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let square_log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
 
     // Victim: core 1.
-    let target2 = Arc::clone(&square_target);
-    let square_log2 = Arc::clone(&square_log);
-    let ntfn_victim = Arc::clone(&ntfn_cap);
+    let target2 = Rc::clone(&square_target);
+    let square_log2 = Rc::clone(&square_log);
+    let ntfn_victim = Rc::clone(&ntfn_cap);
     b.spawn_daemon(d_victim, 1, 100, async move |env: &mut UserEnv| {
         let cfg = *env.platform();
         let line = cfg.line;
@@ -148,8 +148,8 @@ pub fn try_llc_attack_on(
             };
             let slice = slice_index(pa / line, cfg.llc_slices.into());
             let set = tp_sim::cache::phys_set(per_slice, pa);
-            *target2.lock() = Some((slice, set));
-            let cap = ntfn_victim.lock().0;
+            *target2.borrow_mut() = Some((slice, set));
+            let cap = ntfn_victim.borrow().0;
             env.syscall(Syscall::Signal { cap })
                 .await
                 .expect("signal placement");
@@ -169,7 +169,7 @@ pub fn try_llc_attack_on(
                 };
                 if op == ExpOp::Square {
                     let t = env.now().await;
-                    square_log2.lock().push(t);
+                    square_log2.borrow_mut().push(t);
                 }
                 for i in 0..4u64 {
                     env.exec(VAddr(fn_va.0 + i * line)).await;
@@ -184,10 +184,10 @@ pub fn try_llc_attack_on(
     });
 
     // Spy: core 0.
-    let target = Arc::clone(&square_target);
-    let trace2 = Arc::clone(&trace);
-    let evset2 = Arc::clone(&evset_size);
-    let ntfn_spy = Arc::clone(&ntfn_cap);
+    let target = Rc::clone(&square_target);
+    let trace2 = Rc::clone(&trace);
+    let evset2 = Rc::clone(&evset_size);
+    let ntfn_spy = Rc::clone(&ntfn_cap);
     b.spawn(d_spy, 0, 100, async move |env: &mut UserEnv| {
         let cfg = *env.platform();
         let llc = cfg.llc.expect("x86");
@@ -199,7 +199,7 @@ pub fn try_llc_attack_on(
         // placement is published. Polling the notification is a kernel
         // operation, so the wake-up slot is a function of simulated time
         // only — never of host-thread scheduling.
-        let cap = ntfn_spy.lock().1;
+        let cap = ntfn_spy.borrow().1;
         let mut tgt = None;
         for _ in 0..10_000 {
             let placed = env
@@ -207,7 +207,7 @@ pub fn try_llc_attack_on(
                 .await
                 .expect("poll placement");
             if placed != 0 {
-                tgt = *target.lock();
+                tgt = *target.borrow();
                 break;
             }
             env.compute(1_000).await;
@@ -223,13 +223,13 @@ pub fn try_llc_attack_on(
             4096,
         )
         .await;
-        *evset2.lock() = buf.len();
+        *evset2.borrow_mut() = buf.len();
         // Prime once.
         let _ = buf.probe(env).await;
         for _slot in 0..slots as u64 {
             let t0 = env.now().await;
             let lat = buf.probe(env).await;
-            trace2.lock().push((t0, lat));
+            trace2.borrow_mut().push((t0, lat));
             let elapsed = env.now().await - t0;
             if elapsed < SLOT_CYCLES {
                 env.compute(SLOT_CYCLES - elapsed).await;
@@ -239,9 +239,9 @@ pub fn try_llc_attack_on(
 
     let _ = b.try_run()?;
 
-    let trace = Arc::try_unwrap(trace).map_or_else(|a| a.lock().clone(), Mutex::into_inner);
-    let eviction_set_size = *evset_size.lock();
-    let squares = square_log.lock().clone();
+    let trace = trace.take();
+    let eviction_set_size = *evset_size.borrow();
+    let squares = square_log.take();
     let mut result = decode_trace(trace, &true_bits, eviction_set_size);
     result.victim_square_cycles = squares;
     Ok(result)

@@ -264,15 +264,15 @@ pub fn miss_threshold(inner: u64, outer: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use tp_core::{ProtectionConfig, SystemBuilder};
     use tp_sim::Platform;
 
     #[test]
     fn l1_probe_covers_every_set() {
-        let hits: Arc<Mutex<(usize, u64, u64)>> = Arc::new(Mutex::new((0, 0, 0)));
-        let hits2 = Arc::clone(&hits);
+        let hits: Rc<RefCell<(usize, u64, u64)>> = Rc::new(RefCell::new((0, 0, 0)));
+        let hits2 = Rc::clone(&hits);
         let mut b =
             SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw()).max_cycles(50_000_000);
         let d = b.domain(None);
@@ -281,10 +281,10 @@ mod tests {
             let buf = l1_probe(env, geom).await;
             let cold = buf.probe(env).await;
             let warm = buf.probe(env).await;
-            *hits2.lock() = (buf.len(), cold, warm);
+            *hits2.borrow_mut() = (buf.len(), cold, warm);
         });
         let _ = b.run();
-        let (len, cold, warm) = *hits.lock();
+        let (len, cold, warm) = *hits.borrow();
         assert_eq!(len, 512, "64 sets x 8 ways");
         // Second pass must be nearly all L1 hits: the buffer exactly fills
         // the cache.
@@ -294,8 +294,8 @@ mod tests {
 
     #[test]
     fn phys_probe_respects_colour_partitioning() {
-        let found: Arc<Mutex<(usize, usize)>> = Arc::new(Mutex::new((0, 0)));
-        let found2 = Arc::clone(&found);
+        let found: Rc<RefCell<(usize, usize)>> = Rc::new(RefCell::new((0, 0)));
+        let found2 = Rc::clone(&found);
         let mut b = SystemBuilder::new(Platform::Haswell, ProtectionConfig::protected())
             .max_cycles(50_000_000);
         let d0 = b.domain(None); // colours 0..4
@@ -309,18 +309,18 @@ mod tests {
             let theirs: Vec<usize> = (256..320).collect();
             let buf_ours = phys_probe(env, geom, &ours, 8, 128).await;
             let buf_theirs = phys_probe(env, geom, &theirs, 8, 128).await;
-            *found2.lock() = (buf_ours.len(), buf_theirs.len());
+            *found2.borrow_mut() = (buf_ours.len(), buf_theirs.len());
         });
         let _ = b.run();
-        let (ours, theirs) = *found.lock();
+        let (ours, theirs) = *found.borrow();
         assert_eq!(ours, 64 * 8, "full coverage of own-colour sets");
         assert_eq!(theirs, 0, "no reachable lines in foreign colours");
     }
 
     #[test]
     fn llc_slice_probe_finds_target() {
-        let found: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-        let found2 = Arc::clone(&found);
+        let found: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
+        let found2 = Rc::clone(&found);
         let mut b =
             SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw()).max_cycles(50_000_000);
         let d = b.domain(None);
@@ -333,9 +333,9 @@ mod tests {
             };
             let buf =
                 llc_slice_probe(env, per_slice, cfg.llc_slices.into(), 2, 100, 16, 4096).await;
-            *found2.lock() = buf.len();
+            *found2.borrow_mut() = buf.len();
         });
         let _ = b.run();
-        assert_eq!(*found.lock(), 16, "eviction set must reach full ways");
+        assert_eq!(*found.borrow(), 16, "eviction set must reach full ways");
     }
 }

@@ -24,12 +24,12 @@
 //! overhead side of the paper's trade-off on the same run.
 
 use crate::util::samples;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use tp_analysis::{leakage_test, Dataset};
-use tp_attacks::harness::{pair_logs, ChannelOutcome};
+use tp_attacks::harness::{pair_logs, ChannelOutcome, ReceiverLog, SenderLog};
 use tp_attacks::probe::{l1_probe, ProbeBuf};
 use tp_core::{
     EnvOutcome, ProtectionConfig, SimError, SystemBuilder, SystemSpec, UserEnv, UserProgram,
@@ -157,7 +157,7 @@ const TENANT_FRAMES: usize = 64;
 /// exponential gaps of mean `mean_gap` cycles and take Pareto service
 /// times; each completed request's sojourn (queueing + service, cycles)
 /// goes to `log`.
-fn tenant(seed: u64, mean_gap: f64, log: Arc<Mutex<Vec<u64>>>) -> impl UserProgram {
+fn tenant(seed: u64, mean_gap: f64, log: Rc<RefCell<Vec<u64>>>) -> impl UserProgram {
     async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed);
         let exp = |rng: &mut StdRng, mean: f64| -> u64 {
@@ -184,11 +184,12 @@ fn tenant(seed: u64, mean_gap: f64, log: Arc<Mutex<Vec<u64>>>) -> impl UserProgr
                     env.load(va).await;
                     env.compute(pareto(&mut rng)).await;
                     // The sojourn log is shared by every tenant: read the
-                    // clock *before* locking it, because env ops suspend
-                    // until this tenant is scheduled and holding the lock
-                    // across that wait would deadlock the fleet.
+                    // clock *before* borrowing it. Env ops suspend until
+                    // this tenant is scheduled, so a borrow held across
+                    // that `.await` would make the next tenant's borrow
+                    // panic; clippy's `await_holding_refcell_ref` rejects it.
                     let done = env.now().await;
-                    log.lock().push(done - arrived);
+                    log.borrow_mut().push(done - arrived);
                 }
                 None => {
                     // Idle until the next slice; arrivals accrue in
@@ -254,19 +255,17 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
         b.domain_sized(colors, frames)
     };
 
-    type Log = Arc<Mutex<Vec<(u64, usize)>>>;
-    type Obs = Arc<Mutex<Vec<(u64, f64)>>>;
-    let mut sender_logs: Vec<Log> = Vec::new();
-    let mut receiver_logs: Vec<Obs> = Vec::new();
+    let mut sender_logs: Vec<SenderLog> = Vec::new();
+    let mut receiver_logs: Vec<ReceiverLog> = Vec::new();
 
     for k in 0..spec.pairs {
         let d_victim = next_domain(&mut b, PAIR_FRAMES);
         let d_attacker = next_domain(&mut b, PAIR_FRAMES);
 
-        let slog: Log = Arc::new(Mutex::new(Vec::new()));
-        let rlog: Obs = Arc::new(Mutex::new(Vec::new()));
-        sender_logs.push(Arc::clone(&slog));
-        receiver_logs.push(Arc::clone(&rlog));
+        let slog = SenderLog::default();
+        let rlog = ReceiverLog::default();
+        sender_logs.push(Rc::clone(&slog));
+        receiver_logs.push(Rc::clone(&rlog));
 
         // Victim: encodes a seeded symbol stream into L1-D occupancy,
         // one symbol per slice (identical to the §5.3.2 harness sender).
@@ -277,7 +276,7 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
             loop {
                 let symbol = rng.gen_range(0..CLOUD_SYMBOLS);
                 let t0 = env.now().await;
-                slog.lock().push((t0, symbol));
+                slog.borrow_mut().push((t0, symbol));
                 let geom = env.platform().l1d;
                 if sbuf.is_none() {
                     sbuf = Some(l1_probe(env, geom).await);
@@ -300,14 +299,14 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
             for _ in 0..per_pair + 1 {
                 let t0 = env.now().await;
                 let lat = buf.probe(env).await as f64;
-                rlog.lock().push((t0, lat));
+                rlog.borrow_mut().push((t0, lat));
                 let _ = env.wait_preempt().await;
             }
         });
     }
 
     // Tenant-side request accounting: (completion cycle, sojourn cycles).
-    let sojourns: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let sojourns: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
 
     // Mean inter-arrival per tenant: ~4 requests per rotation, so the
     // fleet stays busy without saturating (Pareto mean is ~4.3·x_m).
@@ -315,7 +314,7 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
 
     for i in 0..spec.tenants {
         let d = next_domain(&mut b, TENANT_FRAMES);
-        let log = Arc::clone(&sojourns);
+        let log = Rc::clone(&sojourns);
         let seed = spec.seed ^ 0xC10D_0000 ^ (i as u64).wrapping_mul(0x6A09_E667);
         b.spawn_daemon(d, 0, 100, tenant(seed, mean_gap, log));
     }
@@ -334,7 +333,7 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
     // Pool every pair's paired observations into one aggregate dataset.
     let mut dataset = Dataset::new(CLOUD_SYMBOLS);
     for (slog, rlog) in sender_logs.iter().zip(&receiver_logs) {
-        let d = pair_logs(CLOUD_SYMBOLS, &slog.lock(), &rlog.lock());
+        let d = pair_logs(CLOUD_SYMBOLS, &slog.borrow(), &rlog.borrow());
         for (&s, &o) in d.inputs().iter().zip(d.outputs()) {
             dataset.push(s, o);
         }
@@ -342,7 +341,7 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
     let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
     let outcome = ChannelOutcome { dataset, verdict };
 
-    let mut sj: Vec<u64> = sojourns.lock().clone();
+    let mut sj: Vec<u64> = sojourns.take();
     sj.sort_unstable();
     let completed = sj.len();
     let sim_seconds = cfg.cycles_to_us(report.cycles[0]) / 1e6;
@@ -448,7 +447,7 @@ mod tests {
         let machine = tp_sim::Machine::new(cfg, 0);
         let sim = SimInner::new(machine, kernel, 4_000, u64::MAX);
         let env = UserEnv::new(Rc::new(RefCell::new(sim)), t, 0, d, cfg, colors);
-        let fut = Box::new(tenant(1, 1e6, Arc::default())).start(env);
+        let fut = Box::new(tenant(1, 1e6, Rc::default())).start(env);
         let bytes = std::mem::size_of_val(&*fut);
         assert!(bytes <= 2048, "a tenant's future takes {bytes} bytes");
     }

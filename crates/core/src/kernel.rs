@@ -821,7 +821,7 @@ impl Kernel {
         next
     }
 
-    fn pick_best_any_domain(&mut self, core: usize) -> Option<TcbId> {
+    pub(crate) fn pick_best_any_domain(&mut self, core: usize) -> Option<TcbId> {
         let slots = self.cores[core].slots.clone();
         let mut best: Option<(u8, DomainId)> = None;
         for d in slots {

@@ -167,12 +167,18 @@ impl ImageFrames {
     /// Physical address of the `i`-th line of a section, given the
     /// platform line size. `PlatformConfig::validate` pins line sizes to
     /// powers of two, so the page and offset split is a shift and a mask.
+    /// An index past the end of the section wraps.
     #[must_use]
     pub fn line_pa(section: &[u64], i: u64, line: u64) -> PAddr {
         debug_assert!(line.is_power_of_two() && line <= FRAME_SIZE);
         let line_shift = line.trailing_zeros();
         let per_page_shift = FRAME_SIZE.trailing_zeros() - line_shift;
-        let page = (i >> per_page_shift) as usize % section.len();
+        let page = (i >> per_page_shift) as usize;
+        let page = if page < section.len() {
+            page
+        } else {
+            page % section.len()
+        };
         let offset = (i & ((1 << per_page_shift) - 1)) << line_shift;
         PAddr(section[page] * FRAME_SIZE + offset)
     }
@@ -289,6 +295,8 @@ pub struct SharedKernelData {
     base: PAddr,
     bytes: u64,
     line: u64,
+    /// `bytes` in lines, kept so addressing a line takes no division.
+    lines: u64,
 }
 
 impl SharedKernelData {
@@ -305,6 +313,7 @@ impl SharedKernelData {
             base,
             bytes,
             line: cfg.line,
+            lines: bytes.div_ceil(cfg.line),
         }
     }
 
@@ -317,14 +326,15 @@ impl SharedKernelData {
     /// Number of cache lines spanned.
     #[must_use]
     pub fn lines(&self) -> u64 {
-        self.bytes.div_ceil(self.line)
+        self.lines
     }
 
     /// Physical address of the `i`-th shared line (for prefetch and for
-    /// kernel accesses during scheduling).
+    /// kernel accesses during scheduling). An index past the end wraps.
     #[must_use]
     pub fn line_pa(&self, i: u64) -> PAddr {
-        PAddr(self.base.0 + (i % self.lines()) * self.line)
+        let i = if i < self.lines { i } else { i % self.lines };
+        PAddr(self.base.0 + i * self.line)
     }
 
     /// The §4.1 audit: no shared item may be accessed through an index

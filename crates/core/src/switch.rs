@@ -22,7 +22,7 @@ use crate::commit::Commit;
 use crate::config::FlushMode;
 use crate::kernel::{EngineMode, FootKind, Kernel};
 use crate::layout::KERNEL_VBASE;
-use crate::objects::{DomainId, ImageId, ThreadState};
+use crate::objects::{DomainId, ImageId, TcbId, ThreadState};
 use tp_sim::flush as hwflush;
 use tp_sim::{Asid, Machine, PAddr, VAddr};
 
@@ -67,12 +67,9 @@ impl Kernel {
         self.cores[core].ticks += 1;
         let from_image = self.cores[core].cur_image;
 
-        // Step 1: acquire the kernel lock.
-        m.advance(core, LOCK_ACQUIRE);
-
-        // Step 2: process the timer tick normally (kernel code + scheduler
-        // shared data).
-        self.kexec(m, core, from_image, FootKind::Tick, Asid::KERNEL, &[]);
+        // Step 2's scheduling decision. It costs no cycles of its own and
+        // the tick's kernel footprint does not read it, so it is made
+        // before `switch_steps` charges steps 1 and 2.
 
         // Re-queue the preempted thread.
         if let Some(t) = self.cores[core].cur.take() {
@@ -99,10 +96,7 @@ impl Kernel {
                     .get_mut(&(core, d))
                     .and_then(crate::sched::ReadyQueues::dequeue)
             }),
-            EngineMode::Open => {
-                let _ = next_domain;
-                self.pick_open(core)
-            }
+            EngineMode::Open => self.pick_best_any_domain(core),
         };
         // The target image: the next thread's, or the slot domain's kernel
         // (whose idle thread will run), or the current one.
@@ -126,9 +120,57 @@ impl Kernel {
         if let Some(d) = to_domain {
             self.cores[core].cur_domain = Some(d);
         }
-        if switched {
+        let to_image = if switched {
             self.stats.domain_switches += 1;
+            Some(to_image)
+        } else {
+            self.stats.thread_switches += 1;
+            None
+        };
+        // The padding latency is taken from the kernel active prior to the
+        // switch.
+        let pad_until = tick_cycle + self.pad_for(from_image);
+        self.switch_steps(m, core, to_image, next_thread, Some(pad_until));
 
+        // The next tick is one slice after this one, or one slice after the
+        // switch if the switch overran the slice.
+        let slice_start = self.cores[core].slice_start;
+        let mut next_tick_at = tick_cycle + self.slice_cycles;
+        if next_tick_at <= slice_start {
+            next_tick_at = slice_start + self.slice_cycles;
+        }
+        TickOutcome {
+            next_tick_at,
+            switched_domain: switched,
+        }
+    }
+
+    /// Steps 1–12 of the §4.3 sequence on `core`, leaving `next` current.
+    /// `to_image` is the kernel image of a domain switch, which takes the
+    /// bold steps; a switch between threads of one domain passes `None`.
+    /// A preemption tick passes `Some(pad_until)`, which adds what the
+    /// Table 6 measurement leaves out: delivering the IRQs deferred for the
+    /// new kernel, counting the flush, padding to `pad_until` and starting
+    /// the new slice.
+    fn switch_steps(
+        &mut self,
+        m: &mut Machine,
+        core: usize,
+        to_image: Option<ImageId>,
+        next: Option<TcbId>,
+        pad_until: Option<u64>,
+    ) {
+        let from_image = self.cores[core].cur_image;
+        let tick = pad_until.is_some();
+
+        // Step 1: acquire the kernel lock.
+        m.advance(core, LOCK_ACQUIRE);
+
+        // Step 2: process the timer tick normally (kernel code + scheduler
+        // shared data).
+        self.kexec(m, core, from_image, FootKind::Tick, Asid::KERNEL, &[]);
+
+        if let Some(to_image) = to_image {
             // Step 3: mask interrupts (x86 pays the race-probe).
             m.advance(core, IRQ_MASK);
             if self.cfg.llc.is_some() {
@@ -144,20 +186,24 @@ impl Kernel {
 
             // Step 5: switch thread context.
             m.advance(core, CONTEXT_SWITCH);
-            self.cores[core].cur = next_thread;
+            self.cores[core].cur = next;
 
             // Step 6: release the kernel lock (before flushing, §4.3).
             m.advance(core, LOCK_RELEASE);
 
-            // Step 7: unmask the new kernel's interrupts; deliver any that
-            // were deferred by partitioning (Requirement 5).
+            // Step 7: unmask the new kernel's interrupts; a tick delivers
+            // any that were deferred by partitioning (Requirement 5).
             m.advance(core, IRQ_UNMASK);
-            self.deliver_pending_for(m, core, to_image);
+            if tick {
+                self.deliver_pending_for(m, core, to_image);
+            }
 
             // Step 8: flush on-core state (Requirements 1 and 4).
             let flush_start = m.cycles(core);
             self.do_flush(m, core, to_image);
-            self.stats.flush_cycles += m.cycles(core) - flush_start;
+            if tick {
+                self.stats.flush_cycles += m.cycles(core) - flush_start;
+            }
             // Prefetcher state machines are *not* reset by the on-core
             // flush — their stale streams remain live (§5.3.2).
             m.note_domain_switch(core);
@@ -170,11 +216,7 @@ impl Kernel {
 
             // Step 10: poll the cycle counter until the configured latency
             // since the preemption interrupt has elapsed (Requirement 4).
-            // The padding latency is taken from the kernel active prior to
-            // the switch.
-            let pad = self.pad_for(from_image);
-            if pad > 0 {
-                let target = tick_cycle + pad;
+            if let Some(target) = pad_until {
                 let now = m.cycles(core);
                 if now < target {
                     self.stats.pad_cycles += target - now;
@@ -182,26 +224,18 @@ impl Kernel {
                 }
             }
         } else {
-            self.stats.thread_switches += 1;
             m.advance(core, CONTEXT_SWITCH);
-            self.cores[core].cur = next_thread;
+            self.cores[core].cur = next;
         }
 
         // Step 11: reprogram the timer.
         m.advance(core, TIMER_REPROGRAM);
-        let mut next_tick_at = tick_cycle + self.slice_cycles;
-        if next_tick_at <= m.cycles(core) {
-            next_tick_at = m.cycles(core) + self.slice_cycles;
+        if tick {
+            self.cores[core].slice_start = m.cycles(core);
         }
-        self.cores[core].slice_start = m.cycles(core);
 
         // Step 12: return to user.
         m.advance(core, self.cfg.lat.mode_switch / 2);
-
-        TickOutcome {
-            next_tick_at,
-            switched_domain: switched,
-        }
     }
 
     fn rotate_slot(&mut self, core: usize) -> Option<DomainId> {
@@ -227,25 +261,6 @@ impl Kernel {
         for t in sleepers {
             self.wake(t);
         }
-    }
-
-    fn pick_open(&mut self, core: usize) -> Option<crate::objects::TcbId> {
-        let slots = self.cores[core].slots.clone();
-        let mut best: Option<(u8, DomainId)> = None;
-        for d in slots {
-            if let Some(q) = self.run_queues.get(&(core, d)) {
-                if let Some(p) = q.highest() {
-                    if best.is_none_or(|(bp, _)| p > bp) {
-                        best = Some((p, d));
-                    }
-                }
-            }
-        }
-        best.and_then(|(_, d)| {
-            self.run_queues
-                .get_mut(&(core, d))
-                .and_then(crate::sched::ReadyQueues::dequeue)
-        })
     }
 
     /// Deliver IRQs owned by `image` that were deferred while it was
@@ -358,23 +373,8 @@ impl Kernel {
         to_image: ImageId,
     ) -> u64 {
         let start = m.cycles(core);
-        let from = self.cores[core].cur_image;
-        m.advance(core, LOCK_ACQUIRE);
-        self.kexec(m, core, from, FootKind::Tick, Asid::KERNEL, &[]);
-        m.advance(core, IRQ_MASK);
-        if self.cfg.llc.is_some() {
-            m.advance(core, IRQ_RACE_PROBE);
-        }
-        if to_image != from {
-            self.switch_image_fast(m, core, from, to_image);
-        }
-        m.advance(core, CONTEXT_SWITCH + LOCK_RELEASE + IRQ_UNMASK);
-        self.do_flush(m, core, to_image);
-        m.note_domain_switch(core);
-        if self.prot.prefetch_shared {
-            self.prefetch_shared(m, core);
-        }
-        m.advance(core, TIMER_REPROGRAM + self.cfg.lat.mode_switch / 2);
+        let cur = self.cores[core].cur;
+        self.switch_steps(m, core, Some(to_image), cur, None);
         m.cycles(core) - start
     }
 }
@@ -395,12 +395,15 @@ mod tests {
     use crate::config::ProtectionConfig;
     use tp_sim::{ColorSet, Platform};
 
-    fn two_domain_kernel(prot: ProtectionConfig) -> (Machine, Kernel) {
-        let cfg = Platform::Haswell.config();
+    /// Two domains splitting the colours of `platform`, with d0's thread
+    /// current on core 0.
+    fn two_domain_kernel(platform: Platform, prot: ProtectionConfig) -> (Machine, Kernel) {
+        let cfg = platform.config();
         let mut m = Machine::new(cfg, 11);
         let mut k = Kernel::new(cfg, prot, 16384, 3_400_000);
-        let d0 = k.create_domain(ColorSet::range(0, 4), 2048).unwrap();
-        let d1 = k.create_domain(ColorSet::range(4, 8), 2048).unwrap();
+        let n = cfg.partition_colors();
+        let d0 = k.create_domain(ColorSet::range(0, n / 2), 2048).unwrap();
+        let d1 = k.create_domain(ColorSet::range(n / 2, n), 2048).unwrap();
         if k.prot.clone_kernel {
             k.clone_kernel_for_domain(&mut m, 0, d0).unwrap();
             k.clone_kernel_for_domain(&mut m, 0, d1).unwrap();
@@ -420,7 +423,7 @@ mod tests {
 
     #[test]
     fn tick_rotates_between_domains() {
-        let (mut m, mut k) = two_domain_kernel(ProtectionConfig::protected());
+        let (mut m, mut k) = two_domain_kernel(Platform::Haswell, ProtectionConfig::protected());
         let img0 = k.cores[0].cur_image;
         let out = k.handle_tick(&mut m, 0);
         assert!(out.switched_domain);
@@ -432,8 +435,35 @@ mod tests {
     }
 
     #[test]
+    fn measured_switch_cost_is_the_ticks_switch() {
+        for platform in Platform::ALL {
+            for prot in [
+                ProtectionConfig::raw(),
+                ProtectionConfig::full_flush(),
+                ProtectionConfig::protected(),
+            ] {
+                let (mut m, mut k) = two_domain_kernel(platform, prot);
+                for round in 0..4u64 {
+                    dirty_l1d(&mut m, 0, PAddr(0x400_0000), 64 + round * 100);
+                    let (mut m2, mut k2) = (m.clone(), k.clone());
+                    let t0 = m.cycles(0);
+                    assert!(k.handle_tick(&mut m, 0).switched_domain);
+                    let ticked = m.cycles(0) - t0;
+                    let to = k.cores[0].cur_image;
+                    assert_eq!(
+                        k2.measure_switch_cost(&mut m2, 0, to),
+                        ticked,
+                        "{} {prot:?} round {round}",
+                        platform.key()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn protected_switch_flushes_on_core_state() {
-        let (mut m, mut k) = two_domain_kernel(ProtectionConfig::protected());
+        let (mut m, mut k) = two_domain_kernel(Platform::Haswell, ProtectionConfig::protected());
         // Dirty some attacker state.
         dirty_l1d(&mut m, 0, PAddr(0x400_0000), 200);
         assert!(m.cores[0].l1d.valid_lines() > 100);
@@ -455,7 +485,7 @@ mod tests {
 
     #[test]
     fn raw_switch_flushes_nothing() {
-        let (mut m, mut k) = two_domain_kernel(ProtectionConfig::raw());
+        let (mut m, mut k) = two_domain_kernel(Platform::Haswell, ProtectionConfig::raw());
         dirty_l1d(&mut m, 0, PAddr(0x400_0000), 200);
         let before = m.cores[0].l1d.valid_lines();
         k.handle_tick(&mut m, 0);
@@ -507,7 +537,7 @@ mod tests {
 
     #[test]
     fn full_flush_switch_is_very_expensive() {
-        let (mut m, mut k) = two_domain_kernel(ProtectionConfig::full_flush());
+        let (mut m, mut k) = two_domain_kernel(Platform::Haswell, ProtectionConfig::full_flush());
         let t0 = m.cycles(0);
         k.handle_tick(&mut m, 0);
         let us = k.cfg.cycles_to_us(m.cycles(0) - t0);
@@ -517,7 +547,7 @@ mod tests {
 
     #[test]
     fn pending_partitioned_irq_delivered_on_slot_entry() {
-        let (mut m, mut k) = two_domain_kernel(ProtectionConfig::protected());
+        let (mut m, mut k) = two_domain_kernel(Platform::Haswell, ProtectionConfig::protected());
         // Bind IRQ 5 to the *other* (d1) kernel and mark it pending.
         let d1_img = {
             let ids: Vec<_> = k.domains.iter().map(|(i, d)| (i, d.image)).collect();
@@ -550,7 +580,7 @@ mod tests {
 
     #[test]
     fn sleepers_wake_at_their_slot() {
-        let (mut m, mut k) = two_domain_kernel(ProtectionConfig::protected());
+        let (mut m, mut k) = two_domain_kernel(Platform::Haswell, ProtectionConfig::protected());
         // Put the non-current (d1) thread to sleep.
         let s = k
             .tcbs

@@ -75,7 +75,7 @@ pub struct DomainHandle(usize);
 
 /// Post-setup hook: runs after all threads exist, before the simulation
 /// starts (grant capabilities, create endpoints, configure padding, ...).
-pub type SetupFn = Box<dyn FnOnce(&mut Kernel, &mut Machine, &[TcbId], &[DomainId]) + Send>;
+pub type SetupFn = Box<dyn FnOnce(&mut Kernel, &mut Machine, &[TcbId], &[DomainId])>;
 
 /// The complete fixed shape of a simulated system, as one `Copy` value:
 /// everything [`SystemBuilder`]'s chained knobs used to set, minus the
@@ -534,14 +534,14 @@ impl SystemReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use tp_sim::Platform;
 
     #[test]
     fn single_thread_runs_to_completion() {
-        let done = Arc::new(Mutex::new(0u64));
-        let done2 = Arc::clone(&done);
+        let done = Rc::new(RefCell::new(0u64));
+        let done2 = Rc::clone(&done);
         let mut b = SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw());
         let d = b.domain(None);
         b.spawn(d, 0, 100, async move |env: &mut crate::engine::UserEnv| {
@@ -550,17 +550,17 @@ mod tests {
             for i in 0..64u64 {
                 sum += env.load(tp_sim::VAddr(va.0 + i * 64)).await;
             }
-            *done2.lock() = sum.max(1);
+            *done2.borrow_mut() = sum.max(1);
         });
         let report = b.run();
-        assert!(*done.lock() > 0, "program must have run");
+        assert!(*done.borrow() > 0, "program must have run");
         assert!(report.cycles[0] > 0);
     }
 
     #[test]
     fn two_domains_alternate_with_protection() {
-        let log: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let log2 = Arc::clone(&log);
+        let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+        let log2 = Rc::clone(&log);
         let mut b = SystemBuilder::new(Platform::Haswell, ProtectionConfig::protected())
             .slice_us(100.0)
             .max_cycles(40_000_000);
@@ -569,7 +569,7 @@ mod tests {
         b.spawn(d0, 0, 100, async move |env: &mut crate::engine::UserEnv| {
             for _ in 0..5 {
                 let (gap, resume) = env.wait_preempt().await;
-                log2.lock().push((gap, resume));
+                log2.borrow_mut().push((gap, resume));
             }
         });
         b.spawn_daemon(d1, 0, 100, async move |env: &mut crate::engine::UserEnv| {
@@ -578,7 +578,7 @@ mod tests {
             }
         });
         let report = b.run();
-        let log = log.lock();
+        let log = log.borrow();
         assert_eq!(log.len(), 5);
         for (gap, resume) in log.iter() {
             // Offline time ≈ one slice of the other domain plus switch work.
@@ -609,8 +609,8 @@ mod tests {
     fn ipc_ping_pong_across_domains_open_mode() {
         use crate::kernel::Syscall;
         use crate::objects::{CapObject, Capability, Rights};
-        let count = Arc::new(Mutex::new(0u32));
-        let count2 = Arc::clone(&count);
+        let count = Rc::new(RefCell::new(0u32));
+        let count2 = Rc::clone(&count);
         let mut b = SystemBuilder::new(Platform::Haswell, ProtectionConfig::protected())
             .max_cycles(200_000_000);
         let d0 = b.domain(None);
@@ -632,7 +632,7 @@ mod tests {
                 let r = env.syscall(Syscall::Call { cap: 0, msg: i }).await.unwrap();
                 assert_eq!(r, i + 1);
             }
-            *count2.lock() = 10;
+            *count2.borrow_mut() = 10;
         });
         b.spawn_daemon(d1, 0, 100, async |env: &mut crate::engine::UserEnv| {
             let first = env.syscall(Syscall::Recv { cap: 0 }).await.unwrap();
@@ -648,7 +648,7 @@ mod tests {
             }
         });
         let report = b.run();
-        assert_eq!(*count.lock(), 10);
+        assert_eq!(*count.borrow(), 10);
         // First Call goes through the slow path (server not yet waiting);
         // all later Calls and every ReplyRecv hit the fastpath.
         assert!(

@@ -22,8 +22,6 @@ pub enum Replacement {
         /// Deviation probability in 1/256 units.
         noise: u8,
     },
-    /// Uniformly random victim.
-    Random,
 }
 
 /// Largest usable epoch; reaching it triggers a physical clear of every
@@ -272,8 +270,8 @@ impl Cache {
             evicted: None,
         };
         // Miss: the first invalid way, else the LRU way. An invalid way
-        // consumes nothing from the noise stream; only the noisy policies
-        // draw (so LRU caches never touch the stream at all).
+        // consumes nothing from the noise stream; only pseudo-LRU draws
+        // (so LRU caches never touch the stream at all).
         let way = if m.valid != self.full {
             self.valid_count += 1;
             (!m.valid).trailing_zeros() as usize
@@ -288,7 +286,6 @@ impl Cache {
                         lru
                     }
                 }
-                Replacement::Random => noise.below(ways as u64) as usize,
             };
             let dirty = m.dirty >> way & 1 != 0;
             outcome.evicted = Some(EvictedLine {
@@ -572,18 +569,15 @@ mod tests {
                         .clone()
                         .min_by_key(|&i| (self.stamps[i] >> 1, i))
                         .unwrap();
-                    let random =
-                        |noise: &mut NoiseRng| row.start + noise.below(self.ways as u64) as usize;
                     match self.policy {
                         Replacement::Lru => lru,
                         Replacement::PseudoLru { noise: p } => {
                             if noise.next_u8() < p {
-                                random(noise)
+                                row.start + noise.below(self.ways as u64) as usize
                             } else {
                                 lru
                             }
                         }
-                        Replacement::Random => random(noise),
                     }
                 }
             };
@@ -655,11 +649,7 @@ mod tests {
     #[test]
     fn matches_the_naive_model() {
         const SETS: usize = 4;
-        let policies = [
-            Replacement::Lru,
-            Replacement::PseudoLru { noise: 64 },
-            Replacement::Random,
-        ];
+        let policies = [Replacement::Lru, Replacement::PseudoLru { noise: 64 }];
         let mut r = NoiseRng::seeded(0x5eed);
         for ways in 1..=MAX_WAYS as usize {
             for policy in policies {
@@ -815,13 +805,14 @@ mod tests {
     }
 
     #[test]
-    fn random_policy_fills_invalid_ways_first() {
+    fn pseudo_lru_fills_invalid_ways_first() {
         let geom = CacheGeom {
             size: 512,
             ways: 2,
             line: 64,
         };
-        let mut c = Cache::new("r", geom, Replacement::Random);
+        // Noise 255: nearly every victim choice deviates from LRU.
+        let mut c = Cache::new("r", geom, Replacement::PseudoLru { noise: 255 });
         let mut r = rng();
         c.access(0, 1, 4, false, &mut r);
         let out = c.access(0, 2, 8, false, &mut r);

@@ -8,8 +8,8 @@
 //! against a 100%-colour baseline by the bench harness.
 
 use crate::splash2::Benchmark;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use tp_core::{ProtectionConfig, SimError, SimErrorKind, SystemBuilder, UserEnv};
 use tp_sim::{ColorSet, Platform};
 
@@ -128,8 +128,8 @@ pub fn run_workload(bench: &Benchmark, run: &WorkloadRun) -> Result<PerfResult, 
 
     // Completion-time runs report (t1 - t0, ops); slice-throughput runs
     // report (measured window, ops completed).
-    let outcome: Arc<Mutex<(u64, u64)>> = Arc::new(Mutex::new((0, 0)));
-    let outcome2 = Arc::clone(&outcome);
+    let outcome: Rc<RefCell<(u64, u64)>> = Rc::new(RefCell::new((0, 0)));
+    let outcome2 = Rc::clone(&outcome);
     let bench2 = *bench;
     let ops = run.ops;
     let seed = run.seed;
@@ -169,12 +169,12 @@ pub fn run_workload(bench: &Benchmark, run: &WorkloadRun) -> Result<PerfResult, 
                     done += CHUNK as u64;
                 }
             }
-            *outcome2.lock() = (ROUNDS * slice_cy, done);
+            *outcome2.borrow_mut() = (ROUNDS * slice_cy, done);
         } else {
             let t0 = env.now().await;
             let _ = bench2.execute(env, base, ops, seed).await;
             let t1 = env.now().await;
-            *outcome2.lock() = (t1 - t0, ops as u64);
+            *outcome2.borrow_mut() = (t1 - t0, ops as u64);
         }
     });
     if let Some(d) = d_idle {
@@ -183,7 +183,7 @@ pub fn run_workload(bench: &Benchmark, run: &WorkloadRun) -> Result<PerfResult, 
         });
     }
     let _ = b.try_run()?;
-    let (cycles, done) = *outcome.lock();
+    let (cycles, done) = *outcome.borrow();
     if cycles == 0 || done == 0 {
         return Err(SimError {
             kind: SimErrorKind::ProgramPanic,

@@ -97,24 +97,24 @@ fn irq_partitioning_closes_the_interrupt_channel() {
 /// within the owning domain's colours.
 #[test]
 fn colour_partitioning_is_airtight() {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     let n_colors = Platform::Haswell.config().partition_colors();
-    type SeenLog = Arc<Mutex<Vec<(u64, Vec<u64>)>>>;
-    let seen: SeenLog = Arc::new(Mutex::new(Vec::new()));
+    type SeenLog = Rc<RefCell<Vec<(u64, Vec<u64>)>>>;
+    let seen: SeenLog = Rc::new(RefCell::new(Vec::new()));
     let mut b =
         SystemBuilder::new(Platform::Haswell, ProtectionConfig::protected()).max_cycles(50_000_000);
     let d0 = b.domain(None);
     let d1 = b.domain(None);
     for d in [d0, d1] {
-        let seen2 = Arc::clone(&seen);
+        let seen2 = Rc::clone(&seen);
         b.spawn(d, 0, 100, async move |env: &mut UserEnv| {
             let (_, frames) = env.map_pages(64).await;
-            seen2.lock().push((env.my_colors().0, frames));
+            seen2.borrow_mut().push((env.my_colors().0, frames));
         });
     }
     let _ = b.run();
-    let seen = seen.lock();
+    let seen = seen.borrow();
     assert_eq!(seen.len(), 2);
     let (c0, f0) = &seen[0];
     let (c1, f1) = &seen[1];
@@ -131,10 +131,10 @@ fn colour_partitioning_is_airtight() {
 /// is allowed when the security policy permits it, §6.1).
 #[test]
 fn cross_domain_ipc_delivers_messages() {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-    let got: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let got2 = Arc::clone(&got);
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let got: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let got2 = Rc::clone(&got);
     let mut b =
         SystemBuilder::new(Platform::Sabre, ProtectionConfig::protected()).max_cycles(400_000_000);
     let d0 = b.domain(None);
@@ -158,7 +158,7 @@ fn cross_domain_ipc_delivers_messages() {
                 })
                 .await
                 .unwrap();
-            got2.lock().push(r);
+            got2.borrow_mut().push(r);
         }
     });
     b.spawn_daemon(d1, 0, 100, async |env: &mut UserEnv| {
@@ -171,7 +171,7 @@ fn cross_domain_ipc_delivers_messages() {
         }
     });
     let _ = b.run();
-    assert_eq!(*got.lock(), vec![20, 22, 24, 26, 28]);
+    assert_eq!(*got.borrow(), vec![20, 22, 24, 26, 28]);
 }
 
 /// Determinism: identical seeds give identical simulations.

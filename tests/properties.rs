@@ -342,8 +342,8 @@ proptest! {
 /// agree bit-for-bit.
 #[test]
 fn engine_probe_batch_matches_scalar_oracle() {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use time_protection::attacks::probe::l1_probe;
     use tp_core::{ProtectionConfig, SystemBuilder, UserEnv};
     use tp_sim::{VAddr, FRAME_SIZE};
@@ -412,7 +412,7 @@ fn engine_probe_batch_matches_scalar_oracle() {
     for platform in tp_sim::Platform::ALL {
         assert!(platform.config().cores >= 2, "{}", platform.key());
         let run = |batch: bool| {
-            let out: Arc<Mutex<[Vec<u64>; 2]>> = Arc::default();
+            let out: Rc<RefCell<[Vec<u64>; 2]>> = Rc::default();
             let mut b = SystemBuilder::new(platform, ProtectionConfig::raw())
                 .seed(0xBA7C)
                 .max_cycles(400_000_000);
@@ -420,14 +420,14 @@ fn engine_probe_batch_matches_scalar_oracle() {
             // Core 1 finishes first, leaving core 0 alone for its last
             // round.
             for (core, rounds) in [(0, 3), (1, 2)] {
-                let out2 = Arc::clone(&out);
+                let out2 = Rc::clone(&out);
                 b.spawn(d, core, 100, async move |env: &mut UserEnv| {
                     let totals = sweeps(env, batch, rounds).await;
-                    out2.lock()[core] = totals;
+                    out2.borrow_mut()[core] = totals;
                 });
             }
             let r = b.run();
-            let totals = out.lock().clone();
+            let totals = out.take();
             (totals, r.state_hash(), r.cycles)
         };
         let batched = run(true);
@@ -549,13 +549,13 @@ fn executor_fixture(
     platform: tp_sim::Platform,
     seed: u64,
 ) -> Result<tp_core::SystemReport, tp_core::SimError> {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use time_protection::attacks::probe::l1_probe;
     use tp_core::{ProtectionConfig, SystemBuilder, UserEnv};
 
-    let obs: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let obs2 = Arc::clone(&obs);
+    let obs: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let obs2 = Rc::clone(&obs);
     let mut b = SystemBuilder::new(platform, ProtectionConfig::protected())
         .seed(seed)
         .slice_us(30.0)
@@ -567,7 +567,7 @@ fn executor_fixture(
         let buf = l1_probe(env, env.platform().l1d).await;
         for _ in 0..6 {
             let lat = buf.probe(env).await;
-            obs2.lock().push(lat);
+            obs2.borrow_mut().push(lat);
             let _ = env.wait_preempt().await;
         }
     });

@@ -87,14 +87,14 @@ proptest! {
 /// logged run does produce a non-empty audit trail.
 #[test]
 fn commit_logging_does_not_perturb_simulated_time() {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use tp_core::{ProtectionConfig, SystemBuilder, UserEnv};
 
     for platform in [Platform::Haswell, Platform::Sabre] {
         let run = |record: bool| {
-            let stamps: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-            let out = Arc::clone(&stamps);
+            let stamps: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+            let out = Rc::clone(&stamps);
             let mut b = SystemBuilder::new(platform, ProtectionConfig::protected())
                 .seed(0x7E57)
                 .slice_us(40.0)
@@ -106,7 +106,7 @@ fn commit_logging_does_not_perturb_simulated_time() {
                 let (va, _) = env.map_pages(2).await;
                 for i in 0..40 {
                     let t = env.now().await;
-                    out.lock().push(t);
+                    out.borrow_mut().push(t);
                     env.load(tp_sim::VAddr(va.0 + (i % 64) * 64)).await;
                     env.compute(500).await;
                     if i % 8 == 0 {
@@ -118,7 +118,7 @@ fn commit_logging_does_not_perturb_simulated_time() {
                 env.compute(1_000).await;
             });
             let report = b.run();
-            let v = stamps.lock().clone();
+            let v = stamps.take();
             (v, report)
         };
 
