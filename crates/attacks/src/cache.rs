@@ -148,49 +148,6 @@ pub fn try_l2_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> 
     )
 }
 
-/// The §5.3.2 residual-channel ablation: the sender walks `2·symbol` pages
-/// sequentially, leaving that many *confidently trained* streams in the
-/// data prefetcher. The on-core flush (manual L1 flush + IBC) does not
-/// reset the prefetcher; its stale streams resume against the receiver's
-/// first demand misses, perturbing the probe time in proportion to the
-/// sender's stream count. Disabling the prefetcher (MSR 0x1A4) removes the
-/// effect — the paper's follow-up experiment.
-///
-/// # Errors
-/// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_l2_prefetcher_residual(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
-    let n = spec.n_symbols;
-    let mut sender_buf: Option<tp_sim::VAddr> = None;
-    try_measure_channel(
-        spec,
-        async move |env: &mut UserEnv, sym: usize| {
-            let base = match sender_buf {
-                Some(base) => base,
-                None => *sender_buf.insert(env.map_pages(2 * n).await.0),
-            };
-            let line = env.platform().line;
-            let lines_per_page = tp_sim::FRAME_SIZE / line;
-            // Walk `2·sym` pages sequentially: one trained stream each.
-            for p in 0..(2 * sym) as u64 {
-                for l in 0..lines_per_page {
-                    env.load(tp_sim::VAddr(base.0 + p * tp_sim::FRAME_SIZE + l * line))
-                        .await;
-                }
-            }
-        },
-        Receiver {
-            setup: async move |env: &mut UserEnv| {
-                let geom = env.platform().l2;
-                let targets: Vec<usize> = (0..256).collect();
-                let buf = phys_probe(env, geom, &targets, geom.ways as usize, 1024).await;
-                let _ = buf.probe(env).await;
-                buf
-            },
-            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env).await as f64,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

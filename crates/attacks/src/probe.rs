@@ -254,13 +254,6 @@ pub async fn llc_slice_probe(
     ProbeBuf::new(lines, ways)
 }
 
-/// The latency threshold distinguishing a hit at `inner` from a miss that
-/// went at least to `outer`.
-#[must_use]
-pub fn miss_threshold(inner: u64, outer: u64) -> u64 {
-    (inner + outer) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

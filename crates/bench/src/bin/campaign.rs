@@ -175,8 +175,8 @@ fn main() -> ExitCode {
 
     // Per-cell deadlines derive from the previous run's wall times; a
     // missing or stale history degrades to a generous default.
-    let history = read_artifact("BENCH-campaign.json")
-        .map(|(t, _)| parse_bench_history(&t))
+    let history = std::fs::read_to_string("BENCH-campaign.json")
+        .map(|t| parse_bench_history(&t))
         .unwrap_or_default();
 
     // Work items keyed by registry × platform report order.
@@ -396,9 +396,9 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.check {
         let golden = match read_artifact(path) {
-            Ok((g, _)) => g,
+            Ok((g, ())) => g,
             Err(e) => {
-                eprintln!("campaign: cannot read golden file {path}: {e}");
+                eprintln!("campaign: cannot read golden file {e}");
                 return ExitCode::from(2);
             }
         };

@@ -1061,21 +1061,19 @@ pub(crate) mod tests {
         out
     }
 
+    const PINNED_GOLDENS: &str =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens/verdicts.json");
+
     fn pinned_goldens() -> String {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens/verdicts.json");
-        let (payload, prov) = crate::store::read_artifact(path).expect("pinned goldens readable");
-        assert_eq!(
-            prov,
-            crate::store::Provenance::Checksummed,
-            "pinned goldens must carry a verified store trailer"
-        );
-        payload
+        std::fs::read_to_string(PINNED_GOLDENS).expect("pinned goldens readable")
     }
 
     #[test]
     fn pinned_goldens_roundtrip_byte_identically() {
         // `--update-goldens` writes `golden_json`; an unchanged run must
-        // re-pin the file without a single byte of churn.
+        // re-pin the file without a single byte of churn. The comparison
+        // covers the whole file, so it is one JSON document and nothing
+        // (no trailer, no second document) follows it.
         let text = pinned_goldens();
         let pinned_scale = golden_tp_samples(&text).expect("tp_samples header");
         let m = parse_golden(&text);
@@ -1118,6 +1116,36 @@ pub(crate) mod tests {
         };
         let err = check_goldens(&flipped, &results).unwrap_err();
         assert!(err.contains("VERDICT REGRESSION"), "{err}");
+    }
+
+    #[test]
+    fn check_reads_the_edited_file_not_a_stale_backup() {
+        let dir = std::env::temp_dir().join(format!("tp-goldens-bak-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mk temp dir");
+        // The pinned file byte for byte as both the golden and a backup
+        // beside it, as a re-pin used to leave; then a hand edit of the
+        // golden only. The check must see the edit.
+        let primary = dir.join("verdicts.json");
+        std::fs::copy(PINNED_GOLDENS, &primary).expect("copy golden");
+        std::fs::copy(PINNED_GOLDENS, dir.join("verdicts.json.bak")).expect("copy backup");
+        let pinned = std::fs::read_to_string(&primary).expect("copied golden readable");
+        let flipped = pinned.replacen("\"verdict\": \"leak\"", "\"verdict\": \"closed\"", 1);
+        assert_ne!(flipped, pinned, "pinned goldens hold a leak verdict");
+        std::fs::write(&primary, flipped).expect("write edited golden");
+
+        // Compare under whatever TP_SAMPLES this test process runs at.
+        let at_run_scale = |text: &str| {
+            let pinned_scale = golden_tp_samples(text).expect("tp_samples header");
+            text.replace(
+                &format!("\"tp_samples\": {pinned_scale}"),
+                &format!("\"tp_samples\": {}", crate::util::effort()),
+            )
+        };
+        let results = results_from_golden(&parse_golden(&pinned));
+        let (read, _) = crate::store::read_artifact(&primary).expect("edited golden readable");
+        let err = check_goldens(&at_run_scale(&read), &results).unwrap_err();
+        assert!(err.contains("VERDICT REGRESSION"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! mid-write tore the file and discarded the whole run. This module makes
 //! the artifacts durable and the campaign *resumable*:
 //!
-//! * [`write_atomic`] writes payload + a self-describing checksum trailer
-//!   to a temp file and renames it into place, rotating the previous good
-//!   version to `.bak`; [`read_artifact`] verifies the trailer (FNV-1a
-//!   with the same SplitMix64 finalizer as [`tp_core::StateHasher`]) and
-//!   falls back to `.bak` when the primary is torn or rotted.
+//! * [`write_atomic`] writes the payload, plain JSON, to a temp file,
+//!   syncs it and renames it into place, so a kill mid-write leaves the
+//!   previous version whole; [`read_artifact`] is a plain read.
 //! * [`Journal`] is an append-only JSON-lines file
 //!   (`goldens/campaign.journal`) holding one checksummed record per
 //!   completed campaign cell, flushed as each cell finishes. `campaign
@@ -40,7 +38,7 @@ use std::time::{Duration, Instant};
 use tp_core::StateHasher;
 use tp_sim::Platform;
 
-/// Journal/trailer format version; bump to invalidate every cached cell.
+/// Journal format version; bump to invalidate every cached cell.
 pub const STORE_SCHEMA: u32 = 1;
 
 /// FNV-1a over `bytes` with the SplitMix64 finalizer — byte-compatible
@@ -94,89 +92,7 @@ pub fn note_cell_skipped() {
     CELLS_SKIPPED.fetch_add(1, Ordering::Relaxed);
 }
 
-// ------------------------------------------------------- checksum trailer
-
-/// Start of the trailer line appended to every artifact.
-const TRAILER_TAG: &str = "{\"tp_store\": ";
-
-fn trailer_line(payload: &str) -> String {
-    format!(
-        "{{\"tp_store\": {{\"schema\": {STORE_SCHEMA}, \"algo\": \"fnv1a-sm64\", \"len\": {}, \"sum\": \"{:016x}\"}}}}\n",
-        payload.len(),
-        fnv64(payload.as_bytes()),
-    )
-}
-
-/// Split `text` into (payload, trailer claims) if its last line is a
-/// `tp_store` trailer. `None` when there is no trailer at all.
-fn split_trailer(text: &str) -> Option<(&str, u64, usize)> {
-    let idx = text.rfind(TRAILER_TAG)?;
-    if idx > 0 && text.as_bytes()[idx - 1] != b'\n' {
-        return None;
-    }
-    let trailer = &text[idx..];
-    // The trailer must be the final line (plus at most a trailing newline).
-    if trailer.trim_end().contains('\n') {
-        return None;
-    }
-    let sum = u64::from_str_radix(str_field(trailer, "sum")?, 16).ok()?;
-    let len = num_field(trailer, "len")? as usize;
-    Some((&text[..idx], sum, len))
-}
-
-/// How [`read_artifact`] authenticated the bytes it returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// The primary file carried a trailer and verified.
-    Checksummed,
-    /// The primary file has no trailer (written before this store existed,
-    /// or hand-edited); returned as-is.
-    Unchecksummed,
-    /// The primary was torn or rotted; the verified `.bak` was served.
-    RestoredFromBak,
-}
-
-enum FileState {
-    Good(String),
-    Legacy(String),
-    Bad(String),
-}
-
-fn classify(path: &Path) -> Result<FileState, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    match split_trailer(&text) {
-        // A trailer tag that doesn't parse as a complete final line means
-        // the file was torn mid-trailer — that's damage, not a legacy file.
-        None if text.contains(TRAILER_TAG) => Ok(FileState::Bad(format!(
-            "{}: torn or unparseable checksum trailer",
-            path.display()
-        ))),
-        None => Ok(FileState::Legacy(text)),
-        Some((payload, sum, len)) => {
-            if payload.len() == len && fnv64(payload.as_bytes()) == sum {
-                Ok(FileState::Good(payload.to_string()))
-            } else {
-                Ok(FileState::Bad(format!(
-                    "{}: checksum trailer mismatch (trailer claims len {len} sum {sum:016x}, \
-                     payload has len {} sum {:016x})",
-                    path.display(),
-                    payload.len(),
-                    fnv64(payload.as_bytes()),
-                )))
-            }
-        }
-    }
-}
-
-/// The `.bak` sibling of `path`.
-#[must_use]
-pub fn bak_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map_or_else(Default::default, |n| n.to_os_string());
-    name.push(".bak");
-    path.with_file_name(name)
-}
+// ------------------------------------------------------------- artifacts
 
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path
@@ -186,33 +102,21 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Read an artifact, verifying its checksum trailer and falling back to
-/// the `.bak` rotation when the primary is torn or rotted.
+/// Read an artifact: a plain read whose error names the path. The unit
+/// second field only keeps the `(text, _)` shape `perfbench` destructures.
 ///
 /// # Errors
-/// When the primary is unreadable or corrupt and no verified `.bak`
-/// exists either; the message names both files.
-pub fn read_artifact(path: impl AsRef<Path>) -> Result<(String, Provenance), String> {
+/// When the file is missing or unreadable.
+pub fn read_artifact(path: impl AsRef<Path>) -> Result<(String, ()), String> {
     let path = path.as_ref();
-    let primary = match classify(path) {
-        Ok(FileState::Good(p)) => return Ok((p, Provenance::Checksummed)),
-        Ok(FileState::Legacy(t)) => return Ok((t, Provenance::Unchecksummed)),
-        Ok(FileState::Bad(why)) => why,
-        Err(why) => why,
-    };
-    match classify(&bak_path(path)) {
-        Ok(FileState::Good(p)) => Ok((p, Provenance::RestoredFromBak)),
-        Ok(FileState::Legacy(_) | FileState::Bad(_)) | Err(_) => Err(format!(
-            "{primary}; no verified .bak fallback at {}",
-            bak_path(path).display()
-        )),
-    }
+    fs::read_to_string(path)
+        .map(|text| (text, ()))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Write `payload` + checksum trailer atomically: temp file in the same
-/// directory, `sync_all`, then rename over `path`. The previous version is
-/// rotated to `.bak` first — but only when it verifies, so a torn primary
-/// never clobbers a good backup.
+/// Write `payload` atomically: temp file in the same directory,
+/// `sync_all`, rename over `path`, then sync the directory. A reader sees
+/// either the old file or the new one, never a torn mix.
 ///
 /// # Errors
 /// Propagates I/O errors from the temp write or the final rename.
@@ -227,14 +131,7 @@ pub fn write_atomic(path: impl AsRef<Path>, payload: &str) -> std::io::Result<()
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(payload.as_bytes())?;
-        f.write_all(trailer_line(payload).as_bytes())?;
         f.sync_all()?;
-    }
-    if matches!(
-        classify(path),
-        Ok(FileState::Good(_) | FileState::Legacy(_))
-    ) {
-        let _ = fs::rename(path, bak_path(path));
     }
     fs::rename(&tmp, path)?;
     // Durability of the rename itself: sync the containing directory
@@ -248,11 +145,11 @@ pub fn write_atomic(path: impl AsRef<Path>, payload: &str) -> std::io::Result<()
 }
 
 // ------------------------------------------------------- field extraction
-// Every file the harness reads back — journal records, artifact trailers,
-// golden verdicts, `BENCH-campaign.json` — is machine-written with one
-// object per line in the `"name": value` spelling these readers expect. A
-// full JSON parser would be a dependency for no robustness gain (journal
-// lines and artifacts are additionally checksummed).
+// Every file the harness reads back — journal records, golden verdicts,
+// `BENCH-campaign.json` — is machine-written with one object per line in
+// the `"name": value` spelling these readers expect. A full JSON parser
+// would be a dependency for no robustness gain (journal lines are
+// additionally checksummed).
 
 /// The string value of the first `"name": "value"` in `line` (no escape
 /// handling: the writers never emit a quote inside a value they read back).
@@ -833,62 +730,26 @@ mod tests {
     }
 
     #[test]
-    fn trailer_roundtrip_and_tamper_detection() {
-        let payload = "{\n  \"x\": 1\n}\n";
-        let full = format!("{payload}{}", trailer_line(payload));
-        let (p, sum, len) = split_trailer(&full).expect("trailer parses");
-        assert_eq!(p, payload);
-        assert_eq!(len, payload.len());
-        assert_eq!(sum, fnv64(payload.as_bytes()));
-        // Any single-byte change to the payload fails verification.
-        let tampered = full.replacen("\"x\": 1", "\"x\": 2", 1);
-        let (p2, sum2, _) = split_trailer(&tampered).expect("still shaped like a trailer");
-        assert_ne!(fnv64(p2.as_bytes()), sum2);
-        assert!(split_trailer(payload).is_none(), "no trailer, no claims");
-    }
-
-    #[test]
-    fn atomic_write_read_and_bak_fallback() {
+    fn atomic_write_is_plain_and_reads_back_verbatim() {
         let dir = tmp_dir("atomic");
         let path = dir.join("artifact.json");
 
         write_atomic(&path, "{\"v\": 1}\n").unwrap();
-        let (text, prov) = read_artifact(&path).unwrap();
-        assert_eq!(
-            (text.as_str(), prov),
-            ("{\"v\": 1}\n", Provenance::Checksummed)
-        );
-
-        // Second write rotates the first version to .bak.
+        assert_eq!(fs::read_to_string(&path).unwrap(), "{\"v\": 1}\n");
         write_atomic(&path, "{\"v\": 2}\n").unwrap();
         assert_eq!(read_artifact(&path).unwrap().0, "{\"v\": 2}\n");
-        assert!(bak_path(&path).exists());
+        // The rewrite leaves nothing beside the artifact: no backup, no temp.
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["artifact.json"]);
 
-        // Tear the primary: read falls back to the .bak (version 1).
-        let torn = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &torn[..torn.len() - 10]).unwrap();
-        let (text, prov) = read_artifact(&path).unwrap();
-        assert_eq!(
-            (text.as_str(), prov),
-            ("{\"v\": 1}\n", Provenance::RestoredFromBak)
-        );
-
-        // Tear the .bak too: read errors, naming both files.
-        fs::write(bak_path(&path), "garbage").unwrap();
-        // (a trailer-less .bak is Legacy, which the fallback refuses — it
-        // cannot vouch for the bytes)
-        let err = read_artifact(&path).unwrap_err();
-        assert!(err.contains("checksum trailer"), "{err}");
-        assert!(err.contains(".bak"), "{err}");
-
-        // A legacy (pre-store) primary is served as-is.
-        let legacy = dir.join("legacy.json");
-        fs::write(&legacy, "{\"old\": true}\n").unwrap();
-        let (text, prov) = read_artifact(&legacy).unwrap();
-        assert_eq!(
-            (text.as_str(), prov),
-            ("{\"old\": true}\n", Provenance::Unchecksummed)
-        );
+        // A hand edit is read as written, and a missing file names its path.
+        fs::write(&path, "{\"v\": 3}\n").unwrap();
+        assert_eq!(read_artifact(&path).unwrap().0, "{\"v\": 3}\n");
+        let err = read_artifact(dir.join("missing.json")).unwrap_err();
+        assert!(err.contains("missing.json"), "{err}");
     }
 
     #[test]

@@ -157,12 +157,6 @@ impl CommitLog {
         self.commits.push(commit());
     }
 
-    /// Whether recording is on.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The commits recorded so far.
     #[must_use]
     pub fn commits(&self) -> &[Commit] {

@@ -49,18 +49,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// The `TP_FAULT` spelling of this class (without trigger point).
-    #[must_use]
-    pub fn class_name(self) -> &'static str {
-        match self {
-            FaultKind::EnvPanic { .. } => "env-panic",
-            FaultKind::EnvStall { .. } => "env-stall",
-            FaultKind::LostWakeup { .. } => "lost-wakeup",
-        }
-    }
-}
-
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {

@@ -881,24 +881,20 @@ impl Kernel {
     ) {
         let line = self.cfg.line;
         let global = self.prot.kernel_global_mappings;
-        let (from_stack, to_stack) = {
-            let f = self.images.get(from.0).expect("live image");
-            let t = self.images.get(to.0).expect("live image");
-            (f.layout.stack.clone(), t.layout.stack.clone())
-        };
+        let from_stack = &self.images.get(from.0).expect("live image").layout.stack;
+        let to_stack = &self.images.get(to.0).expect("live image").layout.stack;
         // Copy the live part of the stack: the switch happens at a shallow
         // kernel entry point, so only a couple of lines are live.
         for i in 0..2u64 {
-            let src = ImageFrames::line_pa(&from_stack, i, line);
-            let dst = ImageFrames::line_pa(&to_stack, i, line);
+            let src = ImageFrames::line_pa(from_stack, i, line);
+            let dst = ImageFrames::line_pa(to_stack, i, line);
             let va = VAddr(KERNEL_VBASE + 0x50_0000 + i * line);
             m.data_access(core, Asid::KERNEL, va, src, false, global);
             m.data_access(core, Asid::KERNEL, va, dst, true, global);
         }
-        let old_running = self.images.get_mut(from.0).map(|img| {
+        if let Some(img) = self.images.get_mut(from.0) {
             img.running_on &= !(1u64 << core);
-        });
-        let _ = old_running;
+        }
         if let Some(img) = self.images.get_mut(to.0) {
             img.running_on |= 1u64 << core;
         }

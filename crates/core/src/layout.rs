@@ -195,13 +195,6 @@ impl ImageFrames {
         v.extend(&self.l1i_buf);
         v
     }
-
-    /// Pages copied by `Kernel_Clone` (text, rodata, data, stack — the
-    /// flush buffers need no copying, only allocation).
-    #[must_use]
-    pub fn copied_pages(&self) -> u64 {
-        (self.text.len() + self.rodata.len() + self.data.len() + self.stack.len()) as u64
-    }
 }
 
 /// One item of the §4.1 shared-data list.

@@ -12,7 +12,6 @@ use crate::params::TlbGeom;
 #[derive(Debug, Clone, Copy, Default)]
 struct BtbEntry {
     tag: u64,
-    target: u64,
     valid: bool,
     stamp: u64,
 }
@@ -53,11 +52,11 @@ impl Btb {
         }
     }
 
-    /// Look up a branch at `pc`; if present, returns the predicted target.
-    /// On a miss the entry is installed with `target`.
+    /// Look up a branch at `pc`; on a miss its entry is installed. Only
+    /// presence is modelled: a hit predicts the target, a miss costs.
     ///
     /// Returns `true` on a BTB hit.
-    pub fn access(&mut self, pc: u64, target: u64) -> bool {
+    pub fn access(&mut self, pc: u64) -> bool {
         self.clock += 1;
         let clock = self.clock;
         let (set, tag) = self.index(pc);
@@ -66,7 +65,6 @@ impl Btb {
         for e in slice.iter_mut() {
             if e.valid && e.tag == tag {
                 e.stamp = clock;
-                e.target = target;
                 return true;
             }
         }
@@ -83,7 +81,6 @@ impl Btb {
             .unwrap_or(0);
         slice[idx] = BtbEntry {
             tag,
-            target,
             valid: true,
             stamp: clock,
         };
@@ -179,8 +176,8 @@ mod tests {
             entries: 16,
             ways: 2,
         });
-        assert!(!b.access(0x400, 0x500));
-        assert!(b.access(0x400, 0x500));
+        assert!(!b.access(0x400));
+        assert!(b.access(0x400));
         assert_eq!(b.valid_entries(), 1);
     }
 
@@ -192,10 +189,10 @@ mod tests {
             ways: 2,
         });
         for k in 0..3u64 {
-            b.access(4 * 8 * k, 0);
+            b.access(4 * 8 * k);
         }
         // First entry evicted by the third.
-        assert!(!b.access(0, 0));
+        assert!(!b.access(0));
     }
 
     #[test]
@@ -205,7 +202,7 @@ mod tests {
             ways: 2,
         });
         for k in 0..10u64 {
-            b.access(4 * k, 0);
+            b.access(4 * k);
         }
         assert!(b.flush() > 0);
         assert_eq!(b.valid_entries(), 0);

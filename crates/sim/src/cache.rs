@@ -186,12 +186,6 @@ impl Cache {
         self.sets
     }
 
-    /// Number of ways.
-    #[must_use]
-    pub fn num_ways(&self) -> usize {
-        self.ways
-    }
-
     /// Accumulated statistics. (Hits are derived — the hit fast path
     /// maintains only the access counter.)
     #[must_use]
@@ -200,11 +194,6 @@ impl Cache {
             hits: self.stats.accesses - self.stats.misses,
             ..self.stats
         }
-    }
-
-    /// Reset statistics (state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Access the line `(set, tag)`; on a miss the line is filled, possibly

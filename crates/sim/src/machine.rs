@@ -26,7 +26,7 @@
 //! per flush buffer saves no measurable time end to end and costs memory
 //! for every kernel clone (DESIGN.md § Fast-path audit).
 
-use crate::cache::{phys_set, Cache, Replacement};
+use crate::cache::{Cache, Replacement};
 use crate::corestate::CoreState;
 use crate::noise::NoiseRng;
 use crate::params::{CacheGeom, PlatformConfig};
@@ -272,12 +272,6 @@ impl Machine {
             }
             None => slice_index(la, self.shared.len() as u64),
         }
-    }
-
-    /// The set index within its slice that `pa` maps to in the shared cache.
-    #[must_use]
-    pub fn shared_set_of(&self, pa: PAddr) -> usize {
-        phys_set(self.shared_geom(), pa.0)
     }
 
     /// Immutable view of a shared-cache slice (tests and diagnostics).
@@ -687,19 +681,20 @@ impl Machine {
         (cost, hit_level)
     }
 
-    /// Execute a branch instruction at `pc`; returns the cycle cost.
+    /// Execute a branch instruction at `pc`; returns the cycle cost. The
+    /// BTB models only whether `pc` is present, so `_target` is not kept.
     pub fn branch(
         &mut self,
         core: usize,
         pc: VAddr,
-        target: VAddr,
+        _target: VAddr,
         taken: bool,
         conditional: bool,
     ) -> u64 {
         let lat = self.cfg.lat;
         let mut cost = 1;
         let c = &mut self.cores[core];
-        let btb_hit = c.btb.access(pc.0, target.0);
+        let btb_hit = c.btb.access(pc.0);
         if taken && !btb_hit {
             cost += lat.btb_miss;
         }
@@ -725,7 +720,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::phys_tag;
+    use crate::cache::{phys_set, phys_tag};
     use crate::params::Platform;
 
     fn pa(x: u64) -> PAddr {
