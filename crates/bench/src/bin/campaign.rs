@@ -330,7 +330,10 @@ fn main() -> ExitCode {
             "[wrote {QUARANTINE_PATH}: {} quarantined cell(s)]",
             quarantine.len()
         ),
-        Err(e) => eprintln!("[failed to write {QUARANTINE_PATH}: {e}]"),
+        Err(e) => {
+            eprintln!("campaign: failed to write {QUARANTINE_PATH}: {e}");
+            return ExitCode::from(2);
+        }
     }
 
     // Human-readable verdict table.
@@ -372,10 +375,11 @@ fn main() -> ExitCode {
 
     // Per-cell wall times, mirroring reproduce_all's BENCH.json (CI
     // budgets the campaign total and keeps both files as artifacts).
-    match write_atomic("BENCH-campaign.json", &bench_json(&results, total_seconds)) {
-        Ok(()) => eprintln!("[wrote BENCH-campaign.json]"),
-        Err(e) => eprintln!("[failed to write BENCH-campaign.json: {e}]"),
+    if let Err(e) = write_atomic("BENCH-campaign.json", &bench_json(&results, total_seconds)) {
+        eprintln!("campaign: failed to write BENCH-campaign.json: {e}");
+        return ExitCode::from(2);
     }
+    eprintln!("[wrote BENCH-campaign.json]");
 
     if let Some(path) = &args.json {
         let json = results_json(&results, total_seconds);

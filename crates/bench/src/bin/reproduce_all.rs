@@ -1,131 +1,104 @@
 //! Regenerates every table and figure of the paper in one run.
 //!
+//! ```text
+//! reproduce_all                                # every section, paper order
+//! reproduce_all --only table3                  # one section
+//! reproduce_all --only table1,fig5,ablations   # several, paper order
+//! reproduce_all --check goldens/verdicts.json  # also gate the 124 verdicts
+//! ```
+//!
 //! Set `TP_SAMPLES=0.25` for a quick pass or `TP_SAMPLES=4` for higher
 //! statistical resolution, and `TP_THREADS` to bound the worker count
-//! (`TP_THREADS=1` runs fully sequentially). The independent experiments
-//! run concurrently but their reports are printed in paper order, so
-//! stdout is bit-identical for every thread count; per-experiment timings
-//! go to stderr and to a machine-readable `BENCH.json` in the working
-//! directory, which CI uses as a perf-smoke budget check.
+//! (`TP_THREADS=1` runs fully sequentially). Every registry cell and every
+//! section's own simulations run once, in one pass ([`tp_bench::reproduce`]),
+//! but the sections are printed in paper order, so stdout is bit-identical
+//! for every thread count; timings go to stderr and to a machine-readable
+//! `BENCH.json` in the working directory, which CI budgets.
 //!
-//! A failing simulation no longer tears the whole run down: the failing
-//! experiment is named on stderr, the rest still print, and the process
-//! exits nonzero.
+//! `--check` runs every registry cell on every platform, printed or not,
+//! and diffs the voted verdicts against the golden file; its report goes to
+//! stderr, so stdout is the same with and without it.
+//!
+//! A failing simulation does not tear the whole run down: the failing
+//! section or cell is named on stderr, the rest still print, and the
+//! process exits 1. A bad flag, or a `BENCH.json` or golden file that
+//! cannot be written or read, exits 2.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::time::Instant;
-use tp_core::SimError;
-
-/// One experiment: display name and the function regenerating it.
-type Experiment = (&'static str, fn() -> Result<String, SimError>);
-
-// The table generators drive closed-form models and infallible channel
-// summaries; shim them into the fallible experiment signature.
-fn table1() -> Result<String, SimError> {
-    Ok(tp_bench::tables::table1())
-}
-fn table2() -> Result<String, SimError> {
-    Ok(tp_bench::tables::table2())
-}
-fn table5() -> Result<String, SimError> {
-    Ok(tp_bench::tables::table5())
-}
-fn table6() -> Result<String, SimError> {
-    Ok(tp_bench::tables::table6())
-}
-fn table7() -> Result<String, SimError> {
-    Ok(tp_bench::tables::table7())
-}
-
-/// Wall-time record of one run, serialised by hand (no JSON dependency)
-/// into `BENCH.json`.
-///
-/// Per-experiment `seconds` are wall times measured *while the
-/// experiments run concurrently*, so with `threads > 1` they overlap and
-/// can sum to more than `total_seconds`; refresh pinned per-experiment
-/// numbers from a `TP_THREADS=1` run. `total_seconds` is always honest.
-fn bench_json(per_exp: &[(&str, f64)], total_s: f64) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"tp_samples\": {},\n",
-        tp_bench::util::effort()
-    ));
-    s.push_str(&format!("  \"threads\": {},\n", tp_bench::util::threads()));
-    s.push_str(&format!("  \"total_seconds\": {total_s:.3},\n"));
-    s.push_str("  \"experiments\": [\n");
-    for (i, (name, secs)) in per_exp.iter().enumerate() {
-        let comma = if i + 1 < per_exp.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"seconds\": {secs:.3}}}{comma}\n"
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
+use tp_bench::campaign::check_goldens;
+use tp_bench::reproduce::{self, bench_json};
+use tp_bench::{cli, store};
 
 fn main() -> ExitCode {
-    let experiments: Vec<Experiment> = vec![
-        ("table1", table1),
-        ("table2", table2),
-        ("fig3", tp_bench::channels::fig3),
-        ("table3", tp_bench::channels::table3),
-        ("fig4", tp_bench::channels::fig4),
-        ("fig5", tp_bench::channels::fig5),
-        ("table4", tp_bench::channels::table4),
-        ("fig6", tp_bench::channels::fig6),
-        ("table5", table5),
-        ("table6", table6),
-        ("table7", table7),
-        ("fig7", tp_bench::splash::fig7),
-        ("table8", tp_bench::splash::table8),
-        ("ablations", tp_bench::channels::ablations),
-    ];
-    let t_all = Instant::now();
-    // Every experiment is independent and internally seeded, so they can
-    // run concurrently; reports are printed in paper order below.
-    let results: Vec<(Result<String, SimError>, f64)> = rayon::par_map(&experiments, |(_, f)| {
-        let t0 = Instant::now();
-        let report = f();
-        (report, t0.elapsed().as_secs_f64())
+    let args = cli::parse_or_exit("reproduce_all", || {
+        reproduce::parse_args(std::env::args().skip(1))
     });
-    let total_s = t_all.elapsed().as_secs_f64();
+    let golden = match &args.check {
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(text) => Some((path, text)),
+            Err(e) => {
+                eprintln!("reproduce_all: cannot read golden file {path}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+        None => None,
+    };
 
-    let mut per_exp: Vec<(&str, f64)> = Vec::with_capacity(experiments.len());
-    let mut failed: Vec<&str> = Vec::new();
-    for ((name, _), (report, secs)) in experiments.iter().zip(&results) {
-        match report {
-            Ok(report) => {
+    let r = reproduce::run(&args.only, golden.is_some());
+    let mut failed = false;
+    for (name, text) in &r.sections {
+        match text {
+            Ok(text) => {
                 println!("==================== {name} ====================");
-                println!("{report}");
-                eprintln!("[{name} took {secs:.1}s]");
+                println!("{text}");
             }
             Err(e) => {
-                eprintln!("[{name} FAILED after {secs:.1}s: {e}]");
-                failed.push(name);
+                eprintln!("[{name} FAILED: {e}]");
+                failed = true;
             }
         }
-        per_exp.push((name, *secs));
+    }
+    for (cell, e) in &r.failed_cells {
+        eprintln!("[{cell} FAILED: {e}]");
+        failed = true;
+    }
+    for (name, secs) in &r.own_seconds {
+        eprintln!("[{name} took {secs:.1}s]");
+    }
+    let mut per_experiment: BTreeMap<&str, (usize, f64)> = BTreeMap::new();
+    for c in &r.cells {
+        let e = per_experiment.entry(c.experiment).or_default();
+        *e = (e.0 + 1, e.1 + c.seconds);
+    }
+    for (name, (n, secs)) in per_experiment {
+        eprintln!("[{name}: {n} cell(s), {secs:.1}s]");
     }
     eprintln!(
-        "[reproduce_all total {total_s:.1}s, {} threads, TP_SAMPLES={}]",
+        "[reproduce_all total {:.1}s, {} threads, TP_SAMPLES={}]",
+        r.total_seconds,
         tp_bench::util::threads(),
         tp_bench::util::effort()
     );
 
-    let json = bench_json(&per_exp, total_s);
-    match tp_bench::store::write_atomic("BENCH.json", &json) {
-        Ok(()) => eprintln!("[wrote BENCH.json]"),
-        Err(e) => eprintln!("[failed to write BENCH.json: {e}]"),
+    if let Err(e) = store::write_atomic("BENCH.json", &bench_json(&r)) {
+        eprintln!("reproduce_all: failed to write BENCH.json: {e}");
+        return ExitCode::from(2);
     }
+    eprintln!("[wrote BENCH.json]");
 
-    if failed.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "reproduce_all: {} experiment(s) failed: {}",
-            failed.len(),
-            failed.join(", ")
-        );
+    if let Some((path, golden)) = golden {
+        match check_goldens(&golden, &r.cells) {
+            Ok(n) => eprintln!("[goldens OK: {n} verdicts match {path}]"),
+            Err(report) => {
+                eprintln!("golden verdict check against {path} FAILED:\n{report}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -81,8 +81,9 @@ pub(crate) struct CellRow {
     /// The row the journal, the JSON outputs and the golden gate keep.
     pub row: ChannelResult,
     /// The reporting seed's outcome: the first vote seed that agrees with
-    /// the majority, whose M, M0 and dataset the row carries.
-    pub outcome: ChannelOutcome,
+    /// the majority, whose M, M0 and dataset the row carries. `None` for
+    /// the LLC attack's rows, which are one run's key-recovery accuracy.
+    pub outcome: Option<ChannelOutcome>,
 }
 
 /// Run one measurement under [`VOTE_SEEDS`] until a majority agrees, and
@@ -146,7 +147,7 @@ fn majority_row(
             leaks,
             samples: o.dataset.len(),
         },
-        outcome: o,
+        outcome: Some(o),
     }
 }
 
@@ -207,9 +208,9 @@ pub struct ExperimentDef {
     pub paper: &'static str,
     /// Relative cost weight (higher = slower): the mean wall time of one
     /// cell in tens of milliseconds, read off the per-cell `seconds` of a
-    /// `TP_SAMPLES=0.25` campaign's `BENCH-campaign.json`. The runner
-    /// schedules heavier experiments first so they overlap with the cheap
-    /// tail; only the schedule depends on it, never a result.
+    /// `TP_SAMPLES=0.25` campaign's `BENCH-campaign.json`. `campaign` and
+    /// `reproduce_all` schedule heavier experiments first so they overlap
+    /// with the cheap tail; only the schedule depends on it, never a result.
     pub cost: u32,
     /// Which platforms the experiment supports.
     pub supports: fn(Platform) -> bool,
@@ -217,6 +218,9 @@ pub struct ExperimentDef {
     /// (simulation failures under fault injection) are classified by the
     /// campaign supervisor ([`crate::supervise`]), never unwound.
     pub run: fn(Platform) -> Result<Vec<ChannelResult>, SimError>,
+    /// `run` with each row's reporting outcome, which the rendered figures
+    /// read ([`crate::reproduce`]).
+    pub(crate) cell: fn(Platform) -> Result<Vec<CellRow>, SimError>,
 }
 
 /// A voted cell's rows without their outcomes.
@@ -265,31 +269,31 @@ fn scenario_sweep(
     .collect()
 }
 
-pub(crate) fn run_l1d(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_l1d(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("L1-D", cache::try_l1d_channel, p)
 }
 
-pub(crate) fn run_l1i(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_l1i(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("L1-I", cache::try_l1i_channel, p)
 }
 
-pub(crate) fn run_tlb(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_tlb(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("TLB", tlbchan::try_tlb_channel, p)
 }
 
-pub(crate) fn run_btb(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_btb(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("BTB", branchchan::try_btb_channel, p)
 }
 
-pub(crate) fn run_bhb(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_bhb(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("BHB", branchchan::try_bhb_channel, p)
 }
 
-pub(crate) fn run_l2(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_l2(p: Platform) -> Result<Vec<CellRow>, SimError> {
     scenario_sweep("L2", cache::try_l2_channel, p)
 }
 
-pub(crate) fn run_kernel_image(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_kernel_image(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let n = samples(300);
     [
         ("coloured-only", kernel_image::coloured_userland_config()),
@@ -308,7 +312,7 @@ pub(crate) fn run_kernel_image(p: Platform) -> Result<Vec<CellRow>, SimError> {
     .collect()
 }
 
-pub(crate) fn run_flush(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_flush(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let n = samples(250);
     let pad = flush_latency::table4_pad_us(p);
     let mk = |pad_us: Option<f64>, seed: u64| IntraCoreSpec {
@@ -330,7 +334,7 @@ pub(crate) fn run_flush(p: Platform) -> Result<Vec<CellRow>, SimError> {
     .collect()
 }
 
-pub(crate) fn run_interrupt(p: Platform) -> Result<Vec<CellRow>, SimError> {
+fn run_interrupt(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let n = samples(250);
     [("raw", false), ("partitioned", true)]
         .into_iter()
@@ -372,7 +376,7 @@ fn run_cloud(p: Platform) -> Result<Vec<CellRow>, SimError> {
     .collect()
 }
 
-fn run_llc(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
+fn run_llc(p: Platform) -> Result<Vec<CellRow>, SimError> {
     let slots = samples(6_000).max(3_000);
     [
         ("raw", ProtectionConfig::raw(), slots),
@@ -381,14 +385,17 @@ fn run_llc(p: Platform) -> Result<Vec<ChannelResult>, SimError> {
     .into_iter()
     .map(|(mech, prot, slots)| {
         let r = llc::try_llc_attack_on(p, prot, slots, 42)?;
-        Ok(ChannelResult {
-            channel: "LLC-ElGamal",
-            mechanism: mech,
-            metric: "accuracy_pct",
-            value: r.accuracy * 100.0,
-            baseline: 50.0,
-            leaks: r.activity_detected && r.accuracy > 0.65,
-            samples: r.recovered_bits.len(),
+        Ok(CellRow {
+            row: ChannelResult {
+                channel: "LLC-ElGamal",
+                mechanism: mech,
+                metric: "accuracy_pct",
+                value: r.accuracy * 100.0,
+                baseline: 50.0,
+                leaks: r.activity_detected && r.accuracy > 0.65,
+                samples: r.recovered_bits.len(),
+            },
+            outcome: None,
         })
     })
     .collect()
@@ -405,6 +412,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 9,
             supports: any_platform,
             run: |p| rows(run_l1d(p)),
+            cell: run_l1d,
         },
         ExperimentDef {
             name: "l1i",
@@ -413,6 +421,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 8,
             supports: any_platform,
             run: |p| rows(run_l1i(p)),
+            cell: run_l1i,
         },
         ExperimentDef {
             name: "tlb",
@@ -421,6 +430,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 6,
             supports: any_platform,
             run: |p| rows(run_tlb(p)),
+            cell: run_tlb,
         },
         ExperimentDef {
             name: "btb",
@@ -429,6 +439,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 6,
             supports: any_platform,
             run: |p| rows(run_btb(p)),
+            cell: run_btb,
         },
         ExperimentDef {
             name: "bhb",
@@ -437,6 +448,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 3,
             supports: any_platform,
             run: |p| rows(run_bhb(p)),
+            cell: run_bhb,
         },
         ExperimentDef {
             name: "l2",
@@ -445,6 +457,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 70,
             supports: any_platform,
             run: |p| rows(run_l2(p)),
+            cell: run_l2,
         },
         ExperimentDef {
             name: "kernel-image",
@@ -453,6 +466,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 27,
             supports: any_platform,
             run: |p| rows(run_kernel_image(p)),
+            cell: run_kernel_image,
         },
         ExperimentDef {
             name: "flush-latency",
@@ -461,6 +475,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 11,
             supports: any_platform,
             run: |p| rows(run_flush(p)),
+            cell: run_flush,
         },
         ExperimentDef {
             name: "interrupt",
@@ -469,6 +484,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 2,
             supports: any_platform,
             run: |p| rows(run_interrupt(p)),
+            cell: run_interrupt,
         },
         ExperimentDef {
             name: "bus",
@@ -477,6 +493,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 2,
             supports: any_platform,
             run: |p| rows(run_bus(p)),
+            cell: run_bus,
         },
         ExperimentDef {
             name: "llc",
@@ -484,7 +501,8 @@ pub fn registry() -> Vec<ExperimentDef> {
             paper: "§5.3.3, Figure 4",
             cost: 2,
             supports: needs_llc,
-            run: run_llc,
+            run: |p| rows(run_llc(p)),
+            cell: run_llc,
         },
         ExperimentDef {
             name: "cloud",
@@ -493,6 +511,7 @@ pub fn registry() -> Vec<ExperimentDef> {
             cost: 45,
             supports: any_platform,
             run: |p| rows(run_cloud(p)),
+            cell: run_cloud,
         },
     ]
 }
@@ -601,14 +620,16 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     );
     // Vote accounting: a lazy vote runs two seeds, plus a third on a
     // split, and CI gates on exactly that.
-    let _ = writeln!(
-        s,
-        "  \"votes\": {{\"verdicts\": {}, \"seeds_run\": {}, \"split\": {}}},",
-        VOTES.load(Ordering::Relaxed),
-        VOTE_SEEDS_RUN.load(Ordering::Relaxed),
-        VOTE_SPLITS.load(Ordering::Relaxed),
-    );
-    s.push_str("  \"cells\": [\n");
+    let _ = writeln!(s, "  \"votes\": {},", votes_json());
+    s.push_str(&cells_json(results));
+    s.push_str("}\n");
+    s
+}
+
+/// The closing `cells` array of a wall-time record: one entry per
+/// experiment × platform cell with its wall seconds.
+pub(crate) fn cells_json(results: &[ExperimentResult]) -> String {
+    let mut s = String::from("  \"cells\": [\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         let _ = writeln!(
@@ -619,8 +640,19 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
             r.seconds
         );
     }
-    s.push_str("  ]\n}\n");
+    s.push_str("  ]\n");
     s
+}
+
+/// This process's vote accounting as a JSON object: completed votes, the
+/// seeds they ran and how many split.
+pub(crate) fn votes_json() -> String {
+    format!(
+        "{{\"verdicts\": {}, \"seeds_run\": {}, \"split\": {}}}",
+        VOTES.load(Ordering::Relaxed),
+        VOTE_SEEDS_RUN.load(Ordering::Relaxed),
+        VOTE_SPLITS.load(Ordering::Relaxed),
+    )
 }
 
 /// The canonical identity of one verdict: experiment, platform key,
@@ -938,7 +970,8 @@ pub(crate) mod tests {
                         assert_eq!(calls.get(), if split { 3 } else { 2 }, "{ctx}");
                         // The outcome handed back is the reporting seed's.
                         let voted = vote("C", "m", run).expect("no failing seed");
-                        assert_eq!(voted.outcome.dataset.len(), voted.row.samples, "{ctx}");
+                        let outcome = voted.outcome.expect("a voted row has an outcome");
+                        assert_eq!(outcome.dataset.len(), voted.row.samples, "{ctx}");
                     }
                     Some(i) if i < 2 || split => assert_eq!(lazy, Err(fail(i)), "{ctx}"),
                     // Seeds 1 and 2 agree: seed 3 never runs, so its

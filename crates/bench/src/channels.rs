@@ -1,12 +1,14 @@
 //! The channel experiments: Figures 3–6 and Tables 3–4.
 //!
-//! Figures 3 and 6 and Tables 3 and 4 format the campaign registry's cells,
-//! so they report the experiments the golden gate checks: each verdict mark
-//! is the 2-of-3 vote's, each M and M0 the reporting seed's, and each
-//! matrix that seed's dataset. Figures 4 and 5, the ablations and the
-//! §5.3.2 prefetcher-disabled follow-up run their own sample counts.
+//! Figures 3 and 6 and Tables 3 and 4 render the campaign registry's cells
+//! from `reproduce_all`'s one pass ([`crate::reproduce`]), so they report
+//! the experiments the golden gate checks: each verdict mark is the 2-of-3
+//! vote's, each M and M0 the reporting seed's, and each matrix that seed's
+//! dataset. Figures 4 and 5, the ablations and the §5.3.2
+//! prefetcher-disabled follow-up run their own sample counts.
 
-use crate::campaign::{self, CellRow};
+use crate::campaign::CellRow;
+use crate::reproduce::Rows;
 use crate::util::{fmt_mb, samples, Table};
 use tp_analysis::{ChannelMatrix, Dataset};
 use tp_attacks::harness::{ChannelOutcome, IntraCoreSpec, Scenario};
@@ -21,29 +23,9 @@ fn row<'a>(rows: &'a [CellRow], mechanism: &str) -> &'a CellRow {
         .unwrap_or_else(|| panic!("no {mechanism:?} row in the cell"))
 }
 
-/// A registry experiment's runner for one platform.
-type CellRun = fn(Platform) -> Result<Vec<CellRow>, SimError>;
-
-/// One registry cell of a report: experiment name, platform and runner.
-type Cell = (&'static str, Platform, CellRun);
-
-/// Run `cells` on the worker pool, heaviest experiment first by registry
-/// cost, and return their rows in `cells` order, so a report reads the
-/// same at every `TP_THREADS`. The first failure in `cells` order is the
-/// error.
-fn par_cells(cells: &[Cell]) -> Result<Vec<Vec<CellRow>>, SimError> {
-    let registry = campaign::registry();
-    let cost = |name: &str| {
-        registry
-            .iter()
-            .find(|d| d.name == name)
-            .map_or(0, |d| d.cost)
-    };
-    let mut order: Vec<usize> = (0..cells.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(cost(cells[i].0)));
-    let mut done = rayon::par_map(&order, |&i| (i, (cells[i].2)(cells[i].1)));
-    done.sort_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, rows)| rows).collect()
+/// The reporting seed's outcome of a voted row.
+fn outcome(r: &CellRow) -> &ChannelOutcome {
+    r.outcome.as_ref().expect("a voted row carries its outcome")
 }
 
 /// A dataset's channel matrix (nothing below 8 observations).
@@ -56,59 +38,43 @@ fn matrix(dataset: &Dataset, labels: &[&str]) -> String {
 
 /// Figure 3: the kernel-image channel matrix and MI, coloured-userland
 /// (shared kernel) vs full time protection, on every platform.
-///
-/// # Errors
-/// Propagates the first [`SimError`] from a failed channel simulation.
-pub fn fig3() -> Result<String, SimError> {
+pub(crate) fn fig3(cells: &Rows) -> String {
     let mut out = String::from("Figure 3: Kernel timing-channel matrix (conditional probability\nof LLC misses given the sender's system call).\n\n");
-    let cells: [Cell; 4] =
-        Platform::ALL.map(|p| ("kernel-image", p, campaign::run_kernel_image as _));
-    let runs = par_cells(&cells)?;
-    for (platform, rows) in Platform::ALL.into_iter().zip(runs) {
+    for platform in Platform::ALL {
+        let rows = cells.get("kernel-image", platform);
         for (name, mechanism) in [
             ("coloured userland only (shared kernel)", "coloured-only"),
             ("full time protection (cloned kernels)", "protected"),
         ] {
-            let r = row(&rows, mechanism);
+            let o = outcome(row(rows, mechanism));
             out.push_str(&format!("{} — {}\n", platform.name(), name));
-            out.push_str(&matrix(&r.outcome.dataset, &kernel_image::SYMBOLS));
-            out.push_str(&format!("  {}\n\n", r.outcome.summary()));
+            out.push_str(&matrix(&o.dataset, &kernel_image::SYMBOLS));
+            out.push_str(&format!("  {}\n\n", o.summary()));
         }
     }
-    Ok(out)
+    out
 }
 
+/// The registry experiments behind Table 3, in row order per platform.
+pub(crate) const TABLE3: [&str; 6] = ["l1d", "l1i", "tlb", "btb", "bhb", "l2"];
+
 /// Table 3: MI of the intra-core channels under raw / full flush /
-/// protected, on every platform. The residual protected x86 L2 channel is
-/// additionally re-measured with the data prefetcher disabled (the §5.3.2
-/// follow-up).
-///
-/// # Errors
-/// Propagates the first [`SimError`] from a failed channel simulation.
-pub fn table3() -> Result<String, SimError> {
-    let channels: [(&str, CellRun); 6] = [
-        ("l1d", campaign::run_l1d),
-        ("l1i", campaign::run_l1i),
-        ("tlb", campaign::run_tlb),
-        ("btb", campaign::run_btb),
-        ("bhb", campaign::run_bhb),
-        ("l2", campaign::run_l2),
-    ];
-    let cells: Vec<Cell> = Platform::ALL
+/// protected, on every platform, followed by the residual protected x86 L2
+/// channel re-measured with the data prefetcher disabled
+/// ([`prefetcher_disabled`]'s `follow_up`).
+pub(crate) fn table3(cells: &Rows, follow_up: &str) -> String {
+    let rows: Vec<(Platform, &[CellRow])> = Platform::ALL
         .into_iter()
-        .flat_map(|p| channels.map(|(name, run)| (name, p, run)))
+        .flat_map(|p| TABLE3.map(|name| (p, cells.get(name, p))))
         .collect();
-    let (rows, follow_up) = rayon::join(|| par_cells(&cells), prefetcher_disabled);
-    let cells: Vec<(Platform, Vec<CellRow>)> = cells.iter().map(|c| c.1).zip(rows?).collect();
-    Ok(format!(
-        "Table 3: Mutual information (mb) of intra-core timing channels.\n('*' marks a definite channel, M > M0.)\n\n{}\n{}",
-        table3_rows(&cells),
-        follow_up?
-    ))
+    format!(
+        "Table 3: Mutual information (mb) of intra-core timing channels.\n('*' marks a definite channel, M > M0.)\n\n{}\n{follow_up}",
+        table3_rows(&rows)
+    )
 }
 
 /// Table 3's body: one line per platform × channel cell.
-fn table3_rows(cells: &[(Platform, Vec<CellRow>)]) -> String {
+fn table3_rows(cells: &[(Platform, &[CellRow])]) -> String {
     let mut t = Table::new(&[
         "Platform",
         "Cache",
@@ -118,7 +84,7 @@ fn table3_rows(cells: &[(Platform, Vec<CellRow>)]) -> String {
         "Protected M",
         "(M0)",
     ]);
-    for (platform, rows) in cells {
+    for &(platform, rows) in cells {
         let (raw, ff, prot) = (
             row(rows, "raw"),
             row(rows, "full-flush"),
@@ -137,15 +103,18 @@ fn table3_rows(cells: &[(Platform, Vec<CellRow>)]) -> String {
     t.render()
 }
 
-/// §5.3.2 follow-up: the protected x86 L2 channel with the data prefetcher
-/// disabled. In the paper the prefetcher *carries* a residual 50 mb
+/// Table 3's §5.3.2 follow-up: the protected x86 L2 channel with the data
+/// prefetcher disabled. In the paper the prefetcher *carries* a residual 50 mb
 /// channel; in this model the analogous unresettable-state channel flows
 /// through the brittle manual L1 flush (pseudo-LRU stragglers), and the
 /// prefetcher's fill noise *masks* it — disabling the prefetcher exposes
 /// it. Both stories share the paper's root cause (x86's missing
 /// architected L1 flush) and conclusion (only the full-hierarchy flush
 /// closes the residue); see EXPERIMENTS.md.
-fn prefetcher_disabled() -> Result<String, SimError> {
+///
+/// # Errors
+/// Propagates the [`SimError`] of a failed channel simulation.
+pub(crate) fn prefetcher_disabled() -> Result<String, SimError> {
     let platform = Platform::Haswell;
     let mut spec = IntraCoreSpec::new(platform, Scenario::Protected, 8, 3 * samples(250))
         .with_slice_us(cache::l2_slice_us(&platform.config()));
@@ -220,10 +189,7 @@ pub fn fig5() -> Result<String, SimError> {
 
 /// Table 4: the flush-latency channel, online/offline timing, with and
 /// without padding.
-///
-/// # Errors
-/// Propagates the first [`SimError`] from a failed channel simulation.
-pub fn table4() -> Result<String, SimError> {
+pub(crate) fn table4(cells: &Rows) -> String {
     let mut t = Table::new(&[
         "Platform",
         "Timing",
@@ -232,15 +198,14 @@ pub fn table4() -> Result<String, SimError> {
         "Protected M",
         "(M0)",
     ]);
-    let cells: [Cell; 4] = Platform::ALL.map(|p| ("flush-latency", p, campaign::run_flush as _));
-    let runs = par_cells(&cells)?;
-    for (platform, rows) in Platform::ALL.into_iter().zip(runs) {
+    for platform in Platform::ALL {
+        let rows = cells.get("flush-latency", platform);
         let pad = flush_latency::table4_pad_us(platform);
         for (timing, no_pad, padded) in [
             ("Online", "online-nopad", "online-pad"),
             ("Offline", "offline-nopad", "offline-pad"),
         ] {
-            let (no_pad, padded) = (row(&rows, no_pad), row(&rows, padded));
+            let (no_pad, padded) = (row(rows, no_pad), row(rows, padded));
             t.row(&[
                 format!("{} (pad {pad} µs)", platform.short_name()),
                 timing.to_string(),
@@ -251,34 +216,28 @@ pub fn table4() -> Result<String, SimError> {
             ]);
         }
     }
-    Ok(format!(
+    format!(
         "Table 4: Channel through cache-flush latency (mb) without and with\ntime padding.\n\n{}",
         t.render()
-    ))
+    )
 }
 
 /// Figure 6: the interrupt channel (spy online time vs the Trojan's timer
 /// value), unmitigated and with IRQ partitioning, on Haswell.
-///
-/// # Errors
-/// Propagates the first [`SimError`] from a failed channel simulation.
-pub fn fig6() -> Result<String, SimError> {
-    let rows = campaign::run_interrupt(Platform::Haswell)?;
-    let (raw, part) = (row(&rows, "raw"), row(&rows, "partitioned"));
+pub(crate) fn fig6(cells: &Rows) -> String {
+    let rows = cells.get("interrupt", Platform::Haswell);
+    let (raw, part) = (outcome(row(rows, "raw")), outcome(row(rows, "partitioned")));
     let mut out = String::from(
         "Figure 6: Interrupt channel: spy-observed online time vs the timer\ninterrupt configured by the Trojan (13..17 ms, 10 ms tick).\n\n",
     );
-    let raw_matrix = matrix(
-        &raw.outcome.dataset,
-        &["13ms", "14ms", "15ms", "16ms", "17ms"],
-    );
+    let raw_matrix = matrix(&raw.dataset, &["13ms", "14ms", "15ms", "16ms", "17ms"]);
     if !raw_matrix.is_empty() {
         out.push_str("unmitigated:\n");
         out.push_str(&raw_matrix);
     }
-    out.push_str(&format!("  raw:         {}\n", raw.outcome.summary()));
-    out.push_str(&format!("  partitioned: {}\n", part.outcome.summary()));
-    Ok(out)
+    out.push_str(&format!("  raw:         {}\n", raw.summary()));
+    out.push_str(&format!("  partitioned: {}\n", part.summary()));
+    out
 }
 
 /// Per-mechanism ablations: switching off each Requirement's mechanism
@@ -373,7 +332,7 @@ fn push_ablation(t: &mut Table, mech: &str, chan: &str, o: &ChannelOutcome) {
 mod tests {
     use super::*;
     use crate::campaign::tests::scripted;
-    use crate::campaign::VerdictKey;
+    use crate::campaign::{self, VerdictKey};
     use std::cell::Cell;
 
     // The individual channels are tested in tp-attacks; here we exercise
@@ -410,7 +369,7 @@ mod tests {
             // Seeds 1 and 2 agree: closed, reported by seed 1.
             voted("protected", [false, false, true]),
         ];
-        let body = table3_rows(&[(Platform::Sabre, rows)]);
+        let body = table3_rows(&[(Platform::Sabre, &rows)]);
         let line = body.lines().last().expect("one row");
         assert_eq!(
             line.split_whitespace().collect::<Vec<_>>(),

@@ -9,11 +9,9 @@
 //!
 //! The parsing core is pure (`Result`-returning, fed from any iterator of
 //! strings) so it is unit-testable; only [`parse_or_exit`] touches the
-//! process. [`report`] is the whole `main` of a one-experiment binary.
+//! process.
 
 use std::collections::VecDeque;
-use std::process::ExitCode;
-use tp_core::SimError;
 use tp_sim::Platform;
 
 /// A stream of command-line arguments with flag-value helpers.
@@ -167,22 +165,6 @@ pub fn parse_or_exit<T>(bin: &str, parse: impl FnOnce() -> Result<T, String>) ->
         Err(e) => {
             eprintln!("{bin}: {e}");
             std::process::exit(2);
-        }
-    }
-}
-
-/// Run one experiment's generator and print its report; on a failed
-/// simulation, report `name: simulation failed: error` on stderr and exit
-/// with failure.
-pub fn report(name: &str, generate: fn() -> Result<String, SimError>) -> ExitCode {
-    match generate() {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{name}: simulation failed: {e}");
-            ExitCode::FAILURE
         }
     }
 }

@@ -1,0 +1,116 @@
+//! The `reproduce_all` and `campaign` binaries end to end: section
+//! selection, and artifacts that cannot be written.
+//!
+//! Every run here is instant (Table 1 is closed-form, and `campaign --only
+//! llc --platform sabre` has no cell to run), so the debug binaries suffice.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// A fresh, empty working directory for one test.
+fn workdir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tp-bench-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create work dir");
+    dir
+}
+
+fn run(bin: &str, dir: &Path, args: &[&str]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .current_dir(dir)
+        .env("TP_SAMPLES", "0.25")
+        .env("TP_THREADS", "1")
+        .output()
+        .expect("binary runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Replace `path` with a directory that has an entry in it, so a file
+/// cannot be renamed over it (whatever the permissions of the user running
+/// this).
+fn block(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    std::fs::create_dir_all(path.join("occupied")).expect("create blocker");
+}
+
+#[test]
+fn only_prints_exactly_that_section_of_the_pinned_stdout() {
+    let dir = workdir("only");
+    let out = run(
+        env!("CARGO_BIN_EXE_reproduce_all"),
+        &dir,
+        &["--only", "table1"],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    let pinned = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../goldens/reproduce_all.stdout"
+    ))
+    .expect("pinned stdout readable");
+    let start = pinned
+        .find("==================== table1 ")
+        .expect("table1 pinned");
+    let end = pinned
+        .find("==================== table2 ")
+        .expect("table2 pinned");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), &pinned[start..end]);
+    let bench = std::fs::read_to_string(dir.join("BENCH.json")).expect("BENCH.json written");
+    assert!(bench.contains("\"name\": \"table1\""), "{bench}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn only_with_an_unknown_section_exits_2_naming_the_valid_ones() {
+    let dir = workdir("unknown");
+    let out = run(
+        env!("CARGO_BIN_EXE_reproduce_all"),
+        &dir,
+        &["--only", "table3,fig9"],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("\"fig9\""), "{err}");
+    for name in tp_bench::reproduce::section_names() {
+        assert!(err.contains(name), "{name} missing from {err}");
+    }
+    assert!(out.stdout.is_empty());
+    for bad in [&["--only"][..], &["--bogus"]] {
+        let out = run(env!("CARGO_BIN_EXE_reproduce_all"), &dir, bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reproduce_all_exits_2_when_bench_json_cannot_be_written() {
+    let dir = workdir("bench");
+    block(&dir.join("BENCH.json"));
+    let out = run(
+        env!("CARGO_BIN_EXE_reproduce_all"),
+        &dir,
+        &["--only", "table1"],
+    );
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("BENCH.json"), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaign_exits_2_when_an_artifact_cannot_be_written() {
+    for artifact in ["goldens/quarantine.json", "BENCH-campaign.json"] {
+        let dir = workdir("campaign");
+        std::fs::create_dir_all(dir.join("goldens")).expect("create goldens");
+        let args = ["--only", "llc", "--platform", "sabre"];
+        let out = run(env!("CARGO_BIN_EXE_campaign"), &dir, &args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        block(&dir.join(artifact));
+        let out = run(env!("CARGO_BIN_EXE_campaign"), &dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{artifact}: {}", stderr(&out));
+        assert!(stderr(&out).contains(artifact), "{}", stderr(&out));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
