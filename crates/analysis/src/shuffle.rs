@@ -11,11 +11,11 @@
 //! with no leakage `M` may equal `M0`).
 //!
 //! The 101 MI estimates share one [`MiContext`] (support, grid and bin
-//! indices are pairing-invariant), and the 100 shuffles run concurrently:
-//! each shuffle's permutation RNG is derived from the master seed with a
+//! indices are pairing-invariant). The 100 shuffles fan out only from top
+//! level (inside a campaign cell they run inline on its worker): each
+//! shuffle's permutation RNG is derived from the master seed with a
 //! SplitMix64 step over the shuffle index, so the null distribution is
-//! bit-identical for every thread count (Invariant 1). `TP_THREADS=1`
-//! forces a sequential run; see `tp-bench`'s docs.
+//! bit-identical for every thread count (Invariant 1).
 
 use crate::dataset::Dataset;
 use crate::mi::{MiContext, MiEstimate};

@@ -17,12 +17,12 @@
 //! golden file is generated at `TP_SAMPLES=0.25` (what CI runs).
 //!
 //! Every cell runs under the campaign supervisor
-//! ([`tp_bench::supervise`]): a panicking, hanging or deadlocked cell is
-//! classified, retried where transient, quarantined into
-//! `goldens/quarantine.json`, and the campaign still completes with the
-//! remaining cells' results. `TP_FAULT` injects a deterministic fault for
-//! chaos-testing exactly that machinery (see `tp_core::fault`), and
-//! `TP_CELL_TIMEOUT` overrides the per-cell wall-clock deadline that is
+//! ([`tp_bench::supervise`]) on the `TP_THREADS` pool worker that picked
+//! it up: a panicking, stalled or deadlocked cell is classified, retried
+//! where transient, quarantined into `goldens/quarantine.json`, and the
+//! campaign still completes with the remaining cells' results. `TP_FAULT`
+//! injects a deterministic fault (see `tp_core::fault`), and
+//! `TP_CELL_TIMEOUT` overrides the engine watchdog's per-cell deadline,
 //! otherwise derived from the previous run's `BENCH-campaign.json`.
 //!
 //! Every completed cell is appended (checksummed, fsynced) to the

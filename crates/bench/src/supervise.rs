@@ -1,23 +1,25 @@
 //! The campaign supervisor: run every cell to a verdict, never to a hang.
 //!
 //! A *cell* is one experiment × platform combination. The supervisor runs
-//! each cell on its own worker thread under `catch_unwind` and a
-//! wall-clock watchdog, classifies every failure into a [`CellOutcome`],
-//! retries transient classes with deterministically bumped seeds, and
-//! hands the campaign binary enough structure to quarantine the cell and
-//! keep going — a mega-campaign always completes with partial results.
+//! each attempt on the calling thread under `catch_unwind`, with the
+//! engine's cooperative watchdog as its only deadline (a hang outside the
+//! engine is not caught; no fault class reaches one), classifies every
+//! failure into a [`CellOutcome`], retries transient classes with
+//! deterministically bumped seeds, and hands the campaign binary enough
+//! structure to quarantine the cell and keep going — a mega-campaign
+//! always completes with partial results.
 //!
 //! The state machine per cell:
 //!
 //! ```text
-//!            ┌────────────── retry (≤2, seed-bumped) ──────────────┐
-//!            ▼                                                     │
-//!   spawn → run ─ Ok ──→ selfchecks ──→ Ok                         │
-//!            │             │                                       │
-//!            │             └ env died in isolation → EnvFailed     │
-//!            ├─ SimError(watchdog) / recv timeout → TimedOut ──────┤
-//!            ├─ SimError(deadlock)                → Deadlock ──────┤
-//!            └─ panic / SimError(program)         → Panicked ──────┘
+//!         ┌──────────── retry (≤2, seed-bumped) ────────────┐
+//!         ▼                                                 │
+//!   arm → run ─ Ok ──→ selfchecks ──→ Ok                    │
+//!         │             │                                   │
+//!         │             └ env died in isolation → EnvFailed │
+//!         ├─ SimError(watchdog)         → TimedOut ─────────┤
+//!         ├─ SimError(deadlock)         → Deadlock ─────────┤
+//!         └─ panic / SimError(program)  → Panicked ─────────┘
 //! ```
 //!
 //! All counters feed the `supervisor` object of `BENCH-campaign.json`; a
@@ -32,7 +34,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use tp_core::{fault, FaultKind, FaultPlan, SimError, SimErrorKind};
 
@@ -74,7 +75,7 @@ static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
 pub struct SupervisorCounters {
     /// Retried attempts (beyond each cell's first).
     pub retries: u64,
-    /// Attempts abandoned by the watchdog (engine or host side).
+    /// Attempts stopped by the engine watchdog.
     pub timeouts: u64,
     /// Attempts that panicked (host panic or simulated-program failure).
     pub panics: u64,
@@ -112,7 +113,7 @@ pub enum CellOutcome {
     Ok,
     /// Every attempt panicked (host panic or simulated-program failure).
     Panicked,
-    /// Every attempt was stopped by the watchdog (or abandoned outright).
+    /// Every attempt was stopped by the engine watchdog.
     TimedOut,
     /// The cell completed, but one or more non-primary environments failed
     /// in isolation: partial results over the survivors, not a quarantine.
@@ -153,15 +154,6 @@ pub struct CellReport {
     pub error: Option<String>,
 }
 
-enum Attempt {
-    /// Completed: channels, and how many environments failed in
-    /// isolation.
-    Done(Vec<ChannelResult>, u64),
-    Panicked(String),
-    TimedOut(String),
-    Deadlocked(String),
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -172,128 +164,120 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Disarms the calling thread's fault plan, engine deadline and retry
+/// salt when dropped, however the attempt it guards ends.
+struct Disarm;
+
+impl Drop for Disarm {
+    fn drop(&mut self) {
+        fault::arm(None);
+        fault::set_deadline(None);
+        set_retry_salt(0);
+    }
+}
+
+/// Run one attempt on the calling thread: its channels and how many
+/// environments failed in isolation, or its failure class and message.
 fn run_attempt(
     armed: Option<FaultKind>,
     deadline: Duration,
     salt: u64,
-    f: Arc<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync>,
-) -> Attempt {
-    let (tx, rx) = mpsc::channel();
-    let cutoff = Instant::now() + deadline;
-    std::thread::spawn(move || {
-        fault::arm(armed);
-        fault::set_deadline(Some(cutoff));
-        set_retry_salt(salt);
-        // The engine counts isolated env failures on the thread that drives
-        // the system, so this delta is exactly this attempt's, whatever
-        // other cells run concurrently.
-        let env_failed_before = tp_core::thread_env_failed();
-        let r = catch_unwind(AssertUnwindSafe(|| f()));
-        let _ = tx.send((r, tp_core::thread_env_failed() - env_failed_before));
-    });
-    // Grace beyond the engine deadline: the engine watchdog should fire
-    // first and return a classified error; the host-side timeout is the
-    // backstop for a worker wedged outside the engine. A timed-out worker
-    // is abandoned (detached), never joined.
-    let grace = deadline + deadline / 4 + Duration::from_secs(10);
-    match rx.recv_timeout(grace) {
-        Err(_) => Attempt::TimedOut(format!(
-            "cell exceeded its {:.0}s deadline plus grace; worker abandoned",
-            deadline.as_secs_f64()
+    f: &dyn Fn() -> Result<Vec<ChannelResult>, SimError>,
+) -> Result<(Vec<ChannelResult>, u64), (CellOutcome, String)> {
+    fault::arm(armed);
+    fault::set_deadline(Some(Instant::now() + deadline));
+    set_retry_salt(salt);
+    let _disarm = Disarm;
+    // The engine counts isolated env failures on the thread that drives
+    // the system, so this delta is exactly this attempt's, whatever other
+    // cells run concurrently.
+    let env_failed_before = tp_core::thread_env_failed();
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(channels)) => Ok((channels, tp_core::thread_env_failed() - env_failed_before)),
+        Ok(Err(e)) => Err((
+            match e.kind {
+                SimErrorKind::Watchdog => CellOutcome::TimedOut,
+                SimErrorKind::ProgramPanic => CellOutcome::Panicked,
+                SimErrorKind::Deadlock { .. } => CellOutcome::Deadlock,
+            },
+            e.to_string(),
         )),
-        Ok((Err(payload), _)) => {
+        Err(payload) => {
             // Cells whose experiments drive `SystemBuilder::run` (rather
             // than `try_run`) surface a watchdog abort as a panic carrying
             // the watchdog message; classify it by cause, not by transport.
             let msg = panic_message(payload.as_ref());
-            if msg.starts_with("watchdog") {
-                Attempt::TimedOut(msg)
+            let outcome = if msg.starts_with("watchdog") {
+                CellOutcome::TimedOut
             } else if msg.starts_with("deadlock") {
-                Attempt::Deadlocked(msg)
+                CellOutcome::Deadlock
             } else {
-                Attempt::Panicked(msg)
-            }
+                CellOutcome::Panicked
+            };
+            Err((outcome, msg))
         }
-        Ok((Ok(Err(e)), _)) => match e.kind {
-            SimErrorKind::Watchdog => Attempt::TimedOut(e.to_string()),
-            SimErrorKind::ProgramPanic => Attempt::Panicked(e.to_string()),
-            SimErrorKind::Deadlock { .. } => Attempt::Deadlocked(e.to_string()),
-        },
-        Ok((Ok(Ok(channels)), env_failed)) => Attempt::Done(channels, env_failed),
     }
 }
 
-/// Supervise one cell: run `f` on a worker thread with the given fault
-/// plan (if it matches this cell) and wall-clock deadline, classify the
-/// outcome, and retry panicked/timed-out attempts up to
+/// Supervise one cell: run `f` on the calling thread with the given fault
+/// plan (if it matches this cell) and the engine's wall-clock deadline,
+/// classify the outcome, and retry panicked/timed-out attempts up to
 /// [`MAX_ATTEMPTS`] with deterministically salted seeds.
 pub fn run_cell(
     experiment: &str,
     platform: &str,
     plan: Option<&FaultPlan>,
     deadline: Duration,
-    f: impl Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync + 'static,
+    f: impl Fn() -> Result<Vec<ChannelResult>, SimError>,
 ) -> CellReport {
     let armed = plan
         .filter(|p| p.matches(experiment, platform))
         .map(|p| p.kind);
-    let f: Arc<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync> = Arc::new(f);
-    let mut last_error = None;
-    let mut last_outcome = CellOutcome::Panicked;
+    let mut last = (CellOutcome::Panicked, String::new());
     for attempt in 0..MAX_ATTEMPTS {
         if attempt > 0 {
             RETRIES.fetch_add(1, Ordering::Relaxed);
         }
         let salt = u64::from(attempt).wrapping_mul(RETRY_SALT_STRIDE);
-        match run_attempt(armed, deadline, salt, Arc::clone(&f)) {
-            Attempt::Done(channels, env_failed) => {
+        match run_attempt(armed, deadline, salt, &f) {
+            Ok((channels, env_failed)) => {
+                // Graceful degradation, not a quarantine: partial results
+                // over the surviving environments.
+                let mut outcome = CellOutcome::Ok;
                 if env_failed > 0 {
-                    // Graceful degradation, not a quarantine: the cell
-                    // completed with partial results over the surviving
-                    // environments.
                     ENV_FAILED.fetch_add(1, Ordering::Relaxed);
-                    return CellReport {
-                        outcome: CellOutcome::EnvFailed,
-                        channels: Some(channels),
-                        attempts: attempt + 1,
-                        env_failed,
-                        error: Some(format!(
-                            "{env_failed} environment(s) failed in isolation; \
-                             results cover the survivors"
-                        )),
-                    };
+                    outcome = CellOutcome::EnvFailed;
                 }
                 return CellReport {
-                    outcome: CellOutcome::Ok,
+                    outcome,
                     channels: Some(channels),
                     attempts: attempt + 1,
-                    env_failed: 0,
-                    error: None,
+                    env_failed,
+                    error: (env_failed > 0).then(|| {
+                        format!(
+                            "{env_failed} environment(s) failed in isolation; \
+                             results cover the survivors"
+                        )
+                    }),
                 };
             }
-            Attempt::Panicked(msg) => {
-                PANICS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::Panicked;
-            }
-            Attempt::TimedOut(msg) => {
-                TIMEOUTS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::TimedOut;
-            }
-            Attempt::Deadlocked(msg) => {
-                DEADLOCKS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::Deadlock;
+            Err((outcome, msg)) => {
+                let counter = match outcome {
+                    CellOutcome::TimedOut => &TIMEOUTS,
+                    CellOutcome::Deadlock => &DEADLOCKS,
+                    _ => &PANICS,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                last = (outcome, msg);
             }
         }
     }
     CellReport {
-        outcome: last_outcome,
+        outcome: last.0,
         channels: None,
         attempts: MAX_ATTEMPTS,
         env_failed: 0,
-        error: last_error,
+        error: Some(last.1),
     }
 }
 
@@ -467,14 +451,6 @@ pub fn quarantine_json(entries: &[QuarantineEntry]) -> String {
 mod tests {
     use super::*;
 
-    fn tiny_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-        probe_cell(seed)
-    }
-
-    fn plan(kind: FaultKind) -> FaultPlan {
-        FaultPlan::new(kind)
-    }
-
     /// A small fleet cell: one primary plus two daemon tenants in their own
     /// domains on one core. The daemons issue all the early syscalls (tight
     /// `Yield` loops), so a low-ordinal `env-panic@N` deterministically kills a
@@ -512,7 +488,7 @@ mod tests {
     #[test]
     fn healthy_cell_is_ok_first_attempt() {
         let r = run_cell("tiny", "haswell", None, Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E000)
+            probe_cell(0xA11C_E000)
         });
         assert_eq!(r.outcome, CellOutcome::Ok, "{:?}", r.error);
         assert_eq!(r.attempts, 1);
@@ -522,9 +498,9 @@ mod tests {
 
     #[test]
     fn env_panic_classifies_as_panicked_with_deterministic_retries() {
-        let p = plan(FaultKind::EnvPanic { at: 3 });
+        let p = FaultPlan::new(FaultKind::EnvPanic { at: 3 });
         let r1 = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E001)
+            probe_cell(0xA11C_E001)
         });
         assert_eq!(r1.outcome, CellOutcome::Panicked);
         assert_eq!(
@@ -540,16 +516,16 @@ mod tests {
         // A deterministic fault reclassifies identically on a second
         // supervised run — same outcome, same attempt count.
         let r2 = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E001)
+            probe_cell(0xA11C_E001)
         });
         assert_eq!((r2.outcome, r2.attempts), (r1.outcome, r1.attempts));
     }
 
     #[test]
     fn env_stall_is_caught_by_the_watchdog_as_timed_out() {
-        let p = plan(FaultKind::EnvStall { at: 3 });
+        let p = FaultPlan::new(FaultKind::EnvStall { at: 3 });
         let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(1), || {
-            tiny_cell(0xA11C_E002)
+            probe_cell(0xA11C_E002)
         });
         assert_eq!(r.outcome, CellOutcome::TimedOut, "{:?}", r.error);
         assert_eq!(r.attempts, MAX_ATTEMPTS);
@@ -560,11 +536,44 @@ mod tests {
         );
     }
 
+    /// Every attempt runs on the calling thread with its deadline armed,
+    /// and however a cell ends — healthy, panicked, or stopped by the
+    /// engine watchdog — it leaves that thread with no fault, deadline or
+    /// salt, so the next healthy cell on it runs clean.
+    #[test]
+    fn attempts_run_on_the_caller_and_leave_it_disarmed() {
+        let here = std::thread::current().id();
+        let cell = || {
+            assert_eq!(std::thread::current().id(), here);
+            assert!(fault::deadline().is_some());
+            probe_cell(0xA11C_E00B)
+        };
+        let (panic, stall) = (FaultKind::EnvPanic { at: 3 }, FaultKind::EnvStall { at: 3 });
+        let (n, long) = (MAX_ATTEMPTS, 60_000);
+        for (kind, ms, outcome, attempts, error) in [
+            (None, long, CellOutcome::Ok, 1, ""),
+            (Some(panic), long, CellOutcome::Panicked, n, "env-panic"),
+            (Some(stall), 500, CellOutcome::TimedOut, n, "watchdog"),
+            (None, long, CellOutcome::Ok, 1, ""),
+        ] {
+            let plan = kind.map(FaultPlan::new);
+            let deadline = Duration::from_millis(ms);
+            let r = run_cell("tiny", "haswell", plan.as_ref(), deadline, cell);
+            let got = (r.outcome, r.attempts, r.env_failed);
+            assert_eq!(got, (outcome, attempts, 0), "{:?}", r.error);
+            assert_eq!(r.channels.is_some(), outcome == CellOutcome::Ok);
+            assert_eq!(r.error.is_some(), !error.is_empty());
+            assert!(r.error.unwrap_or_default().contains(error));
+            let left = (fault::armed(), fault::deadline(), retry_salt());
+            assert_eq!(left, (None, None, 0), "{} left it armed", outcome.name());
+        }
+    }
+
     #[test]
     fn scoped_plan_leaves_other_cells_alone() {
         let p = FaultPlan::parse("env-panic@3:cell=other/skylake").unwrap();
         let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E006)
+            probe_cell(0xA11C_E006)
         });
         assert_eq!(r.outcome, CellOutcome::Ok, "{:?}", r.error);
     }
@@ -605,7 +614,7 @@ mod tests {
 
     #[test]
     fn lost_wakeup_classifies_as_deadlock_at_one_ordinal() {
-        let p = plan(FaultKind::LostWakeup { at: 2 });
+        let p = FaultPlan::new(FaultKind::LostWakeup { at: 2 });
         let mut errors = Vec::new();
         for _ in 0..2 {
             let r = run_cell("pair", "haswell", Some(&p), Duration::from_secs(60), || {
@@ -626,7 +635,7 @@ mod tests {
 
     #[test]
     fn fleet_daemon_panic_degrades_to_env_failed() {
-        let p = plan(FaultKind::EnvPanic { at: 2 });
+        let p = FaultPlan::new(FaultKind::EnvPanic { at: 2 });
         let r = run_cell(
             "fleet",
             "haswell",

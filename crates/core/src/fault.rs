@@ -7,9 +7,9 @@
 //! run with the same plan and seed reproduces bit-for-bit.
 //!
 //! Plans travel to a cell through a thread-local rather than a global: the
-//! campaign supervisor runs each cell on its own host thread, arms the plan
-//! there with [`arm`], and [`SystemBuilder::run`](crate::SystemBuilder)
-//! reads it exactly once when the cell boots. Parallel cells (and parallel
+//! supervisor arms the plan with [`arm`] for one attempt on the thread
+//! running it, and [`SystemBuilder::run`](crate::SystemBuilder) reads it
+//! when each of the cell's systems boots. Cells on other threads (and parallel
 //! `cargo test` threads) therefore never see each other's faults.
 //!
 //! The `TP_FAULT` environment knob is the CLI spelling of a plan — grammar
@@ -174,8 +174,8 @@ thread_local! {
 }
 
 /// Arm (or with `None`, disarm) a fault for systems subsequently built on
-/// *this thread*. The supervisor calls this on the cell's worker thread;
-/// [`SystemBuilder::run`](crate::SystemBuilder) consumes it at boot.
+/// *this thread*. The supervisor arms it for one attempt on the thread
+/// running it; [`SystemBuilder::run`](crate::SystemBuilder) reads it at boot.
 pub fn arm(kind: Option<FaultKind>) {
     ARMED.with(|c| c.set(kind));
 }

@@ -5,7 +5,7 @@
 //! to calling the experiment function directly on the test thread.
 //!
 //! This is what licenses running *every* campaign cell under the
-//! supervisor: the fault-free path costs one spawned thread and changes
+//! supervisor: the fault-free path runs on the calling thread and changes
 //! nothing observable.
 
 use proptest::prelude::*;
