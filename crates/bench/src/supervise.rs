@@ -4,7 +4,8 @@
 //! each attempt on the calling thread under `catch_unwind`, with the
 //! engine's cooperative watchdog as its only deadline (a hang outside the
 //! engine is not caught; no fault class reaches one), classifies every
-//! failure into a [`CellOutcome`], retries transient classes with
+//! failure into a [`CellOutcome`] by its typed [`SimErrorKind`] (a caught
+//! panic is `Panicked`, whatever its message), retries transient classes with
 //! deterministically bumped seeds, and hands the campaign binary enough
 //! structure to quarantine the cell and keep going — a mega-campaign
 //! always completes with partial results.
@@ -202,20 +203,9 @@ fn run_attempt(
             },
             e.to_string(),
         )),
-        Err(payload) => {
-            // Cells whose experiments drive `SystemBuilder::run` (rather
-            // than `try_run`) surface a watchdog abort as a panic carrying
-            // the watchdog message; classify it by cause, not by transport.
-            let msg = panic_message(payload.as_ref());
-            let outcome = if msg.starts_with("watchdog") {
-                CellOutcome::TimedOut
-            } else if msg.starts_with("deadlock") {
-                CellOutcome::Deadlock
-            } else {
-                CellOutcome::Panicked
-            };
-            Err((outcome, msg))
-        }
+        // Every cell reports engine failures through `try_run`, so a
+        // caught panic is a host panic whatever its message says.
+        Err(payload) => Err((CellOutcome::Panicked, panic_message(payload.as_ref()))),
     }
 }
 
@@ -536,26 +526,74 @@ mod tests {
         );
     }
 
+    /// A primary program that panics with `msg`.
+    fn panicking_primary_cell(msg: &'static str) -> Result<Vec<ChannelResult>, SimError> {
+        use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
+        let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw());
+        let d = b.domain(None);
+        b.spawn(d, 0, 100, async move |env: &mut UserEnv| {
+            let _ = env.syscall(Syscall::Yield).await;
+            panic!("{msg}");
+        });
+        b.try_run()?;
+        Ok(Vec::new())
+    }
+
     /// Every attempt runs on the calling thread with its deadline armed,
     /// and however a cell ends — healthy, panicked, or stopped by the
     /// engine watchdog — it leaves that thread with no fault, deadline or
-    /// salt, so the next healthy cell on it runs clean.
+    /// salt, so the next healthy cell on it runs clean. Failures classify
+    /// by their typed kind, never by what a panic message happens to say.
     #[test]
     fn attempts_run_on_the_caller_and_leave_it_disarmed() {
         let here = std::thread::current().id();
-        let cell = || {
+        let probe = || {
             assert_eq!(std::thread::current().id(), here);
             assert!(fault::deadline().is_some());
             probe_cell(0xA11C_E00B)
         };
+        let named_deadlock = || panicking_primary_cell("deadlock: in name only");
+        let named_watchdog =
+            || -> Result<Vec<ChannelResult>, SimError> { panic!("watchdog: in name only") };
         let (panic, stall) = (FaultKind::EnvPanic { at: 3 }, FaultKind::EnvStall { at: 3 });
         let (n, long) = (MAX_ATTEMPTS, 60_000);
-        for (kind, ms, outcome, attempts, error) in [
-            (None, long, CellOutcome::Ok, 1, ""),
-            (Some(panic), long, CellOutcome::Panicked, n, "env-panic"),
-            (Some(stall), 500, CellOutcome::TimedOut, n, "watchdog"),
-            (None, long, CellOutcome::Ok, 1, ""),
-        ] {
+        let cases: [(Option<FaultKind>, u64, &dyn Fn() -> _, _, _, _); 6] = [
+            (None, long, &probe, CellOutcome::Ok, 1, ""),
+            (
+                Some(panic),
+                long,
+                &probe,
+                CellOutcome::Panicked,
+                n,
+                "env-panic",
+            ),
+            (
+                Some(stall),
+                500,
+                &probe,
+                CellOutcome::TimedOut,
+                n,
+                "watchdog",
+            ),
+            (
+                None,
+                long,
+                &named_deadlock,
+                CellOutcome::Panicked,
+                n,
+                "in name only",
+            ),
+            (
+                None,
+                long,
+                &named_watchdog,
+                CellOutcome::Panicked,
+                n,
+                "in name only",
+            ),
+            (None, long, &probe, CellOutcome::Ok, 1, ""),
+        ];
+        for (kind, ms, cell, outcome, attempts, error) in cases {
             let plan = kind.map(FaultPlan::new);
             let deadline = Duration::from_millis(ms);
             let r = run_cell("tiny", "haswell", plan.as_ref(), deadline, cell);

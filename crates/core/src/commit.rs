@@ -10,7 +10,9 @@
 //!
 //! 1. **Depth suppression.** Gateways call other gateways (a `syscall`
 //!    reschedules, a tick flushes). Only the outermost call is recorded;
-//!    nested calls are implied by replaying it.
+//!    nested calls are implied by replaying it. Each gateway holds a
+//!    [`Gate`] from [`CommitLog::enter`] for its whole body, so it is left
+//!    on every return path and on unwind.
 //! 2. **No timing feedback.** Logging only appends to a `Vec`; it never
 //!    touches the [`Machine`](tp_sim::Machine), so enabling it cannot
 //!    change a single simulated timestamp (pinned by the engine
@@ -18,6 +20,8 @@
 
 use crate::kernel::{FootKind, Kernel, Syscall};
 use crate::objects::{Capability, DomainId, ImageId, KmemId, NtfnId, TcbId, ThreadState};
+use std::cell::Cell;
+use std::rc::Rc;
 use tp_sim::{Asid, ColorSet, PAddr};
 
 /// One logged kernel state mutation: the gateway that ran and the
@@ -137,24 +141,47 @@ pub enum Commit {
 }
 
 /// The per-run commit log. Disabled (and free) by default; enable with
-/// [`CommitLog::enable`]. Gateways report through [`CommitLog::begin`] /
-/// [`CommitLog::end`]; only depth-0 calls are recorded.
-#[derive(Debug, Clone, Default)]
+/// [`CommitLog::enable`]. Each gateway opens with [`CommitLog::enter`];
+/// only depth-0 calls are recorded.
+///
+/// The depth counter is shared with the [`Gate`]s it hands out, so it is
+/// an `Rc<Cell>`: a gate must outlive the `&mut Kernel` borrow its
+/// gateway body takes. That makes the log (and the kernel) `!Send`, like
+/// the rest of one run's state. [`Clone`] gives the copy its own counter.
+#[derive(Debug, Default)]
 pub struct CommitLog {
     enabled: bool,
-    depth: u32,
+    depth: Rc<Cell<u32>>,
     commits: Vec<Commit>,
+}
+
+impl Clone for CommitLog {
+    fn clone(&self) -> Self {
+        CommitLog {
+            enabled: self.enabled,
+            depth: Rc::new(Cell::new(self.depth.get())),
+            commits: self.commits.clone(),
+        }
+    }
+}
+
+/// A gateway's bracket in the [`CommitLog`], returned by
+/// [`CommitLog::enter`]. Dropping it leaves the gateway, on every return
+/// path and on unwind.
+#[must_use = "the gateway is left when the gate drops; bind it with `let _gate`"]
+#[derive(Debug)]
+pub struct Gate(Rc<Cell<u32>>);
+
+impl Drop for Gate {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() - 1);
+    }
 }
 
 impl CommitLog {
     /// Start recording commits.
     pub fn enable(&mut self) {
         self.enabled = true;
-    }
-
-    /// Record `commit`.
-    fn push(&mut self, commit: impl FnOnce() -> Commit) {
-        self.commits.push(commit());
     }
 
     /// The commits recorded so far.
@@ -181,25 +208,19 @@ impl CommitLog {
     }
 
     /// Enter a gateway: record the commit if this is an outermost,
-    /// enabled call. The closure defers argument cloning to the
+    /// enabled call, and hold the returned [`Gate`] for the rest of the
+    /// gateway. The closure defers argument cloning to the
     /// recording-enabled case, keeping the disabled path allocation-free.
-    pub fn begin(&mut self, commit: impl FnOnce() -> Commit) {
-        if self.enabled && self.depth == 0 {
-            self.push(commit);
-        }
-        self.depth += 1;
+    pub fn enter(&mut self, commit: impl FnOnce() -> Commit) -> Gate {
+        self.note(commit);
+        self.depth.set(self.depth.get() + 1);
+        Gate(Rc::clone(&self.depth))
     }
 
-    /// Leave a gateway entered with [`CommitLog::begin`].
-    pub fn end(&mut self) {
-        debug_assert!(self.depth > 0, "CommitLog::end without begin");
-        self.depth = self.depth.saturating_sub(1);
-    }
-
-    /// Record a leaf event (no begin/end bracket) if outermost + enabled.
+    /// Record a leaf event (no gate) if outermost + enabled.
     pub fn note(&mut self, commit: impl FnOnce() -> Commit) {
-        if self.enabled && self.depth == 0 {
-            self.push(commit);
+        if self.enabled && self.depth.get() == 0 {
+            self.commits.push(commit());
         }
     }
 }
@@ -530,6 +551,33 @@ mod tests {
                 t,
                 sys: Syscall::Yield
             }
+        );
+    }
+
+    #[test]
+    fn panicking_gateway_leaves_the_log_recording() {
+        let cfg = Platform::Haswell.config();
+        let mut m = Machine::new(cfg, 1);
+        let mut k = Kernel::new(cfg, ProtectionConfig::raw(), 4096, 3_400_000);
+        k.log.enable();
+        let d = k.create_domain(ColorSet::all(2), 256).unwrap();
+        let t = k.create_thread(d, 0, 100).unwrap();
+        let from = k.cores[0].cur_image;
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            k.switch_image_fast(&mut m, 0, from, ImageId(usize::MAX));
+        }));
+        assert!(r.is_err(), "switching to a dead image panics");
+        // The unwound gateway was left: the next syscall is outermost
+        // again, and its nested gateways are still suppressed.
+        let before = k.log.len();
+        k.syscall(&mut m, 0, t, Syscall::Yield);
+        assert_eq!(
+            k.log.commits()[before..],
+            [Commit::Syscall {
+                core: 0,
+                t,
+                sys: Syscall::Yield
+            }]
         );
     }
 

@@ -38,21 +38,23 @@ use tp_sim::{Asid, ColorSet, Machine, PAddr, PlatformConfig, SweepPlan, VAddr};
 pub const DEFAULT_WINDOW: u64 = 4_000;
 
 /// Why a failed simulation failed — the typed form of what used to be a
-/// bare panic out of [`crate::SystemBuilder::run`].
+/// bare panic out of [`crate::SystemBuilder::run`]. The engine sets the
+/// kind where it detects the failure; nothing classifies by the message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimError {
     /// Broad classification (drives the campaign supervisor's retry and
     /// quarantine decisions).
     pub kind: SimErrorKind,
     /// The failing environment's panic message or the driver's abort note
-    /// (watchdog, deadlock).
+    /// (watchdog, deadlock), for people to read.
     pub message: String,
 }
 
 /// Classification of a [`SimError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimErrorKind {
-    /// A simulated program (or the kernel under it) panicked.
+    /// A primary simulated program (or the kernel under it) panicked, or
+    /// the driver found a broken executor invariant.
     ProgramPanic,
     /// The engine watchdog aborted the cell: its wall-clock deadline passed
     /// while the simulation was making no progress.
@@ -70,27 +72,6 @@ pub enum SimErrorKind {
         /// which the deadlock was proven.
         at_interaction: u64,
     },
-}
-
-impl SimError {
-    /// Classify an engine error string: watchdog aborts announce themselves
-    /// with a `watchdog:` prefix, deadlock reports with `deadlock`;
-    /// everything else is a program failure.
-    /// Typed deadlock details travel out-of-band through
-    /// `SimInner::deadlock`; this string fallback carries empty fields.
-    pub(crate) fn from_message(message: String) -> Self {
-        let kind = if message.starts_with("watchdog") {
-            SimErrorKind::Watchdog
-        } else if message.starts_with("deadlock") {
-            SimErrorKind::Deadlock {
-                waiting_envs: Vec::new(),
-                at_interaction: 0,
-            }
-        } else {
-            SimErrorKind::ProgramPanic
-        };
-        SimError { kind, message }
-    }
 }
 
 impl std::fmt::Display for SimError {
@@ -216,10 +197,12 @@ pub struct SimInner {
     pub max_cycles: u64,
     /// Primary (non-daemon) programs still running.
     pub primaries_left: usize,
-    /// First error reported by an environment or the driver, if any.
-    pub error: Option<String>,
+    /// First failure of the run, typed where it was detected: a failed
+    /// primary, a watchdog abort, a proven deadlock or a broken executor
+    /// invariant. Later failures never overwrite it.
+    pub error: Option<SimError>,
     /// Wall-clock deadline for the watchdog: when set, the driver (and an
-    /// environment stalled in `stall_loop`) aborts the simulation once the
+    /// environment stalled in `UserEnv::stall`) aborts the simulation once the
     /// deadline passes. `None` (the default) keeps the hot path free of
     /// clock reads.
     pub deadline: Option<std::time::Instant>,
@@ -238,9 +221,6 @@ pub struct SimInner {
     /// Always counted (not just when a fault is armed): deadlock reports
     /// timestamp themselves with it.
     syscalls_seen: u64,
-    /// Detected scheduler deadlock: waiting env ids (spawn order) and the
-    /// interaction ordinal at which progress was proven impossible.
-    pub(crate) deadlock: Option<(Vec<u64>, u64)>,
     /// Environments that failed in isolation, in failure order:
     /// `(env id, panic message)`. The cell keeps running.
     pub(crate) env_failures: Vec<(u64, String)>,
@@ -278,7 +258,6 @@ impl SimInner {
             fault_lost_wakeup_at: None,
             rotations_seen: 0,
             syscalls_seen: 0,
-            deadlock: None,
             env_failures: Vec::new(),
             seq: 0,
         }
@@ -308,12 +287,6 @@ impl SimInner {
         None
     }
 
-    /// The interaction ordinal so far (syscalls + preemption waits).
-    #[must_use]
-    pub fn interactions(&self) -> u64 {
-        self.syscalls_seen
-    }
-
     /// Whether an armed lost-wakeup fault swallows the token move the
     /// caller is about to make. Sticky from the `at`-th would-move on, so
     /// the wedge cannot be healed by a later rotation attempt.
@@ -325,23 +298,31 @@ impl SimInner {
         self.rotations_seen >= n
     }
 
+    /// Stop the simulation, keeping the first failure: a later one (say,
+    /// the watchdog firing while a failed primary's siblings drain) never
+    /// overwrites it.
+    pub(crate) fn fail(&mut self, kind: SimErrorKind, message: impl Into<String>) {
+        self.stop = true;
+        let message = message.into();
+        self.error.get_or_insert(SimError { kind, message });
+    }
+
     /// Record a proven scheduler deadlock: stop the simulation with a typed
     /// report (`waiting_envs` in spawn order, the current interaction
     /// ordinal) instead of waiting for the wall-clock watchdog.
     pub(crate) fn note_deadlock(&mut self, waiting_envs: Vec<u64>) {
-        let at = self.syscalls_seen;
-        if self.deadlock.is_none() {
-            DEADLOCKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if self.error.is_none() {
-                self.error = Some(format!(
-                    "deadlock: {} environment(s) suspended with no runnable progress \
-                     at interaction {at}",
-                    waiting_envs.len()
-                ));
-            }
-            self.deadlock = Some((waiting_envs, at));
-        }
-        self.stop = true;
+        DEADLOCKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let at_interaction = self.syscalls_seen;
+        let message = format!(
+            "deadlock: {} environment(s) suspended with no runnable progress \
+             at interaction {at_interaction}",
+            waiting_envs.len()
+        );
+        let kind = SimErrorKind::Deadlock {
+            waiting_envs,
+            at_interaction,
+        };
+        self.fail(kind, message);
     }
 
     /// Schedule an event on a core at an absolute cycle.
@@ -620,14 +601,11 @@ impl UserEnv {
                 break;
             }
             if g.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                g.stop = true;
-                if g.error.is_none() {
-                    g.error = Some(
-                        "watchdog: environment stopped yielding (wall-clock \
-                         deadline exceeded)"
-                            .to_string(),
-                    );
-                }
+                g.fail(
+                    SimErrorKind::Watchdog,
+                    "watchdog: environment stopped yielding (wall-clock \
+                     deadline exceeded)",
+                );
                 break;
             }
         }
@@ -1022,10 +1000,7 @@ fn finish_program(sim: &RefCell<SimInner>, tcb: TcbId, primary: bool, failure: O
             // A dead primary ends the cell: the result it was supposed
             // to produce cannot exist. Surface the error, naming the
             // failing environment.
-            g.stop = true;
-            if g.error.is_none() {
-                g.error = Some(format!("{msg} (env {env})"));
-            }
+            g.fail(SimErrorKind::ProgramPanic, format!("{msg} (env {env})"));
         } else {
             // A dead daemon is isolated: record the per-env outcome and
             // let the siblings keep running. `thread_exited` below
@@ -1104,14 +1079,11 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
         }
         if let Some(d) = g.deadline {
             if std::time::Instant::now() >= d {
-                g.stop = true;
-                if g.error.is_none() {
-                    g.error = Some(
-                        "watchdog: wall-clock deadline exceeded with no \
-                         scheduling progress"
-                            .to_string(),
-                    );
-                }
+                g.fail(
+                    SimErrorKind::Watchdog,
+                    "watchdog: wall-clock deadline exceeded with no \
+                     scheduling progress",
+                );
                 continue;
             }
         }
@@ -1124,10 +1096,10 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
                     // executor invariant (threads retire via
                     // `thread_exited` before their task completes).
                     // Degrade to a clean stop instead of spinning.
-                    g.stop = true;
-                    if g.error.is_none() {
-                        g.error = Some("executor: scheduled thread has no live task".to_string());
-                    }
+                    g.fail(
+                        SimErrorKind::ProgramPanic,
+                        "executor: scheduled thread has no live task",
+                    );
                     continue;
                 }
             }

@@ -10,7 +10,7 @@
 
 use crate::commit::{Commit, CommitLog};
 use crate::config::ProtectionConfig;
-use crate::layout::{ImageFrames, ImageLayout, SharedKernelData, KERNEL_VBASE};
+use crate::layout::{ImageFrames, SharedKernelData, IMAGE_PAGES, KERNEL_VBASE};
 use crate::objects::{
     Arena, CapIdx, CapObject, Capability, Domain, DomainId, Endpoint, EpId, ImageId, KernelImage,
     KernelMemory, Notification, NtfnId, Tcb, TcbId, ThreadState, Untyped, UntypedId, VSpace,
@@ -401,7 +401,7 @@ impl Kernel {
             parent: None,
         }));
 
-        let first_free = BOOT_IMAGE_PFN + ImageLayout::total_pages();
+        let first_free = BOOT_IMAGE_PFN + IMAGE_PAGES;
         let all_colors = ColorSet::all(cfg.partition_colors());
         let mut untypeds = Arena::new();
         let pool =
@@ -464,13 +464,7 @@ impl Kernel {
     /// # Errors
     /// [`KernelError::OutOfMemory`] if the pool is exhausted.
     pub fn alloc_frames(&mut self, domain: DomainId, n: usize) -> Result<Vec<u64>, KernelError> {
-        self.log.begin(|| Commit::AllocFrames { domain, n });
-        let r = self.alloc_frames_inner(domain, n);
-        self.log.end();
-        r
-    }
-
-    fn alloc_frames_inner(&mut self, domain: DomainId, n: usize) -> Result<Vec<u64>, KernelError> {
+        let _gate = self.log.enter(|| Commit::AllocFrames { domain, n });
         let d = self.domains.get(domain.0).ok_or(KernelError::ObjectGone)?;
         let pool = d.pool;
         self.untypeds
@@ -492,18 +486,9 @@ impl Kernel {
         colors: ColorSet,
         max_frames: usize,
     ) -> Result<DomainId, KernelError> {
-        self.log
-            .begin(|| Commit::CreateDomain { colors, max_frames });
-        let r = self.create_domain_inner(colors, max_frames);
-        self.log.end();
-        r
-    }
-
-    fn create_domain_inner(
-        &mut self,
-        colors: ColorSet,
-        max_frames: usize,
-    ) -> Result<DomainId, KernelError> {
+        let _gate = self
+            .log
+            .enter(|| Commit::CreateDomain { colors, max_frames });
         let n_colors = self.cfg.partition_colors();
         let boot_pool = self.domains.get(self.boot_domain.0).unwrap().pool;
         let pool = self
@@ -537,19 +522,9 @@ impl Kernel {
         core: usize,
         prio: u8,
     ) -> Result<TcbId, KernelError> {
-        self.log
-            .begin(|| Commit::CreateThread { domain, core, prio });
-        let r = self.create_thread_inner(domain, core, prio);
-        self.log.end();
-        r
-    }
-
-    fn create_thread_inner(
-        &mut self,
-        domain: DomainId,
-        core: usize,
-        prio: u8,
-    ) -> Result<TcbId, KernelError> {
+        let _gate = self
+            .log
+            .enter(|| Commit::CreateThread { domain, core, prio });
         let frames = self.alloc_frames(domain, 1)?;
         let asid = self.alloc_asid();
         let image = self
@@ -593,13 +568,7 @@ impl Kernel {
     /// # Errors
     /// Propagates pool exhaustion.
     pub fn create_endpoint(&mut self, domain: DomainId) -> Result<EpId, KernelError> {
-        self.log.begin(|| Commit::CreateEndpoint { domain });
-        let r = self.create_endpoint_inner(domain);
-        self.log.end();
-        r
-    }
-
-    fn create_endpoint_inner(&mut self, domain: DomainId) -> Result<EpId, KernelError> {
+        let _gate = self.log.enter(|| Commit::CreateEndpoint { domain });
         let frames = self.alloc_frames(domain, 1)?;
         Ok(EpId(self.eps.alloc(Endpoint {
             obj_frame: frames[0],
@@ -612,13 +581,7 @@ impl Kernel {
     /// # Errors
     /// Propagates pool exhaustion.
     pub fn create_notification(&mut self, domain: DomainId) -> Result<NtfnId, KernelError> {
-        self.log.begin(|| Commit::CreateNotification { domain });
-        let r = self.create_notification_inner(domain);
-        self.log.end();
-        r
-    }
-
-    fn create_notification_inner(&mut self, domain: DomainId) -> Result<NtfnId, KernelError> {
+        let _gate = self.log.enter(|| Commit::CreateNotification { domain });
         let frames = self.alloc_frames(domain, 1)?;
         Ok(NtfnId(self.ntfns.alloc(Notification {
             obj_frame: frames[0],
@@ -628,13 +591,7 @@ impl Kernel {
 
     /// Install a capability into a thread's CSpace; returns the index.
     pub fn grant_cap(&mut self, t: TcbId, cap: Capability) -> CapIdx {
-        self.log.begin(|| Commit::GrantCap { t, cap });
-        let r = self.grant_cap_inner(t, cap);
-        self.log.end();
-        r
-    }
-
-    fn grant_cap_inner(&mut self, t: TcbId, cap: Capability) -> CapIdx {
+        let _gate = self.log.enter(|| Commit::GrantCap { t, cap });
         let tcb = self.tcbs.get_mut(t.0).expect("live thread");
         tcb.cspace.push(cap);
         tcb.cspace.len() - 1
@@ -646,17 +603,7 @@ impl Kernel {
     /// # Errors
     /// Propagates pool exhaustion.
     pub fn map_user_pages(&mut self, t: TcbId, n: usize) -> Result<(VAddr, Vec<u64>), KernelError> {
-        self.log.begin(|| Commit::MapUserPages { t, n });
-        let r = self.map_user_pages_inner(t, n);
-        self.log.end();
-        r
-    }
-
-    fn map_user_pages_inner(
-        &mut self,
-        t: TcbId,
-        n: usize,
-    ) -> Result<(VAddr, Vec<u64>), KernelError> {
+        let _gate = self.log.enter(|| Commit::MapUserPages { t, n });
         let (domain, vspace) = {
             let tcb = self.tcbs.get(t.0).ok_or(KernelError::ObjectGone)?;
             (tcb.domain, tcb.vspace)
@@ -700,26 +647,13 @@ impl Kernel {
         asid: Asid,
         objs: &[PAddr],
     ) {
-        self.log.begin(|| Commit::Kexec {
+        let _gate = self.log.enter(|| Commit::Kexec {
             core,
             image,
             kind,
             asid,
             objs: objs.to_vec(),
         });
-        self.kexec_inner(m, core, image, kind, asid, objs);
-        self.log.end();
-    }
-
-    fn kexec_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        image: ImageId,
-        kind: FootKind,
-        asid: Asid,
-        objs: &[PAddr],
-    ) {
         let f = foot(kind);
         let line = self.cfg.line;
         let global = self.prot.kernel_global_mappings;
@@ -771,12 +705,7 @@ impl Kernel {
 
     /// Make a thread ready and enqueue it.
     pub fn wake(&mut self, t: TcbId) {
-        self.log.begin(|| Commit::Wake { t });
-        self.wake_inner(t);
-        self.log.end();
-    }
-
-    fn wake_inner(&mut self, t: TcbId) {
+        let _gate = self.log.enter(|| Commit::Wake { t });
         let (core, domain, prio) = {
             let tcb = self.tcbs.get(t.0).expect("live thread");
             (tcb.core, tcb.domain, tcb.priority)
@@ -791,13 +720,7 @@ impl Kernel {
     /// Pick the next thread for `core` after the current one blocked or
     /// exited (no slot rotation). Returns the new current thread.
     pub fn schedule_same_slot(&mut self, m: &mut Machine, core: usize) -> Option<TcbId> {
-        self.log.begin(|| Commit::ScheduleSameSlot { core });
-        let r = self.schedule_same_slot_inner(m, core);
-        self.log.end();
-        r
-    }
-
-    fn schedule_same_slot_inner(&mut self, m: &mut Machine, core: usize) -> Option<TcbId> {
+        let _gate = self.log.enter(|| Commit::ScheduleSameSlot { core });
         let mode = self.cores[core].mode;
         let next = match mode {
             EngineMode::Slotted => {
@@ -844,16 +767,11 @@ impl Kernel {
     /// domain-switch work of §4.3 is done by the tick path; `direct` IPC
     /// switches pay only the stack switch).
     pub fn make_current(&mut self, m: &mut Machine, core: usize, t: TcbId, _direct: bool) {
-        self.log.begin(|| Commit::MakeCurrent {
+        let _gate = self.log.enter(|| Commit::MakeCurrent {
             core,
             t,
             direct: _direct,
         });
-        self.make_current_inner(m, core, t, _direct);
-        self.log.end();
-    }
-
-    fn make_current_inner(&mut self, m: &mut Machine, core: usize, t: TcbId, _direct: bool) {
         let new_image = self.tcbs.get(t.0).expect("live thread").image;
         let old_image = self.cores[core].cur_image;
         if new_image != old_image {
@@ -866,19 +784,9 @@ impl Kernel {
     /// image's mappings; the only explicit action is the stack switch
     /// (§4.3), copying the live part of the old stack.
     pub fn switch_image_fast(&mut self, m: &mut Machine, core: usize, from: ImageId, to: ImageId) {
-        self.log
-            .begin(|| Commit::SwitchImageFast { core, from, to });
-        self.switch_image_fast_inner(m, core, from, to);
-        self.log.end();
-    }
-
-    fn switch_image_fast_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        from: ImageId,
-        to: ImageId,
-    ) {
+        let _gate = self
+            .log
+            .enter(|| Commit::SwitchImageFast { core, from, to });
         let line = self.cfg.line;
         let global = self.prot.kernel_global_mappings;
         let from_stack = &self.images.get(from.0).expect("live image").layout.stack;
@@ -903,19 +811,7 @@ impl Kernel {
 
     /// Dispatch a system call from thread `t` running on `core`.
     pub fn syscall(&mut self, m: &mut Machine, core: usize, t: TcbId, sys: Syscall) -> SysOutcome {
-        self.log.begin(|| Commit::Syscall { core, t, sys });
-        let r = self.syscall_inner(m, core, t, sys);
-        self.log.end();
-        r
-    }
-
-    fn syscall_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        t: TcbId,
-        sys: Syscall,
-    ) -> SysOutcome {
+        let _gate = self.log.enter(|| Commit::Syscall { core, t, sys });
         self.stats.syscalls += 1;
         let asid = self.thread_asid(t);
         let image = self.tcbs.get(t.0).expect("live thread").image;
@@ -1107,12 +1003,7 @@ impl Kernel {
 
     /// Deliver a signal to a notification, waking one waiter if present.
     pub fn do_signal(&mut self, n: NtfnId, badge: u64) {
-        self.log.begin(|| Commit::Signal { ntfn: n, badge });
-        self.do_signal_inner(n, badge);
-        self.log.end();
-    }
-
-    fn do_signal_inner(&mut self, n: NtfnId, badge: u64) {
+        let _gate = self.log.enter(|| Commit::Signal { ntfn: n, badge });
         let waiter = {
             let ntfn = self.ntfns.get_mut(n.0).expect("live ntfn");
             if let Some(w) = ntfn.waiters.pop_front() {
@@ -1229,12 +1120,7 @@ impl Kernel {
 
     /// A thread's program has finished.
     pub fn thread_exited(&mut self, m: &mut Machine, t: TcbId) {
-        self.log.begin(|| Commit::ThreadExited { t });
-        self.thread_exited_inner(m, t);
-        self.log.end();
-    }
-
-    fn thread_exited_inner(&mut self, m: &mut Machine, t: TcbId) {
+        let _gate = self.log.enter(|| Commit::ThreadExited { t });
         let (core, domain, prio) = {
             let tcb = self.tcbs.get(t.0).expect("live thread");
             (tcb.core, tcb.domain, tcb.priority)
@@ -1253,13 +1139,7 @@ impl Kernel {
     /// delivered immediately (and its cost charged), `false` if deferred by
     /// partitioning (Requirement 5).
     pub fn irq_arrives(&mut self, m: &mut Machine, core: usize, irq: u32) -> bool {
-        self.log.begin(|| Commit::IrqArrives { core, irq });
-        let r = self.irq_arrives_inner(m, core, irq);
-        self.log.end();
-        r
-    }
-
-    fn irq_arrives_inner(&mut self, m: &mut Machine, core: usize, irq: u32) -> bool {
+        let _gate = self.log.enter(|| Commit::IrqArrives { core, irq });
         let i = irq as usize;
         assert!(i < NUM_IRQS, "irq out of range");
         let owner = self.irqs[i].owner;
@@ -1278,12 +1158,7 @@ impl Kernel {
     /// Deliver an IRQ on `core`: run the kernel IRQ path and signal the
     /// bound notification.
     pub fn deliver_irq(&mut self, m: &mut Machine, core: usize, irq: u32) {
-        self.log.begin(|| Commit::DeliverIrq { core, irq });
-        self.deliver_irq_inner(m, core, irq);
-        self.log.end();
-    }
-
-    fn deliver_irq_inner(&mut self, m: &mut Machine, core: usize, irq: u32) {
+        let _gate = self.log.enter(|| Commit::DeliverIrq { core, irq });
         let i = irq as usize;
         let image = self.cores[core].cur_image;
         self.kexec(m, core, image, FootKind::Irq, Asid::KERNEL, &[]);
@@ -1305,18 +1180,7 @@ impl Kernel {
         irq: u32,
         ntfn: Option<NtfnId>,
     ) -> Result<(), KernelError> {
-        self.log.begin(|| Commit::KernelSetInt { image, irq, ntfn });
-        let r = self.kernel_set_int_inner(image, irq, ntfn);
-        self.log.end();
-        r
-    }
-
-    fn kernel_set_int_inner(
-        &mut self,
-        image: ImageId,
-        irq: u32,
-        ntfn: Option<NtfnId>,
-    ) -> Result<(), KernelError> {
+        let _gate = self.log.enter(|| Commit::KernelSetInt { image, irq, ntfn });
         let i = irq as usize;
         if i == 0 || i >= NUM_IRQS {
             return Err(KernelError::InvalidIrq);
@@ -1332,12 +1196,7 @@ impl Kernel {
     /// Configure the padding latency of an image (a user-controlled
     /// kernel-image attribute, §4.3).
     pub fn set_pad_cycles(&mut self, image: ImageId, cycles: u64) {
-        self.log.begin(|| Commit::SetPadCycles { image, cycles });
-        self.set_pad_cycles_inner(image, cycles);
-        self.log.end();
-    }
-
-    fn set_pad_cycles_inner(&mut self, image: ImageId, cycles: u64) {
+        let _gate = self.log.enter(|| Commit::SetPadCycles { image, cycles });
         if let Some(img) = self.images.get_mut(image.0) {
             img.pad_cycles = cycles;
         }

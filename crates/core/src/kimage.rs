@@ -9,7 +9,7 @@
 
 use crate::commit::Commit;
 use crate::kernel::{Kernel, KernelError};
-use crate::layout::{ImageFrames, ImageLayout, KERNEL_VBASE};
+use crate::layout::{ImageFrames, IMAGE_PAGES, KERNEL_VBASE};
 use crate::objects::{
     CapObject, Capability, DomainId, ImageId, KernelImage, KernelMemory, KmemId, Rights, TcbId,
 };
@@ -52,20 +52,10 @@ impl Kernel {
         core: usize,
         domain: DomainId,
     ) -> Result<ImageId, KernelError> {
-        self.log
-            .begin(|| Commit::CloneKernelForDomain { core, domain });
-        let r = self.clone_kernel_for_domain_inner(m, core, domain);
-        self.log.end();
-        r
-    }
-
-    fn clone_kernel_for_domain_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        domain: DomainId,
-    ) -> Result<ImageId, KernelError> {
-        let frames = self.alloc_frames(domain, ImageLayout::total_pages() as usize)?;
+        let _gate = self
+            .log
+            .enter(|| Commit::CloneKernelForDomain { core, domain });
+        let frames = self.alloc_frames(domain, IMAGE_PAGES as usize)?;
         let kmem = KmemId(self.kmems.alloc(KernelMemory {
             frames,
             image: None,
@@ -100,19 +90,7 @@ impl Kernel {
         src: ImageId,
         kmem: KmemId,
     ) -> Result<ImageId, KernelError> {
-        self.log.begin(|| Commit::KernelClone { core, src, kmem });
-        let r = self.kernel_clone_inner(m, core, src, kmem);
-        self.log.end();
-        r
-    }
-
-    fn kernel_clone_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        src: ImageId,
-        kmem: KmemId,
-    ) -> Result<ImageId, KernelError> {
+        let _gate = self.log.enter(|| Commit::KernelClone { core, src, kmem });
         let src_img = self.images.get(src.0).ok_or(KernelError::ObjectGone)?;
         if src_img.zombie {
             return Err(KernelError::ObjectGone);
@@ -122,7 +100,7 @@ impl Kernel {
         if km.image.is_some() {
             return Err(KernelError::InvalidArg);
         }
-        if (km.frames.len() as u64) < ImageLayout::total_pages() {
+        if (km.frames.len() as u64) < IMAGE_PAGES {
             return Err(KernelError::InvalidArg);
         }
         let dst_frames = ImageFrames::from_frames(&km.frames);
@@ -189,18 +167,7 @@ impl Kernel {
         core: usize,
         target: ImageId,
     ) -> Result<DestroyActions, KernelError> {
-        self.log.begin(|| Commit::KernelDestroy { core, target });
-        let r = self.kernel_destroy_inner(m, core, target);
-        self.log.end();
-        r
-    }
-
-    fn kernel_destroy_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        target: ImageId,
-    ) -> Result<DestroyActions, KernelError> {
+        let _gate = self.log.enter(|| Commit::KernelDestroy { core, target });
         if target == self.boot_image {
             return Err(KernelError::InvalidArg);
         }
@@ -283,24 +250,18 @@ impl Kernel {
         self.images.remove(target.0);
         self.stats.destroys += 1;
         // Per-frame bookkeeping cost.
-        m.advance(core, 40 * ImageLayout::total_pages());
+        m.advance(core, 40 * IMAGE_PAGES);
         Ok(actions)
     }
 
     /// Grant the master `Kernel_Image` capability (with clone right) for an
     /// image to a thread, as the kernel does for the initial process.
     pub fn grant_image_cap(&mut self, t: TcbId, image: ImageId, clone_right: bool) -> usize {
-        self.log.begin(|| Commit::GrantImageCap {
+        let _gate = self.log.enter(|| Commit::GrantImageCap {
             t,
             image,
             clone_right,
         });
-        let r = self.grant_image_cap_inner(t, image, clone_right);
-        self.log.end();
-        r
-    }
-
-    fn grant_image_cap_inner(&mut self, t: TcbId, image: ImageId, clone_right: bool) -> usize {
         let rights = Rights {
             clone: clone_right,
             ..Rights::all()
@@ -334,25 +295,12 @@ impl Kernel {
         image_cap: usize,
         kmem_cap: usize,
     ) -> Result<ImageId, KernelError> {
-        self.log.begin(|| Commit::KernelCloneInvocation {
+        let _gate = self.log.enter(|| Commit::KernelCloneInvocation {
             core,
             caller,
             image_cap,
             kmem_cap,
         });
-        let r = self.kernel_clone_invocation_inner(m, core, caller, image_cap, kmem_cap);
-        self.log.end();
-        r
-    }
-
-    fn kernel_clone_invocation_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        caller: TcbId,
-        image_cap: usize,
-        kmem_cap: usize,
-    ) -> Result<ImageId, KernelError> {
         let lookup = |k: &Kernel, idx: usize| {
             k.tcbs
                 .get(caller.0)
@@ -397,18 +345,7 @@ impl Kernel {
         core: usize,
         target: ImageId,
     ) -> Result<Vec<ImageId>, KernelError> {
-        self.log.begin(|| Commit::KernelRevoke { core, target });
-        let r = self.kernel_revoke_inner(m, core, target);
-        self.log.end();
-        r
-    }
-
-    fn kernel_revoke_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        target: ImageId,
-    ) -> Result<Vec<ImageId>, KernelError> {
+        let _gate = self.log.enter(|| Commit::KernelRevoke { core, target });
         // Collect the clone subtree (children before parents).
         let mut order = Vec::new();
         let mut stack = vec![target];
@@ -444,18 +381,7 @@ impl Kernel {
         to: DomainId,
         color: u64,
     ) -> Result<usize, KernelError> {
-        self.log.begin(|| Commit::MoveColor { from, to, color });
-        let r = self.move_color_inner(from, to, color);
-        self.log.end();
-        r
-    }
-
-    fn move_color_inner(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        color: u64,
-    ) -> Result<usize, KernelError> {
+        let _gate = self.log.enter(|| Commit::MoveColor { from, to, color });
         let n_colors = self.cfg.partition_colors();
         let (from_pool, from_colors) = {
             let d = self.domains.get(from.0).ok_or(KernelError::ObjectGone)?;
@@ -502,18 +428,9 @@ impl Kernel {
         parent: DomainId,
         colors: tp_sim::ColorSet,
     ) -> Result<DomainId, KernelError> {
-        self.log
-            .begin(|| Commit::CreateNestedDomain { parent, colors });
-        let r = self.create_nested_domain_inner(parent, colors);
-        self.log.end();
-        r
-    }
-
-    fn create_nested_domain_inner(
-        &mut self,
-        parent: DomainId,
-        colors: tp_sim::ColorSet,
-    ) -> Result<DomainId, KernelError> {
+        let _gate = self
+            .log
+            .enter(|| Commit::CreateNestedDomain { parent, colors });
         let (p_pool, p_colors, p_image) = {
             let d = self.domains.get(parent.0).ok_or(KernelError::ObjectGone)?;
             (d.pool, d.colors, d.image)
@@ -615,7 +532,7 @@ mod tests {
         let before = k.untypeds.get(pool.0).unwrap().available();
         let img = k.clone_kernel_for_domain(&mut m, 0, d).unwrap();
         let after_clone = k.untypeds.get(pool.0).unwrap().available();
-        assert_eq!(before - after_clone, ImageLayout::total_pages() as usize);
+        assert_eq!(before - after_clone, IMAGE_PAGES as usize);
         k.kernel_destroy(&mut m, 0, img).unwrap();
         assert_eq!(k.untypeds.get(pool.0).unwrap().available(), before);
         assert_eq!(k.domains.get(d.0).unwrap().image, k.boot_image);
@@ -666,9 +583,7 @@ mod tests {
         let boot = k.boot_image;
         // A derived capability with the clone right stripped.
         let weak = k.grant_image_cap(t, boot, false);
-        let frames = k
-            .alloc_frames(d, ImageLayout::total_pages() as usize)
-            .unwrap();
+        let frames = k.alloc_frames(d, IMAGE_PAGES as usize).unwrap();
         let kmem = KmemId(k.kmems.alloc(KernelMemory {
             frames,
             image: None,
@@ -699,9 +614,7 @@ mod tests {
         // boot -> a -> b, boot -> a -> c: revoking a kills a, b and c.
         let a = k.clone_kernel_for_domain(&mut m, 0, d).unwrap();
         let mk_kmem = |k: &mut Kernel| {
-            let frames = k
-                .alloc_frames(d, ImageLayout::total_pages() as usize)
-                .unwrap();
+            let frames = k.alloc_frames(d, IMAGE_PAGES as usize).unwrap();
             KmemId(k.kmems.alloc(KernelMemory {
                 frames,
                 image: None,
@@ -798,9 +711,7 @@ mod tests {
             k.kernel_destroy(&mut m, 0, img),
             Err(KernelError::ObjectGone)
         );
-        let frames = k
-            .alloc_frames(k.boot_domain, ImageLayout::total_pages() as usize)
-            .unwrap();
+        let frames = k.alloc_frames(k.boot_domain, IMAGE_PAGES as usize).unwrap();
         let kmem = KmemId(k.kmems.alloc(KernelMemory {
             frames,
             image: None,

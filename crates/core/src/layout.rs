@@ -24,78 +24,10 @@ pub const FLUSH_BUF_PAGES: u64 = 8; // 32 KiB each
 /// kernel switch happens implicitly with the page-directory switch (§4.3).
 pub const KERNEL_VBASE: u64 = 0xffff_8000_0000;
 
-/// Physical layout of one kernel image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImageLayout {
-    /// First frame of the image.
-    pub base_pfn: u64,
-}
-
-impl ImageLayout {
-    /// Total pages of a kernel image (text + rodata + data + stack + the
-    /// two manual-flush buffers).
-    #[must_use]
-    pub fn total_pages() -> u64 {
-        TEXT_PAGES + RODATA_PAGES + DATA_PAGES + STACK_PAGES + 2 * FLUSH_BUF_PAGES
-    }
-
-    /// Physical address of the text segment.
-    #[must_use]
-    pub fn text(&self) -> PAddr {
-        PAddr(self.base_pfn * FRAME_SIZE)
-    }
-
-    /// Physical address of the read-only data segment.
-    #[must_use]
-    pub fn rodata(&self) -> PAddr {
-        PAddr((self.base_pfn + TEXT_PAGES) * FRAME_SIZE)
-    }
-
-    /// Physical address of the replicated global data segment.
-    #[must_use]
-    pub fn data(&self) -> PAddr {
-        PAddr((self.base_pfn + TEXT_PAGES + RODATA_PAGES) * FRAME_SIZE)
-    }
-
-    /// Physical address of the kernel stack.
-    #[must_use]
-    pub fn stack(&self) -> PAddr {
-        PAddr((self.base_pfn + TEXT_PAGES + RODATA_PAGES + DATA_PAGES) * FRAME_SIZE)
-    }
-
-    /// Physical address of the manual L1-D flush buffer.
-    #[must_use]
-    pub fn l1d_buf(&self) -> PAddr {
-        PAddr((self.base_pfn + TEXT_PAGES + RODATA_PAGES + DATA_PAGES + STACK_PAGES) * FRAME_SIZE)
-    }
-
-    /// Physical address of the manual L1-I flush buffer.
-    #[must_use]
-    pub fn l1i_buf(&self) -> PAddr {
-        PAddr(
-            (self.base_pfn
-                + TEXT_PAGES
-                + RODATA_PAGES
-                + DATA_PAGES
-                + STACK_PAGES
-                + FLUSH_BUF_PAGES)
-                * FRAME_SIZE,
-        )
-    }
-
-    /// Kernel virtual address corresponding to physical `pa` inside this
-    /// image (all images are mapped at [`KERNEL_VBASE`]).
-    #[must_use]
-    pub fn kva(&self, pa: PAddr) -> tp_sim::VAddr {
-        tp_sim::VAddr(KERNEL_VBASE + (pa.0 - self.base_pfn * FRAME_SIZE))
-    }
-
-    /// All frames of the image.
-    pub fn frames(&self) -> impl Iterator<Item = u64> {
-        let base = self.base_pfn;
-        (0..Self::total_pages()).map(move |i| base + i)
-    }
-}
+/// Total pages of a kernel image (text + rodata + data + stack + the two
+/// manual-flush buffers).
+pub const IMAGE_PAGES: u64 =
+    TEXT_PAGES + RODATA_PAGES + DATA_PAGES + STACK_PAGES + 2 * FLUSH_BUF_PAGES;
 
 /// The frames of a kernel image, section by section.
 ///
@@ -143,14 +75,13 @@ impl ImageFrames {
     /// Build from an arbitrary frame list (a cloned image).
     ///
     /// # Panics
-    /// Panics if fewer than [`ImageLayout::total_pages`] frames are given.
+    /// Panics if fewer than [`IMAGE_PAGES`] frames are given.
     #[must_use]
     pub fn from_frames(frames: &[u64]) -> Self {
         assert!(
-            frames.len() as u64 >= ImageLayout::total_pages(),
-            "kernel memory too small: {} < {}",
+            frames.len() as u64 >= IMAGE_PAGES,
+            "kernel memory too small: {} < {IMAGE_PAGES}",
             frames.len(),
-            ImageLayout::total_pages()
         );
         let mut it = frames.iter().copied();
         let mut take = |n: u64| (0..n).map(|_| it.next().unwrap()).collect::<Vec<u64>>();
@@ -350,15 +281,22 @@ mod tests {
 
     #[test]
     fn image_layout_is_contiguous_and_disjoint() {
-        let img = ImageLayout { base_pfn: 100 };
-        assert_eq!(img.text().pfn(), 100);
-        assert_eq!(img.rodata().pfn(), 116);
-        assert_eq!(img.data().pfn(), 120);
-        assert_eq!(img.stack().pfn(), 124);
-        assert_eq!(img.l1d_buf().pfn(), 125);
-        assert_eq!(img.l1i_buf().pfn(), 133);
-        assert_eq!(ImageLayout::total_pages(), 41);
-        assert_eq!(img.frames().count() as u64, ImageLayout::total_pages());
+        let img = ImageFrames::contiguous(100);
+        let sections = [
+            &img.text,
+            &img.rodata,
+            &img.data,
+            &img.stack,
+            &img.l1d_buf,
+            &img.l1i_buf,
+        ];
+        let starts: Vec<u64> = sections.iter().map(|s| s[0]).collect();
+        assert_eq!(starts, [100, 116, 120, 124, 125, 133]);
+        assert_eq!(IMAGE_PAGES, 41);
+        assert_eq!(
+            img.all_frames(),
+            (100..100 + IMAGE_PAGES).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -376,13 +314,6 @@ mod tests {
     #[test]
     fn audit_finds_no_user_indexed_items() {
         assert!(SharedKernelData::audit().is_empty());
-    }
-
-    #[test]
-    fn kva_mapping_is_offset_preserving() {
-        let img = ImageLayout { base_pfn: 100 };
-        let pa = PAddr(img.text().0 + 0x123);
-        assert_eq!(img.kva(pa).0, KERNEL_VBASE + 0x123);
     }
 
     #[test]

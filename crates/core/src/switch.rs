@@ -55,13 +55,7 @@ impl Kernel {
     /// Process a preemption tick on `core`: rotate the schedule and perform
     /// the full §4.3 switch sequence where the kernel image changes.
     pub fn handle_tick(&mut self, m: &mut Machine, core: usize) -> TickOutcome {
-        self.log.begin(|| Commit::Tick { core });
-        let r = self.handle_tick_inner(m, core);
-        self.log.end();
-        r
-    }
-
-    fn handle_tick_inner(&mut self, m: &mut Machine, core: usize) -> TickOutcome {
+        let _gate = self.log.enter(|| Commit::Tick { core });
         let tick_cycle = m.cycles(core);
         self.stats.ticks += 1;
         self.cores[core].ticks += 1;
@@ -266,12 +260,7 @@ impl Kernel {
     /// Deliver IRQs owned by `image` that were deferred while it was
     /// switched out.
     pub fn deliver_pending_for(&mut self, m: &mut Machine, core: usize, image: ImageId) {
-        self.log.begin(|| Commit::DeliverPendingFor { core, image });
-        self.deliver_pending_for_inner(m, core, image);
-        self.log.end();
-    }
-
-    fn deliver_pending_for_inner(&mut self, m: &mut Machine, core: usize, image: ImageId) {
+        let _gate = self.log.enter(|| Commit::DeliverPendingFor { core, image });
         let owned: Vec<u32> = (0..crate::kernel::NUM_IRQS as u32)
             .filter(|&i| {
                 self.irqs[i as usize].owner == Some(image) && self.irqs[i as usize].pending
@@ -293,12 +282,7 @@ impl Kernel {
 
     /// Step 8: the flush itself, per configuration and platform.
     pub fn do_flush(&mut self, m: &mut Machine, core: usize, new_image: ImageId) {
-        self.log.begin(|| Commit::Flush { core, new_image });
-        self.do_flush_inner(m, core, new_image);
-        self.log.end();
-    }
-
-    fn do_flush_inner(&mut self, m: &mut Machine, core: usize, new_image: ImageId) {
+        let _gate = self.log.enter(|| Commit::Flush { core, new_image });
         let x86 = self.cfg.llc.is_some();
         match self.prot.flush {
             FlushMode::None => {}
@@ -335,12 +319,7 @@ impl Kernel {
     /// Step 9: touch every line of the shared kernel data so the next
     /// kernel exit is deterministic (Requirement 3).
     pub fn prefetch_shared(&mut self, m: &mut Machine, core: usize) {
-        self.log.begin(|| Commit::PrefetchShared { core });
-        self.prefetch_shared_inner(m, core);
-        self.log.end();
-    }
-
-    fn prefetch_shared_inner(&mut self, m: &mut Machine, core: usize) {
+        let _gate = self.log.enter(|| Commit::PrefetchShared { core });
         let line = self.cfg.line;
         for i in 0..self.shared.lines() {
             let pa = self.shared.line_pa(i);
@@ -359,19 +338,9 @@ impl Kernel {
     /// Measure the cost of switching away from the current state of `core`
     /// to `to_image` without padding — the Table 6 measurement.
     pub fn measure_switch_cost(&mut self, m: &mut Machine, core: usize, to_image: ImageId) -> u64 {
-        self.log
-            .begin(|| Commit::MeasureSwitchCost { core, to_image });
-        let r = self.measure_switch_cost_inner(m, core, to_image);
-        self.log.end();
-        r
-    }
-
-    fn measure_switch_cost_inner(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-        to_image: ImageId,
-    ) -> u64 {
+        let _gate = self
+            .log
+            .enter(|| Commit::MeasureSwitchCost { core, to_image });
         let start = m.cycles(core);
         let cur = self.cores[core].cur;
         self.switch_steps(m, core, Some(to_image), cur, None);

@@ -9,7 +9,7 @@
 use crate::commit::Commit;
 use crate::config::ProtectionConfig;
 use crate::engine::{
-    run_programs, EnvOutcome, EvKind, SimError, SimErrorKind, SimInner, UserProgram, DEFAULT_WINDOW,
+    run_programs, EnvOutcome, EvKind, SimError, SimInner, UserProgram, DEFAULT_WINDOW,
 };
 use crate::kernel::{EngineMode, Kernel, KernelStats};
 use crate::objects::{DomainId, TcbId};
@@ -435,27 +435,8 @@ impl SystemBuilder {
 
         run_programs(&sim, programs);
         let mut g = sim.borrow_mut();
-        // The typed deadlock slot outranks the error string: it carries the
-        // waiting-env set and the exact interaction ordinal the detector
-        // proved the wedge at.
-        if let Some((waiting_envs, at_interaction)) = g.deadlock.take() {
-            let message = g.error.take().unwrap_or_else(|| {
-                format!(
-                    "deadlock: {} environment(s) suspended with no runnable progress \
-                     at interaction {at_interaction}",
-                    waiting_envs.len()
-                )
-            });
-            return Err(SimError {
-                kind: SimErrorKind::Deadlock {
-                    waiting_envs,
-                    at_interaction,
-                },
-                message,
-            });
-        }
         if let Some(e) = g.error.take() {
-            return Err(SimError::from_message(e));
+            return Err(e);
         }
         // Per-env outcomes in spawn order: isolated daemon failures are a
         // report property, not a cell error.
