@@ -1,36 +1,69 @@
-//! Regenerates every table and figure of the paper in one run.
+//! Regenerates every table and figure of the paper in one run, and gates
+//! the 124 channel × mechanism × platform verdicts.
 //!
 //! ```text
 //! reproduce_all                                # every section, paper order
 //! reproduce_all --only table3                  # one section
 //! reproduce_all --only table1,fig5,ablations   # several, paper order
 //! reproduce_all --check goldens/verdicts.json  # also gate the 124 verdicts
+//! reproduce_all --json results.json            # the cells' structured results
+//! reproduce_all --update-goldens goldens/verdicts.json   # re-pin
 //! ```
 //!
-//! Set `TP_SAMPLES=0.25` for a quick pass or `TP_SAMPLES=4` for higher
-//! statistical resolution, and `TP_THREADS` to bound the worker count
-//! (`TP_THREADS=1` runs fully sequentially). Every registry cell and every
-//! section's own simulations run once, in one pass ([`tp_bench::reproduce`]),
-//! but the sections are printed in paper order, so stdout is bit-identical
-//! for every thread count; timings go to stderr and to a machine-readable
-//! `BENCH.json` in the working directory, which CI budgets.
+//! Set `TP_SAMPLES=0.25` for a quick pass (the goldens are pinned there)
+//! or `TP_SAMPLES=4` for higher statistical resolution, and `TP_THREADS`
+//! to bound the worker count (`TP_THREADS=1` runs fully sequentially).
+//! Every registry cell and every section's own simulations run once, in
+//! one pass ([`tp_bench::reproduce`]), but the sections are printed in
+//! paper order, so stdout is bit-identical for every thread count;
+//! timings go to stderr and to a machine-readable `BENCH.json` in the
+//! working directory, which CI budgets.
 //!
-//! `--check` runs every registry cell on every platform, printed or not,
-//! and diffs the voted verdicts against the golden file; its report goes to
-//! stderr, so stdout is the same with and without it.
+//! `--check` and `--update-goldens` run every registry cell on every
+//! platform, printed or not. `--check` diffs the voted verdicts against
+//! the golden file, its report on stderr, so stdout is the same with and
+//! without it.
 //!
-//! A failing simulation does not tear the whole run down: the failing
-//! section or cell is named on stderr, the rest still print, and the
-//! process exits 1. A bad flag, or a `BENCH.json` or golden file that
-//! cannot be written or read, exits 2.
+//! Every registry cell runs under the supervisor ([`tp_bench::supervise`]):
+//! a panicking, stalled or deadlocked cell is classified, retried with
+//! salted seeds and then quarantined into `goldens/quarantine.json`
+//! (written on every run, `[]` when healthy), and the other cells and
+//! sections still complete. `TP_FAULT` injects a deterministic fault (see
+//! `tp_core::fault`), and `TP_CELL_TIMEOUT` overrides the engine
+//! watchdog's per-cell deadline, otherwise derived from the previous
+//! run's `BENCH.json`.
+//!
+//! A quarantined cell or a failing section is named on stderr, the rest
+//! still print, and the process exits 1; so does a verdict that differs
+//! from its pin or goes missing. A bad flag or environment variable, or an
+//! artifact that cannot be written or read, exits 2.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use tp_bench::campaign::check_goldens;
+use tp_bench::campaign::{check_goldens, golden_json, results_json};
 use tp_bench::reproduce::{self, bench_json};
+use tp_bench::supervise::{self, quarantine_json};
 use tp_bench::{cli, store};
+use tp_core::FaultPlan;
+
+/// Where the quarantine ledger is written (next to the golden verdicts).
+const QUARANTINE_PATH: &str = "goldens/quarantine.json";
+
+/// Write one artifact, or report it and exit 2.
+fn write(path: &str, payload: &str) -> Result<(), ExitCode> {
+    store::write_atomic(path, payload).map_err(|e| {
+        eprintln!("reproduce_all: failed to write {path}: {e}");
+        ExitCode::from(2)
+    })
+}
 
 fn main() -> ExitCode {
+    match reproduce_all() {
+        Ok(code) | Err(code) => code,
+    }
+}
+
+fn reproduce_all() -> Result<ExitCode, ExitCode> {
     let args = cli::parse_or_exit("reproduce_all", || {
         reproduce::parse_args(std::env::args().skip(1))
     });
@@ -39,29 +72,57 @@ fn main() -> ExitCode {
             Ok(text) => Some((path, text)),
             Err(e) => {
                 eprintln!("reproduce_all: cannot read golden file {path}: {e}");
-                return ExitCode::from(2);
+                return Err(ExitCode::from(2));
             }
         },
         None => None,
     };
+    // The fault plan and the deadline override must parse before any cell
+    // burns time, and even when no cell runs.
+    let plan = FaultPlan::from_env().map_err(|e| {
+        eprintln!("reproduce_all: {e}");
+        ExitCode::from(2)
+    })?;
+    let timeout = std::env::var("TP_CELL_TIMEOUT").ok();
+    supervise::parse_cell_timeout(timeout.as_deref()).map_err(|e| {
+        eprintln!("reproduce_all: {e}");
+        ExitCode::from(2)
+    })?;
+    if let Some(p) = &plan {
+        eprintln!("[fault injection armed: {p}]");
+    }
+    // Per-cell deadlines derive from the previous run's wall times; a
+    // missing or stale record degrades to a generous default.
+    let history = std::fs::read_to_string("BENCH.json")
+        .map(|t| supervise::parse_bench_history(&t))
+        .unwrap_or_default();
 
-    let r = reproduce::run(&args.only, golden.is_some());
-    let mut failed = false;
+    let r = reproduce::run(&args.only, args.all_cells(), plan.as_ref(), &history);
+    let mut failed = !r.quarantine.is_empty();
     for (name, text) in &r.sections {
         match text {
             Ok(text) => {
                 println!("==================== {name} ====================");
                 println!("{text}");
             }
-            Err(e) => {
-                eprintln!("[{name} FAILED: {e}]");
+            Err(why) => {
+                eprintln!("[{name} FAILED: {why}]");
                 failed = true;
             }
         }
     }
-    for (cell, e) in &r.failed_cells {
-        eprintln!("[{cell} FAILED: {e}]");
-        failed = true;
+    for (cell, why) in &r.degraded {
+        eprintln!("[DEGRADED {cell}: {why}]");
+    }
+    for q in &r.quarantine {
+        eprintln!(
+            "[QUARANTINED {} on {}: {} after {} attempt(s): {}]",
+            q.experiment,
+            q.platform,
+            q.outcome.name(),
+            q.attempts,
+            q.error
+        );
     }
     for (name, secs) in &r.own_seconds {
         eprintln!("[{name} took {secs:.1}s]");
@@ -81,11 +142,22 @@ fn main() -> ExitCode {
         tp_bench::util::effort()
     );
 
-    if let Err(e) = store::write_atomic("BENCH.json", &bench_json(&r)) {
-        eprintln!("reproduce_all: failed to write BENCH.json: {e}");
-        return ExitCode::from(2);
-    }
+    write("BENCH.json", &bench_json(&r))?;
     eprintln!("[wrote BENCH.json]");
+    write(QUARANTINE_PATH, &quarantine_json(&r.quarantine))?;
+    if let Some(path) = &args.json {
+        write(path, &results_json(&r.cells, r.total_seconds))?;
+        eprintln!("[wrote {path}]");
+    }
+    if let Some(path) = &args.update_goldens {
+        // A quarantined cell's verdicts would silently drop out of the pin.
+        if r.quarantine.is_empty() {
+            write(path, &golden_json(&r.cells))?;
+            eprintln!("[pinned goldens to {path}]");
+        } else {
+            eprintln!("reproduce_all: not pinning {path}: a cell was quarantined");
+        }
+    }
 
     if let Some((path, golden)) = golden {
         match check_goldens(&golden, &r.cells) {
@@ -96,9 +168,9 @@ fn main() -> ExitCode {
             }
         }
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

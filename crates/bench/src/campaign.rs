@@ -1,16 +1,17 @@
-//! The experiment registry and campaign runner.
+//! The experiment registry, its vote and its golden verdict gate.
 //!
 //! Every channel experiment of the paper is registered as data: name,
-//! paper reference, supported platforms and a relative cost weight. The
-//! `campaign` binary iterates the registry crossed with the platform
-//! registry ([`tp_sim::Platform::ALL`]), runs each supported combination
-//! and emits *structured* per-channel results — capacity estimates,
-//! leak/closed verdicts and wall times — instead of prose tables.
+//! paper reference, supported platforms and a relative cost weight.
+//! `reproduce_all` ([`crate::reproduce`]) runs the registry crossed with
+//! the platform registry ([`tp_sim::Platform::ALL`]), each supported
+//! combination once under the supervisor, and emits *structured*
+//! per-channel results — capacity estimates, leak/closed verdicts and wall
+//! times — beside the rendered tables.
 //!
 //! The leak/closed verdicts of a run are diffable against a pinned golden
 //! file (`goldens/verdicts.json`): CI fails when any channel × mechanism ×
-//! platform verdict diverges, turning the reproduction into a regression
-//! gate for *result correctness*, not just wall-clock. Each verdict is a
+//! platform verdict diverges or goes missing, turning the reproduction
+//! into a regression gate for *result correctness*, not just wall-clock. Each verdict is a
 //! majority vote over three independent seeds (see `VOTE_SEEDS`) so the
 //! gate is robust against single-shot boundary noise in the §5.1 shuffle
 //! test. The vote stops as soon as it is decided: the third seed runs only
@@ -46,9 +47,7 @@ pub struct ChannelResult {
     pub samples: usize,
 }
 
-/// Base seed every vote seed is derived from. Part of the campaign
-/// journal's cache key ([`crate::store::JournalHeader`]): changing the
-/// seeds invalidates every cached cell.
+/// Base seed every vote seed is derived from.
 pub const VOTE_SEED_BASE: u64 = 0x5EED;
 
 /// Seeds for the three independent repetitions behind every pinned
@@ -67,7 +66,7 @@ const VOTE_SEEDS: [u64; 3] = [
     VOTE_SEED_BASE ^ 0x6A09_E667,
 ];
 
-// Vote accounting, serialised into `BENCH-campaign.json` as `votes`:
+// Vote accounting, serialised into `BENCH.json` as `votes`:
 // completed votes, the seeds they ran and how many split. A vote that
 // fails with a `SimError` is not counted, so `seeds_run == 2 * verdicts +
 // split` holds in every process.
@@ -78,7 +77,7 @@ static VOTE_SPLITS: AtomicU64 = AtomicU64::new(0);
 /// A voted row of a registry cell, with the outcome it reports.
 #[derive(Debug, Clone)]
 pub(crate) struct CellRow {
-    /// The row the journal, the JSON outputs and the golden gate keep.
+    /// The row the JSON outputs and the golden gate keep.
     pub row: ChannelResult,
     /// The reporting seed's outcome: the first vote seed that agrees with
     /// the majority, whose M, M0 and dataset the row carries. `None` for
@@ -176,27 +175,6 @@ pub struct ExperimentResult {
     pub channels: Vec<ChannelResult>,
 }
 
-impl ExperimentResult {
-    /// Rebuild a result from a replayed journal record. `experiment` is
-    /// the registry's static name for the cell (the journal string is only
-    /// used to find it); channel strings are interned by the store. The
-    /// record carries bit-exact `f64`s, so re-serialising a replayed cell
-    /// is byte-identical to serialising the original run.
-    #[must_use]
-    pub fn from_record(
-        experiment: &'static str,
-        platform: Platform,
-        rec: &crate::store::CellRecord,
-    ) -> Self {
-        ExperimentResult {
-            experiment,
-            platform,
-            seconds: rec.seconds,
-            channels: rec.channels.clone(),
-        }
-    }
-}
-
 /// A registered experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentDef {
@@ -208,18 +186,19 @@ pub struct ExperimentDef {
     pub paper: &'static str,
     /// Relative cost weight (higher = slower): the mean wall time of one
     /// cell in tens of milliseconds, read off the per-cell `seconds` of a
-    /// `TP_SAMPLES=0.25` campaign's `BENCH-campaign.json`. `campaign` and
-    /// `reproduce_all` schedule heavier experiments first so they overlap
-    /// with the cheap tail; only the schedule depends on it, never a result.
+    /// `TP_SAMPLES=0.25` run's `BENCH.json`. `reproduce_all` schedules
+    /// heavier experiments first so they overlap with the cheap tail; only
+    /// the schedule depends on it, never a result.
     pub cost: u32,
     /// Which platforms the experiment supports.
     pub supports: fn(Platform) -> bool,
-    /// Run on one platform, producing the structured results. Errors
-    /// (simulation failures under fault injection) are classified by the
-    /// campaign supervisor ([`crate::supervise`]), never unwound.
+    /// Run on one platform, producing the structured results: `cell`
+    /// without the outcomes. Errors (simulation failures under fault
+    /// injection) are classified by the supervisor ([`crate::supervise`]),
+    /// never unwound.
     pub run: fn(Platform) -> Result<Vec<ChannelResult>, SimError>,
-    /// `run` with each row's reporting outcome, which the rendered figures
-    /// read ([`crate::reproduce`]).
+    /// `run` with each row's reporting outcome, which `reproduce_all`
+    /// supervises and the rendered figures read ([`crate::reproduce`]).
     pub(crate) cell: fn(Platform) -> Result<Vec<CellRow>, SimError>,
 }
 
@@ -516,8 +495,9 @@ pub fn registry() -> Vec<ExperimentDef> {
     ]
 }
 
-/// Serialise a campaign run to JSON (hand-rolled: the workspace is
-/// dependency-free by design; all strings are static identifiers).
+/// Serialise a run's completed cells to JSON, as `reproduce_all --json`
+/// writes them (hand-rolled: the workspace is dependency-free by design;
+/// all strings are static identifiers).
 #[must_use]
 pub fn results_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     let mut s = String::from("{\n");
@@ -546,83 +526,6 @@ pub fn results_json(results: &[ExperimentResult], total_seconds: f64) -> String 
         let _ = writeln!(s, "    ]}}{comma}");
     }
     s.push_str("  ]\n}\n");
-    s
-}
-
-/// This process's peak resident set size in MB (`VmHWM` in
-/// `/proc/self/status`), or `None` where procfs does not report it.
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kib = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))?
-        .trim()
-        .strip_suffix("kB")?
-        .trim()
-        .parse::<f64>()
-        .ok()?;
-    Some(kib / 1024.0)
-}
-
-/// Serialise the campaign's wall-time record (`BENCH-campaign.json`):
-/// the total plus one entry per experiment × platform cell, mirroring the
-/// `BENCH.json` the `reproduce_all` binary writes. CI budgets the total;
-/// the per-cell times localise a regression to one cell.
-///
-/// With `threads > 1` the cells run concurrently, so per-cell times
-/// overlap and can sum to more than `total_seconds`; `total_seconds` is
-/// always honest wall clock.
-#[must_use]
-pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"tp_samples\": {},", crate::util::effort());
-    let _ = writeln!(s, "  \"threads\": {},", crate::util::threads());
-    let _ = writeln!(s, "  \"total_seconds\": {total_seconds:.3},");
-    // Memory: CI budgets the process's peak resident set.
-    let peak = peak_rss_mb().map_or_else(|| "null".to_owned(), |mb| format!("{mb:.1}"));
-    let _ = writeln!(s, "  \"peak_rss_mb\": {peak},");
-    // Boot accounting: how many systems the campaign booted and the mean
-    // host time one boot took.
-    let boot = tp_core::system::boot_stats();
-    let cold_mean_ms = if boot.cold_boots == 0 {
-        0.0
-    } else {
-        boot.cold_nanos as f64 / boot.cold_boots as f64 / 1e6
-    };
-    let _ = writeln!(
-        s,
-        "  \"boot\": {{\"cold\": {}, \"cold_mean_ms\": {cold_mean_ms:.6}}},",
-        boot.cold_boots,
-    );
-    // Supervisor accounting: a healthy (fault-free) campaign reports all
-    // zeroes here, and CI gates on exactly that.
-    let sup = crate::supervise::counters();
-    let _ = writeln!(
-        s,
-        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}}},",
-        sup.retries,
-        sup.timeouts,
-        sup.panics,
-        sup.quarantined,
-        sup.env_failed,
-        sup.deadlocks,
-    );
-    // Resume/durability accounting: a clean (non-resumed, uncontended)
-    // campaign reports all zeroes here, and CI gates on exactly that.
-    let res = crate::store::resume_counters();
-    let _ = writeln!(
-        s,
-        "  \"resume\": {{\"cells_skipped\": {}, \"records_recovered\": {}, \"records_truncated\": {}, \"lock_waits\": {}}},",
-        res.cells_skipped,
-        res.records_recovered,
-        res.records_truncated,
-        res.lock_waits,
-    );
-    // Vote accounting: a lazy vote runs two seeds, plus a third on a
-    // split, and CI gates on exactly that.
-    let _ = writeln!(s, "  \"votes\": {},", votes_json());
-    s.push_str(&cells_json(results));
-    s.push_str("}\n");
     s
 }
 
@@ -745,11 +648,11 @@ pub fn parse_golden(text: &str) -> BTreeMap<VerdictKey, String> {
     m
 }
 
-/// Diff a run against a golden file. Verdicts for combinations absent
-/// from the run (e.g. a platform-filtered campaign) are not required, but
-/// a combination the golden knows nothing about is an error: new
-/// experiments must be pinned. So is a run with no verdicts at all, which
-/// would otherwise pass having checked nothing.
+/// Diff a run against a golden file, both ways: a verdict that differs
+/// from its pin is a regression, a verdict the golden knows nothing about
+/// is unpinned (new experiments must be pinned), and a pinned verdict the
+/// run lacks (a quarantined cell, a channel dropped from the registry) is
+/// missing. A run with no verdicts at all is an error too.
 ///
 /// # Errors
 /// Returns a human-readable report of every divergence.
@@ -772,6 +675,9 @@ pub fn check_goldens(golden_text: &str, results: &[ExperimentResult]) -> Result<
         }
     }
     let run = verdict_map(results);
+    if run.is_empty() {
+        return Err("the run has no verdicts, so none were checked".into());
+    }
     let mut report = String::new();
     let mut checked = 0usize;
     for (key, verdict) in &run {
@@ -792,12 +698,19 @@ pub fn check_goldens(golden_text: &str, results: &[ExperimentResult]) -> Result<
             }
         }
     }
-    if !report.is_empty() {
-        Err(report)
-    } else if checked == 0 {
-        Err("the run has no verdicts, so none were checked".into())
-    } else {
+    for (key, verdict) in &golden {
+        if !run.contains_key(key) {
+            let (exp, plat, chan, mech) = key;
+            let _ = writeln!(
+                report,
+                "MISSING: {exp}/{plat}/{chan}/{mech}: golden \"{verdict}\", but the run has no verdict"
+            );
+        }
+    }
+    if report.is_empty() {
         Ok(checked)
+    } else {
+        Err(report)
     }
 }
 
@@ -870,7 +783,7 @@ pub(crate) mod tests {
     }
 
     /// The keys of the one-line object `"name": {...}` in a
-    /// [`bench_json`] document, with the line itself.
+    /// [`crate::reproduce::bench_json`] document, with the line itself.
     fn object_keys<'a>(doc: &'a str, name: &str) -> (&'a str, Vec<&'a str>) {
         let tag = format!("  \"{name}\": {{");
         let line = doc
@@ -889,8 +802,8 @@ pub(crate) mod tests {
 
     #[test]
     fn bench_json_objects_carry_exactly_the_keys_ci_reads() {
-        let doc = bench_json(&[], 0.0);
-        let expected: [(&str, &[&str]); 4] = [
+        let doc = crate::reproduce::bench_json(&crate::reproduce::Reproduction::default());
+        let expected: [(&str, &[&str]); 3] = [
             ("boot", &["cold", "cold_mean_ms"]),
             (
                 "supervisor",
@@ -904,15 +817,6 @@ pub(crate) mod tests {
                 ],
             ),
             ("votes", &["verdicts", "seeds_run", "split"]),
-            (
-                "resume",
-                &[
-                    "cells_skipped",
-                    "records_recovered",
-                    "records_truncated",
-                    "lock_waits",
-                ],
-            ),
         ];
         for (object, keys) in expected {
             let (line, got) = object_keys(&doc, object);
@@ -924,7 +828,10 @@ pub(crate) mod tests {
                 );
             }
         }
-        for gone in ["warm", "fallback", "snapshot_corrupt"] {
+        for key in ["total_seconds", "peak_rss_mb", "experiments", "cells"] {
+            assert!(doc.contains(&format!("\"{key}\": ")), "no `{key}` in {doc}");
+        }
+        for gone in ["warm", "fallback", "snapshot_corrupt", "resume"] {
             assert!(!doc.contains(gone), "stale `{gone}` key in {doc}");
         }
     }
@@ -1035,12 +942,17 @@ pub(crate) mod tests {
             .join("\n");
         let err = check_goldens(&missing, &results).unwrap_err();
         assert!(err.contains("UNPINNED"), "{err}");
+
+        // So is a pinned verdict the run lacks.
+        let mut fewer = results.clone();
+        fewer[0].channels.remove(0);
+        let err = check_goldens(&golden, &fewer).unwrap_err();
+        assert!(err.contains("MISSING: l1d/haswell/L1-D/raw"), "{err}");
     }
 
     #[test]
     fn a_run_without_verdicts_fails_the_check() {
-        // E.g. `--platform sabre --only llc`: llc needs an LLC, so no cell
-        // runs.
+        // E.g. every cell failed or was quarantined.
         let golden = golden_json(&fake_results());
         let err = check_goldens(&golden, &[]).unwrap_err();
         assert!(err.contains("no verdicts"), "{err}");

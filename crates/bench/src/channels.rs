@@ -1,6 +1,6 @@
 //! The channel experiments: Figures 3–6 and Tables 3–4.
 //!
-//! Figures 3 and 6 and Tables 3 and 4 render the campaign registry's cells
+//! Figures 3 and 6 and Tables 3 and 4 render the experiment registry's cells
 //! from `reproduce_all`'s one pass ([`crate::reproduce`]), so they report
 //! the experiments the golden gate checks: each verdict mark is the 2-of-3
 //! vote's, each M and M0 the reporting seed's, and each matrix that seed's

@@ -1,11 +1,10 @@
 //! Shared command-line parsing for the tp-bench binaries.
 //!
-//! The `campaign`, `chaos` and `replay` drivers each grew their own
-//! hand-rolled flag loop; this module centralizes the surface they share —
-//! `--platform`, `--seed`, `--json` — together with the helpers those
-//! loops duplicate (value-taking flags, number parsing, the platform-list
-//! grammar) and one exit-code convention: a bad flag is reported on
-//! stderr and the process exits with status 2.
+//! The `reproduce_all`, `chaos` and `replay` binaries share this module:
+//! an argument stream with value-taking flags, number parsing, the
+//! `--platform` and `--seed` flags `replay` takes (through [`Common`]),
+//! and one exit-code convention: a bad flag is reported on stderr and the
+//! process exits with status 2.
 //!
 //! The parsing core is pure (`Result`-returning, fed from any iterator of
 //! strings) so it is unit-testable; only [`parse_or_exit`] touches the
@@ -86,10 +85,7 @@ pub struct Common {
     pub platforms_given: bool,
     /// Seed from `--seed` (present iff the binary enabled it).
     pub seed: Option<u64>,
-    /// Output path from `--json` (enabled binaries only).
-    pub json: Option<String>,
     accept_seed: bool,
-    accept_json: bool,
 }
 
 impl Common {
@@ -100,9 +96,7 @@ impl Common {
             platforms: Platform::ALL.to_vec(),
             platforms_given: false,
             seed: None,
-            json: None,
             accept_seed: false,
-            accept_json: false,
         }
     }
 
@@ -111,13 +105,6 @@ impl Common {
     pub fn with_seed(mut self, default: u64) -> Self {
         self.seed = Some(default);
         self.accept_seed = true;
-        self
-    }
-
-    /// Also honour `--json PATH`.
-    #[must_use]
-    pub fn with_json(mut self) -> Self {
-        self.accept_json = true;
         self
     }
 
@@ -140,10 +127,6 @@ impl Common {
             }
             "--seed" if self.accept_seed => {
                 self.seed = Some(parse_u64("--seed", &it.value("--seed")?)?);
-                Ok(true)
-            }
-            "--json" if self.accept_json => {
-                self.json = Some(it.value("--json")?);
                 Ok(true)
             }
             _ => Ok(false),
@@ -184,15 +167,14 @@ mod tests {
 
     #[test]
     fn common_consumes_enabled_flags_only() {
-        let mut it = ArgStream::new(["--platform", "haswell", "--seed", "7", "--json", "o.json"]);
-        let mut c = Common::new().with_seed(1).with_json();
+        let mut it = ArgStream::new(["--platform", "haswell", "--seed", "7"]);
+        let mut c = Common::new().with_seed(1);
         while let Some(flag) = it.next() {
             assert!(c.accept(&flag, &mut it).unwrap(), "{flag} not consumed");
         }
         assert!(c.platforms_given);
         assert_eq!(c.platforms.len(), 1);
         assert_eq!(c.seed, Some(7));
-        assert_eq!(c.json.as_deref(), Some("o.json"));
 
         // A binary that did not enable --seed leaves it to its own match.
         let mut it = ArgStream::new(["--seed", "7"]);

@@ -2,7 +2,7 @@
 //!
 //! The report is fourteen sections in paper order, each named as in the
 //! paper (`table1` … `ablations`). Figures 3 and 6 and Tables 3 and 4
-//! render the campaign registry's voted cells ([`crate::channels`]); every
+//! render the experiment registry's voted cells ([`crate::channels`]); every
 //! other section, and Table 3's §5.3.2 prefetcher-disabled follow-up, runs
 //! simulations of its own at its own sample counts.
 //!
@@ -13,15 +13,22 @@
 //! worker count is `TP_THREADS` with no nested pool, and since the
 //! sections are rendered in paper order afterwards, the report reads the
 //! same at every `TP_THREADS`.
+//!
+//! Every registry cell runs under the supervisor ([`crate::supervise`]):
+//! a cell that panics, stalls or deadlocks is retried with salted seeds
+//! and then quarantined, so one sick cell fails only the sections that
+//! read it. A healthy cell's first attempt is its unsupervised run, so
+//! the supervisor changes no result.
 
 use crate::campaign::{self, CellRow, ExperimentDef, ExperimentResult};
 use crate::cli::ArgStream;
+use crate::supervise::{self, CellOutcome, QuarantineEntry};
 use crate::{channels, splash, tables};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
-use tp_core::SimError;
+use std::time::{Duration, Instant};
+use tp_core::{FaultPlan, SimError};
 use tp_sim::Platform;
 
 /// A section's simulations of its own, returning its text.
@@ -111,10 +118,23 @@ pub struct Args {
     pub only: Vec<&'static str>,
     /// The golden verdict file named by `--check`.
     pub check: Option<String>,
+    /// Where `--json` writes the completed cells' results.
+    pub json: Option<String>,
+    /// Where `--update-goldens` pins the run's verdicts.
+    pub update_goldens: Option<String>,
 }
 
-/// Parse `reproduce_all`'s flags: `--only NAME[,NAME…]` (repeatable) and
-/// `--check PATH`, spelled as `campaign` spells them.
+impl Args {
+    /// Whether the pass must run every registry cell, printed or not: the
+    /// golden gate and a re-pin read every verdict.
+    #[must_use]
+    pub fn all_cells(&self) -> bool {
+        self.check.is_some() || self.update_goldens.is_some()
+    }
+}
+
+/// Parse `reproduce_all`'s flags: `--only NAME[,NAME…]` (repeatable),
+/// `--check PATH`, `--json PATH` and `--update-goldens PATH`.
 ///
 /// # Errors
 /// An unknown flag, a missing value, or a section name that does not
@@ -136,15 +156,21 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String
                 }
             }
             "--check" => out.check = Some(it.value("--check")?),
-            other => return Err(format!("unknown argument {other:?} (use --only, --check)")),
+            "--json" => out.json = Some(it.value("--json")?),
+            "--update-goldens" => out.update_goldens = Some(it.value("--update-goldens")?),
+            other => {
+                return Err(format!(
+                    "unknown argument {other:?} (use --only, --check, --json, --update-goldens)"
+                ))
+            }
         }
     }
     Ok(out)
 }
 
 /// The pass's registry cells, by experiment and platform key: each
-/// cell's voted rows, or the error that stopped it.
-pub(crate) struct Rows(BTreeMap<(&'static str, &'static str), Result<Vec<CellRow>, SimError>>);
+/// cell's voted rows, or why it was quarantined.
+pub(crate) struct Rows(BTreeMap<(&'static str, &'static str), Result<Vec<CellRow>, String>>);
 
 impl Rows {
     /// The rows of one cell. A section is rendered only when every cell it
@@ -159,29 +185,34 @@ impl Rows {
 
 /// One unit of the pass.
 enum Job {
-    /// A registry cell.
-    Cell(ExperimentDef, Platform),
+    /// A registry cell, with its supervisor deadline.
+    Cell(ExperimentDef, Platform, Duration),
     /// A section's own simulations.
     Own(&'static str, u32, Generate),
 }
 
 /// A finished job: its identity and result.
 enum Done {
-    Cell(ExperimentDef, Platform, Result<Vec<CellRow>, SimError>),
+    Cell(ExperimentDef, Platform, supervise::CellReport<Vec<CellRow>>),
     Own(&'static str, Result<String, SimError>),
 }
 
 /// The outcome of one pass.
+#[derive(Default)]
 pub struct Reproduction {
-    /// The selected sections in paper order: name and text, or the error
-    /// that stopped the section.
-    pub sections: Vec<(&'static str, Result<String, SimError>)>,
-    /// Every registry cell that completed, in registry order, with its
-    /// wall seconds.
+    /// The selected sections in paper order: name and text, or why the
+    /// section could not be rendered (naming the cell or simulation that
+    /// failed).
+    pub sections: Vec<(&'static str, Result<String, String>)>,
+    /// Every registry cell that completed, degraded ones included, in
+    /// registry order, with its wall seconds.
     pub cells: Vec<ExperimentResult>,
-    /// Every registry cell that failed: `experiment on platform` and the
-    /// error.
-    pub failed_cells: Vec<(String, SimError)>,
+    /// Cells that completed over their surviving environments only:
+    /// `experiment on platform` and the supervisor's detail.
+    pub degraded: Vec<(String, String)>,
+    /// Cells that failed every attempt, in registry order: the ledger
+    /// `goldens/quarantine.json` holds.
+    pub quarantine: Vec<QuarantineEntry>,
     /// Each selected section's own simulations: section name and wall
     /// seconds.
     pub own_seconds: Vec<(&'static str, f64)>,
@@ -193,8 +224,18 @@ pub struct Reproduction {
 /// pass. With `all_cells` the pass runs every registry cell on every
 /// platform it supports, rendered or not, so [`Reproduction::cells`]
 /// carries every verdict the golden file pins.
+///
+/// Each cell runs under [`supervise::run_cell`] with `plan` armed where it
+/// matches the cell, and a deadline derived from the cell's seconds in
+/// `history` (a previous `BENCH.json`, see
+/// [`supervise::parse_bench_history`]) unless `TP_CELL_TIMEOUT` sets it.
 #[must_use]
-pub fn run(only: &[&str], all_cells: bool) -> Reproduction {
+pub fn run(
+    only: &[&str],
+    all_cells: bool,
+    plan: Option<&FaultPlan>,
+    history: &BTreeMap<(String, String), f64>,
+) -> Reproduction {
     let selected: Vec<&Section> = SECTIONS
         .iter()
         .filter(|s| only.is_empty() || only.contains(&s.name))
@@ -209,7 +250,8 @@ pub fn run(only: &[&str], all_cells: bool) -> Reproduction {
                     .any(|(name, ps)| *name == d.name && ps.contains(&p))
             });
             if (d.supports)(p) && (all_cells || rendered) {
-                jobs.push(Job::Cell(*d, p));
+                let seconds = history.get(&(d.name.to_string(), p.key().to_string()));
+                jobs.push(Job::Cell(*d, p, supervise::cell_deadline(seconds.copied())));
             }
         }
     }
@@ -222,7 +264,7 @@ pub fn run(only: &[&str], all_cells: bool) -> Reproduction {
     // Heaviest first, so the long jobs overlap the cheap tail; only the
     // schedule depends on the order, never a result.
     let cost = |j: &Job| match j {
-        Job::Cell(d, _) => d.cost,
+        Job::Cell(d, ..) => d.cost,
         Job::Own(_, cost, _) => *cost,
     };
     let mut order: Vec<usize> = (0..jobs.len()).collect();
@@ -231,7 +273,11 @@ pub fn run(only: &[&str], all_cells: bool) -> Reproduction {
     let mut done = rayon::par_map(&order, |&i| {
         let t0 = Instant::now();
         let done = match jobs[i] {
-            Job::Cell(d, p) => Done::Cell(d, p, (d.cell)(p)),
+            Job::Cell(d, p, deadline) => Done::Cell(
+                d,
+                p,
+                supervise::run_cell(d.name, p.key(), plan, deadline, move || (d.cell)(p)),
+            ),
             Job::Own(name, _, generate) => Done::Own(name, generate()),
         };
         (i, done, t0.elapsed().as_secs_f64())
@@ -243,34 +289,56 @@ pub fn run(only: &[&str], all_cells: bool) -> Reproduction {
 
     let mut rows = BTreeMap::new();
     let mut texts = BTreeMap::new();
-    let mut cells = Vec::new();
-    let mut own_seconds = Vec::new();
+    let mut r = Reproduction {
+        total_seconds,
+        ..Reproduction::default()
+    };
     for (_, done, seconds) in done {
         match done {
-            Done::Cell(d, p, r) => {
-                if let Ok(r) = &r {
-                    cells.push(ExperimentResult {
-                        experiment: d.name,
-                        platform: p,
-                        seconds,
-                        channels: r.iter().map(|c| c.row.clone()).collect(),
-                    });
-                }
-                rows.insert((d.name, p.key()), r);
+            Done::Cell(d, p, report) => {
+                let cell = format!("{} on {}", d.name, p.key());
+                let error = report.error.unwrap_or_default();
+                let voted = match report.channels {
+                    Some(voted) => {
+                        if report.outcome == CellOutcome::EnvFailed {
+                            r.degraded.push((cell, error));
+                        }
+                        r.cells.push(ExperimentResult {
+                            experiment: d.name,
+                            platform: p,
+                            seconds,
+                            channels: voted.iter().map(|c| c.row.clone()).collect(),
+                        });
+                        Ok(voted)
+                    }
+                    None => {
+                        supervise::note_quarantined();
+                        let outcome = report.outcome.name();
+                        let attempts = report.attempts;
+                        let why = format!(
+                            "{cell} quarantined, {outcome} after {attempts} attempt(s): {error}"
+                        );
+                        r.quarantine.push(QuarantineEntry {
+                            experiment: d.name.to_string(),
+                            platform: p.key().to_string(),
+                            outcome: report.outcome,
+                            attempts,
+                            error,
+                        });
+                        Err(why)
+                    }
+                };
+                rows.insert((d.name, p.key()), voted);
             }
             Done::Own(name, text) => {
-                own_seconds.push((name, seconds));
+                r.own_seconds.push((name, seconds));
                 texts.insert(name, text);
             }
         }
     }
-    let failed_cells = rows
-        .iter()
-        .filter_map(|((e, p), r)| Some((format!("{e} on {p}"), r.as_ref().err()?.clone())))
-        .collect();
 
     let rows = Rows(rows);
-    let sections = selected
+    r.sections = selected
         .iter()
         .map(|s| {
             let failed = s.cells.iter().find_map(|&(name, ps)| {
@@ -279,26 +347,40 @@ pub fn run(only: &[&str], all_cells: bool) -> Reproduction {
             });
             let own = texts.remove(s.name).unwrap_or(Ok(String::new()));
             let text = match failed {
-                Some(e) => Err(e),
-                None => own.map(|own| (s.render)(&rows, own)),
+                Some(why) => Err(why),
+                None => own
+                    .map(|own| (s.render)(&rows, own))
+                    .map_err(|e| e.to_string()),
             };
             (s.name, text)
         })
         .collect();
-    Reproduction {
-        sections,
-        cells,
-        failed_cells,
-        own_seconds,
-        total_seconds,
-    }
+    r
 }
 
-/// Serialise a pass's wall times into `BENCH.json`: the total, each
-/// section's own simulations (`experiments`, by section name; Table 3's
-/// is its prefetcher-disabled follow-up), each registry cell (`cells`, as
-/// in `BENCH-campaign.json`) and the vote accounting. CI budgets each
-/// named section and each registry experiment's summed cell seconds.
+/// This process's peak resident set size in MB (`VmHWM` in
+/// `/proc/self/status`), or `None` where procfs does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
+/// Serialise a pass's record into `BENCH.json`: the total wall time, the
+/// process's peak resident set, the boot, supervisor and vote accounting,
+/// each section's own simulations (`experiments`, by section name; Table
+/// 3's is its prefetcher-disabled follow-up) and each registry cell
+/// (`cells`). CI budgets each named section and each registry
+/// experiment's summed cell seconds, the total and the peak RSS, and
+/// gates a healthy run's supervisor object to all zeroes; the next run
+/// derives its cell deadlines from `cells`.
 ///
 /// With `threads > 1` the jobs run concurrently, so their times overlap
 /// and can sum to more than `total_seconds`; size budgets from a
@@ -309,6 +391,27 @@ pub fn bench_json(r: &Reproduction) -> String {
     let _ = writeln!(s, "  \"tp_samples\": {},", crate::util::effort());
     let _ = writeln!(s, "  \"threads\": {},", crate::util::threads());
     let _ = writeln!(s, "  \"total_seconds\": {:.3},", r.total_seconds);
+    let peak = peak_rss_mb().map_or_else(|| "null".to_owned(), |mb| format!("{mb:.1}"));
+    let _ = writeln!(s, "  \"peak_rss_mb\": {peak},");
+    // How many systems the pass booted and the mean host time of one boot.
+    let boot = tp_core::system::boot_stats();
+    let cold_mean_ms = if boot.cold_boots == 0 {
+        0.0
+    } else {
+        boot.cold_nanos as f64 / boot.cold_boots as f64 / 1e6
+    };
+    let _ = writeln!(
+        s,
+        "  \"boot\": {{\"cold\": {}, \"cold_mean_ms\": {cold_mean_ms:.6}}},",
+        boot.cold_boots,
+    );
+    let sup = supervise::counters();
+    let _ = writeln!(
+        s,
+        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}}},",
+        sup.retries, sup.timeouts, sup.panics, sup.quarantined, sup.env_failed, sup.deadlocks,
+    );
+    // A lazy vote runs two seeds, plus a third on a split.
     let _ = writeln!(s, "  \"votes\": {},", campaign::votes_json());
     s.push_str("  \"experiments\": [\n");
     for (i, (name, secs)) in r.own_seconds.iter().enumerate() {
@@ -337,9 +440,14 @@ mod tests {
         let args = parse(&["--only", "table1,fig3", "--only", "ablations"]).unwrap();
         assert_eq!(args.only, ["table1", "fig3", "ablations"]);
         assert_eq!(args.check, None);
+        assert!(!args.all_cells());
         let args = parse(&["--check", "goldens/verdicts.json"]).unwrap();
         assert_eq!(args.check.as_deref(), Some("goldens/verdicts.json"));
-        assert!(args.only.is_empty());
+        assert!(args.only.is_empty() && args.all_cells());
+        let args = parse(&["--json", "r.json", "--update-goldens", "v.json"]).unwrap();
+        assert_eq!(args.json.as_deref(), Some("r.json"));
+        assert_eq!(args.update_goldens.as_deref(), Some("v.json"));
+        assert!(args.all_cells());
     }
 
     #[test]
@@ -357,8 +465,8 @@ mod tests {
 
     #[test]
     fn a_pass_without_registry_sections_runs_no_cell() {
-        let r = run(&["table1", "table5"], false);
-        assert!(r.cells.is_empty() && r.failed_cells.is_empty());
+        let r = run(&["table1", "table5"], false, None, &BTreeMap::new());
+        assert!(r.cells.is_empty() && r.quarantine.is_empty());
         let names: Vec<_> = r.sections.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["table1", "table5"]);
         assert_eq!(r.sections[0].1.as_ref().ok(), Some(&tables::table1()));

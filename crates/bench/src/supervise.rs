@@ -1,4 +1,4 @@
-//! The campaign supervisor: run every cell to a verdict, never to a hang.
+//! The cell supervisor: run every cell to a verdict, never to a hang.
 //!
 //! A *cell* is one experiment × platform combination. The supervisor runs
 //! each attempt on the calling thread under `catch_unwind`, with the
@@ -6,9 +6,9 @@
 //! engine is not caught; no fault class reaches one), classifies every
 //! failure into a [`CellOutcome`] by its typed [`SimErrorKind`] (a caught
 //! panic is `Panicked`, whatever its message), retries transient classes with
-//! deterministically bumped seeds, and hands the campaign binary enough
-//! structure to quarantine the cell and keep going — a mega-campaign
-//! always completes with partial results.
+//! deterministically bumped seeds, and hands `reproduce_all` enough
+//! structure to quarantine the cell and keep going — one sick cell never
+//! hides the other cells' verdicts.
 //!
 //! The state machine per cell:
 //!
@@ -23,10 +23,10 @@
 //!         └─ panic / SimError(program)  → Panicked ─────────┘
 //! ```
 //!
-//! All counters feed the `supervisor` object of `BENCH-campaign.json`; a
-//! healthy campaign reports zeroes everywhere and CI gates on that. The
-//! fault classes that exercise each branch are `tp_core::fault`'s; every
-//! branch has a unit test below, and the chaos binary covers the store.
+//! All counters feed the `supervisor` object of `BENCH.json`; a healthy
+//! run reports zeroes everywhere and CI gates on that. The fault classes
+//! that exercise each branch are `tp_core::fault`'s; every branch has a
+//! unit test below, and the `chaos` binary fuzzes them over real cells.
 
 use crate::campaign::ChannelResult;
 use crate::store::{num_field, str_field};
@@ -48,7 +48,7 @@ pub const RETRY_SALT_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 thread_local! {
     /// The seed salt for the attempt running on this thread (0 outside a
-    /// retry). Read by the campaign's `vote` when deriving channel seeds.
+    /// retry). Read by the registry's `vote` when deriving channel seeds.
     static RETRY_SALT: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -70,8 +70,8 @@ static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static ENV_FAILED: AtomicU64 = AtomicU64::new(0);
 static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide supervisor accounting, serialised into
-/// `BENCH-campaign.json` as the `supervisor` object.
+/// Process-wide supervisor accounting, serialised into `BENCH.json` as
+/// the `supervisor` object.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorCounters {
     /// Retried attempts (beyond each cell's first).
@@ -138,14 +138,15 @@ impl CellOutcome {
     }
 }
 
-/// What the supervisor learned about one cell.
+/// What the supervisor learned about one cell whose closure returns `T`
+/// (a registry cell's rows, by default).
 #[derive(Debug)]
-pub struct CellReport {
+pub struct CellReport<T = Vec<ChannelResult>> {
     /// Final classification.
     pub outcome: CellOutcome,
     /// The cell's results, when an attempt completed (present for
     /// [`CellOutcome::Ok`] and for the degraded-but-complete classes).
-    pub channels: Option<Vec<ChannelResult>>,
+    pub channels: Option<T>,
     /// Attempts consumed (1 ⇒ no retry).
     pub attempts: u32,
     /// Environments that failed in isolation during the reported attempt
@@ -179,12 +180,12 @@ impl Drop for Disarm {
 
 /// Run one attempt on the calling thread: its channels and how many
 /// environments failed in isolation, or its failure class and message.
-fn run_attempt(
+fn run_attempt<T>(
     armed: Option<FaultKind>,
     deadline: Duration,
     salt: u64,
-    f: &dyn Fn() -> Result<Vec<ChannelResult>, SimError>,
-) -> Result<(Vec<ChannelResult>, u64), (CellOutcome, String)> {
+    f: &dyn Fn() -> Result<T, SimError>,
+) -> Result<(T, u64), (CellOutcome, String)> {
     fault::arm(armed);
     fault::set_deadline(Some(Instant::now() + deadline));
     set_retry_salt(salt);
@@ -213,13 +214,13 @@ fn run_attempt(
 /// plan (if it matches this cell) and the engine's wall-clock deadline,
 /// classify the outcome, and retry panicked/timed-out attempts up to
 /// [`MAX_ATTEMPTS`] with deterministically salted seeds.
-pub fn run_cell(
+pub fn run_cell<T>(
     experiment: &str,
     platform: &str,
     plan: Option<&FaultPlan>,
     deadline: Duration,
-    f: impl Fn() -> Result<Vec<ChannelResult>, SimError>,
-) -> CellReport {
+    f: impl Fn() -> Result<T, SimError>,
+) -> CellReport<T> {
     let armed = plan
         .filter(|p| p.matches(experiment, platform))
         .map(|p| p.kind);
@@ -377,7 +378,7 @@ pub fn cell_deadline(history_seconds: Option<f64>) -> Duration {
     }
 }
 
-/// Parse the `cells` records of a previous `BENCH-campaign.json` into a
+/// Parse the `cells` records of a previous `BENCH.json` into a
 /// per-cell wall-time history (seconds), for deadline derivation. The
 /// file is machine-written one cell object per line; unknown lines are
 /// skipped, so a missing or stale file degrades to the default deadline.
@@ -413,8 +414,8 @@ pub struct QuarantineEntry {
 }
 
 /// Serialise the quarantine ledger: a JSON array, one entry per line,
-/// `[]` when the campaign was healthy. Written on every campaign run so a
-/// clean run visibly overwrites an old ledger.
+/// `[]` when every cell was healthy. `reproduce_all` writes it on every
+/// run, so a clean run visibly overwrites an old ledger.
 #[must_use]
 pub fn quarantine_json(entries: &[QuarantineEntry]) -> String {
     if entries.is_empty() {
@@ -694,7 +695,7 @@ mod tests {
 
     /// A daemon that dies in the primary's own domain with no fault armed
     /// is a real failure: the cell completes over the survivors and must
-    /// be reported `EnvFailed`, never journaled as healthy.
+    /// be reported `EnvFailed`, never as healthy.
     #[test]
     fn unarmed_daemon_death_is_env_failed() {
         use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
@@ -718,7 +719,7 @@ mod tests {
                 panic!("daemon died");
             });
             b.try_run()?;
-            Ok(Vec::new())
+            Ok(())
         });
         assert_eq!(r.outcome, CellOutcome::EnvFailed, "{:?}", r.error);
         assert_eq!(r.env_failed, 1);

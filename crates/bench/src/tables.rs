@@ -176,13 +176,13 @@ fn ipc_cycles(platform: Platform, prot: ProtectionConfig, cross_domain: bool) ->
     let ccap = k.grant_cap(client, cap);
     let scap = k.grant_cap(server, cap);
     // Open scheduling: IPC performs the direct switch.
-    for c in &mut k.cores {
-        c.mode = tp_core::EngineMode::Open;
+    for core in 0..k.cores.len() {
+        k.set_mode(core, tp_core::EngineMode::Open);
     }
-    k.cores[0].cur = Some(server);
+    k.set_current(0, server);
     let out = k.syscall(&mut m, 0, server, Syscall::Recv { cap: scap });
     assert_eq!(out.ret, SysReturn::Blocked);
-    k.cores[0].cur = Some(client);
+    k.set_current(0, client);
 
     let roundtrip = |k: &mut Kernel, m: &mut Machine| {
         let out = k.syscall(m, 0, client, Syscall::Call { cap: ccap, msg: 1 });
@@ -297,7 +297,7 @@ pub fn table6() -> String {
                 } else {
                     (k.boot_image, k.boot_image)
                 };
-                k.cores[0].cur_image = img0;
+                k.set_current_image(0, img0);
                 // Average over runs with the receiver state rebuilt,
                 // scaled by TP_SAMPLES like every other sample count (the
                 // switch cost is nearly deterministic, so a handful of

@@ -1,8 +1,8 @@
-//! The `reproduce_all` and `campaign` binaries end to end: section
-//! selection, and artifacts that cannot be written.
+//! The `reproduce_all` binary end to end: section selection, and
+//! artifacts that cannot be written.
 //!
-//! Every run here is instant (Table 1 is closed-form, and `campaign --only
-//! llc --platform sabre` has no cell to run), so the debug binaries suffice.
+//! Every run here is instant (Table 1 is closed-form and runs no registry
+//! cell), so the debug binary suffices.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -86,6 +86,23 @@ fn only_with_an_unknown_section_exits_2_naming_the_valid_ones() {
 }
 
 #[test]
+fn malformed_fault_variables_exit_2_naming_them() {
+    let dir = workdir("env");
+    for (var, value) in [("TP_FAULT", "env-panic@x"), ("TP_CELL_TIMEOUT", "soon")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce_all"))
+            .args(["--only", "table1"])
+            .current_dir(&dir)
+            .env(var, value)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{var}: {}", stderr(&out));
+        assert!(stderr(&out).contains(var), "{}", stderr(&out));
+        assert!(out.stdout.is_empty());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn reproduce_all_exits_2_when_bench_json_cannot_be_written() {
     let dir = workdir("bench");
     block(&dir.join("BENCH.json"));
@@ -100,15 +117,18 @@ fn reproduce_all_exits_2_when_bench_json_cannot_be_written() {
 }
 
 #[test]
-fn campaign_exits_2_when_an_artifact_cannot_be_written() {
-    for artifact in ["goldens/quarantine.json", "BENCH-campaign.json"] {
-        let dir = workdir("campaign");
-        std::fs::create_dir_all(dir.join("goldens")).expect("create goldens");
-        let args = ["--only", "llc", "--platform", "sabre"];
-        let out = run(env!("CARGO_BIN_EXE_campaign"), &dir, &args);
+fn reproduce_all_exits_2_when_an_artifact_cannot_be_written() {
+    for artifact in ["goldens/quarantine.json", "results.json"] {
+        let dir = workdir("artifact");
+        let args = ["--only", "table1", "--json", "results.json"];
+        let out = run(env!("CARGO_BIN_EXE_reproduce_all"), &dir, &args);
         assert!(out.status.success(), "{}", stderr(&out));
+        let ledger = std::fs::read_to_string(dir.join("goldens/quarantine.json"));
+        assert_eq!(ledger.expect("ledger written"), "[]\n");
+        let results = std::fs::read_to_string(dir.join("results.json"));
+        assert!(results.expect("results written").contains("\"results\": ["));
         block(&dir.join(artifact));
-        let out = run(env!("CARGO_BIN_EXE_campaign"), &dir, &args);
+        let out = run(env!("CARGO_BIN_EXE_reproduce_all"), &dir, &args);
         assert_eq!(out.status.code(), Some(2), "{artifact}: {}", stderr(&out));
         assert!(stderr(&out).contains(artifact), "{}", stderr(&out));
         let _ = std::fs::remove_dir_all(&dir);

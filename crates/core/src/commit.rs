@@ -18,7 +18,7 @@
 //!    change a single simulated timestamp (pinned by the engine
 //!    regression test in `tests/replay.rs`).
 
-use crate::kernel::{FootKind, Kernel, Syscall};
+use crate::kernel::{EngineMode, FootKind, Kernel, Syscall};
 use crate::objects::{Capability, DomainId, ImageId, KmemId, NtfnId, TcbId, ThreadState};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -89,6 +89,12 @@ pub enum Commit {
     },
     /// `Kernel::set_pad_cycles`.
     SetPadCycles { image: ImageId, cycles: u64 },
+    /// `Kernel::set_mode`.
+    SetMode { core: usize, mode: EngineMode },
+    /// `Kernel::set_current`.
+    SetCurrent { core: usize, t: TcbId },
+    /// `Kernel::set_current_image`.
+    SetCurrentImage { core: usize, image: ImageId },
     // ------------------------------------------------ switch.rs gateways
     /// `Kernel::handle_tick` — the preemption/domain-switch path.
     Tick { core: usize },

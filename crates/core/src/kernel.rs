@@ -1201,6 +1201,30 @@ impl Kernel {
             img.pad_cycles = cycles;
         }
     }
+
+    /// Set `core`'s scheduling mode: a setup write for code that drives
+    /// the kernel directly rather than through the engine, which sets
+    /// every core's mode at boot.
+    pub fn set_mode(&mut self, core: usize, mode: EngineMode) {
+        let _gate = self.log.enter(|| Commit::SetMode { core, mode });
+        self.cores[core].mode = mode;
+    }
+
+    /// Make `t` the current thread of `core` with no switch: no image
+    /// change and no machine traffic, unlike [`Kernel::make_current`]. A
+    /// setup write, e.g. for Table 5's IPC pair.
+    pub fn set_current(&mut self, core: usize, t: TcbId) {
+        let _gate = self.log.enter(|| Commit::SetCurrent { core, t });
+        self.cores[core].cur = Some(t);
+    }
+
+    /// Make `image` the active kernel image of `core` with no switch: no
+    /// stack copy, unlike [`Kernel::switch_image_fast`]. A setup write,
+    /// e.g. for the image Table 6 switches away from.
+    pub fn set_current_image(&mut self, core: usize, image: ImageId) {
+        let _gate = self.log.enter(|| Commit::SetCurrentImage { core, image });
+        self.cores[core].cur_image = image;
+    }
 }
 
 #[cfg(test)]

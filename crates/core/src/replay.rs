@@ -358,6 +358,9 @@ pub fn apply(m: &mut Machine, k: &mut Kernel, c: &Commit) {
             let _ = k.kernel_set_int(image, irq, ntfn);
         }
         Commit::SetPadCycles { image, cycles } => k.set_pad_cycles(image, cycles),
+        Commit::SetMode { core, mode } => k.set_mode(core, mode),
+        Commit::SetCurrent { core, t } => k.set_current(core, t),
+        Commit::SetCurrentImage { core, image } => k.set_current_image(core, image),
         Commit::Tick { core } => {
             let _ = k.handle_tick(m, core);
         }

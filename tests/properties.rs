@@ -519,8 +519,8 @@ fn registered_platforms_satisfy_invariants() {
     }
 }
 
-/// validate() actually rejects broken configurations (it is the gate the
-/// campaign binary runs before burning time on a platform).
+/// validate() actually rejects broken configurations (the registry's
+/// configurations pass it, checked above).
 #[test]
 fn validate_rejects_broken_configs() {
     use tp_sim::Platform;

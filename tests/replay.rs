@@ -149,3 +149,53 @@ fn commit_logging_does_not_perturb_simulated_time() {
         );
     }
 }
+
+/// A Table 5-style IPC setup drives the kernel directly: every core in
+/// open scheduling, the server current for its `Recv`, then the client
+/// current for the round trips. Its setup writes go through logged
+/// gateways, so the recording replays to the same state hash; replaying
+/// its syscalls alone does not.
+#[test]
+fn table5_style_ipc_setup_replays_to_the_same_state_hash() {
+    use tp_core::{Commit, EngineMode, ScriptDriver, SysReturn, Syscall};
+
+    let cap = ScriptDriver::EP_CAP;
+    for platform in Platform::ALL {
+        let genesis = Genesis::new(platform);
+        let Booted {
+            mut machine,
+            mut kernel,
+            driver,
+        } = genesis.boot();
+        // One thread of each domain, so each round trip crosses domains.
+        let (client, server) = (driver.threads[0], driver.threads[2]);
+        kernel.log.enable();
+        for core in 0..kernel.cores.len() {
+            kernel.set_mode(core, EngineMode::Open);
+        }
+        kernel.set_current(0, server);
+        let out = kernel.syscall(&mut machine, 0, server, Syscall::Recv { cap });
+        assert_eq!(out.ret, SysReturn::Blocked);
+        kernel.set_current(0, client);
+        for _ in 0..20 {
+            let out = kernel.syscall(&mut machine, 0, client, Syscall::Call { cap, msg: 1 });
+            assert_eq!(out.ret, SysReturn::Blocked);
+            assert_eq!(kernel.cores[0].cur, Some(server));
+            let out = kernel.syscall(&mut machine, 0, server, Syscall::ReplyRecv { cap, msg: 2 });
+            assert_eq!(out.ret, SysReturn::Blocked);
+            assert_eq!(kernel.cores[0].cur, Some(client));
+        }
+        let original = kernel.state_hash();
+        let commits = kernel.log.take();
+        let (rm, rk) = replay::replay(&genesis, &commits);
+        assert_eq!(rk.state_hash(), original, "{}", platform.key());
+        assert_eq!(rm.cycles(0), machine.cycles(0), "{}", platform.key());
+
+        let syscalls: Vec<Commit> = commits
+            .into_iter()
+            .filter(|c| matches!(c, Commit::Syscall { .. }))
+            .collect();
+        let (_, without_setup) = replay::replay(&genesis, &syscalls);
+        assert_ne!(without_setup.state_hash(), original, "{}", platform.key());
+    }
+}

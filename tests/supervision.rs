@@ -65,7 +65,7 @@ fn cell_pair(name: &'static str, platform: Platform) -> &'static CellPair {
     })
 }
 
-/// Serialise one cell's channels exactly as `campaign --json` would (wall
+/// Serialise one cell's channels exactly as `reproduce_all --json` would (wall
 /// time pinned so only the measurements matter).
 fn cell_json(name: &'static str, platform: Platform, channels: Vec<ChannelResult>) -> String {
     results_json(
@@ -142,7 +142,7 @@ fn transparent_on_every_platform() {
 
 /// A fault-free suite never trips the supervisor's failure accounting:
 /// nothing in this process injects faults, so the global counters that
-/// feed `BENCH-campaign.json`'s `supervisor` object all stay zero.
+/// feed `BENCH.json`'s `supervisor` object all stay zero.
 #[test]
 fn healthy_cells_leave_the_counters_untouched() {
     init_scale();
