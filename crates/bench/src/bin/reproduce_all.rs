@@ -24,14 +24,14 @@
 //! the golden file, its report on stderr, so stdout is the same with and
 //! without it.
 //!
-//! Every registry cell runs under the supervisor ([`tp_bench::supervise`]):
-//! a panicking, stalled or deadlocked cell is classified, retried with
-//! salted seeds and then quarantined into `goldens/quarantine.json`
-//! (written on every run, `[]` when healthy), and the other cells and
-//! sections still complete. `TP_FAULT` injects a deterministic fault (see
-//! `tp_core::fault`), and `TP_CELL_TIMEOUT` overrides the engine
-//! watchdog's per-cell deadline, otherwise derived from the previous
-//! run's `BENCH.json`.
+//! Every registry cell runs under the supervisor ([`tp_bench::supervise`]),
+//! with an engine-watchdog deadline derived from its registry cost and
+//! `TP_SAMPLES`: a panicking, stalled or deadlocked cell is classified
+//! (only a stall past its deadline is retried, on the same seeds) and
+//! quarantined into `goldens/quarantine.json` (written on every run, `[]`
+//! when healthy), and the other cells and sections still complete.
+//! `TP_FAULT` injects a deterministic fault (see `tp_core::fault`). The
+//! `--check` golden is the only artifact the run reads.
 //!
 //! A quarantined cell or a failing section is named on stderr, the rest
 //! still print, and the process exits 1; so does a verdict that differs
@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use tp_bench::campaign::{check_goldens, golden_json, results_json};
 use tp_bench::reproduce::{self, bench_json};
-use tp_bench::supervise::{self, quarantine_json};
+use tp_bench::supervise::quarantine_json;
 use tp_bench::{cli, store};
 use tp_core::FaultPlan;
 
@@ -77,27 +77,17 @@ fn reproduce_all() -> Result<ExitCode, ExitCode> {
         },
         None => None,
     };
-    // The fault plan and the deadline override must parse before any cell
-    // burns time, and even when no cell runs.
+    // The fault plan must parse before any cell burns time, and even when
+    // no cell runs.
     let plan = FaultPlan::from_env().map_err(|e| {
-        eprintln!("reproduce_all: {e}");
-        ExitCode::from(2)
-    })?;
-    let timeout = std::env::var("TP_CELL_TIMEOUT").ok();
-    supervise::parse_cell_timeout(timeout.as_deref()).map_err(|e| {
         eprintln!("reproduce_all: {e}");
         ExitCode::from(2)
     })?;
     if let Some(p) = &plan {
         eprintln!("[fault injection armed: {p}]");
     }
-    // Per-cell deadlines derive from the previous run's wall times; a
-    // missing or stale record degrades to a generous default.
-    let history = std::fs::read_to_string("BENCH.json")
-        .map(|t| supervise::parse_bench_history(&t))
-        .unwrap_or_default();
 
-    let r = reproduce::run(&args.only, args.all_cells(), plan.as_ref(), &history);
+    let r = reproduce::run(&args.only, args.all_cells(), plan.as_ref());
     let mut failed = !r.quarantine.is_empty();
     for (name, text) in &r.sections {
         match text {

@@ -96,10 +96,10 @@ pub(crate) struct CellRow {
 /// says, and seed 1 is the first seed that agrees with it. Only an error
 /// that seed 3 alone would have raised goes unseen.
 ///
-/// Each seed is XORed with the supervisor's retry salt
-/// ([`crate::supervise::retry_salt`], zero outside a retry), so a retried
-/// cell explores fresh seeds deterministically while a first attempt is
-/// byte-identical to an unsupervised run.
+/// Each seed is XORed with the thread's seed salt
+/// ([`crate::supervise::retry_salt`]). Every supervised attempt runs at
+/// salt zero, the canonical seeds; only a caller that sets the salt inside
+/// its cell closure explores other seeds.
 pub(crate) fn vote(
     channel: &'static str,
     mechanism: &'static str,
@@ -187,8 +187,9 @@ pub struct ExperimentDef {
     /// Relative cost weight (higher = slower): the mean wall time of one
     /// cell in tens of milliseconds, read off the per-cell `seconds` of a
     /// `TP_SAMPLES=0.25` run's `BENCH.json`. `reproduce_all` schedules
-    /// heavier experiments first so they overlap with the cheap tail; only
-    /// the schedule depends on it, never a result.
+    /// heavier experiments first so they overlap with the cheap tail, and
+    /// derives each cell's watchdog deadline from it; neither changes a
+    /// result.
     pub cost: u32,
     /// Which platforms the experiment supports.
     pub supports: fn(Platform) -> bool,

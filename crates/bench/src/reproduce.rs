@@ -14,11 +14,12 @@
 //! sections are rendered in paper order afterwards, the report reads the
 //! same at every `TP_THREADS`.
 //!
-//! Every registry cell runs under the supervisor ([`crate::supervise`]):
-//! a cell that panics, stalls or deadlocks is retried with salted seeds
-//! and then quarantined, so one sick cell fails only the sections that
-//! read it. A healthy cell's first attempt is its unsupervised run, so
-//! the supervisor changes no result.
+//! Every registry cell runs under the supervisor ([`crate::supervise`]),
+//! with a deadline derived from its registry cost. A cell that panics or
+//! deadlocks is quarantined after one attempt, and one that outlasts its
+//! deadline after [`supervise::MAX_ATTEMPTS`], so one sick cell fails
+//! only the sections that read it. Every attempt runs the canonical
+//! seeds, so the supervisor changes no result.
 
 use crate::campaign::{self, CellRow, ExperimentDef, ExperimentResult};
 use crate::cli::ArgStream;
@@ -226,21 +227,17 @@ pub struct Reproduction {
 /// carries every verdict the golden file pins.
 ///
 /// Each cell runs under [`supervise::run_cell`] with `plan` armed where it
-/// matches the cell, and a deadline derived from the cell's seconds in
-/// `history` (a previous `BENCH.json`, see
-/// [`supervise::parse_bench_history`]) unless `TP_CELL_TIMEOUT` sets it.
+/// matches the cell, and the [`supervise::cell_deadline`] of its expected
+/// seconds: [`ExperimentDef::cost`] scaled from `TP_SAMPLES=0.25` to the
+/// run's `TP_SAMPLES`.
 #[must_use]
-pub fn run(
-    only: &[&str],
-    all_cells: bool,
-    plan: Option<&FaultPlan>,
-    history: &BTreeMap<(String, String), f64>,
-) -> Reproduction {
+pub fn run(only: &[&str], all_cells: bool, plan: Option<&FaultPlan>) -> Reproduction {
     let selected: Vec<&Section> = SECTIONS
         .iter()
         .filter(|s| only.is_empty() || only.contains(&s.name))
         .collect();
     let registry = campaign::registry();
+    let scale = crate::util::effort() / 0.25;
     let mut jobs: Vec<Job> = Vec::new();
     for d in &registry {
         for p in Platform::ALL {
@@ -250,8 +247,8 @@ pub fn run(
                     .any(|(name, ps)| *name == d.name && ps.contains(&p))
             });
             if (d.supports)(p) && (all_cells || rendered) {
-                let seconds = history.get(&(d.name.to_string(), p.key().to_string()));
-                jobs.push(Job::Cell(*d, p, supervise::cell_deadline(seconds.copied())));
+                let expected = f64::from(d.cost) / 100.0 * scale;
+                jobs.push(Job::Cell(*d, p, supervise::cell_deadline(Some(expected))));
             }
         }
     }
@@ -379,8 +376,8 @@ fn peak_rss_mb() -> Option<f64> {
 /// 3's is its prefetcher-disabled follow-up) and each registry cell
 /// (`cells`). CI budgets each named section and each registry
 /// experiment's summed cell seconds, the total and the peak RSS, and
-/// gates a healthy run's supervisor object to all zeroes; the next run
-/// derives its cell deadlines from `cells`.
+/// gates a healthy run's supervisor object to all zeroes. Nothing reads
+/// the file back.
 ///
 /// With `threads > 1` the jobs run concurrently, so their times overlap
 /// and can sum to more than `total_seconds`; size budgets from a
@@ -465,7 +462,7 @@ mod tests {
 
     #[test]
     fn a_pass_without_registry_sections_runs_no_cell() {
-        let r = run(&["table1", "table5"], false, None, &BTreeMap::new());
+        let r = run(&["table1", "table5"], false, None);
         assert!(r.cells.is_empty() && r.quarantine.is_empty());
         let names: Vec<_> = r.sections.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["table1", "table5"]);

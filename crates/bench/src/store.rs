@@ -4,8 +4,9 @@
 //! * [`write_atomic`] writes the payload, plain JSON, to a temp file,
 //!   syncs it and renames it into place, so a kill mid-write leaves the
 //!   previous version whole; [`read_artifact`] is a plain read.
-//! * [`str_field`] and [`num_field`] read one `"name": value` off a
-//!   machine-written line (golden verdicts, `BENCH.json` cells).
+//! * [`str_field`] reads one `"name": "value"` off a machine-written
+//!   line of the golden verdicts (the tests read numbers with
+//!   `num_field`).
 //! * [`Journal`] appends one checksummed [`CellRecord`] per completed
 //!   cell. Nothing in this workspace reads it back: it is kept only for
 //!   the benchmark's `campaign` workload (`perfbench/`), which times the
@@ -87,10 +88,10 @@ pub fn write_atomic(path: impl AsRef<Path>, payload: &str) -> std::io::Result<()
 }
 
 // ------------------------------------------------------- field extraction
-// Every file the harness reads back — golden verdicts, the `cells` of a
-// previous `BENCH.json` — is machine-written with one object per line in
-// the `"name": value` spelling these readers expect. A full JSON parser
-// would be a dependency for no robustness gain.
+// The one file the harness reads back, the golden verdicts, is
+// machine-written with one object per line in the `"name": value`
+// spelling these readers expect. A full JSON parser would be a dependency
+// for no robustness gain.
 
 /// The string value of the first `"name": "value"` in `line` (no escape
 /// handling: the writers never emit a quote inside a value they read back).
@@ -103,8 +104,9 @@ pub fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
 }
 
 /// The numeric value of the first `"name": <number>` in `line`.
+#[cfg(test)]
 #[must_use]
-pub fn num_field(line: &str, name: &str) -> Option<f64> {
+pub(crate) fn num_field(line: &str, name: &str) -> Option<f64> {
     let tag = format!("\"{name}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];

@@ -5,22 +5,25 @@
 //! engine's cooperative watchdog as its only deadline (a hang outside the
 //! engine is not caught; no fault class reaches one), classifies every
 //! failure into a [`CellOutcome`] by its typed [`SimErrorKind`] (a caught
-//! panic is `Panicked`, whatever its message), retries transient classes with
-//! deterministically bumped seeds, and hands `reproduce_all` enough
-//! structure to quarantine the cell and keep going — one sick cell never
-//! hides the other cells' verdicts.
+//! panic is `Panicked`, whatever its message), and hands `reproduce_all`
+//! enough structure to quarantine the cell and keep going — one sick cell
+//! never hides the other cells' verdicts.
 //!
-//! The state machine per cell:
+//! Every outcome but a watchdog timeout is a deterministic function of the
+//! cell, its seeds and `TP_SAMPLES`, so only `TimedOut` — the one outcome
+//! that depends on the host — is retried, and every attempt runs the
+//! canonical seeds. A retry can therefore only finish what a slow host cut
+//! short, never change a result. The state machine per cell:
 //!
 //! ```text
-//!         ┌──────────── retry (≤2, seed-bumped) ────────────┐
+//!         ┌──────────── retry (≤2, same seeds) ─────────────┐
 //!         ▼                                                 │
 //!   arm → run ─ Ok ──→ selfchecks ──→ Ok                    │
 //!         │             │                                   │
 //!         │             └ env died in isolation → EnvFailed │
-//!         ├─ SimError(watchdog)         → TimedOut ─────────┤
-//!         ├─ SimError(deadlock)         → Deadlock ─────────┤
-//!         └─ panic / SimError(program)  → Panicked ─────────┘
+//!         ├─ SimError(watchdog)         → TimedOut ─────────┘
+//!         ├─ SimError(deadlock)         → Deadlock
+//!         └─ panic / SimError(program)  → Panicked
 //! ```
 //!
 //! All counters feed the `supervisor` object of `BENCH.json`; a healthy
@@ -29,35 +32,31 @@
 //! unit test below, and the `chaos` binary fuzzes them over real cells.
 
 use crate::campaign::ChannelResult;
-use crate::store::{num_field, str_field};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tp_core::{fault, FaultKind, FaultPlan, SimError, SimErrorKind};
 
-/// Maximum attempts per cell: the first run plus two seed-bumped retries.
+/// Maximum attempts per cell: the first run plus two retries of a
+/// watchdog timeout.
 pub const MAX_ATTEMPTS: u32 = 3;
 
-/// Seed-salt stride between attempts. Attempt `n` salts every vote seed
-/// with `n * RETRY_SALT_STRIDE`; attempt 0 therefore runs the canonical
-/// seeds and is byte-identical to an unsupervised run.
-pub const RETRY_SALT_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
 thread_local! {
-    /// The seed salt for the attempt running on this thread (0 outside a
-    /// retry). Read by the registry's `vote` when deriving channel seeds.
+    /// The seed salt for work running on this thread, XORed into every
+    /// vote seed by the registry's `vote`. Every supervised attempt starts
+    /// at 0, the canonical seeds; a caller exploring other seeds sets it
+    /// inside its cell closure.
     static RETRY_SALT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Set the retry salt for work subsequently run on this thread.
+/// Set the seed salt for work subsequently run on this thread.
 pub fn set_retry_salt(salt: u64) {
     RETRY_SALT.with(|c| c.set(salt));
 }
 
-/// The retry salt of the current thread (0 outside a supervised retry).
+/// The seed salt of the current thread (0 unless a cell closure set it).
 #[must_use]
 pub fn retry_salt() -> u64 {
     RETRY_SALT.with(Cell::get)
@@ -112,14 +111,14 @@ pub fn note_quarantined() {
 pub enum CellOutcome {
     /// The cell completed and passed every selfcheck.
     Ok,
-    /// Every attempt panicked (host panic or simulated-program failure).
+    /// The attempt panicked (host panic or simulated-program failure).
     Panicked,
     /// Every attempt was stopped by the engine watchdog.
     TimedOut,
     /// The cell completed, but one or more non-primary environments failed
     /// in isolation: partial results over the survivors, not a quarantine.
     EnvFailed,
-    /// Every attempt ended in a deterministic scheduler deadlock (the
+    /// The attempt ended in a deterministic scheduler deadlock (the
     /// driver proved no environment can ever be admitted again).
     Deadlock,
 }
@@ -147,7 +146,7 @@ pub struct CellReport<T = Vec<ChannelResult>> {
     /// The cell's results, when an attempt completed (present for
     /// [`CellOutcome::Ok`] and for the degraded-but-complete classes).
     pub channels: Option<T>,
-    /// Attempts consumed (1 ⇒ no retry).
+    /// Attempts consumed (1 ⇒ no retry; only a timeout is retried).
     pub attempts: u32,
     /// Environments that failed in isolation during the reported attempt
     /// (non-zero only for [`CellOutcome::EnvFailed`]).
@@ -183,12 +182,11 @@ impl Drop for Disarm {
 fn run_attempt<T>(
     armed: Option<FaultKind>,
     deadline: Duration,
-    salt: u64,
     f: &dyn Fn() -> Result<T, SimError>,
 ) -> Result<(T, u64), (CellOutcome, String)> {
     fault::arm(armed);
     fault::set_deadline(Some(Instant::now() + deadline));
-    set_retry_salt(salt);
+    set_retry_salt(0);
     let _disarm = Disarm;
     // The engine counts isolated env failures on the thread that drives
     // the system, so this delta is exactly this attempt's, whatever other
@@ -212,8 +210,9 @@ fn run_attempt<T>(
 
 /// Supervise one cell: run `f` on the calling thread with the given fault
 /// plan (if it matches this cell) and the engine's wall-clock deadline,
-/// classify the outcome, and retry panicked/timed-out attempts up to
-/// [`MAX_ATTEMPTS`] with deterministically salted seeds.
+/// classify the outcome, and retry a watchdog timeout up to
+/// [`MAX_ATTEMPTS`] on the same canonical seeds. Any other failure is
+/// deterministic, so it is reported after one attempt.
 pub fn run_cell<T>(
     experiment: &str,
     platform: &str,
@@ -224,13 +223,10 @@ pub fn run_cell<T>(
     let armed = plan
         .filter(|p| p.matches(experiment, platform))
         .map(|p| p.kind);
-    let mut last = (CellOutcome::Panicked, String::new());
-    for attempt in 0..MAX_ATTEMPTS {
-        if attempt > 0 {
-            RETRIES.fetch_add(1, Ordering::Relaxed);
-        }
-        let salt = u64::from(attempt).wrapping_mul(RETRY_SALT_STRIDE);
-        match run_attempt(armed, deadline, salt, &f) {
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        match run_attempt(armed, deadline, &f) {
             Ok((channels, env_failed)) => {
                 // Graceful degradation, not a quarantine: partial results
                 // over the surviving environments.
@@ -242,7 +238,7 @@ pub fn run_cell<T>(
                 return CellReport {
                     outcome,
                     channels: Some(channels),
-                    attempts: attempt + 1,
+                    attempts,
                     env_failed,
                     error: (env_failed > 0).then(|| {
                         format!(
@@ -259,16 +255,19 @@ pub fn run_cell<T>(
                     _ => &PANICS,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                last = (outcome, msg);
+                if outcome == CellOutcome::TimedOut && attempts < MAX_ATTEMPTS {
+                    RETRIES.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                return CellReport {
+                    outcome,
+                    channels: None,
+                    attempts,
+                    env_failed: 0,
+                    error: Some(msg),
+                };
             }
         }
-    }
-    CellReport {
-        outcome: last.0,
-        channels: None,
-        attempts: MAX_ATTEMPTS,
-        env_failed: 0,
-        error: Some(last.1),
     }
 }
 
@@ -330,72 +329,15 @@ pub fn pair_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
     Ok(Vec::new())
 }
 
-/// Parse a `TP_CELL_TIMEOUT` value (seconds). `None`/empty means "unset";
-/// anything set but not a positive finite number is a hard error naming
-/// the variable — a typo must never silently degrade to the default
-/// deadline and let a wedged cell run 10× longer than asked.
-///
-/// # Errors
-/// A human-readable message naming `TP_CELL_TIMEOUT` and the rejected
-/// value.
-pub fn parse_cell_timeout(raw: Option<&str>) -> Result<Option<Duration>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.parse::<f64>() {
-        Ok(v) if v > 0.0 && v.is_finite() => Ok(Some(Duration::from_secs_f64(v))),
-        _ => Err(format!(
-            "TP_CELL_TIMEOUT: `{raw}` is not a positive number of seconds"
-        )),
-    }
-}
-
-/// The `TP_CELL_TIMEOUT` override, if set. Exits with status 2 on a
-/// malformed value, naming the variable — same contract as `TP_FAULT`.
-fn cell_timeout_override() -> Option<Duration> {
-    match parse_cell_timeout(std::env::var("TP_CELL_TIMEOUT").ok().as_deref()) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The wall-clock deadline for one cell: 20× its last recorded wall time
-/// (clamped to \[30 s, 600 s\]), 120 s with no history, and whatever
-/// `TP_CELL_TIMEOUT` (seconds) says when set.
+/// The wall-clock deadline for one cell expected to take
+/// `expected_seconds`: 20× that, clamped to \[30 s, 600 s\], and 120 s
+/// with no expectation.
 #[must_use]
-pub fn cell_deadline(history_seconds: Option<f64>) -> Duration {
-    if let Some(d) = cell_timeout_override() {
-        return d;
-    }
-    match history_seconds {
+pub fn cell_deadline(expected_seconds: Option<f64>) -> Duration {
+    match expected_seconds {
         Some(s) if s > 0.0 => Duration::from_secs_f64((s * 20.0).clamp(30.0, 600.0)),
         _ => Duration::from_secs(120),
     }
-}
-
-/// Parse the `cells` records of a previous `BENCH.json` into a
-/// per-cell wall-time history (seconds), for deadline derivation. The
-/// file is machine-written one cell object per line; unknown lines are
-/// skipped, so a missing or stale file degrades to the default deadline.
-#[must_use]
-pub fn parse_bench_history(text: &str) -> BTreeMap<(String, String), f64> {
-    let mut m = BTreeMap::new();
-    for line in text.lines() {
-        let (Some(exp), Some(plat), Some(secs)) = (
-            str_field(line, "experiment"),
-            str_field(line, "platform"),
-            num_field(line, "seconds"),
-        ) else {
-            continue;
-        };
-        m.insert((exp.to_string(), plat.to_string()), secs);
-    }
-    m
 }
 
 /// One quarantined cell, as written to `goldens/quarantine.json`.
@@ -411,6 +353,27 @@ pub struct QuarantineEntry {
     pub attempts: u32,
     /// The last failure message.
     pub error: String,
+}
+
+/// `text` as the body of a JSON string: `\`, `"` and the control
+/// characters U+0000–U+001F escaped, as RFC 8259 requires, so a
+/// multi-line panic message stays one valid line.
+fn json_escape(text: &str) -> String {
+    let mut s = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '\\' => s.push_str("\\\\"),
+            '"' => s.push_str("\\\""),
+            '\n' => s.push_str("\\n"),
+            '\r' => s.push_str("\\r"),
+            '\t' => s.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(s, "\\u{:04x}", u32::from(c));
+            }
+            c => s.push(c),
+        }
+    }
+    s
 }
 
 /// Serialise the quarantine ledger: a JSON array, one entry per line,
@@ -431,7 +394,7 @@ pub fn quarantine_json(entries: &[QuarantineEntry]) -> String {
             e.platform,
             e.outcome.name(),
             e.attempts,
-            e.error.replace('\\', "\\\\").replace('"', "\\\""),
+            json_escape(&e.error),
         );
     }
     s.push_str("]\n");
@@ -488,16 +451,13 @@ mod tests {
     }
 
     #[test]
-    fn env_panic_classifies_as_panicked_with_deterministic_retries() {
+    fn env_panic_classifies_as_panicked_without_retry() {
         let p = FaultPlan::new(FaultKind::EnvPanic { at: 3 });
         let r1 = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
             probe_cell(0xA11C_E001)
         });
         assert_eq!(r1.outcome, CellOutcome::Panicked);
-        assert_eq!(
-            r1.attempts, MAX_ATTEMPTS,
-            "deterministic fault on every attempt"
-        );
+        assert_eq!(r1.attempts, 1, "a deterministic fault is not retried");
         assert!(r1.channels.is_none());
         assert!(
             r1.error.as_deref().unwrap_or("").contains("env-panic"),
@@ -527,6 +487,28 @@ mod tests {
         );
     }
 
+    /// A timeout is the one outcome a slow host can cause, so it is
+    /// retried, and on the canonical seeds: the retry reruns exactly the
+    /// work the deadline cut short.
+    #[test]
+    fn watchdog_timeout_retries_on_the_canonical_seeds() {
+        let salts = std::cell::RefCell::new(Vec::new());
+        let r = run_cell("tiny", "haswell", None, Duration::from_secs(60), || {
+            salts.borrow_mut().push(retry_salt());
+            if salts.borrow().len() == 1 {
+                return Err(SimError {
+                    kind: SimErrorKind::Watchdog,
+                    message: "watchdog: deadline passed".into(),
+                });
+            }
+            Ok(())
+        });
+        assert_eq!(r.outcome, CellOutcome::Ok, "{:?}", r.error);
+        assert_eq!(r.attempts, 2);
+        assert!(r.channels.is_some() && r.error.is_none());
+        assert_eq!(salts.into_inner(), [0, 0], "every attempt runs seed salt 0");
+    }
+
     /// A primary program that panics with `msg`.
     fn panicking_primary_cell(msg: &'static str) -> Result<Vec<ChannelResult>, SimError> {
         use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
@@ -541,10 +523,11 @@ mod tests {
     }
 
     /// Every attempt runs on the calling thread with its deadline armed,
-    /// and however a cell ends — healthy, panicked, or stopped by the
-    /// engine watchdog — it leaves that thread with no fault, deadline or
-    /// salt, so the next healthy cell on it runs clean. Failures classify
-    /// by their typed kind, never by what a panic message happens to say.
+    /// and however a cell ends — healthy, panicked after its one attempt,
+    /// or stopped by the engine watchdog on every attempt — it leaves that
+    /// thread with no fault, deadline or salt, so the next healthy cell on
+    /// it runs clean. Failures classify by their typed kind, never by what
+    /// a panic message happens to say.
     #[test]
     fn attempts_run_on_the_caller_and_leave_it_disarmed() {
         let here = std::thread::current().id();
@@ -565,7 +548,7 @@ mod tests {
                 long,
                 &probe,
                 CellOutcome::Panicked,
-                n,
+                1,
                 "env-panic",
             ),
             (
@@ -581,7 +564,7 @@ mod tests {
                 long,
                 &named_deadlock,
                 CellOutcome::Panicked,
-                n,
+                1,
                 "in name only",
             ),
             (
@@ -589,7 +572,7 @@ mod tests {
                 long,
                 &named_watchdog,
                 CellOutcome::Panicked,
-                n,
+                1,
                 "in name only",
             ),
             (None, long, &probe, CellOutcome::Ok, 1, ""),
@@ -618,37 +601,11 @@ mod tests {
     }
 
     #[test]
-    fn cell_timeout_parses_or_errors_naming_the_variable() {
-        assert_eq!(parse_cell_timeout(None), Ok(None));
-        assert_eq!(parse_cell_timeout(Some("")), Ok(None));
-        assert_eq!(parse_cell_timeout(Some("  ")), Ok(None));
-        assert_eq!(
-            parse_cell_timeout(Some("1.5")),
-            Ok(Some(Duration::from_secs_f64(1.5)))
-        );
-        assert_eq!(
-            parse_cell_timeout(Some(" 120 ")),
-            Ok(Some(Duration::from_secs(120)))
-        );
-        for bad in ["soon", "0", "-5", "12s", "inf"] {
-            let err = parse_cell_timeout(Some(bad)).unwrap_err();
-            assert!(err.contains("TP_CELL_TIMEOUT"), "{err}");
-            assert!(err.contains(bad), "{err}");
-        }
-    }
-
-    #[test]
-    fn deadline_derivation_and_history_parse() {
+    fn deadline_derivation_scales_and_clamps() {
         assert_eq!(cell_deadline(None), Duration::from_secs(120));
         assert_eq!(cell_deadline(Some(1.0)), Duration::from_secs(30));
         assert_eq!(cell_deadline(Some(10.0)), Duration::from_secs(200));
         assert_eq!(cell_deadline(Some(1e6)), Duration::from_secs(600));
-
-        let hist = parse_bench_history(
-            "{\n  \"cells\": [\n    {\"experiment\": \"l1d\", \"platform\": \"haswell\", \"seconds\": 1.250},\n    {\"experiment\": \"llc\", \"platform\": \"skylake\", \"seconds\": 9.000}\n  ]\n}\n",
-        );
-        assert_eq!(hist.len(), 2);
-        assert!((hist[&("l1d".into(), "haswell".into())] - 1.25).abs() < 1e-9);
     }
 
     #[test]
@@ -660,7 +617,7 @@ mod tests {
                 pair_cell(0xA11C_E007)
             });
             assert_eq!(r.outcome, CellOutcome::Deadlock, "{:?}", r.error);
-            assert_eq!(r.attempts, MAX_ATTEMPTS, "deterministic on every attempt");
+            assert_eq!(r.attempts, 1, "a deterministic deadlock is not retried");
             let err = r.error.expect("deadlock detail");
             assert!(err.starts_with("deadlock:"), "{err}");
             assert!(err.contains("at interaction"), "{err}");
@@ -730,16 +687,33 @@ mod tests {
     #[test]
     fn quarantine_ledger_roundtrips_shape() {
         assert_eq!(quarantine_json(&[]), "[]\n");
-        let entries = vec![QuarantineEntry {
-            experiment: "l1d".into(),
-            platform: "haswell".into(),
-            outcome: CellOutcome::Panicked,
-            attempts: 3,
-            error: "injected fault: env-panic at syscall 3".into(),
-        }];
+        let entries = vec![
+            QuarantineEntry {
+                experiment: "l1d".into(),
+                platform: "haswell".into(),
+                outcome: CellOutcome::Panicked,
+                attempts: 1,
+                error: "injected fault: env-panic at syscall 3".into(),
+            },
+            QuarantineEntry {
+                experiment: "tlb".into(),
+                platform: "sabre".into(),
+                outcome: CellOutcome::Panicked,
+                attempts: 1,
+                error: "assertion `left == right` failed\n  left: 1\r\n\t\"right\": 2\u{1}".into(),
+            },
+        ];
         let s = quarantine_json(&entries);
         assert!(s.contains("\"outcome\": \"panicked\""));
-        assert!(s.contains("\"attempts\": 3"));
+        assert!(s.contains("\"attempts\": 1"));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
+        // One line per entry plus the brackets: no raw control character
+        // survives, so the file is valid JSON.
+        assert_eq!(s.lines().count(), entries.len() + 2, "{s}");
+        assert!(
+            s.contains(r#"failed\n  left: 1\r\n\t\"right\": 2\u0001""#),
+            "{s}"
+        );
+        assert!(!s.chars().any(|c| c.is_control() && c != '\n'), "{s}");
     }
 }

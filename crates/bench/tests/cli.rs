@@ -88,15 +88,16 @@ fn only_with_an_unknown_section_exits_2_naming_the_valid_ones() {
 #[test]
 fn malformed_fault_variables_exit_2_naming_them() {
     let dir = workdir("env");
-    for (var, value) in [("TP_FAULT", "env-panic@x"), ("TP_CELL_TIMEOUT", "soon")] {
+    // A trigger point that is not a number, and one below the 1-based range.
+    for value in ["env-panic@x", "env-panic@0"] {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce_all"))
             .args(["--only", "table1"])
             .current_dir(&dir)
-            .env(var, value)
+            .env("TP_FAULT", value)
             .output()
             .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{var}: {}", stderr(&out));
-        assert!(stderr(&out).contains(var), "{}", stderr(&out));
+        assert_eq!(out.status.code(), Some(2), "{value}: {}", stderr(&out));
+        assert!(stderr(&out).contains("TP_FAULT"), "{}", stderr(&out));
         assert!(out.stdout.is_empty());
     }
     let _ = std::fs::remove_dir_all(&dir);

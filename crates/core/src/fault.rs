@@ -83,12 +83,12 @@ impl FaultPlan {
     /// class := "env-panic" | "env-stall" | "lost-wakeup"
     /// ```
     ///
-    /// `@N` sets the trigger point (interaction ordinal or rotation
-    /// ordinal depending on class) and defaults per class.
+    /// `@N` sets the 1-based trigger point (interaction ordinal or
+    /// rotation ordinal depending on class) and defaults per class.
     ///
     /// # Errors
     /// Returns a human-readable message for an unknown class, a malformed
-    /// trigger point, or a malformed cell scope.
+    /// or zero trigger point, or a malformed cell scope.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let spec = spec.trim();
         let (head, cell) = match spec.split_once(":cell=") {
@@ -105,10 +105,10 @@ impl FaultPlan {
         };
         let (class, at) = match head.split_once('@') {
             Some((class, n)) => {
-                let n: u64 = n
-                    .parse()
-                    .map_err(|_| format!("trigger point `{n}` is not a non-negative integer"))?;
-                (class, Some(n))
+                let at = n.parse::<u64>().ok().filter(|&at| at > 0).ok_or_else(|| {
+                    format!("trigger point `{n}` is not a positive integer (ordinals count from 1)")
+                })?;
+                (class, Some(at))
             }
             None => (head, None),
         };
@@ -240,6 +240,16 @@ mod tests {
         assert!(FaultPlan::parse("env-panic@lots").is_err());
         assert!(FaultPlan::parse("env-panic:cell=flush").is_err());
         assert!(FaultPlan::parse("env-panic:cell=/haswell").is_err());
+        // Trigger points are 1-based, so `@0` would fire at 1 while the
+        // plan prints `@0`.
+        for zero in [
+            "env-panic@0",
+            "env-stall@0:cell=tlb/haswell",
+            "lost-wakeup@0",
+        ] {
+            let err = FaultPlan::parse(zero).unwrap_err();
+            assert!(err.contains("`0`"), "{err}");
+        }
         // The retired classes are unknown, and the error names the three
         // that remain.
         for retired in [

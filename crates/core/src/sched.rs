@@ -59,13 +59,6 @@ impl ReadyQueues {
         self.mark(prio, true);
     }
 
-    /// Enqueue at the head (used when a thread is preempted mid-operation
-    /// and must resume first).
-    pub fn enqueue_front(&mut self, prio: u8, t: TcbId) {
-        self.queue_mut(prio).push_front(t);
-        self.mark(prio, true);
-    }
-
     /// Highest ready priority, if any (constant-time via the bitmap).
     #[must_use]
     pub fn highest(&self) -> Option<u8> {
@@ -153,14 +146,6 @@ mod tests {
         let first = q.dequeue().unwrap();
         q.enqueue(5, first);
         assert_eq!(q.dequeue(), Some(TcbId(2)), "rotation must be fair");
-    }
-
-    #[test]
-    fn enqueue_front_preempts_rotation() {
-        let mut q = ReadyQueues::new();
-        q.enqueue(5, TcbId(1));
-        q.enqueue_front(5, TcbId(2));
-        assert_eq!(q.dequeue(), Some(TcbId(2)));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Graceful degradation through `reproduce_all`'s pass: one sick registry
-//! cell is quarantined after its retries, fails only the sections that
-//! read it, and leaves every other section exactly as a clean pass
+//! cell is quarantined after its one attempt, fails only the sections
+//! that read it, and leaves every other section exactly as a clean pass
 //! renders it.
 //!
 //! This file is its own test binary (one process), so the supervisor's
 //! process-wide counters see this test's cells and no other suite's.
 
-use std::collections::BTreeMap;
 use tp_bench::reproduce;
-use tp_bench::supervise::{self, CellOutcome, SupervisorCounters, MAX_ATTEMPTS};
+use tp_bench::supervise::{self, CellOutcome, SupervisorCounters};
 use tp_core::FaultPlan;
 
 /// Fig. 6 reads the one cell the plan makes sick; Tables 1 and 7 run
@@ -20,17 +19,17 @@ fn a_quarantined_cell_fails_only_the_sections_that_read_it() {
     // The cheapest sample scale: degradation is a property of the
     // supervisor and the pass, not of the statistics.
     std::env::set_var("TP_SAMPLES", "0.05");
-    let history = BTreeMap::new();
-    let clean = reproduce::run(&SECTIONS, false, None, &history);
+    let clean = reproduce::run(&SECTIONS, false, None);
     assert!(clean.quarantine.is_empty() && clean.degraded.is_empty());
     assert_eq!(clean.cells.len(), 1, "fig6 reads interrupt on haswell");
     assert_eq!(supervise::counters(), SupervisorCounters::default());
 
     // Interaction 3 of interrupt/haswell lands on a primary program, so
-    // every attempt panics (interactions 1 and 2 land on daemons, which
-    // would only degrade the cell).
+    // the attempt panics (interactions 1 and 2 land on daemons, which
+    // would only degrade the cell). A panic is deterministic, so it is
+    // not retried.
     let plan = FaultPlan::parse("env-panic@3:cell=interrupt/haswell").expect("plan parses");
-    let sick = reproduce::run(&SECTIONS, false, Some(&plan), &history);
+    let sick = reproduce::run(&SECTIONS, false, Some(&plan));
 
     let [entry] = sick.quarantine.as_slice() else {
         panic!("expected one quarantined cell: {:?}", sick.quarantine);
@@ -39,10 +38,7 @@ fn a_quarantined_cell_fails_only_the_sections_that_read_it() {
         (entry.experiment.as_str(), entry.platform.as_str()),
         ("interrupt", "haswell")
     );
-    assert_eq!(
-        (entry.outcome, entry.attempts),
-        (CellOutcome::Panicked, MAX_ATTEMPTS)
-    );
+    assert_eq!((entry.outcome, entry.attempts), (CellOutcome::Panicked, 1));
     assert!(entry.error.contains("env-panic"), "{}", entry.error);
     assert!(sick.cells.is_empty() && sick.degraded.is_empty());
 
@@ -57,8 +53,8 @@ fn a_quarantined_cell_fails_only_the_sections_that_read_it() {
     }
 
     let expected = SupervisorCounters {
-        retries: u64::from(MAX_ATTEMPTS - 1),
-        panics: u64::from(MAX_ATTEMPTS),
+        retries: 0,
+        panics: 1,
         quarantined: 1,
         ..SupervisorCounters::default()
     };
