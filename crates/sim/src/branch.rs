@@ -5,104 +5,77 @@
 //! **BHB channel** reproduces Evtyushkin et al.'s residual-state channel,
 //! where the sender's taken/not-taken history biases the receiver's
 //! conditional-branch latency. Both are reset by Arm `BPIALL` or the x86
-//! IBC (indirect branch control) feature, as used in §4.3.
+//! IBC (indirect branch control) feature, as used in §4.3. The BTB is one
+//! of the model's three set-associative arrays, with the caches and TLBs:
+//! it keys on the branch's instruction word and flushes in O(1).
 
+use crate::assoc::{find_way, Assoc};
 use crate::params::TlbGeom;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct BtbEntry {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-}
-
 /// Branch-target buffer: a set-associative cache of branch targets keyed by
-/// the branch instruction's virtual address.
+/// the branch instruction's virtual address. It keeps a tag row; recency
+/// and validity are the set headers it shares with the caches and TLBs.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: usize,
     ways: usize,
-    /// `sets - 1` for power-of-two set counts (mask instead of division).
-    set_mask: Option<u64>,
-    entries: Vec<BtbEntry>,
-    clock: u64,
+    /// `sets - 1`: `PlatformConfig::validate` pins power-of-two set counts.
+    set_mask: u64,
+    /// `log2(sets)`: the tag is the instruction word number above the set.
+    tag_shift: u32,
+    /// Per-entry tags, `ways` per set.
+    tags: Vec<u64>,
+    /// Per-set recency and validity.
+    assoc: Assoc,
 }
 
 impl Btb {
     /// Create an empty BTB with the given geometry.
+    ///
+    /// # Panics
+    /// Panics if the geometry has more than [`crate::cache::MAX_WAYS`]
+    /// ways (`PlatformConfig::validate` rejects such a platform).
     #[must_use]
     pub fn new(geom: TlbGeom) -> Self {
         let sets = geom.sets() as usize;
         let ways = geom.ways as usize;
+        debug_assert!(sets.is_power_of_two());
         Btb {
-            sets,
             ways,
-            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            entries: vec![BtbEntry::default(); sets * ways],
-            clock: 0,
+            set_mask: sets as u64 - 1,
+            tag_shift: sets.trailing_zeros(),
+            tags: vec![0; sets * ways],
+            assoc: Assoc::new("btb", sets, ways),
         }
     }
 
-    #[inline]
-    fn index(&self, pc: u64) -> (usize, u64) {
-        let word = pc >> 2;
-        match self.set_mask {
-            Some(m) => ((word & m) as usize, word >> (64 - m.leading_zeros())),
-            None => ((word % self.sets as u64) as usize, word / self.sets as u64),
-        }
-    }
-
-    /// Look up a branch at `pc`; on a miss its entry is installed. Only
-    /// presence is modelled: a hit predicts the target, a miss costs.
+    /// Look up a branch at `pc`; on a miss its entry is installed into the
+    /// first invalid (else LRU) way. Only presence is modelled: a hit
+    /// predicts the target, a miss costs.
     ///
     /// Returns `true` on a BTB hit.
     pub fn access(&mut self, pc: u64) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let (set, tag) = self.index(pc);
+        let word = pc >> 2;
+        let (set, tag) = ((word & self.set_mask) as usize, word >> self.tag_shift);
         let base = set * self.ways;
-        let slice = &mut self.entries[base..base + self.ways];
-        for e in slice.iter_mut() {
-            if e.valid && e.tag == tag {
-                e.stamp = clock;
-                return true;
-            }
+        let valid = self.assoc.header(set).valid;
+        if let Some(way) = find_way(&self.tags[base..base + self.ways], valid, tag) {
+            self.assoc.touch(set, way);
+            return true;
         }
-        let idx = slice
-            .iter()
-            .position(|e| !e.valid)
-            .or_else(|| {
-                slice
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(i, _)| i)
-            })
-            .unwrap_or(0);
-        slice[idx] = BtbEntry {
-            tag,
-            valid: true,
-            stamp: clock,
-        };
+        let (way, _) = self.assoc.fill(set, |lru| lru);
+        self.tags[base + way] = tag;
         false
     }
 
-    /// Invalidate all entries (BPIALL / IBC).
+    /// Invalidate all entries (BPIALL / IBC); returns how many were valid.
     pub fn flush(&mut self) -> u64 {
-        let mut n = 0;
-        for e in &mut self.entries {
-            if e.valid {
-                n += 1;
-                e.valid = false;
-            }
-        }
-        n
+        self.assoc.flush_all()
     }
 
     /// Number of valid entries.
     #[must_use]
     pub fn valid_entries(&self) -> u64 {
-        self.entries.iter().filter(|e| e.valid).count() as u64
+        self.assoc.valid()
     }
 }
 
@@ -206,6 +179,80 @@ mod tests {
         }
         assert!(b.flush() > 0);
         assert_eq!(b.valid_entries(), 0);
+    }
+
+    /// The BTB as it was before the shared set headers: per-entry
+    /// `(tag, valid, stamp)` from a 64-bit clock, and a full set's victim
+    /// the way of least stamp.
+    struct StampBtb {
+        sets: u64,
+        ways: usize,
+        entries: Vec<(u64, bool, u64)>,
+        clock: u64,
+    }
+
+    impl StampBtb {
+        fn access(&mut self, pc: u64) -> bool {
+            self.clock += 1;
+            let word = pc >> 2;
+            let base = (word % self.sets) as usize * self.ways;
+            let tag = word / self.sets;
+            let row = &mut self.entries[base..base + self.ways];
+            if let Some(e) = row.iter_mut().find(|e| e.1 && e.0 == tag) {
+                e.2 = self.clock;
+                return true;
+            }
+            let way = row
+                .iter()
+                .position(|e| !e.1)
+                .unwrap_or_else(|| (0..row.len()).min_by_key(|&w| row[w].2).unwrap());
+            row[way] = (tag, true, self.clock);
+            false
+        }
+
+        fn valid(&self) -> u64 {
+            self.entries.iter().filter(|e| e.1).count() as u64
+        }
+    }
+
+    /// [`Btb`] against the stamp BTB on random pcs and flushes, on 1–4
+    /// ways and 1–8 sets: every access's outcome, every flush's count, the
+    /// valid count and the tag of every valid entry.
+    #[test]
+    fn btb_matches_a_stamp_model() {
+        let mut r = crate::NoiseRng::seeded(0xb7b);
+        for case in 0..200 {
+            let ways = 1 + r.below(4) as u32;
+            let sets = 1 << r.below(4) as u32;
+            let mut b = Btb::new(TlbGeom {
+                entries: sets * ways,
+                ways,
+            });
+            let mut model = StampBtb {
+                sets: u64::from(sets),
+                ways: ways as usize,
+                entries: vec![(0, false, 0); (sets * ways) as usize],
+                clock: 0,
+            };
+            for step in 0..400 {
+                if r.below(50) == 0 {
+                    let n = model.valid();
+                    model.entries.iter_mut().for_each(|e| e.1 = false);
+                    assert_eq!(b.flush(), n, "case {case} step {step}");
+                } else {
+                    // Word numbers a little wider than the array, so hits,
+                    // fills and evictions all happen.
+                    let pc = 4 * r.below(u64::from(sets * (ways + 2)));
+                    assert_eq!(b.access(pc), model.access(pc), "case {case} step {step}");
+                }
+                assert_eq!(b.valid_entries(), model.valid(), "case {case} step {step}");
+                for (i, e) in model.entries.iter().enumerate().filter(|(_, e)| e.1) {
+                    let ways = ways as usize;
+                    assert!(b.assoc.header(i / ways).valid >> (i % ways) & 1 != 0);
+                    assert_eq!(b.tags[i], e.0, "case {case} step {step}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! Generic set-associative, write-back cache model.
 //!
 //! All caches in the simulated hierarchy (L1-D, L1-I, L2, the LLC slices)
-//! are instances of [`Cache`]. The model tracks per-line validity, dirtiness
-//! and recency; the attacks in `tp-attacks` observe it purely through
-//! latency, exactly as on real hardware.
+//! are instances of [`Cache`]. A cache keeps a 32-bit tag per line and
+//! matches on the tag; per-set validity, dirtiness and LRU order live in
+//! the set headers that the TLBs and the BTB share (`assoc`). On top the
+//! cache adds dirty-line accounting, write-backs, statistics and the
+//! pseudo-LRU noise draw on a full set's victim. The attacks in
+//! `tp-attacks` observe it purely through latency, exactly as on real
+//! hardware.
 
+use crate::assoc::{find_way, Assoc};
 use crate::noise::NoiseRng;
 use crate::params::CacheGeom;
+
+pub use crate::assoc::MAX_WAYS;
 
 /// Replacement policy for victim selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,30 +30,6 @@ pub enum Replacement {
         noise: u8,
     },
 }
-
-/// Largest usable epoch; reaching it triggers a physical clear of every
-/// set's header.
-const EPOCH_MAX: u32 = u32::MAX;
-
-/// A set's recency order as 4-bit way numbers can hold this many ways.
-pub const MAX_WAYS: u32 = 16;
-
-/// Per-set state: recency order, validity and dirtiness in 16 bytes.
-#[derive(Debug, Clone, Copy)]
-struct SetMeta {
-    /// The set's ways as 4-bit way numbers, most recent in the low nibble
-    /// and least recent in nibble `ways - 1`; nibbles above are zero.
-    order: u64,
-    /// Bit `w` set iff way `w` holds a valid line.
-    valid: u16,
-    /// Bit `w` set iff way `w` holds a dirty line (a subset of `valid`).
-    dirty: u16,
-    /// The cache epoch this header belongs to. A stale header reads as an
-    /// empty set and is reset on the set's next access.
-    epoch: u32,
-}
-
-const _: () = assert!(std::mem::size_of::<SetMeta>() == 16);
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,10 +76,9 @@ pub struct CacheStats {
 /// physically indexed. The cache itself only sees `(set, tag)` pairs plus a
 /// canonical line address used for write-back propagation.
 ///
-/// State is 4 bytes per line (its tag) plus a 16-byte `SetMeta` header
-/// per set: the set's LRU order as a move-to-front list of way numbers,
-/// so a full set's victim is one shift, and valid/dirty bitmasks. This
-/// bounds the model to [`MAX_WAYS`] ways and 32-bit tags.
+/// State is 4 bytes per line (its tag) plus a 16-byte header per set
+/// (LRU order and valid/dirty bitmasks). This bounds the model to
+/// [`MAX_WAYS`] ways and 32-bit tags.
 #[derive(Debug, Clone)]
 pub struct Cache {
     name: &'static str,
@@ -105,23 +87,9 @@ pub struct Cache {
     ways: usize,
     /// Per-line tags, `ways` per set (the hit-scan row).
     tags: Vec<u32>,
-    /// Per-set headers.
-    meta: Vec<SetMeta>,
+    /// Per-set recency, validity and dirtiness.
+    assoc: Assoc,
     policy: Replacement,
-    /// Accesses since the last recency renormalisation. Every `2^31 - 1`
-    /// accesses every set's order restarts at `fresh_order`, as
-    /// a 31-bit recency clock that is renormalised to all-zero stamps
-    /// would, ties going to the lowest way.
-    clock: u32,
-    /// Current validity epoch (starts at 1; headers start at 0, stale).
-    epoch: u32,
-    /// The order of a set nobody touched: way 0 least recent, way
-    /// `ways - 1` most recent.
-    fresh_order: u64,
-    /// Mask of a full set's `valid` bits.
-    full: u16,
-    /// Valid lines, maintained incrementally (O(1) flush accounting).
-    valid_count: u64,
     /// Valid dirty lines, maintained incrementally.
     dirty_count: u64,
     stats: CacheStats,
@@ -137,32 +105,14 @@ impl Cache {
     pub fn new(name: &'static str, geom: CacheGeom, policy: Replacement) -> Self {
         let sets = geom.sets() as usize;
         let ways = geom.ways as usize;
-        assert!(
-            (1..=MAX_WAYS as usize).contains(&ways),
-            "{name}: {ways} ways (the model holds 1..={MAX_WAYS})"
-        );
-        let fresh_order = (0..ways as u64).fold(0, |order, w| order << 4 | w);
         Cache {
             name,
             geom,
             sets,
             ways,
             tags: vec![0; sets * ways],
-            meta: vec![
-                SetMeta {
-                    order: fresh_order,
-                    valid: 0,
-                    dirty: 0,
-                    epoch: 0,
-                };
-                sets
-            ],
+            assoc: Assoc::new(name, sets, ways),
             policy,
-            clock: 0,
-            epoch: 1,
-            fresh_order,
-            full: (u32::MAX >> (32 - ways)) as u16,
-            valid_count: 0,
             dirty_count: 0,
             stats: CacheStats::default(),
         }
@@ -215,37 +165,16 @@ impl Cache {
         let Ok(tag) = u32::try_from(tag) else {
             panic!("{}: tag {tag:#x} does not fit in 32 bits", self.name);
         };
-        if self.clock == u32::MAX >> 1 {
-            // Renormalise recency (every ~2G accesses per cache):
-            // deterministic, and only the relative order within a set
-            // matters for LRU.
-            for m in &mut self.meta {
-                m.order = self.fresh_order;
-            }
-            self.clock = 0;
-        }
-        self.clock += 1;
         self.stats.accesses += 1;
         let ways = self.ways;
         let base = set * ways;
-        let m = &mut self.meta[set];
-        if m.epoch != self.epoch {
-            *m = SetMeta {
-                order: self.fresh_order,
-                valid: 0,
-                dirty: 0,
-                epoch: self.epoch,
-            };
-        } else if let Some(way) = find_way(&self.tags[base..base + ways], m.valid, tag) {
-            let bit = 1 << way;
-            if write && m.dirty & bit == 0 {
-                m.dirty |= bit;
+        let m = self.assoc.header(set);
+        if let Some(way) = find_way(&self.tags[base..base + ways], m.valid, tag) {
+            if write && m.dirty >> way & 1 == 0 {
+                self.assoc.mark_dirty(set, way);
                 self.dirty_count += 1;
             }
-            // Repeated hits on a set's newest line skip the reorder.
-            if m.order & 0xF != way as u64 {
-                m.order = to_front(m.order, way);
-            }
+            self.assoc.touch(set, way);
             return AccessOutcome {
                 hit: true,
                 writeback: false,
@@ -261,22 +190,18 @@ impl Cache {
         // Miss: the first invalid way, else the LRU way. An invalid way
         // consumes nothing from the noise stream; only pseudo-LRU draws
         // (so LRU caches never touch the stream at all).
-        let way = if m.valid != self.full {
-            self.valid_count += 1;
-            (!m.valid).trailing_zeros() as usize
-        } else {
-            let lru = (m.order >> (4 * (ways - 1))) as usize & 0xF;
-            let way = match self.policy {
-                Replacement::Lru => lru,
-                Replacement::PseudoLru { noise: p } => {
-                    if noise.next_u8() < p {
-                        noise.below(ways as u64) as usize
-                    } else {
-                        lru
-                    }
+        let policy = self.policy;
+        let (way, evicted) = self.assoc.fill(set, |lru| match policy {
+            Replacement::Lru => lru,
+            Replacement::PseudoLru { noise: p } => {
+                if noise.next_u8() < p {
+                    noise.below(ways as u64) as usize
+                } else {
+                    lru
                 }
-            };
-            let dirty = m.dirty >> way & 1 != 0;
+            }
+        });
+        if let Some(dirty) = evicted {
             outcome.evicted = Some(EvictedLine {
                 line_addr: u64::from(self.tags[base + way]) * self.sets as u64 + set as u64,
                 dirty,
@@ -286,13 +211,11 @@ impl Cache {
                 self.stats.writebacks += 1;
                 self.dirty_count -= 1;
             }
-            way
-        };
-        let bit = 1 << way;
-        m.valid |= bit;
-        m.dirty = m.dirty & !bit | u16::from(write) << way;
-        m.order = to_front(m.order, way);
-        self.dirty_count += u64::from(write);
+        }
+        if write {
+            self.assoc.mark_dirty(set, way);
+            self.dirty_count += 1;
+        }
         self.tags[base + way] = tag;
         debug_assert_eq!(line_addr % self.sets as u64, set as u64 % self.sets as u64);
         outcome
@@ -300,12 +223,13 @@ impl Cache {
 
     /// The way of set `set` holding a valid `tag`, if any.
     fn lookup(&self, set: usize, tag: u64) -> Option<usize> {
-        let m = self.meta[set];
         let tag = u32::try_from(tag).ok()?;
         let base = set * self.ways;
-        (m.epoch == self.epoch)
-            .then(|| find_way(&self.tags[base..base + self.ways], m.valid, tag))
-            .flatten()
+        find_way(
+            &self.tags[base..base + self.ways],
+            self.assoc.header(set).valid,
+            tag,
+        )
     }
 
     /// Probe without filling: returns `true` on a hit (used by inclusive
@@ -321,12 +245,7 @@ impl Cache {
         let Some(way) = self.lookup(set, tag) else {
             return (false, false);
         };
-        let m = &mut self.meta[set];
-        let bit = 1 << way;
-        let dirty = m.dirty & bit != 0;
-        m.valid &= !bit;
-        m.dirty &= !bit;
-        self.valid_count -= 1;
+        let dirty = self.assoc.invalidate(set, way);
         self.stats.flushed_lines += 1;
         if dirty {
             self.dirty_count -= 1;
@@ -340,22 +259,10 @@ impl Cache {
     ///
     /// Returns `(valid_lines, dirty_lines)` — the dirty count drives the
     /// write-back latency that the paper's cache-flush channel (§5.3.4)
-    /// modulates. O(1): validity is epoch-tagged per set and the counts
-    /// are maintained incrementally, so no line is touched.
+    /// modulates. O(1): no line is touched.
     pub fn flush_all(&mut self) -> (u64, u64) {
-        let valid = self.valid_count;
-        let dirty = self.dirty_count;
-        if self.epoch == EPOCH_MAX {
-            // Epoch exhaustion (every ~4G flushes): mark every header
-            // stale and restart. Deterministic and invisible to callers.
-            for m in &mut self.meta {
-                m.epoch = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.valid_count = 0;
-        self.dirty_count = 0;
+        let valid = self.assoc.flush_all();
+        let dirty = std::mem::take(&mut self.dirty_count);
         self.stats.flushed_lines += valid;
         self.stats.writebacks += dirty;
         (valid, dirty)
@@ -373,37 +280,24 @@ impl Cache {
     /// [`Cache::valid_lines`], whose debug check rescans every set.
     #[must_use]
     pub(crate) fn is_empty(&self) -> bool {
-        self.valid_count == 0
-    }
-
-    /// The `(valid, dirty)` masks of every set of the current epoch.
-    fn live_masks(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
-        self.meta
-            .iter()
-            .filter(|m| m.epoch == self.epoch)
-            .map(|m| (m.valid, m.dirty))
+        self.assoc.is_empty()
     }
 
     /// Count of currently valid lines.
     #[must_use]
     pub fn valid_lines(&self) -> u64 {
-        debug_assert_eq!(
-            self.valid_count,
-            self.live_masks()
-                .map(|(v, _)| u64::from(v.count_ones()))
-                .sum::<u64>()
-        );
-        self.valid_count
+        self.assoc.valid()
     }
 
     /// Count of currently dirty lines.
     #[must_use]
     pub fn dirty_lines(&self) -> u64 {
-        debug_assert!(self.live_masks().all(|(v, d)| d & !v == 0));
+        debug_assert!(self.assoc.live().all(|m| m.dirty & !m.valid == 0));
         debug_assert_eq!(
             self.dirty_count,
-            self.live_masks()
-                .map(|(_, d)| u64::from(d.count_ones()))
+            self.assoc
+                .live()
+                .map(|m| u64::from(m.dirty.count_ones()))
                 .sum::<u64>()
         );
         self.dirty_count
@@ -412,57 +306,60 @@ impl Cache {
     /// Count of valid lines in one set.
     #[must_use]
     pub fn valid_in_set(&self, set: usize) -> u64 {
-        let m = self.meta[set];
-        if m.epoch == self.epoch {
-            u64::from(m.valid.count_ones())
-        } else {
-            0
-        }
+        u64::from(self.assoc.header(set).valid.count_ones())
     }
 }
 
-/// The first way of `row` whose `valid` bit is set and whose tag is `tag`.
-/// An invalid way may still hold a matching stale tag, so validity is
-/// checked on a tag match only.
-#[inline]
-fn find_way(row: &[u32], valid: u16, tag: u32) -> Option<usize> {
-    row.iter()
-        .enumerate()
-        .position(|(w, t)| *t == tag && valid >> w & 1 != 0)
+/// Shift/mask indexing for one physically indexed cache geometry,
+/// precomputed so hot paths (prefetch fills, back-invalidation, scalar
+/// planning) never divide. `PlatformConfig::validate` pins the
+/// power-of-two line size and set count this relies on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GeomIdx {
+    pub(crate) line_shift: u32,
+    set_mask: u64,
+    tag_shift: u32,
 }
 
-/// Move way `way` to the front (most recent, low nibble) of a recency
-/// order, shifting the ways that were more recent one nibble up. Branch
-/// free: the nibble-wise zero test of `order ^ way·0x11…1` finds the
-/// way's position exactly at its lowest match, and the way occurs once
-/// below any zero padding nibble.
-#[inline]
-fn to_front(order: u64, way: usize) -> u64 {
-    const ONES: u64 = 0x1111_1111_1111_1111;
-    let way = way as u64;
-    let x = order ^ (way * ONES);
-    let zero = x.wrapping_sub(ONES) & !x & (ONES << 3);
-    let shift = zero.trailing_zeros() & !3;
-    let below = (1u64 << shift) - 1;
-    let through = below << 4 | 0xF;
-    order & !through | (order & below) << 4 | way
+impl GeomIdx {
+    pub(crate) fn new(g: CacheGeom) -> Self {
+        let sets = g.sets();
+        debug_assert!(g.line.is_power_of_two() && sets.is_power_of_two());
+        let line_shift = g.line.trailing_zeros();
+        GeomIdx {
+            line_shift,
+            set_mask: sets - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn set(&self, pa: u64) -> usize {
+        ((pa >> self.line_shift) & self.set_mask) as usize
+    }
+
+    #[inline]
+    pub(crate) fn tag(&self, pa: u64) -> u64 {
+        pa >> self.tag_shift
+    }
 }
 
 /// Compute the set index for a physically indexed cache.
 #[must_use]
 pub fn phys_set(geom: CacheGeom, paddr: u64) -> usize {
-    ((paddr / geom.line) % geom.sets()) as usize
+    GeomIdx::new(geom).set(paddr)
 }
 
 /// Compute the tag for a physically indexed cache.
 #[must_use]
 pub fn phys_tag(geom: CacheGeom, paddr: u64) -> u64 {
-    paddr / geom.line / geom.sets()
+    GeomIdx::new(geom).tag(paddr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assoc::EPOCH_MAX;
     use crate::params::CacheGeom;
 
     fn small() -> Cache {
@@ -531,12 +428,6 @@ mod tests {
             write: bool,
             noise: &mut NoiseRng,
         ) -> AccessOutcome {
-            if self.clock == u32::MAX >> 1 {
-                for s in &mut self.stamps {
-                    *s &= 1;
-                }
-                self.clock = 0;
-            }
             self.clock += 1;
             self.stats.accesses += 1;
             let stamp = self.clock << 1 | u32::from(write);
@@ -632,8 +523,7 @@ mod tests {
     /// streams of accesses, probes, line invalidations and flushes, on
     /// 1–16 ways under every policy: every outcome, the statistics, the
     /// valid and dirty counts and the position of the noise stream. Each
-    /// stream starts fresh, with the recency clock a few accesses short of
-    /// its renormalisation, or with the epoch a few flushes short of
+    /// stream starts fresh, or with the epoch a few flushes short of
     /// exhaustion.
     #[test]
     fn matches_the_naive_model() {
@@ -642,7 +532,7 @@ mod tests {
         let mut r = NoiseRng::seeded(0x5eed);
         for ways in 1..=MAX_WAYS as usize {
             for policy in policies {
-                for start in 0..3 {
+                for near_exhaustion in [false, true] {
                     let geom = CacheGeom {
                         size: (SETS * ways * 64) as u64,
                         ways: ways as u32,
@@ -650,16 +540,9 @@ mod tests {
                     };
                     let mut c = Cache::new("c", geom, policy);
                     let mut m = Model::new(SETS, ways, policy);
-                    match start {
-                        1 => {
-                            c.clock = (u32::MAX >> 1) - 40;
-                            m.clock = c.clock;
-                        }
-                        2 => {
-                            c.epoch = EPOCH_MAX - 2;
-                            m.epoch = MODEL_EPOCH_MASK - 2;
-                        }
-                        _ => {}
+                    if near_exhaustion {
+                        c.assoc.set_epoch(EPOCH_MAX - 2);
+                        m.epoch = MODEL_EPOCH_MASK - 2;
                     }
                     let (mut nc, mut nm) =
                         (NoiseRng::seeded(ways as u64), NoiseRng::seeded(ways as u64));
@@ -669,7 +552,7 @@ mod tests {
                     for step in 0..3_000 {
                         let set = r.below(SETS as u64) as usize;
                         let tag = r.below(tags);
-                        let ctx = format!("ways {ways} {policy:?} start {start} step {step}");
+                        let ctx = format!("ways {ways} {policy:?} {near_exhaustion} step {step}");
                         match r.below(100) {
                             0 => assert_eq!(c.flush_all(), m.flush_all(), "{ctx}"),
                             1..=5 => assert_eq!(

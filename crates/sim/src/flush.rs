@@ -14,7 +14,7 @@
 //!
 //! All functions charge their cycle cost to the core and return it.
 
-use crate::cache::{phys_set, phys_tag};
+use crate::cache::GeomIdx;
 use crate::machine::Machine;
 use crate::{Asid, PAddr, VAddr};
 
@@ -137,13 +137,13 @@ pub fn foreign_lines(m: &Machine, core: usize, buf_pa: PAddr, insn: bool) -> u64
     let c = &m.cores[core];
     let cache = if insn { &c.l1i } else { &c.l1d };
     let geom = cache.geom();
-    let line = geom.line;
+    let idx = GeomIdx::new(geom);
     // Foreign lines = valid lines that are not buffer lines. The buffer is
     // cache-sized and line-aligned, so its line addresses are distinct.
     let mut buffer_resident = 0;
     for i in 0..geom.lines() {
-        let pa = buf_pa.0 + i * line;
-        if cache.peek(phys_set(geom, pa), phys_tag(geom, pa)) {
+        let pa = buf_pa.0 + i * geom.line;
+        if cache.peek(idx.set(pa), idx.tag(pa)) {
             buffer_resident += 1;
         }
     }

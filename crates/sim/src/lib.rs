@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod assoc;
 pub mod branch;
 pub mod cache;
 pub mod corestate;

@@ -26,10 +26,10 @@
 //! per flush buffer saves no measurable time end to end and costs memory
 //! for every kernel clone (DESIGN.md § Fast-path audit).
 
-use crate::cache::{Cache, Replacement};
+use crate::cache::{Cache, GeomIdx, Replacement};
 use crate::corestate::CoreState;
 use crate::noise::NoiseRng;
-use crate::params::{CacheGeom, PlatformConfig};
+use crate::params::PlatformConfig;
 use crate::tlb::TlbLevel;
 use crate::{Asid, PAddr, VAddr};
 use std::ops::ControlFlow;
@@ -72,47 +72,12 @@ pub enum HitLevel {
 /// Intel LLC slice hash). Public so attackers can reconstruct slice
 /// placement during their (untimed) eviction-set profiling phase, as the
 /// reverse-engineered hash of Yarom et al. (2015) allows on real hardware.
+/// `slices` is a power of two (`PlatformConfig::validate` pins it).
 #[must_use]
 pub fn slice_index(line_addr: u64, slices: u64) -> usize {
-    if slices <= 1 {
-        return 0;
-    }
+    debug_assert!(slices.is_power_of_two());
     let h = line_addr ^ (line_addr >> 7) ^ (line_addr >> 13) ^ (line_addr >> 19);
-    (h % slices) as usize
-}
-
-/// Shift/mask indexing for one power-of-two cache geometry, precomputed so
-/// the hot paths (prefetch fills, back-invalidation, scalar planning) never
-/// divide. `PlatformConfig::validate` pins the power-of-two invariants this
-/// relies on.
-#[derive(Debug, Clone, Copy)]
-struct GeomIdx {
-    line_shift: u32,
-    set_mask: u64,
-    tag_shift: u32,
-}
-
-impl GeomIdx {
-    fn new(g: CacheGeom) -> Self {
-        let sets = g.sets();
-        debug_assert!(g.line.is_power_of_two() && sets.is_power_of_two());
-        let line_shift = g.line.trailing_zeros();
-        GeomIdx {
-            line_shift,
-            set_mask: sets - 1,
-            tag_shift: line_shift + sets.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn set(&self, pa: u64) -> usize {
-        ((pa >> self.line_shift) & self.set_mask) as usize
-    }
-
-    #[inline]
-    fn tag(&self, pa: u64) -> u64 {
-        pa >> self.tag_shift
-    }
+    (h & (slices - 1)) as usize
 }
 
 /// Precomputed geometry of one access: everything a hierarchy walk derives
@@ -206,9 +171,6 @@ pub struct Machine {
     idx_l1i: GeomIdx,
     idx_l2: GeomIdx,
     idx_sh: GeomIdx,
-    /// `slices - 1` when the slice count is a power of two (mask dispatch,
-    /// matching [`slice_index`] bit-for-bit); `None` falls back to it.
-    slice_mask: Option<u64>,
     /// Per-core rings of recent DRAM-access cycle stamps (bus contention).
     bus: Vec<[u64; BUS_RING]>,
     /// Next write position per bus ring.
@@ -235,7 +197,6 @@ impl Machine {
             .collect();
         let cores: Vec<CoreState> = (0..cfg.cores).map(|i| CoreState::new(i, &cfg)).collect();
         let n = cores.len();
-        let n_slices = shared.len() as u64;
         Machine {
             cfg,
             cores,
@@ -244,7 +205,6 @@ impl Machine {
             idx_l1i: GeomIdx::new(cfg.l1i),
             idx_l2: GeomIdx::new(cfg.l2),
             idx_sh: GeomIdx::new(slice_geom),
-            slice_mask: n_slices.is_power_of_two().then(|| n_slices - 1),
             shared,
             bus: vec![[BUS_EMPTY; BUS_RING]; n],
             bus_pos: vec![0; n],
@@ -262,16 +222,7 @@ impl Machine {
     /// x86, single slice on Arm).
     #[must_use]
     pub fn slice_of(&self, pa: PAddr) -> usize {
-        let la = pa.0 >> self.idx_l1d.line_shift;
-        match self.slice_mask {
-            Some(0) => 0,
-            Some(m) => {
-                // Bit-identical to `slice_index` for power-of-two counts.
-                let h = la ^ (la >> 7) ^ (la >> 13) ^ (la >> 19);
-                (h & m) as usize
-            }
-            None => slice_index(la, self.shared.len() as u64),
-        }
+        slice_index(pa.0 >> self.idx_l1d.line_shift, self.shared.len() as u64)
     }
 
     /// Immutable view of a shared-cache slice (tests and diagnostics).

@@ -150,7 +150,7 @@ impl TlbGeom {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> u32 {
-        (self.entries / self.ways).max(1)
+        self.entries / self.ways
     }
 }
 
@@ -557,16 +557,18 @@ impl PlatformConfig {
     /// Check the structural invariants every registered platform must
     /// satisfy. Returns every violation (empty = valid).
     ///
-    /// * every cache, TLB and BTB level has at least one way, and no cache
-    ///   level more than [`crate::cache::MAX_WAYS`];
+    /// * every cache, TLB and BTB level has at least one way and at most
+    ///   [`crate::cache::MAX_WAYS`];
     /// * every cache level has a power-of-two set count, at least one
     ///   page colour, and the platform-wide line size;
-    /// * TLB/BTB set counts are powers of two;
+    /// * every TLB/BTB level's entries are a positive multiple of its ways,
+    ///   in a power-of-two number of sets;
+    /// * the LLC, if any, has a power-of-two number of slices;
     /// * latencies are ordered `L1 ≤ L2 ≤ LLC ≤ DRAM`;
     /// * clock, core count, page size and switch padding are sane.
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
-        let zero_ways: Vec<String> = [
+        let levels = [
             ("L1-D", self.l1d.ways),
             ("L1-I", self.l1i.ways),
             ("L2", self.l2.ways),
@@ -575,11 +577,12 @@ impl PlatformConfig {
             ("D-TLB", self.dtlb.ways),
             ("L2-TLB", self.stlb.ways),
             ("BTB", self.btb.ways),
-        ]
-        .into_iter()
-        .filter(|&(_, ways)| ways == 0)
-        .map(|(name, _)| format!("{name}: zero ways"))
-        .collect();
+        ];
+        let zero_ways: Vec<String> = levels
+            .into_iter()
+            .filter(|&(_, ways)| ways == 0)
+            .map(|(name, _)| format!("{name}: zero ways"))
+            .collect();
         if !zero_ways.is_empty() {
             return zero_ways; // every check below divides by a way count
         }
@@ -589,6 +592,15 @@ impl PlatformConfig {
                 errs.push(msg);
             }
         };
+        for (name, ways) in levels {
+            err(
+                ways <= crate::cache::MAX_WAYS,
+                format!(
+                    "{name}: {ways} ways (a set's recency order holds at most {})",
+                    crate::cache::MAX_WAYS
+                ),
+            );
+        }
         let caches: Vec<(&str, CacheGeom)> = [
             Some(("L1-D", self.l1d)),
             Some(("L1-I", self.l1i)),
@@ -615,14 +627,6 @@ impl PlatformConfig {
                 g.size % (g.line * u64::from(g.ways)) == 0,
                 format!("{name}: size not set-aligned"),
             );
-            err(
-                g.ways <= crate::cache::MAX_WAYS,
-                format!(
-                    "{name}: {} ways (a set's recency order holds at most {})",
-                    g.ways,
-                    crate::cache::MAX_WAYS
-                ),
-            );
         }
         for (name, t) in [
             ("I-TLB", self.itlb),
@@ -631,12 +635,22 @@ impl PlatformConfig {
             ("BTB", self.btb),
         ] {
             err(
+                t.entries > 0 && t.entries % t.ways == 0,
+                format!(
+                    "{name}: {} entries not a positive multiple of {} ways",
+                    t.entries, t.ways
+                ),
+            );
+            err(
                 t.sets().is_power_of_two(),
                 format!("{name}: {} sets not a power of two", t.sets()),
             );
         }
         if let Some(llc) = self.llc {
-            err(self.llc_slices >= 1, "LLC present but zero slices".into());
+            err(
+                self.llc_slices.is_power_of_two(),
+                format!("LLC: {} slices not a power of two", self.llc_slices),
+            );
             err(
                 llc.size % u64::from(self.llc_slices.max(1)) == 0,
                 "LLC size not divisible by slice count".into(),
@@ -755,10 +769,12 @@ mod tests {
     /// `validate` itself.
     #[test]
     fn validate_rejects_zero_ways() {
-        let broken: [fn(&mut PlatformConfig); 4] = [
+        let broken: [fn(&mut PlatformConfig); 6] = [
             |c| c.l1d.ways = 0,
             |c| c.l2.ways = 0,
+            |c| c.itlb.ways = 0,
             |c| c.dtlb.ways = 0,
+            |c| c.stlb.ways = 0,
             |c| c.btb.ways = 0,
         ];
         for p in Platform::ALL {
@@ -775,32 +791,74 @@ mod tests {
         }
     }
 
-    /// A cache level wider than a set's recency order can encode is
-    /// reported; the bound itself is accepted.
+    /// A cache, TLB or BTB level wider than a set's recency order can
+    /// encode is reported; the bound itself is accepted.
     #[test]
     fn validate_rejects_more_than_max_ways() {
         use crate::cache::MAX_WAYS;
-        for level in 0..4 {
+        for level in 0..8 {
             for (ways, rejected) in [(MAX_WAYS, false), (MAX_WAYS + 1, true), (32, true)] {
                 let mut c = Platform::Haswell.config();
-                let g = [&mut c.l1d, &mut c.l1i, &mut c.l2]
-                    .into_iter()
-                    .chain(c.llc.as_mut())
-                    .nth(level)
-                    .unwrap();
                 // Keep the set count, so the way bound is the only
                 // possible complaint about the level.
-                let sets = g.sets();
-                g.ways = ways;
-                g.size = sets * g.line * u64::from(ways);
+                if level < 4 {
+                    let g = [&mut c.l1d, &mut c.l1i, &mut c.l2]
+                        .into_iter()
+                        .chain(c.llc.as_mut())
+                        .nth(level)
+                        .unwrap();
+                    let sets = g.sets();
+                    g.ways = ways;
+                    g.size = sets * g.line * u64::from(ways);
+                } else {
+                    let t = [&mut c.itlb, &mut c.dtlb, &mut c.stlb, &mut c.btb]
+                        .into_iter()
+                        .nth(level - 4)
+                        .unwrap();
+                    t.entries = t.sets() * ways;
+                    t.ways = ways;
+                }
                 let errs = c.validate();
                 assert_eq!(
-                    errs.iter().any(|e| e.contains(&format!("{ways} ways"))),
+                    errs.iter().any(|e| e.contains(&format!("{ways} ways ("))),
                     rejected,
                     "level {level}, {ways} ways: {errs:?}"
                 );
             }
         }
+    }
+
+    /// A TLB or BTB whose entries do not fill whole sets is reported
+    /// instead of being modelled at another size.
+    #[test]
+    fn validate_rejects_tlb_entries_not_a_multiple_of_ways() {
+        for (entries, ways) in [(10, 4), (2, 4), (0, 4)] {
+            for level in 0..4 {
+                let mut c = Platform::Haswell.config();
+                let t = [&mut c.itlb, &mut c.dtlb, &mut c.stlb, &mut c.btb]
+                    .into_iter()
+                    .nth(level)
+                    .unwrap();
+                *t = TlbGeom { entries, ways };
+                let errs = c.validate();
+                assert!(
+                    errs.iter()
+                        .any(|e| e.contains("entries not a positive multiple of 4 ways")),
+                    "level {level}, {entries} entries: {errs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_llc_slices() {
+        let mut c = Platform::Skylake.config();
+        c.llc_slices = 6;
+        let errs = c.validate();
+        assert!(
+            errs.iter().any(|e| e == "LLC: 6 slices not a power of two"),
+            "{errs:?}"
+        );
     }
 
     #[test]

@@ -132,12 +132,6 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Whether prefetching is currently active.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Reset all stream state (part of a full hierarchy flush).
     pub fn reset(&mut self) {
         self.entries.fill(None);

@@ -5,40 +5,17 @@
 //! maps its own text globally, while a clone-capable ("colour-ready")
 //! kernel must use per-ASID kernel mappings, which on the Sabre's 2-way
 //! second-level TLB causes measurable extra conflict misses on IPC.
+//!
+//! A [`TlbArray`] keeps a VPN row and an ASID|global row and its match
+//! rule; recency and validity are the set headers it shares with the
+//! caches and the BTB (`assoc`), so flushing a whole array is O(1).
 
+use crate::assoc::Assoc;
 use crate::params::TlbGeom;
 use crate::Asid;
 
-/// One TLB entry, packed to 16 bytes (the lookup scan is on the simulator's
-/// per-access hot path). `meta` packs the ASID (bits 0..16), the global
-/// flag (bit 16) and the valid flag (bit 17); `stamp` is the recency clock
-/// truncated to 32 bits, renormalised before it can wrap.
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    vpn: u64,
-    stamp: u32,
-    meta: u32,
-}
-
-const META_GLOBAL: u32 = 1 << 16;
-const META_VALID: u32 = 1 << 17;
-
-impl Entry {
-    #[inline]
-    fn valid(self) -> bool {
-        self.meta & META_VALID != 0
-    }
-
-    #[inline]
-    fn global(self) -> bool {
-        self.meta & META_GLOBAL != 0
-    }
-
-    #[inline]
-    fn asid(self) -> u16 {
-        self.meta as u16
-    }
-}
+/// Bit of an entry's id marking a global mapping (the ASID is bits 0..16).
+const GLOBAL: u32 = 1 << 16;
 
 /// Where a translation was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,32 +32,35 @@ pub enum TlbLevel {
 #[derive(Debug, Clone)]
 pub struct TlbArray {
     name: &'static str,
-    sets: usize,
     ways: usize,
-    /// `sets - 1` when the set count is a power of two: the per-access
-    /// set-index computation is then a mask instead of a division.
-    set_mask: Option<u64>,
-    entries: Vec<Entry>,
-    clock: u32,
-    hits: u64,
-    misses: u64,
+    /// `sets - 1`: `PlatformConfig::validate` pins power-of-two set counts.
+    set_mask: u64,
+    /// Per-entry VPNs, `ways` per set.
+    vpns: Vec<u64>,
+    /// Per-entry ids: the ASID, or'ed with [`GLOBAL`] for a global mapping.
+    ids: Vec<u32>,
+    /// Per-set recency and validity.
+    assoc: Assoc,
 }
 
 impl TlbArray {
     /// Create an empty TLB with the given geometry.
+    ///
+    /// # Panics
+    /// Panics if the geometry has more than [`crate::cache::MAX_WAYS`]
+    /// ways (`PlatformConfig::validate` rejects such a platform).
     #[must_use]
     pub fn new(name: &'static str, geom: TlbGeom) -> Self {
         let sets = geom.sets() as usize;
         let ways = geom.ways as usize;
+        debug_assert!(sets.is_power_of_two());
         TlbArray {
             name,
-            sets,
             ways,
-            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            entries: vec![Entry::default(); sets * ways],
-            clock: 0,
-            hits: 0,
-            misses: 0,
+            set_mask: sets as u64 - 1,
+            vpns: vec![0; sets * ways],
+            ids: vec![0; sets * ways],
+            assoc: Assoc::new(name, sets, ways),
         }
     }
 
@@ -90,84 +70,48 @@ impl TlbArray {
         self.name
     }
 
-    #[inline]
-    fn set_of(&self, vpn: u64) -> usize {
-        match self.set_mask {
-            Some(m) => (vpn & m) as usize,
-            None => (vpn % self.sets as u64) as usize,
-        }
-    }
-
-    /// Renormalise recency stamps before the 32-bit clock wraps (every
-    /// ~4G lookups); deterministic, and only relative order matters.
-    fn tick(&mut self) -> u32 {
-        if self.clock == u32::MAX {
-            for e in &mut self.entries {
-                e.stamp = 0;
-            }
-            self.clock = 0;
-        }
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Fused lookup-or-fill: one pass that returns `true` on a hit (global
-    /// entries match any ASID) and otherwise installs the translation into
-    /// the first invalid (else LRU) way. The hierarchy walk fills every
-    /// level it misses, so a separate lookup and fill would scan each set
-    /// twice.
+    /// Fused lookup-or-fill: returns `true` on a hit and otherwise installs
+    /// the translation into the first invalid (else LRU) way. A hit is the
+    /// first valid way in way order with the VPN and the ASID, or global:
+    /// a global and a per-ASID entry for one VPN can coexist. The
+    /// hierarchy walk fills every level it misses, so a separate lookup and
+    /// fill would scan each set twice.
     pub fn access(&mut self, asid: Asid, vpn: u64, global: bool) -> bool {
-        let clock = self.tick();
-        let set = self.set_of(vpn);
+        let set = (vpn & self.set_mask) as usize;
         let base = set * self.ways;
-        let slice = &mut self.entries[base..base + self.ways];
-        let mut victim = 0usize;
-        let mut best = u32::MAX;
-        let mut found_invalid = false;
-        for (i, e) in slice.iter_mut().enumerate() {
-            if e.valid() {
-                if e.vpn == vpn && (e.global() || e.asid() == asid.0) {
-                    e.stamp = clock;
-                    self.hits += 1;
-                    return true;
-                }
-                if !found_invalid && e.stamp < best {
-                    best = e.stamp;
-                    victim = i;
-                }
-            } else if !found_invalid {
-                found_invalid = true;
-                victim = i;
-            }
+        let valid = self.assoc.header(set).valid;
+        let id = u32::from(asid.0);
+        let row = self.vpns[base..base + self.ways]
+            .iter()
+            .zip(&self.ids[base..]);
+        let hit = row.enumerate().position(|(w, (&v, &i))| {
+            v == vpn && valid >> w & 1 != 0 && (i == id || i & GLOBAL != 0)
+        });
+        if let Some(way) = hit {
+            self.assoc.touch(set, way);
+            return true;
         }
-        self.misses += 1;
-        slice[victim] = Entry {
-            vpn,
-            stamp: clock,
-            meta: u32::from(asid.0) | if global { META_GLOBAL } else { 0 } | META_VALID,
-        };
+        let (way, _) = self.assoc.fill(set, |lru| lru);
+        self.vpns[base + way] = vpn;
+        self.ids[base + way] = id | if global { GLOBAL } else { 0 };
         false
     }
 
     /// Invalidate everything; returns the number of valid entries dropped.
     pub fn flush_all(&mut self) -> u64 {
-        let mut n = 0;
-        for e in &mut self.entries {
-            if e.valid() {
-                n += 1;
-                e.meta &= !META_VALID;
-            }
-        }
-        n
+        self.assoc.flush_all()
     }
 
     /// Invalidate all non-global entries of one ASID.
     pub fn flush_asid(&mut self, asid: Asid) -> u64 {
         let mut n = 0;
-        for e in &mut self.entries {
-            if e.valid() && !e.global() && e.asid() == asid.0 {
-                n += 1;
-                e.meta &= !META_VALID;
+        for (set, ids) in self.ids.chunks_exact(self.ways).enumerate() {
+            let valid = self.assoc.header(set).valid;
+            for (way, &i) in ids.iter().enumerate() {
+                if valid >> way & 1 != 0 && i == u32::from(asid.0) {
+                    self.assoc.invalidate(set, way);
+                    n += 1;
+                }
             }
         }
         n
@@ -176,13 +120,7 @@ impl TlbArray {
     /// Number of valid entries.
     #[must_use]
     pub fn valid_entries(&self) -> u64 {
-        self.entries.iter().filter(|e| e.valid()).count() as u64
-    }
-
-    /// Hit/miss counters `(hits, misses)`.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        self.assoc.valid()
     }
 }
 
@@ -235,18 +173,29 @@ impl TlbHierarchy {
 mod tests {
     use super::*;
 
-    /// [`TlbArray::access`] against a naive model that spells its rule
-    /// out: a hit is the first valid entry of the set with the VPN and a
-    /// matching ASID (or global); a miss fills the first invalid way, else
-    /// the way of least `(stamp, index)`. Random accesses and flushes on
-    /// arrays of 1–2 sets and 1–6 ways; a clock near its wrap point covers
-    /// the renormalisation, after which every stamp is 0.
+    /// One entry of the naive model: the TLB entry as it was before the
+    /// shared set headers, with a per-entry recency stamp.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Entry {
+        vpn: u64,
+        stamp: u32,
+        asid: u16,
+        global: bool,
+        valid: bool,
+    }
+
+    /// [`TlbArray`] against a naive model that spells its rule out: a hit
+    /// is the first valid entry of the set with the VPN and a matching
+    /// ASID (or global); a miss fills the first invalid way, else the way
+    /// of least `(stamp, index)`. Random accesses and flushes on arrays of
+    /// 1–2 sets and 1–6 ways: every access's outcome, every flush's count,
+    /// the valid count and the VPN and id of every valid entry.
     #[test]
     fn access_matches_a_naive_model() {
         let mut r = crate::NoiseRng::seeded(0x71b);
         for case in 0..300u64 {
             let ways = 1 + r.below(6) as u32;
-            let sets = 1 + r.below(2) as u32;
+            let sets = 1 << r.below(2) as u32;
             let mut t = TlbArray::new(
                 "t",
                 TlbGeom {
@@ -254,64 +203,66 @@ mod tests {
                     ways,
                 },
             );
-            if case % 4 == 0 {
-                t.clock = u32::MAX - 20;
-            }
-            let mut model = t.entries.clone();
+            let mut model = vec![Entry::default(); (sets * ways) as usize];
+            let mut clock = 0;
             for _ in 0..200 {
                 let (asid, vpn, global) = (r.below(3) as u16, r.below(12), r.below(8) == 0);
                 match r.below(40) {
                     0 => {
-                        t.flush_all();
-                        model.iter_mut().for_each(|e| e.meta &= !META_VALID);
-                        continue;
+                        let n = model.iter().filter(|e| e.valid).count() as u64;
+                        model.iter_mut().for_each(|e| e.valid = false);
+                        assert_eq!(t.flush_all(), n, "case {case}");
                     }
                     1 => {
-                        t.flush_asid(Asid(asid));
+                        let mut n = 0;
                         for e in &mut model {
-                            if !e.global() && e.asid() == asid {
-                                e.meta &= !META_VALID;
+                            if e.valid && !e.global && e.asid == asid {
+                                e.valid = false;
+                                n += 1;
                             }
                         }
-                        continue;
+                        assert_eq!(t.flush_asid(Asid(asid)), n, "case {case}");
                     }
-                    _ => {}
+                    _ => {
+                        clock += 1;
+                        let base = (vpn % u64::from(sets)) as usize * ways as usize;
+                        let row = &mut model[base..base + ways as usize];
+                        let hit = row
+                            .iter()
+                            .position(|e| e.valid && e.vpn == vpn && (e.global || e.asid == asid));
+                        let slot = hit.unwrap_or_else(|| {
+                            let ways = 0..row.len();
+                            ways.clone()
+                                .find(|&w| !row[w].valid)
+                                .unwrap_or_else(|| ways.min_by_key(|&w| (row[w].stamp, w)).unwrap())
+                        });
+                        if hit.is_none() {
+                            row[slot] = Entry {
+                                vpn,
+                                stamp: 0,
+                                asid,
+                                global,
+                                valid: true,
+                            };
+                        }
+                        row[slot].stamp = clock;
+                        assert_eq!(
+                            t.access(Asid(asid), vpn, global),
+                            hit.is_some(),
+                            "case {case}"
+                        );
+                    }
                 }
-                if t.clock == u32::MAX {
-                    model.iter_mut().for_each(|e| e.stamp = 0);
-                }
-                let clock = t.clock.wrapping_add(1).max(1);
-                let base = (vpn % u64::from(sets)) as usize * ways as usize;
-                let row = &mut model[base..base + ways as usize];
-                let hit = row
-                    .iter()
-                    .position(|e| e.valid() && e.vpn == vpn && (e.global() || e.asid() == asid));
-                let slot = hit.unwrap_or_else(|| {
-                    let ways = 0..row.len();
-                    ways.clone()
-                        .find(|&w| !row[w].valid())
-                        .unwrap_or_else(|| ways.min_by_key(|&w| (row[w].stamp, w)).unwrap())
-                });
-                if hit.is_none() {
-                    let g = if global { META_GLOBAL } else { 0 };
-                    row[slot] = Entry {
-                        vpn,
-                        stamp: 0,
-                        meta: u32::from(asid) | g | META_VALID,
-                    };
-                }
-                row[slot].stamp = clock;
-                assert_eq!(
-                    t.access(Asid(asid), vpn, global),
-                    hit.is_some(),
-                    "case {case}"
-                );
-                for (a, b) in t.entries.iter().zip(&model) {
-                    assert_eq!(
-                        (a.vpn, a.stamp, a.meta),
-                        (b.vpn, b.stamp, b.meta),
+                let valid = model.iter().filter(|e| e.valid).count() as u64;
+                assert_eq!(t.valid_entries(), valid, "case {case}");
+                for (i, e) in model.iter().enumerate().filter(|(_, e)| e.valid) {
+                    let id = u32::from(e.asid) | if e.global { GLOBAL } else { 0 };
+                    let ways = ways as usize;
+                    assert!(
+                        t.assoc.header(i / ways).valid >> (i % ways) & 1 != 0,
                         "case {case}"
                     );
+                    assert_eq!((t.vpns[i], t.ids[i]), (e.vpn, id), "case {case}");
                 }
             }
         }
