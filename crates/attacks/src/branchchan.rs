@@ -11,7 +11,7 @@
 //! (mis)prediction on an aliasing conditional jump. `BPIALL`/IBC reset the
 //! predictor and close both channels.
 
-use crate::harness::{try_measure_channel, ChannelOutcome, IntraCoreSpec, Receiver};
+use crate::harness::{run_channel, ChannelOutcome, IntraCoreSpec, Receiver, Sender};
 use tp_core::SimError;
 use tp_core::UserEnv;
 use tp_sim::{PlatformConfig, VAddr};
@@ -55,9 +55,10 @@ pub fn try_btb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     let sweep = btb_sweep_slots(&cfg);
     let slots = btb_probe_slots(&cfg);
     let ways = u64::from(cfg.btb.ways);
-    try_measure_channel(
-        spec,
-        async move |env: &mut UserEnv, sym: usize| {
+    let sender = Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| (),
+        encode: async move |env: &mut UserEnv, (): &mut (), sym: usize, _| {
             // The sender's branches live at *different* code addresses that
             // collide with the receiver's probe slots in the BTB index but
             // differ in tag — filling all ways of the first `k` sets and
@@ -69,25 +70,27 @@ pub fn try_btb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
                     env.branch(pc, VAddr(pc.0 + 8), true, false).await;
                 }
             }
+            let _ = env.wait_preempt().await;
         },
-        Receiver {
-            setup: async move |env: &mut UserEnv| {
-                // Warm the receiver's probe slots.
-                for i in 0..slots {
-                    let pc = slot_pc(i);
-                    env.branch(pc, VAddr(pc.0 + 8), true, false).await;
-                }
-            },
-            measure: async move |env: &mut UserEnv, (): &mut ()| {
-                let mut total = 0u64;
-                for i in 0..slots {
-                    let pc = slot_pc(i);
-                    total += env.branch(pc, VAddr(pc.0 + 8), true, false).await;
-                }
-                total as f64
-            },
+    };
+    let receiver = Receiver {
+        setup: async move |env: &mut UserEnv| {
+            // Warm the receiver's probe slots.
+            for i in 0..slots {
+                let pc = slot_pc(i);
+                env.branch(pc, VAddr(pc.0 + 8), true, false).await;
+            }
         },
-    )
+        measure: async move |env: &mut UserEnv, (): &mut (), _| {
+            let mut total = 0u64;
+            for i in 0..slots {
+                let pc = slot_pc(i);
+                total += env.branch(pc, VAddr(pc.0 + 8), true, false).await;
+            }
+            total as f64
+        },
+    };
+    run_channel(spec, spec.builder(), sender, receiver.program(spec.samples))
 }
 
 /// Drive the global history register to a known (all-zero) state by
@@ -110,9 +113,10 @@ async fn zero_history(env: &UserEnv, n: u32) {
 pub fn try_bhb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     let ghr_bits = spec.platform.config().ghr_bits;
     let probe_pc = VAddr(BRANCH_BASE + 0x80);
-    try_measure_channel(
-        spec,
-        async move |env: &mut UserEnv, sym: usize| {
+    let sender = Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| (),
+        encode: async move |env: &mut UserEnv, (): &mut (), sym: usize, _| {
             // Repeatedly train the aliased PHT entry towards taken (1) or
             // not-taken (0), always from zeroed history so the same counter
             // is hit.
@@ -121,20 +125,22 @@ pub fn try_bhb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
                 env.branch(probe_pc, VAddr(probe_pc.0 + 8), sym == 1, true)
                     .await;
             }
+            let _ = env.wait_preempt().await;
         },
-        Receiver {
-            setup: async move |_env: &mut UserEnv| (),
-            measure: async move |env: &mut UserEnv, (): &mut ()| {
-                zero_history(env, ghr_bits + 2).await;
-                // Probe with a taken branch: fast iff the sender trained
-                // the counter to taken.
-                let lat = env
-                    .branch(probe_pc, VAddr(probe_pc.0 + 8), true, true)
-                    .await;
-                lat as f64
-            },
+    };
+    let receiver = Receiver {
+        setup: async move |_env: &mut UserEnv| (),
+        measure: async move |env: &mut UserEnv, (): &mut (), _| {
+            zero_history(env, ghr_bits + 2).await;
+            // Probe with a taken branch: fast iff the sender trained
+            // the counter to taken.
+            let lat = env
+                .branch(probe_pc, VAddr(probe_pc.0 + 8), true, true)
+                .await;
+            lat as f64
         },
-    )
+    };
+    run_channel(spec, spec.builder(), sender, receiver.program(spec.samples))
 }
 
 #[cfg(test)]

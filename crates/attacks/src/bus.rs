@@ -13,12 +13,8 @@
 //! accesses and reads the sender's bit from the queuing delay — even under
 //! full time protection.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::rc::Rc;
-use tp_analysis::leakage_test;
-use tp_core::{SimError, SystemBuilder, UserEnv};
+use crate::harness::{run_channel, ChannelOutcome, IntraCoreSpec, ReceiverLog, Sender};
+use tp_core::{SimError, UserEnv};
 use tp_sim::{VAddr, FRAME_SIZE};
 
 /// Accesses per receiver measurement.
@@ -26,6 +22,32 @@ const PROBE_ACCESSES: u64 = 24;
 
 /// Sender DRAM accesses per symbol period.
 const HAMMER_ACCESSES: u64 = 600;
+
+/// Pages in each party's DRAM buffer.
+const BUF_PAGES: usize = 4096;
+
+/// Load the next `n` lines of the `BUF_PAGES` buffer at `base`, stepping
+/// the line `cursor` by `step` (odd and non-unit: non-sequential, which
+/// defeats the prefetcher); returns their total latency. The reuse
+/// distance exceeds the LLC, so every access is DRAM traffic.
+async fn stream(env: &UserEnv, base: VAddr, cursor: &mut u64, step: u64, n: u64) -> u64 {
+    let line = env.platform().line;
+    let lines = BUF_PAGES as u64 * (FRAME_SIZE / line);
+    let mut total = 0;
+    for _ in 0..n {
+        *cursor = (*cursor + step) % lines;
+        total += env.load(VAddr(base.0 + *cursor * line)).await;
+    }
+    total
+}
+
+/// Compute until `period` cycles have passed since `t0`.
+async fn pace(env: &UserEnv, t0: u64, period: u64) {
+    let elapsed = env.now().await - t0;
+    if elapsed < period {
+        env.compute(period - elapsed).await;
+    }
+}
 
 /// Run the cross-core bus covert channel (1-bit symbols: hammer / idle).
 ///
@@ -43,74 +65,33 @@ pub fn bus_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
         spec.n_symbols, 2,
         "the bus channel sends one bit per period"
     );
-    let sender_log = SenderLog::default();
-    let receiver_log = ReceiverLog::default();
     let period = spec.platform.config().us_to_cycles(spec.slice_us);
-
-    let mut b = SystemBuilder::new(spec.platform, spec.prot)
-        .seed(spec.seed)
-        .max_cycles(spec.cycle_budget())
-        .window(800)
-        .open_scheduling();
-    let d_recv = b.domain(None);
-    let d_send = b.domain(None);
-
-    let n_symbols = spec.n_symbols;
-    let samples = spec.samples;
-    let seed = spec.seed;
-
-    let slog = Rc::clone(&sender_log);
-    b.spawn_daemon(d_send, 1, 100, async move |env: &mut UserEnv| {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
-        // Stream fresh cache lines over a large buffer: the reuse distance
-        // exceeds the LLC, so every access is DRAM traffic.
-        let (base, _) = env.map_pages(4096).await;
-        let lines = 4096 * (FRAME_SIZE / env.platform().line);
-        let line_sz = env.platform().line;
-        let mut cursor = 0u64;
-        loop {
-            let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now().await;
-            slog.borrow_mut().push((t0, symbol));
+    // Open scheduling arms no tick, so the parties pace themselves and the
+    // builder's slice goes unused.
+    let b = spec.builder().window(800).open_scheduling();
+    let sender = Sender {
+        core: 1,
+        setup: async |env: &mut UserEnv| (env.map_pages(BUF_PAGES).await.0, 0),
+        encode: async move |env: &mut UserEnv, (base, cursor): &mut (VAddr, u64), symbol, t0| {
             if symbol == 1 {
-                for _ in 0..HAMMER_ACCESSES {
-                    cursor = (cursor + 97) % lines; // non-sequential: defeats the prefetcher
-                    env.load(VAddr(base.0 + cursor * line_sz)).await;
-                }
+                stream(env, *base, cursor, 97, HAMMER_ACCESSES).await;
             }
-            let elapsed = env.now().await - t0;
-            if elapsed < period {
-                env.compute(period - elapsed).await;
-            }
-        }
-    });
-
-    let rlog = Rc::clone(&receiver_log);
-    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
-        let (base, _) = env.map_pages(4096).await;
-        let lines = 4096 * (FRAME_SIZE / env.platform().line);
-        let line_sz = env.platform().line;
-        let mut cursor = 0u64;
+            pace(env, t0, period).await;
+        },
+    };
+    let samples = spec.samples;
+    let receiver = async move |env: &mut UserEnv, log: ReceiverLog| {
+        let (base, _) = env.map_pages(BUF_PAGES).await;
+        let mut cursor = 0;
         for _ in 0..samples + 1 {
             let t0 = env.now().await;
-            let mut total = 0u64;
-            for _ in 0..PROBE_ACCESSES {
-                cursor = (cursor + 101) % lines;
-                total += env.load(VAddr(base.0 + cursor * line_sz)).await;
-            }
+            let total = stream(env, base, &mut cursor, 101, PROBE_ACCESSES).await;
             let t1 = env.now().await;
-            rlog.borrow_mut().push((t1, total as f64));
-            let elapsed = env.now().await - t0;
-            if elapsed < period {
-                env.compute(period - elapsed).await;
-            }
+            log.borrow_mut().push((t1, total as f64));
+            pace(env, t0, period).await;
         }
-    });
-
-    let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
-    let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
-    Ok(ChannelOutcome { dataset, verdict })
+    };
+    run_channel(spec, b, sender, receiver)
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! proportional to the symbol; the receiver then re-probes and the total
 //! latency reveals how many of its lines were evicted.
 
-use crate::harness::{try_measure_channel, ChannelOutcome, IntraCoreSpec, Receiver};
+use crate::harness::{
+    run_channel, ChannelOutcome, Encode, IntraCoreSpec, Measure, Receiver, Sender, Setup,
+};
 use crate::probe::{l1_probe, phys_probe, ProbeBuf};
 use tp_core::SimError;
 use tp_core::UserEnv;
@@ -19,38 +21,53 @@ pub const CACHE_SYMBOLS: usize = 16;
 /// 4096-line Haswell L2; a quarter of the Sabre's 1 MiB L2).
 const L2_PROBE_LINES: usize = 4096;
 
-/// The L1-D channel: sender dirties `k` sets, receiver probes the full
-/// cache with loads.
-///
-/// # Errors
-/// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_l1d_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
-    let n = spec.n_symbols;
-    let mut sbuf: Option<ProbeBuf> = None;
-    try_measure_channel(
-        spec,
-        async move |env: &mut UserEnv, sym: usize| {
+/// The L1-D sender: on its first slice it builds a cache-sized buffer,
+/// then each slice it dirties the first `sets * symbol / n_symbols` whole
+/// sets of it.
+#[must_use]
+pub fn l1d_sender(
+    n_symbols: usize,
+) -> Sender<impl Setup<Option<ProbeBuf>>, impl Encode<Option<ProbeBuf>>> {
+    Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| None,
+        encode: async move |env: &mut UserEnv, sbuf: &mut Option<ProbeBuf>, sym: usize, _| {
             let geom = env.platform().l1d;
             if sbuf.is_none() {
-                sbuf = Some(l1_probe(env, geom).await);
+                *sbuf = Some(l1_probe(env, geom).await);
             }
             let buf = sbuf.as_ref().expect("built above");
             let sets = geom.sets() as usize;
             let ways = geom.ways as usize;
-            let k = sets * sym / n.max(1);
+            let k = sets * sym / n_symbols.max(1);
             buf.dirty_prefix(env, k * ways).await;
+            let _ = env.wait_preempt().await;
         },
-        Receiver {
-            setup: async |env: &mut UserEnv| {
-                let geom = env.platform().l1d;
-                let buf = l1_probe(env, geom).await;
-                // Warm the backing L2/LLC so probe misses are L2-bounded.
-                let _ = buf.probe(env).await;
-                buf
-            },
-            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env).await as f64,
+    }
+}
+
+/// The L1-D receiver: prime&probe over a cache-sized buffer with loads.
+#[must_use]
+pub fn l1d_receiver() -> Receiver<impl Setup<ProbeBuf>, impl Measure<ProbeBuf>> {
+    Receiver {
+        setup: async |env: &mut UserEnv| {
+            let geom = env.platform().l1d;
+            let buf = l1_probe(env, geom).await;
+            // Warm the backing L2/LLC so probe misses are L2-bounded.
+            let _ = buf.probe(env).await;
+            buf
         },
-    )
+        measure: async |env: &mut UserEnv, buf: &mut ProbeBuf, _| buf.probe(env).await as f64,
+    }
+}
+
+/// The L1-D channel: [`l1d_sender`] against [`l1d_receiver`].
+///
+/// # Errors
+/// Returns the [`SimError`] of the first simulated program that fails.
+pub fn try_l1d_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
+    let receiver = l1d_receiver().program(spec.samples);
+    run_channel(spec, spec.builder(), l1d_sender(spec.n_symbols), receiver)
 }
 
 /// The L1-I channel: as L1-D but with instruction fetches on both sides.
@@ -59,13 +76,13 @@ pub fn try_l1d_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
 /// Returns the [`SimError`] of the first simulated program that fails.
 pub fn try_l1i_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     let n = spec.n_symbols;
-    let mut sbuf: Option<ProbeBuf> = None;
-    try_measure_channel(
-        spec,
-        async move |env: &mut UserEnv, sym: usize| {
+    let sender = Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| None,
+        encode: async move |env: &mut UserEnv, sbuf: &mut Option<ProbeBuf>, sym: usize, _| {
             let geom = env.platform().l1i;
             if sbuf.is_none() {
-                sbuf = Some(l1_probe(env, geom).await);
+                *sbuf = Some(l1_probe(env, geom).await);
             }
             let buf = sbuf.as_ref().expect("built above");
             let sets = geom.sets() as usize;
@@ -74,17 +91,19 @@ pub fn try_l1i_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
             for va in &buf.lines[..(k * ways).min(buf.lines.len())] {
                 env.exec(*va).await;
             }
+            let _ = env.wait_preempt().await;
         },
-        Receiver {
-            setup: async |env: &mut UserEnv| {
-                let geom = env.platform().l1i;
-                let buf = l1_probe(env, geom).await;
-                let _ = buf.probe_exec(env).await;
-                buf
-            },
-            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe_exec(env).await as f64,
+    };
+    let receiver = Receiver {
+        setup: async |env: &mut UserEnv| {
+            let geom = env.platform().l1i;
+            let buf = l1_probe(env, geom).await;
+            let _ = buf.probe_exec(env).await;
+            buf
         },
-    )
+        measure: async |env: &mut UserEnv, buf: &mut ProbeBuf, _| buf.probe_exec(env).await as f64,
+    };
+    run_channel(spec, spec.builder(), sender, receiver.program(spec.samples))
 }
 
 /// How many L2 sets each side works with on a platform: as many sets as
@@ -114,10 +133,10 @@ pub fn l2_slice_us(cfg: &PlatformConfig) -> f64 {
 pub fn try_l2_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     let n = spec.n_symbols;
     let n_sets = l2_probe_sets(&spec.platform.config());
-    let mut sbuf: Option<ProbeBuf> = None;
-    try_measure_channel(
-        spec,
-        async move |env: &mut UserEnv, sym: usize| {
+    let sender = Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| None,
+        encode: async move |env: &mut UserEnv, sbuf: &mut Option<ProbeBuf>, sym: usize, _| {
             if sbuf.is_none() {
                 let geom = env.platform().l2;
                 let targets: Vec<usize> = (0..n_sets.min(geom.sets() as usize)).collect();
@@ -126,26 +145,28 @@ pub fn try_l2_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> 
                 // Warm the whole buffer once so per-slice footprints are
                 // L2-bounded and fit within the slice.
                 let _ = b.probe(env).await;
-                sbuf = Some(b);
+                *sbuf = Some(b);
             }
             let buf = sbuf.as_ref().expect("built above");
             let per_set = buf.per_set.max(1);
             let covered = buf.len() / per_set;
             let k = covered * sym / n.max(1);
             buf.dirty_prefix(env, k * per_set).await;
+            let _ = env.wait_preempt().await;
         },
-        Receiver {
-            setup: async move |env: &mut UserEnv| {
-                let geom = env.platform().l2;
-                let targets: Vec<usize> = (0..n_sets.min(geom.sets() as usize)).collect();
-                let ways = geom.ways as usize;
-                let buf = phys_probe(env, geom, &targets, ways, 4 * n_sets.max(64)).await;
-                let _ = buf.probe(env).await;
-                buf
-            },
-            measure: async |env: &mut UserEnv, buf: &mut ProbeBuf| buf.probe(env).await as f64,
+    };
+    let receiver = Receiver {
+        setup: async move |env: &mut UserEnv| {
+            let geom = env.platform().l2;
+            let targets: Vec<usize> = (0..n_sets.min(geom.sets() as usize)).collect();
+            let ways = geom.ways as usize;
+            let buf = phys_probe(env, geom, &targets, ways, 4 * n_sets.max(64)).await;
+            let _ = buf.probe(env).await;
+            buf
         },
-    )
+        measure: async |env: &mut UserEnv, buf: &mut ProbeBuf, _| buf.probe(env).await as f64,
+    };
+    run_channel(spec, spec.builder(), sender, receiver.program(spec.samples))
 }
 
 #[cfg(test)]

@@ -8,13 +8,9 @@
 //! jumps) and *offline* time (the jump length). Requirement 4: padding the
 //! switch to its worst-case latency closes the channel.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
+use crate::harness::{run_channel, ChannelOutcome, IntraCoreSpec, ReceiverLog, Sender};
 use crate::probe::{l1_probe, ProbeBuf};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::rc::Rc;
-use tp_analysis::leakage_test;
-use tp_core::{ProtectionConfig, SimError, SystemBuilder, UserEnv};
+use tp_core::{ProtectionConfig, SimError, UserEnv};
 use tp_sim::Platform;
 
 /// Which side of the preemption jump the receiver reports.
@@ -48,40 +44,21 @@ pub fn flush_channel_config(pad_us: Option<f64>) -> ProtectionConfig {
 /// # Errors
 /// Returns the [`SimError`] if the simulation fails.
 pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutcome, SimError> {
-    let sender_log = SenderLog::default();
-    let receiver_log = ReceiverLog::default();
-
-    let mut b = SystemBuilder::new(spec.platform, spec.prot)
-        .seed(spec.seed)
-        .slice_us(spec.slice_us)
-        .max_cycles(spec.cycle_budget());
-    let d_recv = b.domain(None);
-    let d_send = b.domain(None);
-
     let n_symbols = spec.n_symbols;
     let samples = spec.samples;
-    let seed = spec.seed;
-
-    let slog = Rc::clone(&sender_log);
-    b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
-        let geom = env.platform().l1d;
-        let buf: ProbeBuf = l1_probe(env, geom).await;
-        loop {
-            let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now().await;
-            slog.borrow_mut().push((t0, symbol));
+    let sender = Sender {
+        core: 0,
+        setup: async |env: &mut UserEnv| l1_probe(env, env.platform().l1d).await,
+        encode: async move |env: &mut UserEnv, buf: &mut ProbeBuf, symbol: usize, _| {
             // Dirty `k` cache sets: the flush on the switch away from us
             // will write them all back.
-            let per_set = geom.ways as usize;
+            let geom = env.platform().l1d;
             let k = geom.sets() as usize * symbol / n_symbols.max(1);
-            buf.dirty_prefix(env, k * per_set).await;
+            buf.dirty_prefix(env, k * geom.ways as usize).await;
             let _ = env.wait_preempt().await;
-        }
-    });
-
-    let rlog = Rc::clone(&receiver_log);
-    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
+        },
+    };
+    let receiver = async move |env: &mut UserEnv, log: ReceiverLog| {
         let mut last_resume: Option<u64> = None;
         let mut taken = 0usize;
         while taken < samples + 1 {
@@ -96,17 +73,13 @@ pub fn flush_channel(spec: &IntraCoreSpec, timing: Timing) -> Result<ChannelOutc
                 Timing::Online => last_resume.map(|lr| ((gap_start - lr) as f64, gap_start)),
             };
             if let Some((v, ts)) = value {
-                rlog.borrow_mut().push((ts, v));
+                log.borrow_mut().push((ts, v));
                 taken += 1;
             }
             last_resume = Some(resume);
         }
-    });
-
-    let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
-    let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
-    Ok(ChannelOutcome { dataset, verdict })
+    };
+    run_channel(spec, spec.builder(), sender, receiver)
 }
 
 #[cfg(test)]

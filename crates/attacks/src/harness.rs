@@ -1,19 +1,27 @@
-//! The shared sender/receiver experiment harness.
+//! The one two-party channel skeleton (§5.1).
 //!
-//! Structure of every intra-core channel measurement (§5.3): two security
-//! domains time-share a core under strict slots. The *sender* encodes a
-//! seeded random symbol into micro-architectural state during its slice;
-//! the *receiver* takes one timing observation per slice. Observations are
-//! paired with the sender slice that immediately preceded them (robust to
-//! multi-slice receiver setup phases), yielding a
-//! [`Dataset`] for MI estimation.
+//! Every paired channel is measured the same way. A *sender* draws a
+//! seeded random symbol at the start of each of its periods, stamps it
+//! with the cycle counter and encodes it into some shared state; a
+//! *receiver* takes one timing observation per period. Each observation
+//! is paired with the sender period that most recently started before it
+//! (robust to multi-slice receiver setup phases), and the pairs give a
+//! [`Dataset`] whose capacity `M` is judged against the shuffle bound
+//! `M0`.
+//!
+//! The harness owns the symbol stream, the receiver's log, the pairing
+//! and the verdict. A channel supplies its builder settings and any
+//! kernel setup hook, its [`Sender`], and either its own receiver
+//! program or the standard one built from a [`Receiver`]. [`run_channel`]
+//! runs one pair on its own system; the cloud fleet spawns many pairs
+//! into one system with [`spawn_pair`] and pools them with [`judge`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tp_analysis::{leakage_test, Dataset, LeakageVerdict};
-use tp_core::{ProtectionConfig, SimError, SystemBuilder, UserEnv};
+use tp_core::{DomainHandle, ProtectionConfig, SimError, SystemBuilder, UserEnv};
 use tp_sim::Platform;
 
 /// The three defence scenarios of §5.2.
@@ -103,11 +111,19 @@ impl IntraCoreSpec {
         let slice_cycles = (self.slice_us * 4_000.0) as u64; // over-estimate
         (self.samples as u64 + 64) * 2 * (2 * slice_cycles + 3_000_000)
     }
+
+    /// A slotted system for the spec: its platform, protection, seed,
+    /// slice and [`IntraCoreSpec::cycle_budget`].
+    #[must_use]
+    pub fn builder(&self) -> SystemBuilder {
+        SystemBuilder::new(self.platform, self.prot)
+            .seed(self.seed)
+            .slice_us(self.slice_us)
+            .max_cycles(self.cycle_budget())
+    }
 }
 
-/// Log shared between harness and programs: (slice-start cycle, symbol).
-pub type SenderLog = Rc<RefCell<Vec<(u64, usize)>>>;
-/// Log of receiver observations: (probe-start cycle, output).
+/// The receiver's log of observations: `(stamp cycle, output)`.
 pub type ReceiverLog = Rc<RefCell<Vec<(u64, f64)>>>;
 
 /// Outcome of a channel measurement: the dataset and its leakage verdict.
@@ -137,135 +153,171 @@ impl ChannelOutcome {
     }
 }
 
-/// A sender body: called once per sender slice with the environment and the
-/// symbol to encode.
-pub trait SenderFn: AsyncFnMut(&mut UserEnv, usize) + 'static {}
-impl<F: AsyncFnMut(&mut UserEnv, usize) + 'static> SenderFn for F {}
+/// One-time setup of a sender or receiver: an `async` closure returning
+/// its state.
+pub trait Setup<T>: AsyncFnOnce(&mut UserEnv) -> T + 'static {}
+impl<T, F: AsyncFnOnce(&mut UserEnv) -> T + 'static> Setup<T> for F {}
 
-/// A receiver body: `setup` runs once (untimed allocation/profiling),
-/// `measure` once per slice returning the observation. Both are `async`
-/// closures.
-pub struct Receiver<S, M> {
-    /// One-time setup returning the receiver's probe state.
+/// A sender's per-symbol body, `encode(env, state, symbol, stamp)`: an
+/// `async` closure that encodes the symbol and paces to the next period.
+pub trait Encode<T>: AsyncFnMut(&mut UserEnv, &mut T, usize, u64) + 'static {}
+impl<T, F: AsyncFnMut(&mut UserEnv, &mut T, usize, u64) + 'static> Encode<T> for F {}
+
+/// A standard receiver's per-slice measurement, `measure(env, state,
+/// stamp)`: an `async` closure returning the observation.
+pub trait Measure<T>: AsyncFnMut(&mut UserEnv, &mut T, u64) -> f64 + 'static {}
+impl<T, F: AsyncFnMut(&mut UserEnv, &mut T, u64) -> f64 + 'static> Measure<T> for F {}
+
+/// A receiver program: it logs its observations and returns when it has
+/// enough. The run ends when every receiver has returned.
+pub trait ReceiverProgram: AsyncFnOnce(&mut UserEnv, ReceiverLog) + 'static {}
+impl<F: AsyncFnOnce(&mut UserEnv, ReceiverLog) + 'static> ReceiverProgram for F {}
+
+/// A sender (Trojan). Its program runs `setup` once, then `encode` for
+/// each symbol the harness draws and stamps with the cycle counter.
+pub struct Sender<S, E> {
+    /// The core the sender runs on; the receiver runs on core 0.
+    pub core: usize,
+    /// One-time setup before the first stamp ([`Setup`]).
     pub setup: S,
-    /// Per-slice measurement.
+    /// Per-symbol encode-and-pace body ([`Encode`]), usually ending in a
+    /// wait for the preemption.
+    pub encode: E,
+}
+
+/// The standard receiver (spy): `setup` runs once (untimed allocation and
+/// warming), then the receiver waits for a slice boundary and, once per
+/// slice, stamps the cycle counter, calls `measure(env, state, stamp)`,
+/// logs the observation under the stamp and waits for the preemption.
+/// [`Receiver::program`] builds the program.
+pub struct Receiver<S, M> {
+    /// One-time setup returning the receiver's probe state ([`Setup`]).
+    pub setup: S,
+    /// Per-slice measurement ([`Measure`]).
     pub measure: M,
 }
 
-/// Run a sender/receiver pair and return the paired dataset.
-///
-/// `sender` is invoked with the symbol sequence infrastructure already
-/// in place; `setup`/`measure` describe the receiver.
-///
-/// # Errors
-/// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_run_intra_core<T: 'static>(
-    spec: &IntraCoreSpec,
-    sender: impl SenderFn,
-    receiver: Receiver<
-        impl AsyncFnOnce(&mut UserEnv) -> T + 'static,
-        impl AsyncFnMut(&mut UserEnv, &mut T) -> f64 + 'static,
-    >,
-) -> Result<Dataset, SimError> {
-    try_run_intra_core_with_setup(spec, None, sender, receiver)
+impl<S, M> Receiver<S, M> {
+    /// The receiver program taking `samples + 1` observations.
+    pub fn program<T: 'static>(self, samples: usize) -> impl ReceiverProgram
+    where
+        S: Setup<T>,
+        M: Measure<T>,
+    {
+        let Receiver { setup, mut measure } = self;
+        async move |env: &mut UserEnv, log: ReceiverLog| {
+            let mut state = setup(env).await;
+            // Synchronise to a slice boundary after setup.
+            let _ = env.wait_preempt().await;
+            for _ in 0..samples + 1 {
+                let t0 = env.now().await;
+                let out = measure(env, &mut state, t0).await;
+                log.borrow_mut().push((t0, out));
+                let _ = env.wait_preempt().await;
+            }
+        }
+    }
 }
 
-/// As [`try_run_intra_core`], with an optional kernel-setup hook that runs
-/// after thread creation (capability grants etc.). The hook sees the TCBs
-/// in order `[sender, receiver]`.
-///
-/// # Errors
-/// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_run_intra_core_with_setup<T: 'static>(
-    spec: &IntraCoreSpec,
-    setup_hook: Option<tp_core::system::SetupFn>,
-    mut sender: impl SenderFn,
-    receiver: Receiver<
-        impl AsyncFnOnce(&mut UserEnv) -> T + 'static,
-        impl AsyncFnMut(&mut UserEnv, &mut T) -> f64 + 'static,
-    >,
-) -> Result<Dataset, SimError> {
-    let sender_log = SenderLog::default();
-    let receiver_log = ReceiverLog::default();
+/// The logs of one spawned sender/receiver pair.
+pub struct PairLogs {
+    sends: Rc<RefCell<Vec<(u64, usize)>>>,
+    recvs: ReceiverLog,
+}
 
-    let mut b = SystemBuilder::new(spec.platform, spec.prot)
-        .seed(spec.seed)
-        .slice_us(spec.slice_us)
-        .max_cycles(spec.cycle_budget());
-    // Receiver first: it owns slot 0, so its probe follows the sender slice.
-    let d_recv = b.domain(None);
-    let d_send = b.domain(None);
-    if let Some(hook) = setup_hook {
-        b.setup(hook);
-    }
-
-    let n_symbols = spec.n_symbols;
-    let samples = spec.samples;
-    let seed = spec.seed;
-
-    let slog = Rc::clone(&sender_log);
-    b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
+/// Spawn a sender/receiver pair into `b`: the sender as a daemon of
+/// domain `send` on `sender.core`, the receiver as a primary of domain
+/// `recv` on core 0. The sender's symbols are uniform over `0..n_symbols`
+/// from a stream seeded by `seed`. The sender is spawned first, so a
+/// setup hook sees the pair's TCBs in order `[sender, receiver]`.
+pub fn spawn_pair<T: 'static>(
+    b: &mut SystemBuilder,
+    send: DomainHandle,
+    recv: DomainHandle,
+    n_symbols: usize,
+    seed: u64,
+    sender: Sender<impl Setup<T>, impl Encode<T>>,
+    receiver: impl ReceiverProgram,
+) -> PairLogs {
+    let logs = PairLogs {
+        sends: Rc::default(),
+        recvs: Rc::default(),
+    };
+    let sends = Rc::clone(&logs.sends);
+    let Sender {
+        core,
+        setup,
+        mut encode,
+    } = sender;
+    b.spawn_daemon(send, core, 100, async move |env: &mut UserEnv| {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
+        let mut state = setup(env).await;
         loop {
             let symbol = rng.gen_range(0..n_symbols);
             let t0 = env.now().await;
-            slog.borrow_mut().push((t0, symbol));
-            sender(env, symbol).await;
-            let _ = env.wait_preempt().await;
+            sends.borrow_mut().push((t0, symbol));
+            encode(env, &mut state, symbol, t0).await;
         }
     });
-
-    let rlog = Rc::clone(&receiver_log);
-    let Receiver { setup, mut measure } = receiver;
-    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
-        let mut state = setup(env).await;
-        // Synchronise to a slice boundary after setup.
-        let _ = env.wait_preempt().await;
-        for _ in 0..samples + 1 {
-            let t0 = env.now().await;
-            let out = measure(env, &mut state).await;
-            rlog.borrow_mut().push((t0, out));
-            let _ = env.wait_preempt().await;
-        }
+    let recvs = Rc::clone(&logs.recvs);
+    b.spawn(recv, 0, 100, async move |env: &mut UserEnv| {
+        receiver(env, recvs).await;
     });
-
-    let _ = b.try_run()?;
-
-    let sends = sender_log.take();
-    let recvs = receiver_log.take();
-    Ok(pair_logs(n_symbols, &sends, &recvs))
+    logs
 }
 
-/// Pair each receiver observation with the sender slice that most recently
-/// *started before* the observation.
+/// Pair every receiver observation of `pairs` with the sender period that
+/// most recently *started before* it, pool them in order into one
+/// dataset, and run the §5.1 leakage test on it under `seed`.
 #[must_use]
-pub fn pair_logs(n_symbols: usize, sends: &[(u64, usize)], recvs: &[(u64, f64)]) -> Dataset {
-    let mut data = Dataset::new(n_symbols);
+pub fn judge(n_symbols: usize, pairs: &[PairLogs], seed: u64) -> ChannelOutcome {
+    let mut dataset = Dataset::new(n_symbols);
+    for p in pairs {
+        pair_logs(&mut dataset, &p.sends.borrow(), &p.recvs.borrow());
+    }
+    let verdict = leakage_test(&dataset, seed ^ 0x0F0F_F0F0);
+    ChannelOutcome { dataset, verdict }
+}
+
+/// Append each observation of `recvs` to `data`, paired with the latest
+/// sender entry that started before it; one with none is dropped.
+fn pair_logs(data: &mut Dataset, sends: &[(u64, usize)], recvs: &[(u64, f64)]) {
     for &(t, out) in recvs {
-        // Latest sender entry with start < t.
-        let prev = sends.iter().rev().find(|(ts, _)| *ts < t);
-        if let Some(&(_, symbol)) = prev {
+        if let Some(&(_, symbol)) = sends.iter().rev().find(|(ts, _)| *ts < t) {
             data.push(symbol, out);
         }
     }
-    data
 }
 
-/// Run the full measurement + §5.1 leakage test.
+/// Run one channel and judge it: a receiver domain, then a sender domain
+/// (the receiver owns slot 0, so under slotted scheduling its observation
+/// follows the sender's slice), the pair spawned into them, the system
+/// run to completion.
+///
+/// `b` carries the channel's settings (usually [`IntraCoreSpec::builder`])
+/// and any kernel setup hook, and no domains yet.
 ///
 /// # Errors
 /// Returns the [`SimError`] of the first simulated program that fails.
-pub fn try_measure_channel<T: 'static>(
+pub fn run_channel<T: 'static>(
     spec: &IntraCoreSpec,
-    sender: impl SenderFn,
-    receiver: Receiver<
-        impl AsyncFnOnce(&mut UserEnv) -> T + 'static,
-        impl AsyncFnMut(&mut UserEnv, &mut T) -> f64 + 'static,
-    >,
+    mut b: SystemBuilder,
+    sender: Sender<impl Setup<T>, impl Encode<T>>,
+    receiver: impl ReceiverProgram,
 ) -> Result<ChannelOutcome, SimError> {
-    let dataset = try_run_intra_core(spec, sender, receiver)?;
-    let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
-    Ok(ChannelOutcome { dataset, verdict })
+    let recv = b.domain(None);
+    let send = b.domain(None);
+    let logs = spawn_pair(
+        &mut b,
+        send,
+        recv,
+        spec.n_symbols,
+        spec.seed,
+        sender,
+        receiver,
+    );
+    let _ = b.try_run()?;
+    Ok(judge(spec.n_symbols, &[logs], spec.seed))
 }
 
 #[cfg(test)]
@@ -276,7 +328,8 @@ mod tests {
     fn pairing_uses_most_recent_sender_slice() {
         let sends = vec![(100, 0), (300, 1), (500, 2)];
         let recvs = vec![(50, 9.0), (200, 10.0), (400, 11.0), (600, 12.0)];
-        let d = pair_logs(3, &sends, &recvs);
+        let mut d = Dataset::new(3);
+        pair_logs(&mut d, &sends, &recvs);
         // t=50 has no preceding sender slice and is dropped.
         assert_eq!(d.len(), 3);
         assert_eq!(d.inputs(), &[0, 1, 2]);
@@ -295,20 +348,27 @@ mod tests {
         // Smoke test of the harness itself: sender does nothing observable;
         // dataset must still assemble with the right shape.
         let spec = IntraCoreSpec::new(Platform::Haswell, Scenario::Raw, 2, 10).with_slice_us(20.0);
-        let d = try_run_intra_core(
+        let o = run_channel(
             &spec,
-            async |env: &mut UserEnv, _sym| {
-                env.compute(500).await;
+            spec.builder(),
+            Sender {
+                core: 0,
+                setup: async |_: &mut UserEnv| (),
+                encode: async |env: &mut UserEnv, (): &mut (), _, _| {
+                    env.compute(500).await;
+                    let _ = env.wait_preempt().await;
+                },
             },
             Receiver {
-                setup: async |_env: &mut UserEnv| (),
-                measure: async |env: &mut UserEnv, (): &mut ()| {
+                setup: async |_: &mut UserEnv| (),
+                measure: async |env: &mut UserEnv, (): &mut (), _| {
                     env.compute(100).await;
                     1.0
                 },
-            },
+            }
+            .program(spec.samples),
         )
         .expect("harness smoke run failed");
-        assert!(d.len() >= 8, "only {} samples", d.len());
+        assert!(o.dataset.len() >= 8, "only {} samples", o.dataset.len());
     }
 }

@@ -9,12 +9,8 @@
 //! stays masked until the Trojan's kernel is next active, and the spy's
 //! slice is uninterrupted.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::rc::Rc;
-use tp_analysis::leakage_test;
-use tp_core::{CapObject, Capability, ProtectionConfig, Rights, SimError, SystemBuilder, UserEnv};
+use crate::harness::{run_channel, ChannelOutcome, IntraCoreSpec, ReceiverLog, Sender};
+use tp_core::{CapObject, Capability, ProtectionConfig, Rights, SimError, UserEnv};
 
 /// The IRQ line the Trojan's timer uses.
 pub const TROJAN_IRQ: u32 = 3;
@@ -45,16 +41,7 @@ pub fn interrupt_config(partitioned: bool) -> ProtectionConfig {
 /// Panics if `spec.n_symbols` does not match [`TIMER_VALUES_MS`].
 pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     assert_eq!(spec.n_symbols, TIMER_VALUES_MS.len());
-    let sender_log = SenderLog::default();
-    let receiver_log = ReceiverLog::default();
-
-    let mut b = SystemBuilder::new(spec.platform, spec.prot)
-        .seed(spec.seed)
-        .slice_us(spec.slice_us)
-        .max_cycles(spec.cycle_budget());
-    let d_spy = b.domain(None);
-    let d_trojan = b.domain(None);
-
+    let mut b = spec.builder();
     // Bind the Trojan's timer IRQ to its kernel image and hand it the IRQ
     // handler capability. TCBs are [trojan, spy].
     b.setup(Box::new(|k, _m, tcbs, domains| {
@@ -73,26 +60,19 @@ pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, Sim
         assert_eq!(cap, 0);
     }));
 
-    let n_symbols = spec.n_symbols;
-    let samples = spec.samples;
-    let seed = spec.seed;
-
-    let slog = Rc::clone(&sender_log);
-    b.spawn_daemon(d_trojan, 0, 100, async move |env: &mut UserEnv| {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
-        loop {
-            let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now().await;
-            slog.borrow_mut().push((t0, symbol));
+    let trojan = Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| (),
+        encode: async |env: &mut UserEnv, (): &mut (), symbol: usize, _| {
             let _ = env.set_timer_us(0, TIMER_VALUES_MS[symbol] * 1000.0).await;
             // Sleep for the rest of the slice.
             env.sleep_slice().await;
-        }
-    });
+        },
+    };
 
-    let rlog = Rc::clone(&receiver_log);
+    let samples = spec.samples;
     let slot_cycles = spec.platform.config().us_to_cycles(spec.slice_us);
-    b.spawn(d_spy, 0, 100, async move |env: &mut UserEnv| {
+    let spy = async move |env: &mut UserEnv, log: ReceiverLog| {
         let mut last_resume: Option<u64> = None;
         let mut prev_offline = u64::MAX; // before the first resume: a slot boundary
         let mut taken = 0usize;
@@ -104,19 +84,15 @@ pub fn try_interrupt_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, Sim
             if let Some(lr) = last_resume {
                 if prev_offline > slot_cycles / 2 {
                     let online = (gap_start - lr) as f64;
-                    rlog.borrow_mut().push((gap_start, online));
+                    log.borrow_mut().push((gap_start, online));
                     taken += 1;
                 }
             }
             prev_offline = resume - gap_start;
             last_resume = Some(resume);
         }
-    });
-
-    let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
-    let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
-    Ok(ChannelOutcome { dataset, verdict })
+    };
+    run_channel(spec, b, trojan, spy)
 }
 
 /// The paper's spec: 10 ms tick.

@@ -18,15 +18,9 @@
 //! its own colours (and the receiver only ever times its own clone), so
 //! the channel disappears.
 
-use crate::harness::{pair_logs, ChannelOutcome, IntraCoreSpec, ReceiverLog, SenderLog};
-use crate::probe::{phys_probe, ProbeBuf};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::rc::Rc;
-use tp_analysis::leakage_test;
-use tp_core::{
-    CapObject, Capability, ProtectionConfig, Rights, SimError, Syscall, SystemBuilder, UserEnv,
-};
+use crate::harness::{run_channel, ChannelOutcome, IntraCoreSpec, Receiver, Sender};
+use crate::probe::{l1_probe, phys_probe, ProbeBuf};
+use tp_core::{CapObject, Capability, ProtectionConfig, Rights, SimError, Syscall, UserEnv};
 
 /// Symbol names for the channel matrix (Figure 3's x-axis).
 pub const SYMBOLS: [&str; 4] = ["Signal", "SetPriority", "Poll", "idle"];
@@ -79,16 +73,7 @@ pub fn kernel_attack_sets(cfg: &tp_sim::PlatformConfig) -> Vec<usize> {
 /// API, not a simulation outcome.
 pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError> {
     assert_eq!(spec.n_symbols, SYMBOLS.len(), "the channel has 4 symbols");
-    let sender_log = SenderLog::default();
-    let receiver_log = ReceiverLog::default();
-
-    let mut b = SystemBuilder::new(spec.platform, spec.prot)
-        .seed(spec.seed)
-        .slice_us(spec.slice_us)
-        .max_cycles(spec.cycle_budget());
-    let d_recv = b.domain(None);
-    let d_send = b.domain(None);
-
+    let mut b = spec.builder();
     // Grant both sides a notification and a TCB capability for their
     // syscalls (the receiver times the same handlers the sender exercises).
     // TCBs are ordered [sender, receiver].
@@ -113,16 +98,10 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
         }
     }));
 
-    let n_symbols = spec.n_symbols;
-    let samples = spec.samples;
-    let seed = spec.seed;
-    let slog = Rc::clone(&sender_log);
-    b.spawn_daemon(d_send, 0, 100, async move |env: &mut UserEnv| {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
-        loop {
-            let symbol = rng.gen_range(0..n_symbols);
-            let t0 = env.now().await;
-            slog.borrow_mut().push((t0, symbol));
+    let sender = Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| (),
+        encode: async |env: &mut UserEnv, (): &mut (), symbol: usize, _| {
             for _ in 0..REPS {
                 match symbol {
                     0 => {
@@ -140,56 +119,45 @@ pub fn kernel_image_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimE
                 }
             }
             let _ = env.wait_preempt().await;
-        }
-    });
+        },
+    };
 
-    let rlog = Rc::clone(&receiver_log);
-    b.spawn(d_recv, 0, 100, async move |env: &mut UserEnv| {
-        let cfg = *env.platform();
-        // The eviction machinery: a data probe over exactly the unified-L2
-        // sets the candidate handlers are served from (the real attack
-        // finds these with the §5.3.1 profiling phase), and an
-        // instruction-sized exec probe that clears the L1-I. Running both
-        // after each timed measurement leaves every handler line cold in
-        // the receiver's private hierarchy, so the next measurement reads
-        // purely what the *sender* re-fetched.
-        let targets = kernel_attack_sets(&cfg);
-        let dbuf: ProbeBuf = phys_probe(
-            env,
-            cfg.l2,
-            &targets,
-            cfg.l2.ways as usize,
-            6 * targets.len(),
-        )
-        .await;
-        let ibuf: ProbeBuf = crate::probe::l1_probe(env, cfg.l1i).await;
-        let _ = dbuf.probe(env).await;
-        let _ = ibuf.probe_exec(env).await;
-        let _ = env.wait_preempt().await;
-        for _ in 0..samples + 1 {
+    let receiver = Receiver {
+        setup: async |env: &mut UserEnv| {
+            let cfg = *env.platform();
+            // The eviction machinery: a data probe over exactly the
+            // unified-L2 sets the candidate handlers are served from (the
+            // real attack finds these with the §5.3.1 profiling phase), and
+            // an instruction-sized exec probe that clears the L1-I. Running
+            // both after each timed measurement leaves every handler line
+            // cold in the receiver's private hierarchy, so the next
+            // measurement reads purely what the *sender* re-fetched.
+            let targets = kernel_attack_sets(&cfg);
+            let ways = cfg.l2.ways as usize;
+            let dbuf = phys_probe(env, cfg.l2, &targets, ways, 6 * targets.len()).await;
+            let ibuf = l1_probe(env, cfg.l1i).await;
+            let _ = dbuf.probe(env).await;
+            let _ = ibuf.probe_exec(env).await;
+            (dbuf, ibuf)
+        },
+        measure: async |env: &mut UserEnv, (dbuf, ibuf): &mut (ProbeBuf, ProbeBuf), t0| {
             // Time the three handler syscalls back to back; the sum drops
             // by (LLC − L2 latency) × footprint for the handler the sender
             // kept warm.
-            let t0 = env.now().await;
             let _ = env.syscall(Syscall::Signal { cap: 0 }).await;
             let _ = env
                 .syscall(Syscall::TcbSetPriority { cap: 1, prio: 100 })
                 .await;
             let _ = env.syscall(Syscall::Poll { cap: 0 }).await;
             let t1 = env.now().await;
-            rlog.borrow_mut().push((t0, (t1 - t0) as f64));
             // Evict the handlers from the L2 (data probe over their sets)
             // and from the L1-I, re-arming the measurement.
             let _ = dbuf.probe(env).await;
             let _ = ibuf.probe_exec(env).await;
-            let _ = env.wait_preempt().await;
-        }
-    });
-
-    let _ = b.try_run()?;
-    let dataset = pair_logs(n_symbols, &sender_log.borrow(), &receiver_log.borrow());
-    let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
-    Ok(ChannelOutcome { dataset, verdict })
+            (t1 - t0) as f64
+        },
+    };
+    run_channel(spec, b, sender, receiver.program(spec.samples))
 }
 
 #[cfg(test)]

@@ -13,11 +13,10 @@
 //! | §5.3.5 / Fig 6 | [`interrupt`] | covert channel through timer-interrupt placement |
 //! | §2.3/§6.1 (limitation) | [`bus`] | cross-core interconnect covert channel that time protection *cannot* close |
 //!
-//! All experiments share the [`harness`]: a sender and a receiver time-share
-//! a core under strict domain slots, the sender encoding a seeded random
-//! symbol sequence, the receiver recording timing observations; the
-//! harness pairs them by slice timestamps and returns a
-//! [`tp_analysis::Dataset`] for MI estimation.
+//! Every two-party channel runs through the [`harness`]: the sender
+//! encodes a seeded random symbol sequence, the receiver records timing
+//! observations, and the harness pairs them by timestamp into a
+//! [`tp_analysis::Dataset`] and judges it with the §5.1 leakage test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! own working set and observes the extra page-walk latency. Flushing the
 //! TLBs on domain switch (invpcid / TLBIALL) closes the channel.
 
-use crate::harness::{try_measure_channel, ChannelOutcome, IntraCoreSpec};
+use crate::harness::{run_channel, ChannelOutcome, IntraCoreSpec, Receiver, Sender};
 use tp_core::SimError;
 use tp_core::UserEnv;
 use tp_sim::{PlatformConfig, VAddr, FRAME_SIZE};
@@ -51,40 +51,42 @@ pub fn try_tlb_channel(spec: &IntraCoreSpec) -> Result<ChannelOutcome, SimError>
     let pages = tlb_probe_pages(&cfg);
     let sweep = tlb_sweep_pages(&cfg);
     let n = spec.n_symbols;
-    let mut sender_base: Option<VAddr> = None;
-    try_measure_channel(
-        spec,
-        async move |env: &mut UserEnv, sym: usize| {
-            let base = match sender_base {
+    let sender = Sender {
+        core: 0,
+        setup: async |_: &mut UserEnv| None,
+        encode: async move |env: &mut UserEnv, base: &mut Option<VAddr>, sym: usize, _| {
+            let base = match *base {
                 Some(base) => base,
-                None => *sender_base.insert(env.map_pages(sweep).await.0),
+                None => *base.insert(env.map_pages(sweep).await.0),
             };
             let k = sweep * sym / n.max(1);
             for p in 0..k {
                 env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
             }
+            let _ = env.wait_preempt().await;
         },
-        crate::harness::Receiver {
-            setup: async move |env: &mut UserEnv| {
-                let (base, _) = env.map_pages(pages).await;
-                // Warm the pages into caches so the residual signal is TLB
-                // latency, not cache misses.
-                for _ in 0..2 {
-                    for p in 0..pages {
-                        env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
-                    }
-                }
-                base
-            },
-            measure: async move |env: &mut UserEnv, base: &mut VAddr| {
-                let mut total = 0u64;
+    };
+    let receiver = Receiver {
+        setup: async move |env: &mut UserEnv| {
+            let (base, _) = env.map_pages(pages).await;
+            // Warm the pages into caches so the residual signal is TLB
+            // latency, not cache misses.
+            for _ in 0..2 {
                 for p in 0..pages {
-                    total += env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
+                    env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
                 }
-                total as f64
-            },
+            }
+            base
         },
-    )
+        measure: async move |env: &mut UserEnv, base: &mut VAddr, _| {
+            let mut total = 0u64;
+            for p in 0..pages {
+                total += env.load(VAddr(base.0 + p as u64 * FRAME_SIZE)).await;
+            }
+            total as f64
+        },
+    };
+    run_channel(spec, spec.builder(), sender, receiver.program(spec.samples))
 }
 
 #[cfg(test)]

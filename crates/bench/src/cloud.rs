@@ -10,13 +10,15 @@
 //! workload shape), and several *co-resident attacker pairs* embedded at
 //! known rotation positions.
 //!
-//! Each pair is a sender/receiver L1-D prime&probe channel exactly like
-//! the §5.3.2 harness: the victim dirties a symbol-dependent number of
-//! cache sets during its slice, the adjacent attacker probes in the slice
-//! that immediately follows. Observations from every pair are pooled into
-//! one dataset, so the reported verdict is *aggregate* co-resident
-//! leakage across the fleet, and the ordinary tenants double as realistic
-//! cache noise between rotations.
+//! Each pair is the §5.3.2 L1-D prime&probe channel itself:
+//! [`tp_attacks::harness::spawn_pair`] spawns the L1-D channel's own
+//! sender as the victim and its receiver as the attacker into the fleet's
+//! system. The victim dirties a symbol-dependent number of cache sets
+//! during its slice, the adjacent attacker probes in the slice that
+//! immediately follows. [`tp_attacks::harness::judge`] pools the
+//! observations of every pair into one dataset, so the reported verdict
+//! is *aggregate* co-resident leakage across the fleet, and the ordinary
+//! tenants double as realistic cache noise between rotations.
 //!
 //! Alongside leakage, the scenario reports what the protection costs the
 //! tenants: request throughput and sojourn-time percentiles (queueing +
@@ -28,9 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
-use tp_analysis::{leakage_test, Dataset};
-use tp_attacks::harness::{pair_logs, ChannelOutcome, ReceiverLog, SenderLog};
-use tp_attacks::probe::{l1_probe, ProbeBuf};
+use tp_attacks::cache;
+use tp_attacks::harness::{judge, spawn_pair, ChannelOutcome};
 use tp_core::{
     EnvOutcome, ProtectionConfig, SimError, SystemBuilder, SystemSpec, UserEnv, UserProgram,
 };
@@ -255,54 +256,23 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
         b.domain_sized(colors, frames)
     };
 
-    let mut sender_logs: Vec<SenderLog> = Vec::new();
-    let mut receiver_logs: Vec<ReceiverLog> = Vec::new();
-
+    // Each pair is the L1-D channel's own sender and receiver. Pair `k`'s
+    // symbol stream is seeded by `spec.seed ^ k·0x9E37_79B9`; the attacker
+    // is a primary, so the run ends once every pair has its quota.
+    let mut pairs = Vec::with_capacity(spec.pairs);
     for k in 0..spec.pairs {
-        let d_victim = next_domain(&mut b, PAIR_FRAMES);
-        let d_attacker = next_domain(&mut b, PAIR_FRAMES);
-
-        let slog = SenderLog::default();
-        let rlog = ReceiverLog::default();
-        sender_logs.push(Rc::clone(&slog));
-        receiver_logs.push(Rc::clone(&rlog));
-
-        // Victim: encodes a seeded symbol stream into L1-D occupancy,
-        // one symbol per slice (identical to the §5.3.2 harness sender).
-        let seed = spec.seed ^ 0xABCD_EF01 ^ (k as u64).wrapping_mul(0x9E37_79B9);
-        b.spawn_daemon(d_victim, 0, 100, async move |env: &mut UserEnv| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut sbuf: Option<ProbeBuf> = None;
-            loop {
-                let symbol = rng.gen_range(0..CLOUD_SYMBOLS);
-                let t0 = env.now().await;
-                slog.borrow_mut().push((t0, symbol));
-                let geom = env.platform().l1d;
-                if sbuf.is_none() {
-                    sbuf = Some(l1_probe(env, geom).await);
-                }
-                let buf = sbuf.as_ref().expect("built above");
-                let sets = geom.sets() as usize;
-                let ways = geom.ways as usize;
-                let prefix_sets = sets * symbol / CLOUD_SYMBOLS;
-                buf.dirty_prefix(env, prefix_sets * ways).await;
-                let _ = env.wait_preempt().await;
-            }
-        });
-
-        // Attacker: primary; the run ends once every pair has its quota.
-        b.spawn(d_attacker, 0, 100, async move |env: &mut UserEnv| {
-            let geom = env.platform().l1d;
-            let buf = l1_probe(env, geom).await;
-            let _ = buf.probe(env).await; // warm the backing levels
-            let _ = env.wait_preempt().await; // sync to a slice boundary
-            for _ in 0..per_pair + 1 {
-                let t0 = env.now().await;
-                let lat = buf.probe(env).await as f64;
-                rlog.borrow_mut().push((t0, lat));
-                let _ = env.wait_preempt().await;
-            }
-        });
+        let victim = next_domain(&mut b, PAIR_FRAMES);
+        let attacker = next_domain(&mut b, PAIR_FRAMES);
+        let seed = spec.seed ^ (k as u64).wrapping_mul(0x9E37_79B9);
+        pairs.push(spawn_pair(
+            &mut b,
+            victim,
+            attacker,
+            CLOUD_SYMBOLS,
+            seed,
+            cache::l1d_sender(CLOUD_SYMBOLS),
+            cache::l1d_receiver().program(per_pair),
+        ));
     }
 
     // Tenant-side request accounting: (completion cycle, sojourn cycles).
@@ -331,15 +301,7 @@ pub fn run_cloud(spec: &CloudSpec) -> Result<CloudReport, SimError> {
         .count();
 
     // Pool every pair's paired observations into one aggregate dataset.
-    let mut dataset = Dataset::new(CLOUD_SYMBOLS);
-    for (slog, rlog) in sender_logs.iter().zip(&receiver_logs) {
-        let d = pair_logs(CLOUD_SYMBOLS, &slog.borrow(), &rlog.borrow());
-        for (&s, &o) in d.inputs().iter().zip(d.outputs()) {
-            dataset.push(s, o);
-        }
-    }
-    let verdict = leakage_test(&dataset, spec.seed ^ 0x0F0F_F0F0);
-    let outcome = ChannelOutcome { dataset, verdict };
+    let outcome = judge(CLOUD_SYMBOLS, &pairs, spec.seed);
 
     let mut sj: Vec<u64> = sojourns.take();
     sj.sort_unstable();

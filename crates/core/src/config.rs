@@ -124,17 +124,6 @@ impl ProtectionConfig {
         self.disable_data_prefetcher = true;
         self
     }
-
-    /// Whether any per-switch mechanism is active (used to decide whether a
-    /// thread switch between domains needs the extended path).
-    #[must_use]
-    pub fn needs_domain_switch_work(&self) -> bool {
-        self.flush != FlushMode::None
-            || self.pad_us.is_some()
-            || self.irq_partition
-            || self.prefetch_shared
-            || self.clone_kernel
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +133,6 @@ mod tests {
     #[test]
     fn presets_are_consistent() {
         let raw = ProtectionConfig::raw();
-        assert!(!raw.needs_domain_switch_work());
         assert!(raw.kernel_global_mappings);
 
         let p = ProtectionConfig::protected();
@@ -165,6 +153,5 @@ mod tests {
     fn pad_builder() {
         let p = ProtectionConfig::protected().with_pad_us(58.8);
         assert_eq!(p.pad_us, Some(58.8));
-        assert!(p.needs_domain_switch_work());
     }
 }

@@ -82,7 +82,6 @@ struct Stream {
     last_line: i64,
     stride: i64,
     confidence: u8,
-    stamp: u64,
     /// Furthest line (in stride direction) already prefetched, so a
     /// confident stream does not re-issue fills for targets it covered on
     /// the previous miss — real prefetchers track outstanding requests the
@@ -100,7 +99,6 @@ pub struct StreamPrefetcher {
     entries: Vec<Option<Stream>>,
     capacity: usize,
     enabled: bool,
-    clock: u64,
     /// Budget of stale-stream resumptions outstanding since the last
     /// domain switch (see [`StreamPrefetcher::note_domain_switch`]).
     resume_budget: u64,
@@ -116,7 +114,6 @@ impl StreamPrefetcher {
             entries: vec![None; capacity],
             capacity,
             enabled: capacity > 0,
-            clock: 0,
             resume_budget: 0,
             issued: 0,
         }
@@ -171,8 +168,6 @@ impl StreamPrefetcher {
         if !self.enabled {
             return (PrefetchLines::default(), 0);
         }
-        self.clock += 1;
-        let clock = self.clock;
         let page = paddr / FRAME_SIZE;
         let line = ((paddr % FRAME_SIZE) / line_size) as i64;
         let lines_per_page = (FRAME_SIZE / line_size) as i64;
@@ -196,7 +191,6 @@ impl StreamPrefetcher {
                     s.last_pf = line;
                 }
                 s.last_line = line;
-                s.stamp = clock;
                 if s.confidence >= CONFIDENCE_THRESHOLD {
                     for k in 1..=PREFETCH_DEGREE as i64 {
                         let next = line + s.stride * k;
@@ -220,7 +214,6 @@ impl StreamPrefetcher {
                     last_line: line,
                     stride: 0,
                     confidence: 0,
-                    stamp: clock,
                     last_pf: line,
                 });
             }

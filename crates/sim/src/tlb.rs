@@ -102,21 +102,6 @@ impl TlbArray {
         self.assoc.flush_all()
     }
 
-    /// Invalidate all non-global entries of one ASID.
-    pub fn flush_asid(&mut self, asid: Asid) -> u64 {
-        let mut n = 0;
-        for (set, ids) in self.ids.chunks_exact(self.ways).enumerate() {
-            let valid = self.assoc.header(set).valid;
-            for (way, &i) in ids.iter().enumerate() {
-                if valid >> way & 1 != 0 && i == u32::from(asid.0) {
-                    self.assoc.invalidate(set, way);
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
     /// Number of valid entries.
     #[must_use]
     pub fn valid_entries(&self) -> u64 {
@@ -213,16 +198,6 @@ mod tests {
                         model.iter_mut().for_each(|e| e.valid = false);
                         assert_eq!(t.flush_all(), n, "case {case}");
                     }
-                    1 => {
-                        let mut n = 0;
-                        for e in &mut model {
-                            if e.valid && !e.global && e.asid == asid {
-                                e.valid = false;
-                                n += 1;
-                            }
-                        }
-                        assert_eq!(t.flush_asid(Asid(asid)), n, "case {case}");
-                    }
                     _ => {
                         clock += 1;
                         let base = (vpn % u64::from(sets)) as usize * ways as usize;
@@ -316,19 +291,6 @@ mod tests {
         }
         // vpn 0 was evicted from the D-TLB but still lives in the L2 TLB.
         assert_eq!(t.translate(Asid(1), 0, false, false), TlbLevel::L2);
-    }
-
-    #[test]
-    fn flush_asid_spares_globals_and_others() {
-        let mut t = hier();
-        t.translate(Asid(1), 1, false, false);
-        t.translate(Asid(2), 2, false, false);
-        t.translate(Asid(1), 3, false, true);
-        t.dtlb.flush_asid(Asid(1));
-        t.stlb.flush_asid(Asid(1));
-        assert_eq!(t.translate(Asid(1), 1, false, false), TlbLevel::Walk);
-        assert_ne!(t.translate(Asid(2), 2, false, false), TlbLevel::Walk);
-        assert_ne!(t.translate(Asid(1), 3, false, false), TlbLevel::Walk);
     }
 
     #[test]
