@@ -30,8 +30,9 @@
 //! (only a stall past its deadline is retried, on the same seeds) and
 //! quarantined into `goldens/quarantine.json` (written on every run, `[]`
 //! when healthy), and the other cells and sections still complete.
-//! `TP_FAULT` injects a deterministic fault (see `tp_core::fault`). The
-//! `--check` golden is the only artifact the run reads.
+//! `TP_FAULT` injects a deterministic fault (see `tp_core::fault`); its
+//! cell scope must name a registry cell. The `--check` golden is the only
+//! artifact the run reads.
 //!
 //! A quarantined cell or a failing section is named on stderr, the rest
 //! still print, and the process exits 1; so does a verdict that differs
@@ -40,11 +41,12 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use tp_bench::campaign::{check_goldens, golden_json, results_json};
+use tp_bench::campaign::{self, check_goldens, golden_json, results_json};
 use tp_bench::reproduce::{self, bench_json};
 use tp_bench::supervise::quarantine_json;
 use tp_bench::{cli, store};
 use tp_core::FaultPlan;
+use tp_sim::Platform;
 
 /// Where the quarantine ledger is written (next to the golden verdicts).
 const QUARANTINE_PATH: &str = "goldens/quarantine.json";
@@ -55,6 +57,35 @@ fn write(path: &str, payload: &str) -> Result<(), ExitCode> {
         eprintln!("reproduce_all: failed to write {path}: {e}");
         ExitCode::from(2)
     })
+}
+
+/// Check that a fault plan's cell scope names a registry cell: a scope
+/// that names none would arm nothing, and the run would pass unfaulted.
+fn check_scope(plan: Option<&FaultPlan>) -> Result<(), String> {
+    let Some((name, key)) = plan.and_then(|p| p.cell.as_ref()) else {
+        return Ok(());
+    };
+    let defs = campaign::registry();
+    let def = defs.iter().find(|d| d.name == name).ok_or_else(|| {
+        let known: Vec<_> = defs.iter().map(|d| d.name).collect();
+        format!(
+            "TP_FAULT: the cell scope names unknown experiment `{name}`; known: {}",
+            known.join(", ")
+        )
+    })?;
+    let runs_on: Vec<_> = Platform::ALL
+        .into_iter()
+        .filter(|&p| (def.supports)(p))
+        .map(Platform::key)
+        .collect();
+    if runs_on.contains(&key.as_str()) {
+        Ok(())
+    } else {
+        Err(format!(
+            "TP_FAULT: `{name}` has no cell on platform `{key}`; it runs on: {}",
+            runs_on.join(", ")
+        ))
+    }
 }
 
 fn main() -> ExitCode {
@@ -77,12 +108,14 @@ fn reproduce_all() -> Result<ExitCode, ExitCode> {
         },
         None => None,
     };
-    // The fault plan must parse before any cell burns time, and even when
-    // no cell runs.
-    let plan = FaultPlan::from_env().map_err(|e| {
-        eprintln!("reproduce_all: {e}");
-        ExitCode::from(2)
-    })?;
+    // The fault plan must parse, and its scope name a registry cell,
+    // before any cell burns time, and even when no cell runs.
+    let plan = FaultPlan::from_env()
+        .and_then(|plan| check_scope(plan.as_ref()).map(|()| plan))
+        .map_err(|e| {
+            eprintln!("reproduce_all: {e}");
+            ExitCode::from(2)
+        })?;
     if let Some(p) = &plan {
         eprintln!("[fault injection armed: {p}]");
     }

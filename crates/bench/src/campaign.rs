@@ -53,13 +53,16 @@ pub const VOTE_SEED_BASE: u64 = 0x5EED;
 /// Seeds for the three independent repetitions behind every pinned
 /// verdict. A channel is reported as leaking iff at least two of three
 /// seeds flag it: real channels (M ≫ M0) leak under every seed, while a
-/// closed cell rarely survives the vote. M0 is the 95th percentile of 100
-/// shuffles, so a closed cell leaks under one seed with probability
-/// p ≈ 5%, and under the vote with 3p² − 2p³ ≈ 0.7% (assuming
-/// independent seeds; the rate is not yet calibrated). This is what makes
-/// the golden file a stable CI gate. [`vote`] runs the third seed only
-/// when the first two split; the verdict, and so the arithmetic above, is
-/// the same as if all three always ran.
+/// closed cell rarely survives the vote, which is what makes the golden
+/// file a stable CI gate. M0 is the 95th percentile of 100 shuffles, so
+/// a closed cell leaks under one seed with probability p ≈ 5%, and under
+/// the vote with 3p² − 2p³ ≈ 0.7% (assuming independent seeds). Measured
+/// on a synthetic null shaped like the intra-core cells (8 symbols,
+/// integer outputs, n = 63), one seed read 7.5% and the vote 2.0%; the
+/// registry's own rate waits for a calibration on registry-shaped data
+/// (DESIGN.md § "Lazy majority vote"). [`vote`] runs the third seed only
+/// when the first two split; the verdict, and so its false-positive rate,
+/// is the same as if all three always ran.
 const VOTE_SEEDS: [u64; 3] = [
     VOTE_SEED_BASE,
     VOTE_SEED_BASE ^ 0x9E37_79B9,

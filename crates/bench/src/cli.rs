@@ -1,6 +1,6 @@
 //! Shared command-line parsing for the tp-bench binaries.
 //!
-//! The `reproduce_all`, `chaos` and `replay` binaries share this module:
+//! The `reproduce_all` and `replay` binaries share this module:
 //! an argument stream with value-taking flags, number parsing, the
 //! `--platform` and `--seed` flags `replay` takes (through [`Common`]),
 //! and one exit-code convention: a bad flag is reported on stderr and the

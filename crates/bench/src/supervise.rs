@@ -29,7 +29,8 @@
 //! All counters feed the `supervisor` object of `BENCH.json`; a healthy
 //! run reports zeroes everywhere and CI gates on that. The fault classes
 //! that exercise each branch are `tp_core::fault`'s; every branch has a
-//! unit test below, and the `chaos` binary fuzzes them over real cells.
+//! unit test below, and `tests/health.rs` pins each class's outcome on
+//! real registry cells.
 
 use crate::campaign::ChannelResult;
 use std::cell::Cell;

@@ -88,8 +88,16 @@ fn only_with_an_unknown_section_exits_2_naming_the_valid_ones() {
 #[test]
 fn malformed_fault_variables_exit_2_naming_them() {
     let dir = workdir("env");
-    // A trigger point that is not a number, and one below the 1-based range.
-    for value in ["env-panic@x", "env-panic@0"] {
+    // A trigger point that is not a number, one below the 1-based range,
+    // and cell scopes that name no registry cell: an unknown experiment,
+    // an unknown platform, and a platform the experiment does not run on.
+    for value in [
+        "env-panic@x",
+        "env-panic@0",
+        "env-panic@2:cell=tbl/haswell",
+        "env-panic@2:cell=tlb/haswel",
+        "env-panic@2:cell=llc/sabre",
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce_all"))
             .args(["--only", "table1"])
             .current_dir(&dir)

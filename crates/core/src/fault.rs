@@ -1,10 +1,10 @@
-//! Deterministic fault injection for chaos-testing the campaign supervisor.
+//! Deterministic fault injection for testing the cell supervisor.
 //!
 //! A [`FaultPlan`] names one fault class (and optionally the single
 //! experiment×platform cell it applies to). Faults are **deterministic**: a
 //! fault point is a position in the simulated event stream — interaction
-//! ordinal, token-rotation ordinal — never a wall-clock instant, so a chaos
-//! run with the same plan and seed reproduces bit-for-bit.
+//! ordinal, token-rotation ordinal — never a wall-clock instant, so a
+//! faulted run with the same plan and seed reproduces bit-for-bit.
 //!
 //! Plans travel to a cell through a thread-local rather than a global: the
 //! supervisor arms the plan with [`arm`] for one attempt on the thread

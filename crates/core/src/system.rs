@@ -411,8 +411,8 @@ impl SystemBuilder {
             inner.arm_env_fault(kind);
         }
         // The watchdog deadline: whatever the supervisor armed, or — when a
-        // fault is injected without one — a generous default so a chaos run
-        // outside the supervisor can still never hang forever.
+        // fault is armed without one, as tests that bypass the supervisor
+        // do — a generous default, so such a test can never hang forever.
         inner.deadline = crate::fault::deadline().or_else(|| {
             armed_fault.map(|_| std::time::Instant::now() + std::time::Duration::from_secs(60))
         });
