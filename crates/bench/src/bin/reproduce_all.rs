@@ -26,7 +26,7 @@
 //!
 //! Every registry cell runs under the supervisor ([`tp_bench::supervise`]),
 //! with an engine-watchdog deadline derived from its registry cost and
-//! `TP_SAMPLES`: a panicking, stalled or deadlocked cell is classified
+//! `TP_SAMPLES`: a panicking or stalled cell is classified
 //! (only a stall past its deadline is retried, on the same seeds) and
 //! quarantined into `goldens/quarantine.json` (written on every run, `[]`
 //! when healthy), and the other cells and sections still complete.

@@ -811,14 +811,7 @@ pub(crate) mod tests {
             ("boot", &["cold", "cold_mean_ms"]),
             (
                 "supervisor",
-                &[
-                    "retries",
-                    "timeouts",
-                    "panics",
-                    "quarantined",
-                    "env_failed",
-                    "deadlocks",
-                ],
+                &["retries", "timeouts", "panics", "quarantined", "env_failed"],
             ),
             ("votes", &["verdicts", "seeds_run", "split"]),
         ];

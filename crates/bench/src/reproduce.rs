@@ -15,10 +15,10 @@
 //! same at every `TP_THREADS`.
 //!
 //! Every registry cell runs under the supervisor ([`crate::supervise`]),
-//! with a deadline derived from its registry cost. A cell that panics or
-//! deadlocks is quarantined after one attempt, and one that outlasts its
-//! deadline after [`supervise::MAX_ATTEMPTS`], so one sick cell fails
-//! only the sections that read it. Every attempt runs the canonical
+//! with a deadline derived from its registry cost. A cell that panics is
+//! quarantined after one attempt, and one that outlasts its deadline
+//! after [`supervise::MAX_ATTEMPTS`], so one sick cell fails only the
+//! sections that read it. Every attempt runs the canonical
 //! seeds, so the supervisor changes no result.
 
 use crate::campaign::{self, CellRow, ExperimentDef, ExperimentResult};
@@ -405,8 +405,8 @@ pub fn bench_json(r: &Reproduction) -> String {
     let sup = supervise::counters();
     let _ = writeln!(
         s,
-        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}}},",
-        sup.retries, sup.timeouts, sup.panics, sup.quarantined, sup.env_failed, sup.deadlocks,
+        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}}},",
+        sup.retries, sup.timeouts, sup.panics, sup.quarantined, sup.env_failed,
     );
     // A lazy vote runs two seeds, plus a third on a split.
     let _ = writeln!(s, "  \"votes\": {},", campaign::votes_json());

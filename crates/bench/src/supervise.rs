@@ -22,7 +22,6 @@
 //!         │             │                                   │
 //!         │             └ env died in isolation → EnvFailed │
 //!         ├─ SimError(watchdog)         → TimedOut ─────────┘
-//!         ├─ SimError(deadlock)         → Deadlock
 //!         └─ panic / SimError(program)  → Panicked
 //! ```
 //!
@@ -68,7 +67,6 @@ static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static PANICS: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static ENV_FAILED: AtomicU64 = AtomicU64::new(0);
-static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide supervisor accounting, serialised into `BENCH.json` as
 /// the `supervisor` object.
@@ -85,8 +83,6 @@ pub struct SupervisorCounters {
     /// Cells that completed with at least one environment failed in
     /// isolation (partial results over the survivors).
     pub env_failed: u64,
-    /// Attempts classified as a deterministic scheduler deadlock.
-    pub deadlocks: u64,
 }
 
 /// Snapshot the supervisor counters.
@@ -98,7 +94,6 @@ pub fn counters() -> SupervisorCounters {
         panics: PANICS.load(Ordering::Relaxed),
         quarantined: QUARANTINED.load(Ordering::Relaxed),
         env_failed: ENV_FAILED.load(Ordering::Relaxed),
-        deadlocks: DEADLOCKS.load(Ordering::Relaxed),
     }
 }
 
@@ -119,9 +114,6 @@ pub enum CellOutcome {
     /// The cell completed, but one or more non-primary environments failed
     /// in isolation: partial results over the survivors, not a quarantine.
     EnvFailed,
-    /// The attempt ended in a deterministic scheduler deadlock (the
-    /// driver proved no environment can ever be admitted again).
-    Deadlock,
 }
 
 impl CellOutcome {
@@ -133,7 +125,6 @@ impl CellOutcome {
             CellOutcome::Panicked => "panicked",
             CellOutcome::TimedOut => "timed-out",
             CellOutcome::EnvFailed => "env-failed",
-            CellOutcome::Deadlock => "deadlock",
         }
     }
 }
@@ -199,7 +190,6 @@ fn run_attempt<T>(
             match e.kind {
                 SimErrorKind::Watchdog => CellOutcome::TimedOut,
                 SimErrorKind::ProgramPanic => CellOutcome::Panicked,
-                SimErrorKind::Deadlock { .. } => CellOutcome::Deadlock,
             },
             e.to_string(),
         )),
@@ -252,7 +242,6 @@ pub fn run_cell<T>(
             Err((outcome, msg)) => {
                 let counter = match outcome {
                     CellOutcome::TimedOut => &TIMEOUTS,
-                    CellOutcome::Deadlock => &DEADLOCKS,
                     _ => &PANICS,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
@@ -294,38 +283,6 @@ pub fn probe_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
             }
         }
     });
-    b.try_run()?;
-    Ok(Vec::new())
-}
-
-/// A two-core pair cell: one primary per core, each interleaving probe
-/// loads with `Yield`s, so forward progress *requires* cross-core token
-/// rotation. The `lost-wakeup` fault wedges the token here and the
-/// driver's deadlock detector must classify it — deterministically, at the
-/// same interaction ordinal on every run.
-///
-/// # Errors
-/// The [`SimError`] when the simulation fails (under `lost-wakeup`, a
-/// [`tp_core::SimErrorKind::Deadlock`]).
-pub fn pair_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-    use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
-    let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
-        .seed(seed)
-        .max_cycles(400_000_000);
-    let d0 = b.domain(None);
-    let d1 = b.domain(None);
-    for (core, d) in [d0, d1].into_iter().enumerate() {
-        b.spawn(d, core, 100, async |env: &mut UserEnv| {
-            let (base, _) = env.map_pages(16).await;
-            for i in 0..400u64 {
-                env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE))
-                    .await;
-                if i % 25 == 0 {
-                    let _ = env.syscall(Syscall::Yield).await;
-                }
-            }
-        });
-    }
     b.try_run()?;
     Ok(Vec::new())
 }
@@ -537,7 +494,7 @@ mod tests {
             assert!(fault::deadline().is_some());
             probe_cell(0xA11C_E00B)
         };
-        let named_deadlock = || panicking_primary_cell("deadlock: in name only");
+        let program_named_watchdog = || panicking_primary_cell("watchdog: in name only");
         let named_watchdog =
             || -> Result<Vec<ChannelResult>, SimError> { panic!("watchdog: in name only") };
         let (panic, stall) = (FaultKind::EnvPanic { at: 3 }, FaultKind::EnvStall { at: 3 });
@@ -563,7 +520,7 @@ mod tests {
             (
                 None,
                 long,
-                &named_deadlock,
+                &program_named_watchdog,
                 CellOutcome::Panicked,
                 1,
                 "in name only",
@@ -607,27 +564,6 @@ mod tests {
         assert_eq!(cell_deadline(Some(1.0)), Duration::from_secs(30));
         assert_eq!(cell_deadline(Some(10.0)), Duration::from_secs(200));
         assert_eq!(cell_deadline(Some(1e6)), Duration::from_secs(600));
-    }
-
-    #[test]
-    fn lost_wakeup_classifies_as_deadlock_at_one_ordinal() {
-        let p = FaultPlan::new(FaultKind::LostWakeup { at: 2 });
-        let mut errors = Vec::new();
-        for _ in 0..2 {
-            let r = run_cell("pair", "haswell", Some(&p), Duration::from_secs(60), || {
-                pair_cell(0xA11C_E007)
-            });
-            assert_eq!(r.outcome, CellOutcome::Deadlock, "{:?}", r.error);
-            assert_eq!(r.attempts, 1, "a deterministic deadlock is not retried");
-            let err = r.error.expect("deadlock detail");
-            assert!(err.starts_with("deadlock:"), "{err}");
-            assert!(err.contains("at interaction"), "{err}");
-            errors.push(err);
-        }
-        assert_eq!(
-            errors[0], errors[1],
-            "deadlock ordinal must be the same on every run"
-        );
     }
 
     #[test]

@@ -89,14 +89,17 @@ fn only_with_an_unknown_section_exits_2_naming_the_valid_ones() {
 fn malformed_fault_variables_exit_2_naming_them() {
     let dir = workdir("env");
     // A trigger point that is not a number, one below the 1-based range,
-    // and cell scopes that name no registry cell: an unknown experiment,
-    // an unknown platform, and a platform the experiment does not run on.
+    // cell scopes that name no registry cell (an unknown experiment, an
+    // unknown platform, and a platform the experiment does not run on),
+    // and the retired executor fault class, bare and scoped.
     for value in [
         "env-panic@x",
         "env-panic@0",
         "env-panic@2:cell=tbl/haswell",
         "env-panic@2:cell=tlb/haswel",
         "env-panic@2:cell=llc/sabre",
+        "lost-wakeup",
+        "lost-wakeup@2:cell=llc/haswell",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce_all"))
             .args(["--only", "table1"])

@@ -37,6 +37,10 @@ use tp_sim::{Asid, ColorSet, Machine, PAddr, PlatformConfig, SweepPlan, VAddr};
 /// Default cross-core interleaving window (cycles).
 pub const DEFAULT_WINDOW: u64 = 4_000;
 
+/// Admissions between two watchdog clock reads in [`UserEnv::turn`], so an
+/// environment that never suspends is still watched at a negligible cost.
+const WATCHDOG_EVERY: u64 = 1024;
+
 /// Why a failed simulation failed — the typed form of what used to be a
 /// bare panic out of [`crate::SystemBuilder::run`]. The engine sets the
 /// kind where it detects the failure; nothing classifies by the message.
@@ -45,8 +49,8 @@ pub struct SimError {
     /// Broad classification (drives the campaign supervisor's retry and
     /// quarantine decisions).
     pub kind: SimErrorKind,
-    /// The failing environment's panic message or the driver's abort note
-    /// (watchdog, deadlock), for people to read.
+    /// The failing environment's panic message or the engine's abort note
+    /// (watchdog, executor invariant), for people to read.
     pub message: String,
 }
 
@@ -56,31 +60,16 @@ pub enum SimErrorKind {
     /// A primary simulated program (or the kernel under it) panicked, or
     /// the driver found a broken executor invariant.
     ProgramPanic,
-    /// The engine watchdog aborted the cell: its wall-clock deadline passed
-    /// while the simulation was making no progress.
+    /// The engine watchdog aborted the cell: its wall-clock deadline
+    /// passed, whether the environments kept suspending or not.
     Watchdog,
-    /// The cooperative scheduler proved no progress is possible: every live
-    /// environment is suspended and no token rotation can admit one.
-    /// Detected deterministically from simulation state alone — same
-    /// `at_interaction` and `waiting_envs` for a given seed on every run;
-    /// no wall clock involved.
-    Deadlock {
-        /// Thread ids of the environments still live when progress died,
-        /// in spawn order.
-        waiting_envs: Vec<u64>,
-        /// The global interaction ordinal (syscalls + preemption waits) at
-        /// which the deadlock was proven.
-        at_interaction: u64,
-    },
 }
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.kind {
             SimErrorKind::ProgramPanic => write!(f, "simulated program failed: {}", self.message),
-            SimErrorKind::Watchdog | SimErrorKind::Deadlock { .. } => {
-                write!(f, "{}", self.message)
-            }
+            SimErrorKind::Watchdog => write!(f, "{}", self.message),
         }
     }
 }
@@ -93,7 +82,9 @@ pub struct HealthStats {
     /// Environments that failed in isolation (non-primary panic) while
     /// their siblings kept running.
     pub env_failed: u64,
-    /// Deterministic scheduler deadlocks detected by the driver.
+    /// Always 0: no fault can wedge the scheduler token, so the engine has
+    /// no deadlock class. Kept so existing readers of these counters still
+    /// build.
     pub deadlocks: u64,
     /// Always 0: environments are futures and have no stacks to overflow.
     /// Kept so existing readers of these counters still build.
@@ -101,7 +92,6 @@ pub struct HealthStats {
 }
 
 static ENV_FAILED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static DEADLOCKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 thread_local! {
     /// [`HealthStats::env_failed`] restricted to systems driven by this
@@ -117,7 +107,7 @@ pub fn health_stats() -> HealthStats {
     use std::sync::atomic::Ordering::Relaxed;
     HealthStats {
         env_failed: ENV_FAILED.load(Relaxed),
-        deadlocks: DEADLOCKS.load(Relaxed),
+        deadlocks: 0,
         stack_overflows: 0,
     }
 }
@@ -198,28 +188,23 @@ pub struct SimInner {
     /// Primary (non-daemon) programs still running.
     pub primaries_left: usize,
     /// First failure of the run, typed where it was detected: a failed
-    /// primary, a watchdog abort, a proven deadlock or a broken executor
-    /// invariant. Later failures never overwrite it.
+    /// primary, a watchdog abort or a broken executor invariant. Later
+    /// failures never overwrite it.
     pub error: Option<SimError>,
-    /// Wall-clock deadline for the watchdog: when set, the driver (and an
-    /// environment stalled in `UserEnv::stall`) aborts the simulation once the
-    /// deadline passes. `None` (the default) keeps the hot path free of
-    /// clock reads.
+    /// Wall-clock deadline for the watchdog: when set, the simulation is
+    /// aborted once it passes, checked by the driver, every
+    /// `WATCHDOG_EVERY`-th admission in `UserEnv::turn` and by an
+    /// environment stalled in `UserEnv::stall`. `None` (the default) keeps
+    /// the hot path free of clock reads.
     pub deadline: Option<std::time::Instant>,
+    /// Admissions granted by `UserEnv::turn`, for the watchdog's cadence.
+    admissions: u64,
     /// Injected fault: panic on this (1-based) global syscall ordinal.
     fault_panic_at: Option<u64>,
     /// Injected fault: stop yielding after this (1-based) syscall ordinal.
     fault_stall_at: Option<u64>,
-    /// Injected fault: swallow token rotations from the `at`-th would-move
-    /// onward (sticky, so the wedge cannot self-heal on a later rotate).
-    fault_lost_wakeup_at: Option<u64>,
-    /// Token moves attempted while a lost-wakeup fault is armed, for the
-    /// trigger ordinal.
-    rotations_seen: u64,
     /// Syscalls and preemption waits executed so far — counted at
-    /// execution time, so the ordinal is schedule-deterministic.
-    /// Always counted (not just when a fault is armed): deadlock reports
-    /// timestamp themselves with it.
+    /// execution time, so the fault ordinals are schedule-deterministic.
     syscalls_seen: u64,
     /// Environments that failed in isolation, in failure order:
     /// `(env id, panic message)`. The cell keeps running.
@@ -253,24 +238,20 @@ impl SimInner {
             primaries_left: 0,
             error: None,
             deadline: None,
+            admissions: 0,
             fault_panic_at: None,
             fault_stall_at: None,
-            fault_lost_wakeup_at: None,
-            rotations_seen: 0,
             syscalls_seen: 0,
             env_failures: Vec::new(),
             seq: 0,
         }
     }
 
-    /// Arm an environment or executor fault.
+    /// Arm an environment fault.
     pub fn arm_env_fault(&mut self, kind: crate::fault::FaultKind) {
         match kind {
             crate::fault::FaultKind::EnvPanic { at } => self.fault_panic_at = Some(at.max(1)),
             crate::fault::FaultKind::EnvStall { at } => self.fault_stall_at = Some(at.max(1)),
-            crate::fault::FaultKind::LostWakeup { at } => {
-                self.fault_lost_wakeup_at = Some(at.max(1));
-            }
         }
     }
 
@@ -287,17 +268,6 @@ impl SimInner {
         None
     }
 
-    /// Whether an armed lost-wakeup fault swallows the token move the
-    /// caller is about to make. Sticky from the `at`-th would-move on, so
-    /// the wedge cannot be healed by a later rotation attempt.
-    fn lost_wakeup_swallows(&mut self) -> bool {
-        let Some(n) = self.fault_lost_wakeup_at else {
-            return false;
-        };
-        self.rotations_seen += 1;
-        self.rotations_seen >= n
-    }
-
     /// Stop the simulation, keeping the first failure: a later one (say,
     /// the watchdog firing while a failed primary's siblings drain) never
     /// overwrites it.
@@ -307,22 +277,17 @@ impl SimInner {
         self.error.get_or_insert(SimError { kind, message });
     }
 
-    /// Record a proven scheduler deadlock: stop the simulation with a typed
-    /// report (`waiting_envs` in spawn order, the current interaction
-    /// ordinal) instead of waiting for the wall-clock watchdog.
-    pub(crate) fn note_deadlock(&mut self, waiting_envs: Vec<u64>) {
-        DEADLOCKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let at_interaction = self.syscalls_seen;
-        let message = format!(
-            "deadlock: {} environment(s) suspended with no runnable progress \
-             at interaction {at_interaction}",
-            waiting_envs.len()
-        );
-        let kind = SimErrorKind::Deadlock {
-            waiting_envs,
-            at_interaction,
-        };
-        self.fail(kind, message);
+    /// The watchdog: whether the armed wall-clock deadline has passed, in
+    /// which case the run stops as [`SimErrorKind::Watchdog`] with
+    /// `message`. Reads the clock only when a deadline is armed.
+    fn watchdog_expired(&mut self, message: &str) -> bool {
+        let expired = self
+            .deadline
+            .is_some_and(|d| std::time::Instant::now() >= d);
+        if expired {
+            self.fail(SimErrorKind::Watchdog, message);
+        }
+        expired
     }
 
     /// Schedule an event on a core at an absolute cycle.
@@ -414,7 +379,7 @@ impl SimInner {
         }
         let Some((lcy, lidx)) = laggard else { return };
         if !token_active {
-            if self.token != lidx && !self.lost_wakeup_swallows() {
+            if self.token != lidx {
                 self.token = lidx;
                 self.kernel
                     .log
@@ -422,10 +387,7 @@ impl SimInner {
             }
             return;
         }
-        if self.machine.cycles(self.token) > lcy + self.window
-            && lidx != self.token
-            && !self.lost_wakeup_swallows()
-        {
+        if self.machine.cycles(self.token) > lcy + self.window && lidx != self.token {
             self.token = lidx;
             self.kernel
                 .log
@@ -565,19 +527,27 @@ impl UserEnv {
     /// Wait for this thread's turn and borrow the simulation for one step.
     ///
     /// The only suspension point of the engine: while the thread is not
-    /// admitted, hand the driver thread back (which picks the next task);
-    /// watchdog duties live in the driver's decide loop. Once the
-    /// simulation stops this never returns — the driver drops the
-    /// environment's future instead.
+    /// admitted, hand the driver thread back (which picks the next task).
+    /// An environment that is always admitted never suspends, so the
+    /// driver never runs; every [`WATCHDOG_EVERY`]-th admission checks the
+    /// watchdog here instead. Once the simulation stops this never returns
+    /// — the driver drops the environment's future instead.
     async fn turn(&self) -> RefMut<'_, SimInner> {
         loop {
             {
                 let mut g = self.sim.borrow_mut();
                 if !g.stop {
                     if self.admitted(&g) {
-                        return g;
-                    }
-                    if !g.any_current() {
+                        g.admissions += 1;
+                        if !g.admissions.is_multiple_of(WATCHDOG_EVERY)
+                            || !g.watchdog_expired(
+                                "watchdog: environment never suspended (wall-clock \
+                                 deadline exceeded)",
+                            )
+                        {
+                            return g;
+                        }
+                    } else if !g.any_current() {
                         g.idle_advance();
                         g.rotate_token();
                         continue;
@@ -597,15 +567,12 @@ impl UserEnv {
         loop {
             std::thread::sleep(std::time::Duration::from_millis(10));
             let mut g = self.sim.borrow_mut();
-            if g.stop {
-                break;
-            }
-            if g.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                g.fail(
-                    SimErrorKind::Watchdog,
+            if g.stop
+                || g.watchdog_expired(
                     "watchdog: environment stopped yielding (wall-clock \
                      deadline exceeded)",
-                );
+                )
+            {
                 break;
             }
         }
@@ -1060,8 +1027,8 @@ enum Pick {
 
 /// Choose the next task as a pure function of simulation state: the thread
 /// the kernel has scheduled on the token-holding core. Advances idle time
-/// and rotates the token while no environment is admissible, and owns the
-/// wall-clock watchdog when a deadline is armed.
+/// and rotates the token while no environment is admissible, and checks
+/// the wall-clock watchdog when a deadline is armed.
 /// Once the simulation stops, picks the remaining tasks in ascending index
 /// order so the driver drops each and retires its thread.
 fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
@@ -1077,15 +1044,9 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
                 .expect("remaining > 0 implies an unfinished task");
             return Pick::Run(idx);
         }
-        if let Some(d) = g.deadline {
-            if std::time::Instant::now() >= d {
-                g.fail(
-                    SimErrorKind::Watchdog,
-                    "watchdog: wall-clock deadline exceeded with no \
-                     scheduling progress",
-                );
-                continue;
-            }
+        if g.watchdog_expired("watchdog: wall-clock deadline exceeded with no scheduling progress")
+        {
+            continue;
         }
         let token = g.token;
         if let Some(tcb) = g.kernel.cores[token].cur {
@@ -1112,23 +1073,18 @@ fn coop_decide(g: &mut SimInner, st: &CoopState) -> Pick {
         }
         // The token core is inactive but some core is running: the rotate
         // moves the token to the laggard active core, so the next iteration
-        // finds a scheduled thread there. In a healthy simulation that move
-        // is unconditional (the laggard scan only considers active cores,
-        // and the token core is not one of them) — so a rotate that leaves
-        // the token where it was proves the scheduler is wedged: no
-        // environment can ever be admitted again. Classify immediately and
-        // deterministically, from simulation state alone, instead of
-        // hanging until the wall-clock watchdog.
+        // finds a scheduled thread there. That move is unconditional (the
+        // laggard scan only considers active cores, and the token core is
+        // not one of them), so a rotate that leaves the token where it was
+        // violates the executor invariant. Degrade to a clean stop instead
+        // of spinning.
         let before = g.token;
         g.rotate_token();
         if g.token == before {
-            let waiting: Vec<u64> = st
-                .tasks
-                .iter()
-                .filter(|t| t.fut.is_some())
-                .map(|t| t.tcb.0 as u64)
-                .collect();
-            g.note_deadlock(waiting);
+            g.fail(
+                SimErrorKind::ProgramPanic,
+                "executor: token rotation left no running core admitted",
+            );
         }
     }
 }
@@ -1283,6 +1239,33 @@ mod tests {
                 EnvOutcome::Completed
             ]
         );
+    }
+
+    /// An environment that never suspends is still watched. A lone primary
+    /// looping `compute` is admitted on every op, so the driver never runs
+    /// again; the armed deadline stops it from `UserEnv::turn`, while the
+    /// program is running and far inside its cycle budget.
+    #[test]
+    fn watchdog_stops_an_environment_that_never_suspends() {
+        const BUDGET: u64 = 1_000_000_000;
+        let steps = Rc::new(Cell::new(0u64));
+        let mut b =
+            SystemBuilder::new(Platform::Haswell, ProtectionConfig::raw()).max_cycles(BUDGET);
+        let d = b.domain(None);
+        let n = Rc::clone(&steps);
+        b.spawn(d, 0, 100, async move |env: &mut UserEnv| loop {
+            env.compute(10).await;
+            n.set(n.get() + 1);
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
+        crate::fault::set_deadline(Some(deadline));
+        let r = b.try_run();
+        crate::fault::set_deadline(None);
+        let e = r.expect_err("the deadline must stop a never-suspending primary");
+        assert_eq!(e.kind, SimErrorKind::Watchdog, "{}", e.message);
+        assert!(e.message.contains("never suspended"), "{}", e.message);
+        assert!(steps.get() > 0, "stopped before the primary ran");
+        assert!(steps.get() * 10 < BUDGET / 2, "{} steps", steps.get());
     }
 
     /// Once the simulation stops, the unfinished environments are dropped,

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] names one fault class (and optionally the single
 //! experiment×platform cell it applies to). Faults are **deterministic**: a
-//! fault point is a position in the simulated event stream — interaction
-//! ordinal, token-rotation ordinal — never a wall-clock instant, so a
-//! faulted run with the same plan and seed reproduces bit-for-bit.
+//! fault point is an interaction ordinal in the simulated event stream,
+//! never a wall-clock instant, so a faulted run with the same plan and
+//! seed reproduces bit-for-bit.
 //!
 //! Plans travel to a cell through a thread-local rather than a global: the
 //! supervisor arms the plan with [`arm`] for one attempt on the thread
@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! TP_FAULT=env-panic@120
-//! TP_FAULT=lost-wakeup@2:cell=flush/haswell
+//! TP_FAULT=env-stall@2:cell=tlb/haswell
 //! ```
 
 use std::fmt;
@@ -38,15 +38,6 @@ pub enum FaultKind {
         /// 1-based syscall ordinal after which the environment hangs.
         at: u64,
     },
-    /// The `at`-th cross-core token rotation is swallowed and the token
-    /// wedges — modelling a lost scheduler wakeup that nothing re-delivers.
-    /// The executor's deadlock detector must classify the
-    /// resulting stall as [`crate::SimErrorKind::Deadlock`] at a
-    /// deterministic interaction ordinal, never as a wall-clock watchdog.
-    LostWakeup {
-        /// 1-based token-rotation ordinal at which rotations stop.
-        at: u64,
-    },
 }
 
 impl fmt::Display for FaultKind {
@@ -54,7 +45,6 @@ impl fmt::Display for FaultKind {
         match *self {
             FaultKind::EnvPanic { at } => write!(f, "env-panic@{at}"),
             FaultKind::EnvStall { at } => write!(f, "env-stall@{at}"),
-            FaultKind::LostWakeup { at } => write!(f, "lost-wakeup@{at}"),
         }
     }
 }
@@ -80,11 +70,11 @@ impl FaultPlan {
     ///
     /// ```text
     /// plan  := class [ "@" N ] [ ":cell=" experiment "/" platform ]
-    /// class := "env-panic" | "env-stall" | "lost-wakeup"
+    /// class := "env-panic" | "env-stall"
     /// ```
     ///
-    /// `@N` sets the 1-based trigger point (interaction ordinal or
-    /// rotation ordinal depending on class) and defaults per class.
+    /// `@N` sets the 1-based interaction ordinal of the trigger point and
+    /// defaults to 3.
     ///
     /// # Errors
     /// Returns a human-readable message for an unknown class, a malformed
@@ -119,13 +109,9 @@ impl FaultPlan {
             "env-stall" => FaultKind::EnvStall {
                 at: at.unwrap_or(3),
             },
-            "lost-wakeup" => FaultKind::LostWakeup {
-                at: at.unwrap_or(2),
-            },
             other => {
                 return Err(format!(
-                    "unknown fault class `{other}` (expected env-panic, env-stall \
-                     or lost-wakeup)"
+                    "unknown fault class `{other}` (expected env-panic or env-stall)"
                 ))
             }
         };
@@ -214,12 +200,12 @@ mod tests {
             FaultKind::EnvStall { at: 3 }
         );
         assert_eq!(
-            FaultPlan::parse("lost-wakeup@7").unwrap().kind,
-            FaultKind::LostWakeup { at: 7 }
+            FaultPlan::parse("env-panic").unwrap().kind,
+            FaultKind::EnvPanic { at: 3 }
         );
         assert_eq!(
-            FaultPlan::parse("lost-wakeup").unwrap().kind,
-            FaultKind::LostWakeup { at: 2 }
+            FaultPlan::parse("env-stall@7").unwrap().kind,
+            FaultKind::EnvStall { at: 7 }
         );
     }
 
@@ -242,15 +228,11 @@ mod tests {
         assert!(FaultPlan::parse("env-panic:cell=/haswell").is_err());
         // Trigger points are 1-based, so `@0` would fire at 1 while the
         // plan prints `@0`.
-        for zero in [
-            "env-panic@0",
-            "env-stall@0:cell=tlb/haswell",
-            "lost-wakeup@0",
-        ] {
+        for zero in ["env-panic@0", "env-stall@0:cell=tlb/haswell"] {
             let err = FaultPlan::parse(zero).unwrap_err();
             assert!(err.contains("`0`"), "{err}");
         }
-        // The retired classes are unknown, and the error names the three
+        // The retired classes are unknown, and the error names the two
         // that remain.
         for retired in [
             "commit-flip@17",
@@ -260,7 +242,7 @@ mod tests {
         ] {
             let err = FaultPlan::parse(retired).unwrap_err();
             assert!(err.starts_with("unknown fault class"), "{err}");
-            for class in ["env-panic", "env-stall", "lost-wakeup"] {
+            for class in ["env-panic", "env-stall"] {
                 assert!(err.contains(class), "{err}");
             }
         }
@@ -285,7 +267,6 @@ mod tests {
         for spec in [
             "env-panic@3",
             "env-stall@7",
-            "lost-wakeup@2",
             "env-panic@5:cell=flush/haswell",
         ] {
             let p = FaultPlan::parse(spec).unwrap();
@@ -296,8 +277,8 @@ mod tests {
 
     #[test]
     fn thread_local_arming_is_per_thread() {
-        arm(Some(FaultKind::LostWakeup { at: 2 }));
-        assert_eq!(armed(), Some(FaultKind::LostWakeup { at: 2 }));
+        arm(Some(FaultKind::EnvStall { at: 2 }));
+        assert_eq!(armed(), Some(FaultKind::EnvStall { at: 2 }));
         let other = std::thread::spawn(armed).join().unwrap();
         assert_eq!(other, None, "arming must not leak across threads");
         arm(None);

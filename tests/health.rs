@@ -1,25 +1,22 @@
-//! Executor health plane: fault classification and the deterministic
-//! deadlock detector.
+//! Executor health plane: fault classification on the probe cell and on
+//! registry cells.
 //!
-//! Three contracts are pinned here, in their own process (fault injection
+//! Two contracts are pinned here, in their own process (fault injection
 //! necessarily trips the supervisor's global counters, which
 //! `tests/supervision.rs` asserts stay zero in a fault-free process):
 //!
 //! * **Classification**: the probe-cell `TP_FAULT` classes yield the
 //!   supervisor classification of the taxonomy table — including the
 //!   `env-stall@N` ordinal, which counts `wait_preempt` interactions.
-//! * **Deadlock pin**: a `lost-wakeup` wedge is classified by the driver
-//!   as a typed [`tp_core::SimErrorKind::Deadlock`] at one exact, pinned
-//!   interaction ordinal — never by the wall-clock watchdog.
 //! * **Fault table on registry cells**: each fault class at a low and a
-//!   mid ordinal on real registry cells yields one pinned outcome, attempt
-//!   count and relation to the healthy reference, and the faults never
-//!   leak into a healthy re-run.
+//!   mid ordinal on a single-core and a cross-core registry cell yields
+//!   one pinned outcome, attempt count and relation to the healthy
+//!   reference, and the faults never leak into a healthy re-run.
 
 use std::time::Duration;
 use tp_bench::campaign::{registry, ChannelResult};
-use tp_bench::supervise::{pair_cell, probe_cell, run_cell, CellOutcome, CellReport};
-use tp_core::{fault, FaultKind, FaultPlan, SimErrorKind};
+use tp_bench::supervise::{probe_cell, run_cell, CellOutcome, CellReport};
+use tp_core::{FaultKind, FaultPlan};
 use tp_sim::Platform;
 
 /// Supervise one probe cell with `kind` armed.
@@ -36,8 +33,7 @@ fn classify(kind: FaultKind, seed: u64) -> CellOutcome {
 }
 
 /// The fault classes armed on the probe cell classify as the taxonomy
-/// table says. (The executor class, `lost-wakeup`, is pinned below and in
-/// the supervise unit tests.)
+/// table says.
 #[test]
 fn probe_cell_fault_classes_classify_per_the_taxonomy() {
     let cases: [(FaultKind, CellOutcome); 2] = [
@@ -69,40 +65,15 @@ fn env_stall_ordinal_counts_interactions_identically() {
     );
 }
 
-/// The deadlock detector fires deterministically: the waiting environment
-/// set and the interaction ordinal are pinned literals (captured from the
-/// multi-worker executor this driver replaced), and the message names the
-/// ordinal so logs are diffable across hosts.
-#[test]
-fn lost_wakeup_deadlock_matches_pinned_ordinal() {
-    fault::arm(Some(FaultKind::LostWakeup { at: 2 }));
-    let r = pair_cell(0x0D1F_F200);
-    fault::arm(None);
-    let e = r.expect_err("the wedged token must be detected, not completed");
-    assert_eq!(
-        e.kind,
-        SimErrorKind::Deadlock {
-            waiting_envs: vec![0],
-            at_interaction: 17,
-        },
-        "{}",
-        e.message
-    );
-    assert_eq!(
-        e.message,
-        "deadlock: 1 environment(s) suspended with no runnable progress at interaction 17"
-    );
-}
-
 /// A registry cell: experiment name and platform.
 type Cell = (&'static str, Platform);
 
-/// The cell CI's faulted `reproduce_all` steps use. It runs on one core,
-/// so `lost-wakeup` never fires there.
+/// The cell CI's faulted `reproduce_all` steps use. It runs on one core.
 const TLB: Cell = ("tlb", Platform::Haswell);
 
 /// A cross-core cell: the victim is a daemon on core 1, the spy the
-/// primary on core 0, so a swallowed token rotation starves one of them.
+/// primary on core 0. Each of its systems makes three interactions: the
+/// spy's two placement polls around the victim's placement signal.
 const LLC: Cell = ("llc", Platform::Haswell);
 
 /// How a row's results relate to the cell's healthy reference run.
@@ -131,17 +102,15 @@ const FAULT_TABLE: [(FaultKind, Cell, CellOutcome, u32, Data); 9] = [
     // retried on the same seeds until the attempts run out.
     (FaultKind::EnvStall { at: 2 }, TLB, CellOutcome::TimedOut, 3, Data::Absent),
     (FaultKind::EnvStall { at: 20 }, TLB, CellOutcome::TimedOut, 3, Data::Absent),
-    // One core never rotates the token: the fault is inert.
-    (FaultKind::LostWakeup { at: 2 }, TLB, CellOutcome::Ok, 1, Data::Reference),
-    (FaultKind::LostWakeup { at: 20 }, TLB, CellOutcome::Ok, 1, Data::Reference),
-    // The first rotation is the one that would admit the victim, so the
-    // spy's placement poll gives up and the primary panics.
-    (FaultKind::LostWakeup { at: 1 }, LLC, CellOutcome::Panicked, 1, Data::Absent),
-    // A later wedge starves the victim daemon part way while the spy
-    // finishes: no environment fails and nothing deadlocks, so the cell
-    // reports `ok` over a shorter victim trace. The supervisor has no
-    // signal that tells this apart from a healthy run.
-    (FaultKind::LostWakeup { at: 20 }, LLC, CellOutcome::Ok, 1, Data::Diverged),
+    // Interaction 1 is the spy's first placement poll: the primary panics.
+    (FaultKind::EnvPanic { at: 1 }, LLC, CellOutcome::Panicked, 1, Data::Absent),
+    // Interaction 2 is the victim's placement signal on core 1. The victim
+    // daemon dies in isolation, but the spy then never learns its
+    // placement and panics, so the cell still fails.
+    (FaultKind::EnvPanic { at: 2 }, LLC, CellOutcome::Panicked, 1, Data::Absent),
+    // A stall on either core holds the driver thread until the watchdog.
+    (FaultKind::EnvStall { at: 1 }, LLC, CellOutcome::TimedOut, 3, Data::Absent),
+    (FaultKind::EnvStall { at: 2 }, LLC, CellOutcome::TimedOut, 3, Data::Absent),
 ];
 
 /// The deadline of the `env-stall` rows: each burns it three times.
@@ -199,9 +168,9 @@ fn healthy(cell: Cell) -> Bits {
     bits(&r.channels.expect("an ok cell has results"))
 }
 
-/// Every row of [`FAULT_TABLE`] classifies exactly as pinned, an `ok` row
-/// whose fault never fired is byte-identical to the healthy reference,
-/// and healthy re-runs after all the faulted rows still are.
+/// Every row of [`FAULT_TABLE`] classifies exactly as pinned, its results
+/// relate to the healthy reference as pinned, and healthy re-runs after
+/// all the faulted rows are byte-identical to that reference.
 #[test]
 fn fault_table_on_registry_cells_is_pinned() {
     // Classification is a property of the supervisor and the cell's
